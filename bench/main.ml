@@ -889,16 +889,19 @@ let timing ?json () =
             k.name src ])
       Workloads.fig7_kernels
   in
-  (* cold: a fresh engine (empty result cache) every iteration; jobs
-     variants measure the domain-pool overhead/speedup on this machine *)
-  let serve_cold_test =
-    Test.make ~name:"serve/session-cold"
-      (Staged.stage (fun () -> ignore (Pperf_server.Server.batch_lines ~jobs:1 serve_lines)))
+  (* cold: a fresh core (empty result cache) every iteration; jobs
+     variants measure the worker-shard overhead/speedup on this machine *)
+  let serve_cold name jobs =
+    let module Fleet = Pperf_fleet.Fleet in
+    let cfg = Fleet.config ~jobs () in
+    Test.make ~name
+      (Staged.stage (fun () ->
+           let core = Fleet.Core.create cfg in
+           ignore (Fleet.run_lines core serve_lines);
+           Fleet.Core.stop core))
   in
-  let serve_cold_j4_test =
-    Test.make ~name:"serve/session-cold-j4"
-      (Staged.stage (fun () -> ignore (Pperf_server.Server.batch_lines ~jobs:4 serve_lines)))
-  in
+  let serve_cold_test = serve_cold "serve/session-cold" 1 in
+  let serve_cold_j4_test = serve_cold "serve/session-cold-j4" 4 in
   (* warm: one resident engine, every request a result-cache hit *)
   let serve_warm_test =
     let engine = Pperf_server.Engine.create ~jobs:1 () in
@@ -922,31 +925,20 @@ let timing ?json () =
      whose result cache and shard-affine incremental predictors are hot,
      overload drives a core admitting one request at a time so most of
      the session is answered by the load-shedding path *)
-  let fleet_core cfg =
-    let module Fleet = Pperf_fleet.Fleet in
-    Fleet.Core.create cfg
-  in
-  let fleet_cold_test =
-    let module Fleet = Pperf_fleet.Fleet in
-    let cfg = Fleet.config ~jobs:2 () in
-    Test.make ~name:"fleet/session-cold"
-      (Staged.stage (fun () ->
-           let core = fleet_core cfg in
-           ignore (Fleet.run_lines core serve_lines);
-           Fleet.Core.stop core))
-  in
+  let fleet_cold_test = serve_cold "fleet/session-cold" 2 in
   let fleet_warm_test =
     let module Fleet = Pperf_fleet.Fleet in
-    let core = fleet_core (Fleet.config ~jobs:2 ()) in
+    let core = Fleet.Core.create (Fleet.config ~jobs:2 ()) in
     let run () = ignore (Fleet.run_lines core serve_lines) in
     run ();
     Test.make ~name:"fleet/session-warm" (Staged.stage run)
   in
   let fleet_overload_test =
     let module Fleet = Pperf_fleet.Fleet in
-    let core = fleet_core (Fleet.config ~jobs:1 ~max_queue:1 ()) in
+    let core = Fleet.Core.create (Fleet.config ~jobs:1 ~max_queue:1 ()) in
     Test.make ~name:"fleet/session-overload"
-      (Staged.stage (fun () -> ignore (Fleet.run_lines core serve_lines)))
+      (Staged.stage (fun () ->
+           ignore (Fleet.run_lines ~admission:Fleet.Shed core serve_lines)))
   in
   let tests =
     [ drop_test 10; drop_test 100; drop_test 1000; drop_test 10000;

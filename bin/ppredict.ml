@@ -545,7 +545,7 @@ let jobs_arg =
 let max_request_bytes_arg =
   let doc = "Answer request lines longer than $(docv) with an oversized error." in
   Arg.(value
-       & opt int Pperf_server.Server.default_max_request_bytes
+       & opt int Pperf_fleet.Fleet.default_max_request_bytes
        & info [ "max-request-bytes" ] ~docv:"BYTES" ~doc)
 
 let cache_capacity_arg =
@@ -554,15 +554,15 @@ let cache_capacity_arg =
 
 let resolve_jobs = function
   | Some n -> n
-  | None -> Pperf_server.Pool.recommended_jobs ()
+  | None -> Pperf_fleet.Fleet.recommended_jobs ()
 
 let batch_cmd =
   let run jobs max_bytes cache_capacity file =
-    let jobs = resolve_jobs jobs in
-    let go ic =
-      Pperf_server.Server.batch ?cache_capacity ~max_request_bytes:max_bytes ~jobs ic
-        stdout
+    let cfg =
+      Pperf_fleet.Fleet.config ?cache_capacity ~max_request_bytes:max_bytes
+        ~jobs:(resolve_jobs jobs) ()
     in
+    let go ic = Pperf_fleet.Fleet.serve_channels cfg ~flush_each:false ic stdout in
     match file with
     | None -> go stdin
     | Some f ->
@@ -577,7 +577,7 @@ let batch_cmd =
     "Answer a stream of JSON-lines requests (one JSON object per line; verbs \
      predict, compare, ranges, lint, ping, stats, shutdown) and exit at end of \
      input. Responses come in request order; query outputs are byte-identical \
-     to the one-shot subcommands. See README section \"Prediction service\"."
+     to the one-shot subcommands. See README section \"The prediction service\"."
   in
   Cmd.v (Cmd.info "batch" ~doc)
     Term.(const run $ jobs_arg $ max_request_bytes_arg $ cache_capacity_arg $ file)
@@ -610,26 +610,28 @@ let tcp_arg ~doc = Arg.(value & opt (some hostport) None & info [ "tcp" ] ~docv:
 let serve_cmd =
   let run jobs max_bytes cache_capacity socket tcp sched max_queue port_file
       no_affinity =
-    let jobs = resolve_jobs jobs in
+    let cfg =
+      Pperf_fleet.Fleet.config ~sched ~max_queue ?cache_capacity
+        ~max_request_bytes:max_bytes ~affinity:(not no_affinity)
+        ~jobs:(resolve_jobs jobs) ()
+    in
+    let listen addr =
+      let code = Pperf_fleet.Fleet.serve_socket cfg addr ?port_file () in
+      (* All connections are drained and the listener closed by now; the
+         OCaml 5.1 runtime sometimes stalls ~2s tearing down the
+         domain+systhread mix, so skip at_exit and leave immediately. *)
+      flush stdout;
+      flush stderr;
+      Unix._exit code
+    in
     try
-      match tcp with
-      | Some (host, port) ->
-        let cfg =
-          Pperf_fleet.Fleet.config ~sched ~max_queue ?cache_capacity
-            ~max_request_bytes:max_bytes ~affinity:(not no_affinity) ~jobs ()
-        in
-        let code = Pperf_fleet.Fleet.serve_tcp cfg ~host ~port ?port_file () in
-        (* All connections are drained and the listener closed by now; the
-           OCaml 5.1 runtime sometimes stalls ~2s tearing down the
-           domain+systhread mix, so skip at_exit and leave immediately. *)
-        flush stdout;
-        flush stderr;
-        Unix._exit code
-      | None ->
-        Pperf_server.Server.serve ?cache_capacity ~max_request_bytes:max_bytes
-          ?socket ~jobs ()
+      match (tcp, socket) with
+      | Some (host, port), _ ->
+        listen (Unix.ADDR_INET (Pperf_fleet.Fleet.resolve_host host, port))
+      | None, Some path -> listen (Unix.ADDR_UNIX path)
+      | None, None -> Pperf_fleet.Fleet.serve_channels cfg ~flush_each:true stdin stdout
     with
-    | Pperf_server.Server.Already_serving p ->
+    | Pperf_fleet.Fleet.Already_serving p ->
       Printf.eprintf "ppredict: %s is owned by a live daemon; not starting\n" p;
       1
     | Failure msg | Sys_error msg ->
@@ -641,25 +643,23 @@ let serve_cmd =
   in
   let socket_arg =
     let doc =
-      "Serve connections on a Unix socket at $(docv) instead of stdin/stdout. \
-       The engine (and its warm result cache) is shared across connections; a \
-       shutdown request stops the daemon, end of a connection does not. A stale \
-       socket file left by a dead daemon is replaced; a live one is refused."
+      "Serve concurrent connections on a Unix socket at $(docv) instead of \
+       stdin/stdout. The engine (and its warm result cache) is shared across \
+       connections; a shutdown request stops the daemon, end of a connection \
+       does not. A stale socket file left by a dead daemon is replaced; a live \
+       one is refused."
     in
     Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH" ~doc)
   in
   let tcp =
     tcp_arg
       ~doc:
-        "Serve many concurrent connections on a TCP listener at $(docv) (port 0 \
-         picks an ephemeral port). Requests are dispatched to $(b,--jobs) shards \
-         by cache-key affinity so repeat queries for a kernel stay on the worker \
-         whose incremental predictor is already warm. See $(b,--sched), \
-         $(b,--max-queue), $(b,--port-file)."
+        "Serve concurrent connections on a TCP listener at $(docv) (port 0 picks \
+         an ephemeral port; see $(b,--port-file))."
   in
   let sched_arg =
     let doc =
-      "Scheduling policy for the TCP fleet: $(b,fifo) (admission order), \
+      "Scheduling policy of the worker shards: $(b,fifo) (admission order), \
        $(b,lifo) (newest first), or $(b,ws) (fifo plus work stealing of \
        affinity-free requests by idle shards)."
     in
@@ -668,9 +668,9 @@ let serve_cmd =
   in
   let max_queue_arg =
     let doc =
-      "Admission bound for the TCP fleet: beyond $(docv) queued requests, new \
-       ones are shed with a structured $(i,overloaded) error carrying a \
-       retry_after_ms hint."
+      "Admission bound: at most $(docv) requests wait for a worker. Beyond it, \
+       socket connections are shed with a structured $(i,overloaded) error \
+       carrying a retry_after_ms hint; stdin waits for room."
     in
     Arg.(value & opt pos_int Pperf_fleet.Fleet.default_max_queue
          & info [ "max-queue" ] ~docv:"N" ~doc)
@@ -689,10 +689,12 @@ let serve_cmd =
   let doc =
     "Long-lived prediction daemon speaking the JSON-lines protocol of \
      $(b,ppredict batch): hot machine descriptions, a content-addressed result \
-     cache, and a pool of worker domains stay resident between requests. Every \
-     response is flushed as soon as it is in order; malformed input yields a \
-     structured error response and the server keeps running. With $(b,--tcp), a \
-     fleet of affinity-sharded workers serves many connections concurrently; \
+     cache, and $(b,--jobs) worker shards stay resident between requests. \
+     Requests go to shards by cache-key affinity, so repeat queries for a \
+     kernel stay on the worker whose incremental predictor is already warm. \
+     Every response is flushed as soon as it is in order; malformed input \
+     yields a structured error response and the server keeps running. With \
+     $(b,--socket) or $(b,--tcp) many connections are served concurrently; \
      SIGTERM/SIGINT drain in-flight requests before exit."
   in
   Cmd.v (Cmd.info "serve" ~doc)

@@ -78,9 +78,12 @@ try:
         reqs.append({"id": i, "verb": "predict", "file": "samples/daxpy.pf"})
         reqs.append({"id": 100 + i, "verb": "predict", "file": "samples/jacobi.pf"})
     n_queries = len(reqs)
-    reqs.append({"id": "stats", "verb": "stats"})
-    reqs.append({"id": "metrics", "verb": "metrics"})
     outs = session(reqs)
+    # scrape in a second session, once every query has been answered: in
+    # the same pipelined session an idle worker may run stats/metrics
+    # before the queries ahead of them finish
+    reqs += [{"id": "stats", "verb": "stats"}, {"id": "metrics", "verb": "metrics"}]
+    outs += session(reqs[n_queries:])
     if len(outs) != len(reqs):
         err(f"{len(reqs)} requests but {len(outs)} responses")
         sys.exit(1)

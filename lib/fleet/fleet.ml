@@ -1,5 +1,6 @@
-(* The serving fleet: TCP connections framed onto the JSON-lines
-   protocol, dispatched to worker-domain shards by cache-key affinity.
+(* The serving core and its transports: every request line, whatever it
+   arrived on, goes through Core.dispatch to worker-domain shards picked
+   by cache-key affinity.
 
    Layering: one shared Engine (shared content-addressed result cache —
    answers stay byte-identical wherever a request runs) evaluated on N
@@ -9,21 +10,21 @@
    machine ‖ source onto a stable shard keeps repeat traffic on the
    domain that already holds its predictor.
 
-   Concurrency shape: reader systhreads (one per connection) parse and
-   dispatch; worker domains evaluate; a per-connection Server.Sequencer
-   restores request order on the way out. All queue state sits under one
+   Concurrency shape: one reader per session (the main thread for
+   stdio/batch, a systhread per socket connection) parses and
+   dispatches; worker domains evaluate; a per-session Sequencer restores
+   request order on the way out. All queue state sits under one
    scheduler lock — queue operations are a few list cells, evaluation is
    micro- to milliseconds, so a single lock is contention-free at fleet
    scale and makes admission + routing + stealing atomic. *)
 
-module Server = Pperf_server.Server
 module Engine = Pperf_server.Engine
 module Protocol = Pperf_server.Protocol
 module Json = Pperf_server.Json
 module Obs = Pperf_obs.Obs
 
 (* fleet.*: admission and routing; sched.*: scheduler actions.
-   Documented in README "Serving fleet" and DESIGN §2.7. *)
+   Documented in README "The prediction service" and DESIGN §2.7. *)
 let c_admitted = Obs.counter "fleet.admitted"
 let c_rejected = Obs.counter "fleet.rejected"
 let c_completed = Obs.counter "fleet.completed"
@@ -46,15 +47,19 @@ type config = {
 }
 
 let default_max_queue = 1024
+let default_max_request_bytes = 1 lsl 20
+let recommended_jobs () = max 1 (Domain.recommended_domain_count ())
 
 let config ?(sched = (module Sched.Fifo : Sched.POLICY)) ?(max_queue = default_max_queue)
-    ?cache_capacity ?(max_request_bytes = Server.default_max_request_bytes)
+    ?cache_capacity ?(max_request_bytes = default_max_request_bytes)
     ?(affinity = true) ~jobs () =
   if jobs < 1 then
     invalid_arg (Printf.sprintf "Fleet.config: jobs must be >= 1 (got %d)" jobs);
   if max_queue < 1 then
     invalid_arg (Printf.sprintf "Fleet.config: max_queue must be >= 1 (got %d)" max_queue);
   { jobs; sched; max_queue; cache_capacity; max_request_bytes; affinity }
+
+type admission = Shed | Backpressure
 
 (* best effort at correlating an error with the request's id *)
 let id_of_line line =
@@ -72,6 +77,7 @@ module Core = struct
     engine : Engine.t;
     lock : Mutex.t;
     work : Condition.t;  (** signalled on push and on stop *)
+    room : Condition.t;  (** signalled on pop and on stop *)
     idle : Condition.t;  (** signalled when queued + in-flight reaches 0 *)
     queues : item Sched.t array;
     mutable next_seq : int;  (** global admission order, feeds Sched *)
@@ -82,7 +88,6 @@ module Core = struct
     mutable started : bool;
   }
 
-  let engine t = t.engine
   let queue_depth t = Mutex.protect t.lock (fun () -> t.queued)
 
   (* The affinity key is the stable part of the result-cache key: machine
@@ -167,6 +172,7 @@ module Core = struct
             t.in_flight <- t.in_flight + 1;
             Obs.add_gauge g_queue_depth (-1);
             Obs.add_gauge g_inflight 1;
+            Condition.signal t.room;
             Some it)
     in
     match job with
@@ -190,17 +196,13 @@ module Core = struct
             List.init t.cfg.jobs (fun i -> Domain.spawn (fun () -> worker t i))))
 
   let create ?start:(spawn = true) cfg =
-    if cfg.jobs < 1 then
-      invalid_arg (Printf.sprintf "Fleet.Core.create: jobs must be >= 1 (got %d)" cfg.jobs);
-    if cfg.max_queue < 1 then
-      invalid_arg
-        (Printf.sprintf "Fleet.Core.create: max_queue must be >= 1 (got %d)" cfg.max_queue);
     let t =
       {
         cfg;
         engine = Engine.create ?cache_capacity:cfg.cache_capacity ~jobs:cfg.jobs ();
         lock = Mutex.create ();
         work = Condition.create ();
+        room = Condition.create ();
         idle = Condition.create ();
         queues = Array.init cfg.jobs (fun _ -> Sched.create ());
         next_seq = 0;
@@ -215,9 +217,14 @@ module Core = struct
     t
 
   (* admission + routing, atomically: Ok () guarantees the item will run
-     exactly once; Error hint means it was shed and nothing was queued *)
-  let submit t ~key run =
+     exactly once; Error hint means it was shed and nothing was queued.
+     Backpressure waits for room first, so only a stopped core sheds. *)
+  let submit t ~admission ~key run =
     Mutex.protect t.lock (fun () ->
+        if admission = Backpressure then
+          while t.queued >= t.cfg.max_queue && not t.stopping do
+            Condition.wait t.room t.lock
+          done;
         if t.stopping || t.queued >= t.cfg.max_queue then (
           Obs.incr c_rejected;
           Error (retry_after_ms t))
@@ -240,28 +247,30 @@ module Core = struct
           Condition.broadcast t.work;
           Ok ()))
 
-  let dispatch t seq i line =
+  let oversized t =
+    Protocol.err ~id:Json.Null Protocol.Oversized
+      (Printf.sprintf "request line exceeds %d bytes" t.cfg.max_request_bytes)
+
+  let dispatch t ?(admission = Shed) seq i line =
     let received = Unix.gettimeofday () in
     if String.length line > t.cfg.max_request_bytes then (
-      Server.Sequencer.emit seq i
-        (Protocol.err ~id:Json.Null Protocol.Oversized
-           (Printf.sprintf "request line exceeds %d bytes" t.cfg.max_request_bytes));
+      Sequencer.emit seq i (oversized t);
       `Dispatched)
     else
       match Protocol.request_of_line line with
       | Error (code, msg) ->
-        Server.Sequencer.emit seq i (Protocol.err ~id:(id_of_line line) code msg);
+        Sequencer.emit seq i (Protocol.err ~id:(id_of_line line) code msg);
         `Dispatched
       | Ok ({ verb = Protocol.Shutdown; _ } as req) ->
-        Server.Sequencer.emit seq i (Engine.handle t.engine ~received req);
+        Sequencer.emit seq i (Engine.handle t.engine ~received req);
         `Shutdown
       | Ok req -> (
         let key = affinity_key req in
-        let run () = Server.Sequencer.emit seq i (Engine.handle t.engine ~received req) in
-        match submit t ~key run with
+        let run () = Sequencer.emit seq i (Engine.handle t.engine ~received req) in
+        match submit t ~admission ~key run with
         | Ok () -> `Dispatched
         | Error hint ->
-          Server.Sequencer.emit seq i
+          Sequencer.emit seq i
             (Protocol.err ~retry_after_ms:hint ~id:req.id Protocol.Overloaded
                (Printf.sprintf "admission queue full (%d queued); retry in ~%dms"
                   t.cfg.max_queue hint));
@@ -278,6 +287,7 @@ module Core = struct
       Mutex.protect t.lock (fun () ->
           t.stopping <- true;
           Condition.broadcast t.work;
+          Condition.broadcast t.room;
           let w = t.workers in
           t.workers <- [];
           w)
@@ -285,19 +295,114 @@ module Core = struct
     List.iter Domain.join workers
 end
 
-(* --------------------------------------------------- in-memory session *)
+(* ------------------------------------------------------------ session *)
 
-let run_lines core lines =
+type line = Line of string | Too_long | Eof
+
+(* read one line, at most [max_bytes] long; longer lines are discarded to
+   the newline and reported, so a runaway request cannot hold the line
+   buffer hostage *)
+let read_line_bounded ic ~max_bytes =
+  let buf = Buffer.create 256 in
+  let rec skip () =
+    match input_char ic with exception End_of_file -> () | '\n' -> () | _ -> skip ()
+  in
+  let rec go n =
+    match input_char ic with
+    | exception End_of_file -> if n = 0 then Eof else Line (Buffer.contents buf)
+    | '\n' -> Line (Buffer.contents buf)
+    | c ->
+      if n >= max_bytes then (
+        skip ();
+        Too_long)
+      else (
+        Buffer.add_char buf c;
+        go (n + 1))
+  in
+  go 0
+
+(* The one request-read loop under every transport: read until EOF, a
+   shutdown verb, or a dead peer, then wait until every response is out.
+   Returns [true] iff the session ended by shutdown. *)
+let session core ~admission ~read seq =
+  let n = ref 0 in
+  let next () =
+    let i = !n in
+    incr n;
+    i
+  in
+  let shutdown = ref false in
+  let eof = ref false in
+  (try
+     while not (!eof || !shutdown || Sequencer.dead seq) do
+       match read () with
+       | Eof -> eof := true
+       | Too_long -> Sequencer.emit seq (next ()) (Core.oversized core)
+       | Line l when String.trim l = "" -> ()
+       | Line l -> (
+         match Core.dispatch core ~admission seq (next ()) l with
+         | `Dispatched -> ()
+         | `Shutdown -> shutdown := true)
+     done
+   with Sys_error _ | Unix.Unix_error _ -> ());
+  ignore (Sequencer.wait seq ~upto:!n);
+  !shutdown
+
+let run_lines ?(admission = Backpressure) core lines =
   let buf = Buffer.create 4096 in
-  let seq = Server.Sequencer.create ~write:(Buffer.add_string buf) ~flush:ignore () in
-  let lines = List.filter (fun l -> String.trim l <> "") lines in
-  let n = List.length lines in
-  List.iteri (fun i l -> ignore (Core.dispatch core seq i l)) lines;
-  ignore (Server.Sequencer.wait seq ~upto:n);
+  let seq = Sequencer.create ~write:(Buffer.add_string buf) ~flush:ignore () in
+  let rest = ref lines in
+  let read () =
+    match !rest with
+    | [] -> Eof
+    | l :: tl ->
+      rest := tl;
+      Line l
+  in
+  ignore (session core ~admission ~read seq);
   String.split_on_char '\n' (String.trim (Buffer.contents buf))
   |> List.filter (fun s -> s <> "")
 
-(* ------------------------------------------------------- TCP front end *)
+(* one session over a channel pair; the flush policy is the only thing
+   the channel transports (serve, batch, socket connections) differ in *)
+let channel_session core ~admission ~flush_each ic oc =
+  let seq =
+    Sequencer.create ~flush_each ~write:(output_string oc) ~flush:(fun () -> flush oc) ()
+  in
+  let read () = read_line_bounded ic ~max_bytes:core.Core.cfg.max_request_bytes in
+  let shutdown = session core ~admission ~read seq in
+  (try flush oc with Sys_error _ | Unix.Unix_error _ -> ());
+  shutdown
+
+(* stdio and batch have exactly one producer, so a full queue means
+   "wait", never "shed": every line up to EOF gets its real answer *)
+let serve_channels cfg ~flush_each ic oc =
+  let core = Core.create cfg in
+  Fun.protect
+    ~finally:(fun () -> Core.stop core)
+    (fun () ->
+      ignore (channel_session core ~admission:Backpressure ~flush_each ic oc);
+      0)
+
+(* ---------------------------------------------------------- listener *)
+
+exception Already_serving of string
+
+(* A leftover socket file from a killed daemon must not block restart,
+   but hijacking a live daemon's socket would silently split traffic: a
+   connect probe tells the two apart. Refused/ENOENT means nobody is
+   accepting — stale, unlink it; an accepted connect means a live daemon. *)
+let claim_socket_path path =
+  if Sys.file_exists path then (
+    let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let live =
+      match Unix.connect probe (Unix.ADDR_UNIX path) with
+      | () -> true
+      | exception Unix.Unix_error _ -> false
+    in
+    (try Unix.close probe with Unix.Unix_error _ -> ());
+    if live then raise (Already_serving path);
+    try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
 
 let resolve_host host =
   if host = "" || host = "localhost" then Unix.inet_addr_loopback
@@ -323,56 +428,18 @@ let install_stop_handlers stop =
       with Invalid_argument _ -> ())
     [ Sys.sigterm; Sys.sigint ]
 
-(* One reader thread per connection: frame lines, dispatch to the core,
-   drain the sequencer on EOF so every admitted request's response is on
-   the wire before the socket closes. *)
-let handle_connection core ic oc ~on_shutdown =
-  Obs.incr c_connections;
-  Obs.add_gauge g_connections 1;
-  let seq =
-    Server.Sequencer.create ~flush_each:true ~write:(output_string oc)
-      ~flush:(fun () -> flush oc) ()
-  in
-  let n = ref 0 in
-  let shutdown = ref false in
-  let eof = ref false in
-  (try
-     while not (!eof || !shutdown) do
-       match
-         Server.read_line_bounded ic ~max_bytes:(Core.(core.cfg).max_request_bytes)
-       with
-       | Server.Eof -> eof := true
-       | Server.Too_long ->
-         let i = !n in
-         incr n;
-         Server.Sequencer.emit seq i
-           (Protocol.err ~id:Json.Null Protocol.Oversized
-              (Printf.sprintf "request line exceeds %d bytes"
-                 Core.(core.cfg).max_request_bytes))
-       | Server.Line l when String.trim l = "" -> ()
-       | Server.Line l -> (
-         let i = !n in
-         incr n;
-         match Core.dispatch core seq i l with
-         | `Dispatched -> ()
-         | `Shutdown -> shutdown := true)
-     done
-   with Sys_error _ | Unix.Unix_error _ -> ());
-  ignore (Server.Sequencer.wait seq ~upto:!n);
-  (try flush oc with Sys_error _ | Unix.Unix_error _ -> ());
-  Obs.add_gauge g_connections (-1);
-  if !shutdown then on_shutdown ()
-
 let write_port_file path port =
   let oc = open_out path in
   output_string oc (string_of_int port);
   output_char oc '\n';
   close_out oc
 
-let serve_tcp cfg ~host ~port ?port_file () =
-  let core = Core.create cfg in
+let serve_socket cfg addr ?port_file () =
+  let path = match addr with Unix.ADDR_UNIX p -> Some p | Unix.ADDR_INET _ -> None in
+  let inet = path = None in
+  Option.iter claim_socket_path path;
   ignore_sigpipe ();
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  let sock = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
   let stop = Atomic.make false in
   (* live connection fds, so teardown can force EOF on blocked readers *)
   let conns : (int, Unix.file_descr) Hashtbl.t = Hashtbl.create 32 in
@@ -380,21 +447,26 @@ let serve_tcp cfg ~host ~port ?port_file () =
   let threads = ref [] in
   let conn_id = ref 0 in
   Fun.protect
-    ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
+    ~finally:(fun () ->
+      (try Unix.close sock with Unix.Unix_error _ -> ());
+      Option.iter
+        (fun p -> try Unix.unlink p with Unix.Unix_error _ | Sys_error _ -> ())
+        path)
     (fun () ->
-      Unix.setsockopt sock Unix.SO_REUSEADDR true;
-      Unix.bind sock (Unix.ADDR_INET (resolve_host host, port));
+      if inet then Unix.setsockopt sock Unix.SO_REUSEADDR true;
+      Unix.bind sock addr;
       Unix.listen sock 64;
-      let bound_port =
-        match Unix.getsockname sock with
-        | Unix.ADDR_INET (_, p) -> p
-        | _ -> port
-      in
-      Option.iter (fun f -> write_port_file f bound_port) port_file;
-      Printf.eprintf "ppredict: fleet listening on %s:%d (%d shard%s, sched %s)\n%!"
-        host bound_port cfg.jobs
-        (if cfg.jobs = 1 then "" else "s")
-        (Sched.name cfg.sched);
+      (* the shard domains spawn with the first connection: an idle
+         listener stays a single thread, cheap to start and to kill *)
+      let core = Core.create ~start:false cfg in
+      (match Unix.getsockname sock with
+      | Unix.ADDR_INET (host, port) ->
+        Option.iter (fun f -> write_port_file f port) port_file;
+        Printf.eprintf "ppredict: fleet listening on %s:%d (%d shard%s, sched %s)\n%!"
+          (Unix.string_of_inet_addr host) port cfg.jobs
+          (if cfg.jobs = 1 then "" else "s")
+          (Sched.name cfg.sched)
+      | Unix.ADDR_UNIX _ -> ());
       install_stop_handlers stop;
       while not (Atomic.get stop) do
         (* poll-accept: a stop request (signal or shutdown verb) is
@@ -406,22 +478,29 @@ let serve_tcp cfg ~host ~port ?port_file () =
           match Unix.accept sock with
           | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> ()
           | conn, _ ->
-            (try Unix.setsockopt conn Unix.TCP_NODELAY true
-             with Unix.Unix_error _ -> ());
+            Core.start core;
+            if inet then (
+              try Unix.setsockopt conn Unix.TCP_NODELAY true
+              with Unix.Unix_error _ -> ());
             let id = !conn_id in
             incr conn_id;
             Mutex.protect conns_lock (fun () -> Hashtbl.replace conns id conn);
+            (* one reader thread per connection; connections share the
+               core and shed rather than wait when it is full *)
             let th =
               Thread.create
                 (fun () ->
+                  Obs.incr c_connections;
+                  Obs.add_gauge g_connections 1;
                   let ic = Unix.in_channel_of_descr conn in
                   (* the write side gets its own duplicated fd so each
                      channel can be closed exactly once — a shared fd
                      closed twice could tear down an unrelated connection
                      that reused the number in between *)
                   let oc = Unix.out_channel_of_descr (Unix.dup conn) in
-                  handle_connection core ic oc ~on_shutdown:(fun () ->
-                      Atomic.set stop true);
+                  if channel_session core ~admission:Shed ~flush_each:true ic oc then
+                    Atomic.set stop true;
+                  Obs.add_gauge g_connections (-1);
                   Mutex.protect conns_lock (fun () -> Hashtbl.remove conns id);
                   (* close the channels, not just the fds: a leaked channel
                      stays on the runtime's open-channel list forever and

@@ -9,23 +9,12 @@ module Json = Pperf_server.Json
 
 type target = Tcp of string * int | Unix_path of string
 
-let resolve_host host =
-  if host = "" || host = "localhost" then Unix.inet_addr_loopback
-  else
-    match Unix.inet_addr_of_string host with
-    | a -> a
-    | exception Failure _ -> (
-      match Unix.gethostbyname host with
-      | { Unix.h_addr_list = [||]; _ } | (exception Not_found) ->
-        failwith (Printf.sprintf "cannot resolve host %S" host)
-      | { Unix.h_addr_list; _ } -> h_addr_list.(0))
-
 let connect target =
   match target with
   | Tcp (host, port) ->
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     (try
-       Unix.connect fd (Unix.ADDR_INET (resolve_host host, port));
+       Unix.connect fd (Unix.ADDR_INET (Fleet.resolve_host host, port));
        Unix.setsockopt fd Unix.TCP_NODELAY true
      with e ->
        (try Unix.close fd with Unix.Unix_error _ -> ());

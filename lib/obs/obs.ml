@@ -454,5 +454,4 @@ module Export = struct
     Buffer.contents buf
 end
 
-let json_of_snapshot = Export.counters_json
 let to_json () = Export.counters_json (counters_now ())

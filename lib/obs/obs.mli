@@ -188,10 +188,6 @@ module Export : sig
       families labelled by span name. Dots in names become underscores. *)
 end
 
-val json_of_snapshot : (string * int) list -> string
-[@@ocaml.deprecated "use Obs.Export.counters_json"]
-(** Deprecated alias for {!Export.counters_json}, kept for one release. *)
-
 val to_json : unit -> string
 (** [Export.counters_json (counters_now ())]: the [--stats] object,
     byte-compatible with every release since the counter registry was

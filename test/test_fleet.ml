@@ -107,7 +107,7 @@ let collector ?die_after () =
     incr written;
     lines := String.trim s :: !lines
   in
-  let seq = Pperf_server.Server.Sequencer.create ~write ~flush:(fun () -> ()) () in
+  let seq = Sequencer.create ~write ~flush:(fun () -> ()) () in
   (seq, fun () -> List.rev !lines)
 
 let test_admission_rejects () =
@@ -127,7 +127,7 @@ let test_admission_rejects () =
   Fleet.Core.start core;
   Fleet.Core.drain core;
   Alcotest.(check bool) "all emitted" true
-    (Pperf_server.Server.Sequencer.wait seq ~upto:4);
+    (Sequencer.wait seq ~upto:4);
   let out = lines () in
   Alcotest.(check int) "four responses" 4 (List.length out);
   List.iteri
@@ -152,7 +152,7 @@ let test_shutdown_inline () =
   | `Shutdown -> ()
   | `Dispatched -> Alcotest.fail "shutdown not recognised");
   Alcotest.(check bool) "answered" true
-    (Pperf_server.Server.Sequencer.wait seq ~upto:1);
+    (Sequencer.wait seq ~upto:1);
   (match lines () with
   | [ l ] ->
     Alcotest.(check bool) "ok response" true
@@ -164,7 +164,7 @@ let test_shutdown_inline () =
   (match Fleet.Core.dispatch core seq2 0 {|{"id":"x","verb":"ping"}|} with
   | `Dispatched -> ()
   | `Shutdown -> Alcotest.fail "shutdown after stop");
-  ignore (Pperf_server.Server.Sequencer.wait seq2 ~upto:1);
+  ignore (Sequencer.wait seq2 ~upto:1);
   match lines2 () with
   | [ l ] ->
     Alcotest.(check bool) "shed after stop" true
@@ -229,6 +229,20 @@ let test_no_affinity_baseline () =
   check_session_output ~label:"no-affinity" lines out;
   Fleet.Core.stop core
 
+(* A single-reader session waits for room instead of shedding: a queue
+   of two still answers every one of 50 lines, in order. *)
+let test_backpressure () =
+  let core = Fleet.Core.create (Fleet.config ~jobs:2 ~max_queue:2 ()) in
+  let cases = List.init 50 (fun i -> if i mod 2 = 0 then `Predict else `Ping) in
+  let lines = List.mapi line_of_case cases in
+  let out = Fleet.run_lines core lines in
+  Fleet.Core.stop core;
+  check_session_output ~label:"backpressure" lines out;
+  List.iter
+    (fun l ->
+      if contains ~affix:{|"overloaded"|} l then Alcotest.failf "shed under backpressure: %s" l)
+    out
+
 (* ------------------------------------------------ qcheck properties *)
 
 let case_gen =
@@ -289,7 +303,7 @@ let prop_disconnect_harmless =
       let lines = List.mapi line_of_case (List.init n (fun _ -> `Predict)) in
       List.iteri (fun i l -> ignore (Fleet.Core.dispatch core seq i l)) lines;
       Fleet.Core.drain core;
-      ignore (Pperf_server.Server.Sequencer.wait seq ~upto:n);
+      ignore (Sequencer.wait seq ~upto:n);
       (* the next "connection" on the same core must be unaffected *)
       let lines2 = List.mapi line_of_case (List.init 5 (fun _ -> `Ping)) in
       let out2 = Fleet.run_lines core lines2 in
@@ -323,6 +337,7 @@ let () =
             test_exactly_once_per_policy;
           Alcotest.test_case "no-affinity baseline" `Quick
             test_no_affinity_baseline;
+          Alcotest.test_case "backpressure answers all" `Quick test_backpressure;
         ] );
       qsuite "props" [ prop_exactly_once_in_order; prop_disconnect_harmless ];
     ]

@@ -1,5 +1,5 @@
 (* Tests for lib/server: the hand-written JSON layer, the request/response
-   protocol, the result cache, the domain pool, and full batch sessions —
+   protocol, the result cache, and full batch sessions on the serving core —
    including the acceptance properties: responses byte-identical to the
    one-shot renderers, warm repeats served from cache, malformed requests
    answered with structured errors while the session stays live, and
@@ -160,32 +160,13 @@ let test_cache_eviction () =
   let _, _, entries = Cache.stats c in
   Alcotest.(check bool) "stays bounded" true (entries <= 4)
 
-(* ------------------------------------------------------------- pool *)
-
-let test_pool_inline () =
-  let p = Pool.create ~jobs:1 in
-  let acc = ref [] in
-  for i = 0 to 9 do
-    Pool.submit p (fun () -> acc := i :: !acc)
-  done;
-  Pool.drain p;
-  Pool.close p;
-  Alcotest.(check (list int)) "inline order" [ 9; 8; 7; 6; 5; 4; 3; 2; 1; 0 ] !acc
-
-let test_pool_parallel () =
-  let p = Pool.create ~jobs:4 in
-  let sum = Atomic.make 0 in
-  for i = 1 to 100 do
-    Pool.submit p (fun () -> ignore (Atomic.fetch_and_add sum i))
-  done;
-  Pool.drain p;
-  Alcotest.(check int) "all jobs ran" 5050 (Atomic.get sum);
-  Pool.close p;
-  Alcotest.check_raises "submit after close"
-    (Invalid_argument "Pool.submit: pool is closing") (fun () ->
-      Pool.submit p (fun () -> ()))
-
 (* ---------------------------------------------------------- sessions *)
+
+(* one in-memory session on a fresh serving core, as `ppredict batch` runs *)
+let session ?max_request_bytes ~jobs lines =
+  let module Fleet = Pperf_fleet.Fleet in
+  let core = Fleet.Core.create (Fleet.config ?max_request_bytes ~jobs ()) in
+  Fun.protect ~finally:(fun () -> Fleet.Core.stop core) (fun () -> Fleet.run_lines core lines)
 
 let req ?(extra = "") id verb =
   Printf.sprintf {|{"id":%d,"verb":"%s"%s}|} id verb extra
@@ -200,7 +181,7 @@ let field name line =
 
 let test_batch_order_and_output () =
   let lines =
-    Server.batch_lines ~jobs:1
+    session ~jobs:1
       [ req 0 "ping"; predict_daxpy 1; predict_daxpy 2; req 3 "stats" ]
   in
   Alcotest.(check int) "one response per request" 4 (List.length lines);
@@ -224,7 +205,7 @@ let test_batch_order_and_output () =
 
 let test_batch_errors_keep_session_live () =
   let lines =
-    Server.batch_lines ~jobs:1 ~max_request_bytes:200
+    session ~jobs:1 ~max_request_bytes:200
       [ "garbage"; req 1 "zap"; req 2 "predict" (* missing source *);
         String.make 300 'x'; predict_daxpy 4 ]
   in
@@ -242,7 +223,7 @@ let test_batch_errors_keep_session_live () =
   Alcotest.(check bool) "server still answers" true (ok (List.nth lines 4));
   (* parse/type errors from the analysis are structured too *)
   let lines =
-    Server.batch_lines ~jobs:1
+    session ~jobs:1
       [ req 0 "predict" ~extra:{|,"source":"subroutine ("|}; predict_daxpy 1 ]
   in
   Alcotest.(check string) "parse error" "parse_error" (code (List.nth lines 0));
@@ -266,8 +247,8 @@ let test_batch_jobs_equivalence () =
       | Json.Obj fields -> Json.Obj (List.filter (fun (k, _) -> k <> "t") fields)
       | j -> j)
   in
-  let sequential = List.map strip_timing (Server.batch_lines ~jobs:1 requests) in
-  let parallel = List.map strip_timing (Server.batch_lines ~jobs:4 requests) in
+  let sequential = List.map strip_timing (session ~jobs:1 requests) in
+  let parallel = List.map strip_timing (session ~jobs:4 requests) in
   (* caching order differs under parallelism (the "cached" bit may land on
      either duplicate), so compare with the bit stripped too *)
   let strip_cached l =
@@ -333,7 +314,7 @@ let contains hay needle =
   nn = 0 || go 0
 
 let test_metrics_verb () =
-  let lines = Server.batch_lines ~jobs:1 [ predict_daxpy 0; req 1 "metrics" ] in
+  let lines = session ~jobs:1 [ predict_daxpy 0; req 1 "metrics" ] in
   let metrics = List.nth lines 1 in
   Alcotest.(check bool) "metrics ok" true (field "ok" metrics = Json.Bool true);
   let text = match field "output" metrics with Json.String s -> s | _ -> assert false in
@@ -371,7 +352,7 @@ let test_trace_flag () =
         (Printf.sprintf {|,"source":%s,"flags":{"trace":true}|}
            (Json.to_string (Json.String daxpy)))
   in
-  let lines = Server.batch_lines ~jobs:1 [ traced 0; traced 1; predict_daxpy 2 ] in
+  let lines = session ~jobs:1 [ traced 0; traced 1; predict_daxpy 2 ] in
   let tree l =
     match field "trace" l with
     | Json.Obj _ as t -> t
@@ -394,7 +375,7 @@ let test_trace_flag () =
 
 let test_extended_stats () =
   let lines =
-    Server.batch_lines ~jobs:1 [ predict_daxpy 0; predict_daxpy 1; req 2 "stats" ]
+    session ~jobs:1 [ predict_daxpy 0; predict_daxpy 1; req 2 "stats" ]
   in
   let stats = field "stats" (List.nth lines 2) in
   let mem name =
@@ -454,11 +435,6 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_cache_basics;
           Alcotest.test_case "eviction" `Quick test_cache_eviction;
-        ] );
-      ( "pool",
-        [
-          Alcotest.test_case "inline" `Quick test_pool_inline;
-          Alcotest.test_case "parallel" `Quick test_pool_parallel;
         ] );
       ( "sessions",
         [
