@@ -699,12 +699,12 @@ let check baseline_file current_file =
        enc naive
    | _ -> ());
   (match
-     (List.assoc_opt "pperf/serve/session-warm" cur, List.assoc_opt "pperf/serve/session-cold" cur)
+     (List.assoc_opt "pperf/serve/session-warm" cur, List.assoc_opt "pperf/serve/batch-cold" cur)
    with
    | Some warm, Some cold when warm >= cold ->
      incr failures;
      Printf.printf
-       "FAIL: serve/session-warm (%.1f ns) is not faster than serve/session-cold (%.1f ns)\n"
+       "FAIL: serve/session-warm (%.1f ns) is not faster than serve/batch-cold (%.1f ns)\n"
        warm cold
    | _ -> ());
   (* a warm fleet session rides its resident caches; paying a fresh core
@@ -889,19 +889,28 @@ let timing ?json () =
             k.name src ])
       Workloads.fig7_kernels
   in
-  (* cold: a fresh core (empty result cache) every iteration; jobs
-     variants measure the worker-shard overhead/speedup on this machine *)
-  let serve_cold name jobs =
+  (* cold: a fresh core (empty result cache, fresh worker domains) every
+     iteration; jobs variants measure the worker-shard overhead/speedup on
+     this machine. Named batch-cold, not session-cold: the session-cold
+     benches of earlier BENCH files ran jobs 1 inline on the main domain,
+     whose per-domain predictors stayed warm across iterations. *)
+  let serve_cold name ~admission jobs =
     let module Fleet = Pperf_fleet.Fleet in
     let cfg = Fleet.config ~jobs () in
     Test.make ~name
       (Staged.stage (fun () ->
            let core = Fleet.Core.create cfg in
-           ignore (Fleet.run_lines core serve_lines);
+           ignore (Fleet.run_lines ~admission core serve_lines);
            Fleet.Core.stop core))
   in
-  let serve_cold_test = serve_cold "serve/session-cold" 1 in
-  let serve_cold_j4_test = serve_cold "serve/session-cold-j4" 4 in
+  (* serve/* answer every line, as batch does; fleet/* shed, as a socket
+     connection does *)
+  let serve_cold_test =
+    serve_cold "serve/batch-cold" ~admission:Pperf_fleet.Fleet.Backpressure 1
+  in
+  let serve_cold_j4_test =
+    serve_cold "serve/batch-cold-j4" ~admission:Pperf_fleet.Fleet.Backpressure 4
+  in
   (* warm: one resident engine, every request a result-cache hit *)
   let serve_warm_test =
     let engine = Pperf_server.Engine.create ~jobs:1 () in
@@ -925,11 +934,11 @@ let timing ?json () =
      whose result cache and shard-affine incremental predictors are hot,
      overload drives a core admitting one request at a time so most of
      the session is answered by the load-shedding path *)
-  let fleet_cold_test = serve_cold "fleet/session-cold" 2 in
+  let fleet_cold_test = serve_cold "fleet/session-cold" ~admission:Pperf_fleet.Fleet.Shed 2 in
   let fleet_warm_test =
     let module Fleet = Pperf_fleet.Fleet in
     let core = Fleet.Core.create (Fleet.config ~jobs:2 ()) in
-    let run () = ignore (Fleet.run_lines core serve_lines) in
+    let run () = ignore (Fleet.run_lines ~admission:Fleet.Shed core serve_lines) in
     run ();
     Test.make ~name:"fleet/session-warm" (Staged.stage run)
   in

@@ -251,7 +251,7 @@ module Core = struct
     Protocol.err ~id:Json.Null Protocol.Oversized
       (Printf.sprintf "request line exceeds %d bytes" t.cfg.max_request_bytes)
 
-  let dispatch t ?(admission = Shed) seq i line =
+  let dispatch t ~admission seq i line =
     let received = Unix.gettimeofday () in
     if String.length line > t.cfg.max_request_bytes then (
       Sequencer.emit seq i (oversized t);
@@ -348,7 +348,7 @@ let session core ~admission ~read seq =
   ignore (Sequencer.wait seq ~upto:!n);
   !shutdown
 
-let run_lines ?(admission = Backpressure) core lines =
+let run_lines ~admission core lines =
   let buf = Buffer.create 4096 in
   let seq = Sequencer.create ~write:(Buffer.add_string buf) ~flush:ignore () in
   let rest = ref lines in

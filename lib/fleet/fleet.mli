@@ -74,14 +74,14 @@ module Core : sig
   (** Spawn the worker domains (idempotent). *)
 
   val dispatch :
-    t -> ?admission:admission -> Sequencer.t -> int -> string -> [ `Dispatched | `Shutdown ]
+    t -> admission:admission -> Sequencer.t -> int -> string -> [ `Dispatched | `Shutdown ]
   (** Handle one request line for slot [i] of the session's sequencer:
       parse errors and oversized lines are emitted immediately;
       [shutdown] is answered inline and reported as [`Shutdown]; anything
       else is enqueued on its shard and will emit exactly once when
-      evaluated. A full queue sheds (the default) or, under
-      [Backpressure], blocks until a worker makes room — never on a
-      frozen core. *)
+      evaluated. A full queue sheds under [Shed]; under [Backpressure] it
+      blocks until a worker makes room, so never pass [Backpressure] on a
+      frozen core. A stopped core sheds under either. *)
 
   val drain : t -> unit
   (** Block until no request is queued or in flight. *)
@@ -93,11 +93,11 @@ module Core : sig
   val queue_depth : t -> int
 end
 
-val run_lines : ?admission:admission -> Core.t -> string list -> string list
+val run_lines : admission:admission -> Core.t -> string list -> string list
 (** In-memory session against a started core: request lines in, response
     lines out in request order (blank lines skipped), through the same
-    read loop as every other transport. [admission] defaults to
-    [Backpressure], as for [batch]. *)
+    read loop as every other transport. [Backpressure] behaves like
+    [batch], [Shed] like one socket connection. *)
 
 val serve_channels : config -> flush_each:bool -> in_channel -> out_channel -> int
 (** Serve one session from [ic] to [oc] on a fresh core until EOF or a

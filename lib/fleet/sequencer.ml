@@ -15,14 +15,17 @@ type t = {
   advanced : Condition.t;  (** signalled whenever [next] moves or the peer dies *)
   parked : (int, Protocol.response) Hashtbl.t;
   mutable next : int;
-  mutable dead : bool;
+  dead : bool Atomic.t;
       (** a write failed (peer hung up): stop emitting so the session can
-          unwind instead of parking every later response forever *)
+          unwind instead of parking every later response forever. Set
+          under [lock]; atomic so the read loop can poll it without
+          queueing behind a worker that is writing. *)
 }
 
 let create ?(flush_each = false) ~write ~flush () =
   { write; flush_out = flush; flush_each; lock = Mutex.create ();
-    advanced = Condition.create (); parked = Hashtbl.create 16; next = 0; dead = false }
+    advanced = Condition.create (); parked = Hashtbl.create 16; next = 0;
+    dead = Atomic.make false }
 
 (* emit is called from worker domains whose exceptions the core swallows,
    so a failed write must not be silently dropped: the entry stays parked,
@@ -32,7 +35,7 @@ let emit seq n response =
       Hashtbl.replace seq.parked n response;
       let advanced = ref false in
       let rec pump () =
-        if not seq.dead then
+        if not (Atomic.get seq.dead) then
           match Hashtbl.find_opt seq.parked seq.next with
           | None -> ()
           | Some r -> (
@@ -45,19 +48,19 @@ let emit seq n response =
               seq.next <- seq.next + 1;
               advanced := true;
               pump ()
-            | exception (Sys_error _ | Unix.Unix_error _) -> seq.dead <- true)
+            | exception (Sys_error _ | Unix.Unix_error _) -> Atomic.set seq.dead true)
       in
       pump ();
-      if seq.flush_each && not seq.dead then (
+      if seq.flush_each && not (Atomic.get seq.dead) then (
         try seq.flush_out ()
-        with Sys_error _ | Unix.Unix_error _ -> seq.dead <- true);
-      if !advanced || seq.dead then Condition.broadcast seq.advanced)
+        with Sys_error _ | Unix.Unix_error _ -> Atomic.set seq.dead true);
+      if !advanced || Atomic.get seq.dead then Condition.broadcast seq.advanced)
 
-let dead seq = Mutex.protect seq.lock (fun () -> seq.dead)
+let dead seq = Atomic.get seq.dead
 
 let wait seq ~upto =
   Mutex.protect seq.lock (fun () ->
-      while seq.next < upto && not seq.dead do
+      while seq.next < upto && not (Atomic.get seq.dead) do
         Condition.wait seq.advanced seq.lock
       done;
-      not seq.dead)
+      not (Atomic.get seq.dead))

@@ -119,7 +119,7 @@ let test_admission_rejects () =
     Printf.sprintf {|{"id":"p%d","verb":"predict","source":%s}|} i (escape daxpy)
   in
   for i = 0 to 3 do
-    match Fleet.Core.dispatch core seq i (ping i) with
+    match Fleet.Core.dispatch core ~admission:Fleet.Shed seq i (ping i) with
     | `Dispatched -> ()
     | `Shutdown -> Alcotest.fail "unexpected shutdown"
   done;
@@ -148,7 +148,9 @@ let test_admission_rejects () =
 let test_shutdown_inline () =
   let core = Fleet.Core.create (Fleet.config ~jobs:1 ()) in
   let seq, lines = collector () in
-  (match Fleet.Core.dispatch core seq 0 {|{"id":"bye","verb":"shutdown"}|} with
+  (match
+     Fleet.Core.dispatch core ~admission:Fleet.Shed seq 0 {|{"id":"bye","verb":"shutdown"}|}
+   with
   | `Shutdown -> ()
   | `Dispatched -> Alcotest.fail "shutdown not recognised");
   Alcotest.(check bool) "answered" true
@@ -159,9 +161,11 @@ let test_shutdown_inline () =
       (contains ~affix:{|"verb":"shutdown"|} l)
   | out -> Alcotest.failf "%d responses to shutdown" (List.length out));
   Fleet.Core.stop core;
-  (* a stopped core sheds instead of accepting *)
+  (* a stopped core sheds instead of accepting, even a waiting reader *)
   let seq2, lines2 = collector () in
-  (match Fleet.Core.dispatch core seq2 0 {|{"id":"x","verb":"ping"}|} with
+  (match
+     Fleet.Core.dispatch core ~admission:Fleet.Backpressure seq2 0 {|{"id":"x","verb":"ping"}|}
+   with
   | `Dispatched -> ()
   | `Shutdown -> Alcotest.fail "shutdown after stop");
   ignore (Sequencer.wait seq2 ~upto:1);
@@ -216,7 +220,7 @@ let test_exactly_once_per_policy () =
             | _ -> `Malformed)
       in
       let lines = List.mapi line_of_case cases in
-      let out = Fleet.run_lines core lines in
+      let out = Fleet.run_lines ~admission:Fleet.Shed core lines in
       check_session_output ~label:pname lines out;
       Fleet.Core.stop core)
     Sched.all
@@ -225,7 +229,7 @@ let test_no_affinity_baseline () =
   let cfg = Fleet.config ~affinity:false ~jobs:2 () in
   let core = Fleet.Core.create cfg in
   let lines = List.mapi line_of_case (List.init 20 (fun _ -> `Predict)) in
-  let out = Fleet.run_lines core lines in
+  let out = Fleet.run_lines ~admission:Fleet.Shed core lines in
   check_session_output ~label:"no-affinity" lines out;
   Fleet.Core.stop core
 
@@ -235,7 +239,7 @@ let test_backpressure () =
   let core = Fleet.Core.create (Fleet.config ~jobs:2 ~max_queue:2 ()) in
   let cases = List.init 50 (fun i -> if i mod 2 = 0 then `Predict else `Ping) in
   let lines = List.mapi line_of_case cases in
-  let out = Fleet.run_lines core lines in
+  let out = Fleet.run_lines ~admission:Fleet.Backpressure core lines in
   Fleet.Core.stop core;
   check_session_output ~label:"backpressure" lines out;
   List.iter
@@ -277,7 +281,7 @@ let prop_exactly_once_in_order =
       let cfg = Fleet.config ~sched:policy ~jobs:2 ~max_queue:8 () in
       let core = Fleet.Core.create cfg in
       let lines = List.mapi line_of_case cases in
-      let out = Fleet.run_lines core lines in
+      let out = Fleet.run_lines ~admission:Fleet.Shed core lines in
       Fleet.Core.stop core;
       List.length out = List.length lines
       && List.for_all2
@@ -301,12 +305,14 @@ let prop_disconnect_harmless =
       let core = Fleet.Core.create (Fleet.config ~jobs:2 ()) in
       let seq, _ = collector ~die_after:k () in
       let lines = List.mapi line_of_case (List.init n (fun _ -> `Predict)) in
-      List.iteri (fun i l -> ignore (Fleet.Core.dispatch core seq i l)) lines;
+      List.iteri
+        (fun i l -> ignore (Fleet.Core.dispatch core ~admission:Fleet.Shed seq i l))
+        lines;
       Fleet.Core.drain core;
       ignore (Sequencer.wait seq ~upto:n);
       (* the next "connection" on the same core must be unaffected *)
       let lines2 = List.mapi line_of_case (List.init 5 (fun _ -> `Ping)) in
-      let out2 = Fleet.run_lines core lines2 in
+      let out2 = Fleet.run_lines ~admission:Fleet.Shed core lines2 in
       Fleet.Core.stop core;
       List.length out2 = 5)
 

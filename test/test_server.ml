@@ -166,7 +166,9 @@ let test_cache_eviction () =
 let session ?max_request_bytes ~jobs lines =
   let module Fleet = Pperf_fleet.Fleet in
   let core = Fleet.Core.create (Fleet.config ?max_request_bytes ~jobs ()) in
-  Fun.protect ~finally:(fun () -> Fleet.Core.stop core) (fun () -> Fleet.run_lines core lines)
+  Fun.protect
+    ~finally:(fun () -> Fleet.Core.stop core)
+    (fun () -> Fleet.run_lines ~admission:Fleet.Backpressure core lines)
 
 let req ?(extra = "") id verb =
   Printf.sprintf {|{"id":%d,"verb":"%s"%s}|} id verb extra
