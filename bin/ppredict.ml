@@ -1,105 +1,53 @@
 (* ppredict: command-line driver for the performance prediction framework.
 
-   Subcommands:
-     predict   FILE        symbolic performance expressions for each routine
-     schedule  FILE        atomic ops + bin diagram of the innermost block
-     compare   F1 F2       symbolic comparison of two variants
-     bounds    FILE        three-bound analysis: bin-packing vs critical
-                           path/LCD vs memory, per loop nest
-     search    FILE        performance-guided restructuring
-     lint      FILE        static diagnostics (defects + precision losses)
-     ranges    FILE        interval abstract interpretation: loop/variable ranges
-     machine   [NAME]      print a machine description (textual format)
-     machines              list known machines (builtins + .pmach files)
-     calibrate             fit an issue-port cost model by measurement
-     batch     [FILE]      answer a file/stream of JSON-lines requests
-     serve                 long-lived JSON-lines prediction daemon
-
-   The query subcommands render through Pperf_server.Render, the same code
-   the server verbs use, so serve/batch responses are byte-identical to
-   the one-shot subcommands. *)
+   The query subcommands are built from Pperf_server.Query's rows and
+   run the same code as the server verbs of the same names; the others
+   are written out below. Every subcommand reports failure through
+   Query's exception table. *)
 
 open Cmdliner
 open Pperf_lang
 open Pperf_machine
 open Pperf_sched
 open Pperf_core
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-(* one "load the machine once" helper for every subcommand and the server:
-   builtins resolve directly, description files are parsed once per content
-   digest and their derived tables pre-built *)
-let machine_of_spec = Pperf_server.Machines.load
+module Query = Pperf_server.Query
+module Options = Pperf_server.Options
+module Protocol = Pperf_server.Protocol
 
 let machine_arg =
   let doc = "Target machine: power1, power1x2, alpha21064, scalar, or a description file." in
   Arg.(value & opt string "power1" & info [ "m"; "machine" ] ~docv:"MACHINE" ~doc)
 
-let memory_arg =
-  let doc = "Include the cache cost model." in
-  Arg.(value & flag & info [ "memory" ] ~doc)
+let file_arg idx docv =
+  let path = Arg.(required & pos idx (some file) None & info [] ~docv ~doc:"PF source file") in
+  Term.(const (fun p -> Protocol.File p) $ path)
 
-let file_arg idx name =
-  Arg.(required & pos idx (some file) None & info [] ~docv:name ~doc:"PF source file")
+(* one cmdliner term per Options row, setting its field; a list value
+   that fails the row's check is a usage error *)
+let flag_term (Options.Flag f) : (Options.t -> Options.t) Term.t =
+  let set v o = f.set o v in
+  match f.kind with
+  | Options.Bool -> Term.(const set $ Arg.(value & flag & info f.names ~doc:f.doc))
+  | Options.Strings { docv; check } ->
+    let parse s = Result.(map_error (fun m -> `Msg m) (map (Fun.const s) (check s))) in
+    let spec = Arg.conv ~docv (parse, Format.pp_print_string) in
+    Term.(const set $ Arg.(value & opt_all spec [] & info f.names ~docv ~doc:f.doc))
+  | Options.Choice { docv; choices } ->
+    let choice = Arg.enum (List.map (fun c -> (c, c)) choices) in
+    Term.(const set $ Arg.(value & opt (some choice) None & info f.names ~docv ~doc:f.doc))
 
-(* validate binding/range syntax at parse time: a malformed value is a
-   clean cmdliner usage error, not a mid-run failure *)
-let binding_conv =
-  let parse s =
-    match String.index_opt s '=' with
-    | None -> Error (`Msg (Printf.sprintf "malformed binding '%s': expected VAR=VALUE" s))
-    | Some i -> (
-      let value = String.sub s (i + 1) (String.length s - i - 1) in
-      match float_of_string_opt value with
-      | Some _ -> Ok s
-      | None ->
-        Error (`Msg (Printf.sprintf "malformed binding '%s': '%s' is not a number" s value)))
-  in
-  Arg.conv ~docv:"VAR=VALUE" (parse, Format.pp_print_string)
-
-let range_conv =
-  let parse s =
-    let bad reason = Error (`Msg (Printf.sprintf "malformed range '%s': %s" s reason)) in
-    match String.split_on_char '=' s with
-    | [ _; range ] -> (
-      match String.split_on_char ':' range with
-      | [ lo; hi ] -> (
-        match (int_of_string_opt lo, int_of_string_opt hi) with
-        | Some _, Some _ -> Ok s
-        | _ -> bad "bounds must be integers")
-      | _ -> bad "expected VAR=LO:HI")
-    | _ -> bad "expected VAR=LO:HI"
-  in
-  Arg.conv ~docv:"VAR=LO:HI" (parse, Format.pp_print_string)
-
-let eval_arg =
-  let doc = "Evaluate the expression at VAR=VALUE (repeatable). --bind is a synonym." in
-  Arg.(value & opt_all binding_conv [] & info [ "eval"; "bind" ] ~docv:"VAR=VALUE" ~doc)
-
-let strict_arg =
-  let doc = "Treat binding mismatches (unbound or unused variable names) as errors." in
-  Arg.(value & flag & info [ "strict" ] ~doc)
+let options_term flags =
+  List.fold_left
+    (fun acc f -> Term.(const ( |> ) $ acc $ flag_term f))
+    (Term.const Options.default) flags
 
 let stats_arg =
   let doc = "Append a JSON object of internal operation counters to the output." in
   Arg.(value & flag & info [ "stats" ] ~doc)
 
-let trace_arg =
-  let doc =
-    "Append a JSON span tree of the evaluation: per-phase (parse, typecheck, \
-     aggregate, ...) wall time with self/total split."
-  in
-  Arg.(value & flag & info [ "trace" ] ~doc)
-
 (* reset the registry, run the command, then append the requested
    telemetry: the span tree under --trace, the counters under --stats *)
-let with_telemetry ?(stats = false) ?(trace = false) f =
+let with_telemetry ~stats ~trace f =
   Pperf_obs.Obs.reset_all ();
   let code =
     if trace then (
@@ -111,67 +59,9 @@ let with_telemetry ?(stats = false) ?(trace = false) f =
   if stats then print_string (Pperf_obs.Obs.to_json () ^ "\n");
   code
 
-let with_stats ?(stats = false) ?(trace = false) f =
-  ignore (with_telemetry ~stats ~trace (fun () -> f (); 0))
-
-let parse_bindings = Pperf_server.Render.parse_bindings
-
-let warn_stderr m = Printf.eprintf "warning: %s\n%!" m
-
-let options_of ~memory =
-  Pperf_server.Options.(to_aggregate { default with memory })
-
-let ranges_flag =
-  let doc =
-    "Run the interval abstract interpretation first and use the inferred \
-     variable ranges (tighter trip counts, statically decided comparisons, \
-     fewer false positives)."
-  in
-  Arg.(value & flag & info [ "ranges" ] ~doc)
-
-let domain_arg =
-  let domains = List.map (fun d -> (d, d)) Pperf_absint.Absint.all_domains in
-  let doc =
-    "Abstract domain for the range analysis: $(b,interval) (the default), \
-     $(b,octagon) (difference constraints ±x ± y <= c), $(b,affine) (exact \
-     equalities x = Σ aᵢ·yᵢ + c), or $(b,product) (both with mutual \
-     reduction). Relational domains decide comparisons and rebut \
-     diagnostics that intervals alone cannot."
-  in
-  Arg.(value & opt (some (enum domains)) None & info [ "domain" ] ~docv:"DOMAIN" ~doc)
-
-(* the enum already validated the name, so an unknown string is impossible *)
-let resolve_domain = function
-  | None -> Pperf_absint.Absint.Box
-  | Some d -> (
-    match Pperf_absint.Absint.domain_of_string d with
-    | Some dom -> dom
-    | None -> Pperf_absint.Absint.Box)
-
 let handle_code f =
-  try f () with
-  | Parser.Error (msg, loc) ->
-    Printf.eprintf "parse error at %s: %s\n" (Srcloc.to_string loc) msg;
-    1
-  | Typecheck.Type_error (msg, loc) ->
-    Printf.eprintf "type error at %s: %s\n" (Srcloc.to_string loc) msg;
-    1
-  | Descr.Parse_error msg ->
-    Printf.eprintf "machine description error: %s\n" msg;
-    1
-  | Machine.Unknown_atomic { machine; op } ->
-    Printf.eprintf "error: machine %s has no atomic operation %s\n" machine op;
-    1
-  | Pperf_server.Render.Bad_flag msg ->
-    Printf.eprintf "error: %s\n" msg;
-    1
-  | Pperf_backend.Pipeline.Livelock { cycle; unissued } ->
-    Printf.eprintf
-      "error: pipeline schedule livelocked after %d cycles with %d operation(s) unissued\n"
-      cycle unissued;
-    1
-  | Failure msg ->
-    Printf.eprintf "error: %s\n" msg;
+  try f () with e ->
+    Printf.eprintf "%s\n" (Query.cli_message e);
     1
 
 let handle f =
@@ -179,41 +69,66 @@ let handle f =
       f ();
       0)
 
-(* ---- predict ---- *)
+(* ---- the query subcommands ---- *)
 
-let interproc_arg =
-  let doc = "Charge call sites with callee performance expressions (§3.5)." in
-  Arg.(value & flag & info [ "interprocedural"; "i" ] ~doc)
+let dir_arg =
+  let doc = "Directory of .pmach machine description files to list." in
+  Arg.(value & opt string Query.machines_dir & info [ "dir" ] ~docv:"DIR" ~doc)
 
-let predict_cmd =
-  let run mspec memory interproc use_ranges domain strict stats trace evals file =
-    handle (fun () ->
-        with_stats ~stats ~trace (fun () ->
-        let machine = machine_of_spec mspec in
-        (* the same Options record the server parses from request flags:
-           one canonicalization, one Aggregate mapping for both surfaces *)
-        let opts =
-          { Pperf_server.Options.default with
-            memory; ranges = use_ranges; interproc; strict; trace; eval = evals;
-            domain }
-        in
-        let options = Pperf_server.Options.to_aggregate opts in
-        print_string
-          (Pperf_server.Render.predict ~machine ~options ~interproc:opts.interproc
-             ~strict:opts.strict ~evals:opts.eval ~warn:warn_stderr (read_file file))))
+let tolerance_arg =
+  let doc =
+    "Maximum acceptable relative error between a measurement and the \
+     fitted machine's prediction of it (default 0.25). Exceeding it \
+     makes the exit code 1."
   in
-  let doc = "Predict performance expressions for each routine in a PF file." in
-  Cmd.v (Cmd.info "predict" ~doc)
-    Term.(const run $ machine_arg $ memory_arg $ interproc_arg $ ranges_flag $ domain_arg
-          $ strict_arg $ stats_arg $ trace_arg $ eval_arg $ file_arg 0 "FILE")
+  Arg.(value & opt (some float) None & info [ "tolerance" ] ~docv:"T" ~doc)
+
+let out_arg =
+  let doc = "Write the fitted machine description (.pmach v2) to FILE." in
+  Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE" ~doc)
+
+let query_cmd (q : Query.t) =
+  (* options only the CLI has, parameterizing the shared row *)
+  let row =
+    match q.verb with
+    | Protocol.Machines -> Term.(const (fun dir -> Query.machines ~dir ()) $ dir_arg)
+    | Protocol.Calibrate ->
+      Term.(
+        const (fun tolerance out -> Query.calibrate ?tolerance ?out ())
+        $ tolerance_arg $ out_arg)
+    | _ -> Term.const q
+  in
+  let machine =
+    if q.machine then Term.(const (fun spec () -> Pperf_server.Machines.load spec) $ machine_arg)
+    else Term.const (fun () -> Machine.power1)
+  in
+  let stats = if q.stats then stats_arg else Term.const false in
+  let sources =
+    List.fold_right
+      (fun t acc -> Term.(const List.cons $ t $ acc))
+      (List.mapi file_arg q.sources) (Term.const [])
+  in
+  let run row machine (options : Options.t) stats sources =
+    handle_code (fun () ->
+        with_telemetry ~stats ~trace:options.trace (fun () ->
+            let machine = machine () in
+            let sources = List.map Query.source_text sources in
+            let p = Query.run row options machine sources in
+            List.iter (Printf.eprintf "warning: %s\n%!") p.warnings;
+            print_string p.output;
+            p.status))
+  in
+  Cmd.v
+    (Cmd.info (Query.name q) ~doc:q.doc)
+    Term.(const run $ row $ machine $ options_term q.flags $ stats $ sources)
 
 (* ---- schedule ---- *)
 
 let schedule_cmd =
   let run mspec file =
     handle (fun () ->
-        let machine = machine_of_spec mspec in
-        let checked = Typecheck.check_program (Parser.parse_program (read_file file)) in
+        let machine = Pperf_server.Machines.load mspec in
+        let checked = Typecheck.check_program (Parser.parse_program (Query.source_text file)) in
         List.iter
           (fun (c : Typecheck.checked) ->
             Format.printf "routine %s:@." c.routine.rname;
@@ -246,67 +161,14 @@ let schedule_cmd =
   let doc = "Show the translated atomic operations and their bin schedule." in
   Cmd.v (Cmd.info "schedule" ~doc) Term.(const run $ machine_arg $ file_arg 0 "FILE")
 
-(* ---- compare ---- *)
-
-let range_arg =
-  let doc = "Range of an unknown: VAR=LO:HI (repeatable)." in
-  Arg.(value & opt_all range_conv [] & info [ "range" ] ~docv:"VAR=LO:HI" ~doc)
-
-let compare_cmd =
-  let run mspec memory ranges use_ranges domain stats trace f1 f2 =
-    handle (fun () ->
-        with_stats ~stats ~trace (fun () ->
-        let machine = machine_of_spec mspec in
-        let opts =
-          { Pperf_server.Options.default with
-            memory; ranges = use_ranges; trace; range = ranges; domain }
-        in
-        let options = Pperf_server.Options.to_aggregate opts in
-        print_string
-          (Pperf_server.Render.compare
-             ~domain:(Pperf_server.Options.domain opts)
-             ~machine ~options ~use_ranges:opts.ranges ~ranges:opts.range
-             (read_file f1) (read_file f2))))
-  in
-  let doc = "Compare two program variants symbolically." in
-  Cmd.v (Cmd.info "compare" ~doc)
-    Term.(const run $ machine_arg $ memory_arg $ range_arg $ ranges_flag $ domain_arg
-          $ stats_arg $ trace_arg $ file_arg 0 "FILE1" $ file_arg 1 "FILE2")
-
-(* ---- bounds ---- *)
-
-let bounds_cmd =
-  let run mspec memory json stats trace evals file =
-    handle (fun () ->
-        with_stats ~stats ~trace (fun () ->
-        let machine = machine_of_spec mspec in
-        print_string
-          (Pperf_server.Render.bounds ~machine ~memory ~json ~evals (read_file file))))
-  in
-  let json_arg =
-    let doc = "Emit the bound summary as JSON instead of text." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let doc =
-    "Three-bound analysis of every loop nest: the paper's bin-packing \
-     (throughput) bound, the critical path and loop-carried-dependence (LCD) \
-     latency bound, and (with --memory) the cache-line bound, each totalled \
-     symbolically over the trip counts. The steady-state classification takes \
-     the max; a bound-disagreement event marks nests where the packing model \
-     is provably optimistic."
-  in
-  Cmd.v (Cmd.info "bounds" ~doc)
-    Term.(const run $ machine_arg $ memory_arg $ json_arg $ stats_arg $ trace_arg
-          $ eval_arg $ file_arg 0 "FILE")
-
 (* ---- search ---- *)
 
 let search_cmd =
-  let run mspec memory file =
+  let run mspec (opts : Options.t) file =
     handle (fun () ->
-        let machine = machine_of_spec mspec in
-        let options = options_of ~memory in
-        let checked = Typecheck.check_routine (Parser.parse_routine (read_file file)) in
+        let machine = Pperf_server.Machines.load mspec in
+        let options = Options.to_aggregate opts in
+        let checked = Typecheck.check_routine (Parser.parse_routine (Query.source_text file)) in
         let out = Pperf_transform.Search.run ~machine ~options ~max_nodes:150 ~max_depth:3 checked in
         Format.printf "explored %d states@." out.explored;
         Format.printf "sequence: %s@."
@@ -326,32 +188,33 @@ let search_cmd =
         Format.printf "@.%s" (Pp_ast.routine_to_string out.best.routine))
   in
   let doc = "Performance-guided automatic restructuring (A*-style search)." in
-  Cmd.v (Cmd.info "search" ~doc) Term.(const run $ machine_arg $ memory_arg $ file_arg 0 "FILE")
+  Cmd.v (Cmd.info "search" ~doc)
+    Term.(const run $ machine_arg $ options_term [ Options.Flag.memory ] $ file_arg 0 "FILE")
 
 (* ---- report ---- *)
 
 let report_cmd =
-  let run mspec memory ranges file =
+  let run mspec (opts : Options.t) file =
     handle (fun () ->
-        let machine = machine_of_spec mspec in
-        let options = options_of ~memory in
-        let env = Pperf_server.Render.range_env ranges in
+        let machine = Pperf_server.Machines.load mspec in
+        let options = Options.to_aggregate opts in
+        let env = Pperf_server.Render.range_env opts.range in
         List.iter
           (fun checked ->
             let r = Report.generate ~options ~env ~machine checked in
             Format.printf "%a@." Report.pp r)
-          (Typecheck.check_program (Parser.parse_program (read_file file))))
+          (Typecheck.check_program (Parser.parse_program (Query.source_text file))))
   in
   let doc = "Full prediction report: expression, unknowns, sensitivity, hot spots." in
   Cmd.v (Cmd.info "report" ~doc)
-    Term.(const run $ machine_arg $ memory_arg $ range_arg $ file_arg 0 "FILE")
+    Term.(const run $ machine_arg $ options_term Options.Flag.[ memory; range ] $ file_arg 0 "FILE")
 
 (* ---- deps ---- *)
 
 let deps_cmd =
   let run file =
     handle (fun () ->
-        let checked = Typecheck.check_program (Parser.parse_program (read_file file)) in
+        let checked = Typecheck.check_program (Parser.parse_program (Query.source_text file)) in
         List.iter
           (fun (c : Typecheck.checked) ->
             Format.printf "routine %s:@." c.routine.rname;
@@ -380,146 +243,41 @@ let deps_cmd =
 (* ---- run (interpreter + profile) ---- *)
 
 let run_cmd =
-  let run mspec evals file =
+  let run mspec (opts : Options.t) file =
     handle (fun () ->
-        let machine = machine_of_spec mspec in
-        let bindings = parse_bindings evals in
+        let machine = Pperf_server.Machines.load mspec in
+        let bindings = Pperf_server.Render.parse_bindings opts.eval in
         let args =
           List.map (fun (v, f) ->
               (v, if Float.is_integer f then Pperf_exec.Interp.VInt (int_of_float f)
                   else Pperf_exec.Interp.VReal f))
             bindings
         in
-        let res = Pperf_exec.Interp.run_source ~machine ~args (read_file file) in
+        let src = Query.source_text file in
+        let res = Pperf_exec.Interp.run_source ~machine ~args src in
         Format.printf "dynamic cycles: %.0f@." res.cycles;
         Format.printf "profile:@.%a" Pperf_exec.Interp.Profile.pp res.profile;
         (* compare with the static prediction at the same bindings *)
-        let p = Predict.of_source ~machine (read_file file) in
+        let p = Predict.of_source ~machine src in
         let static = Predict.eval p bindings in
         Format.printf "static prediction %a = %.0f (%.2f%% from dynamic)@." Predict.pp p static
           (100.0 *. Float.abs (static -. res.cycles) /. Float.max 1.0 res.cycles))
   in
   let doc = "Interpret the program, profile it, and validate the static prediction." in
-  Cmd.v (Cmd.info "run" ~doc) Term.(const run $ machine_arg $ eval_arg $ file_arg 0 "FILE")
-
-(* ---- lint ---- *)
-
-let lint_cmd =
-  let run json use_ranges domain trace file =
-    handle_code (fun () ->
-        with_telemetry ~trace (fun () ->
-            let output, code =
-              Pperf_server.Render.lint
-                ~domain:(resolve_domain domain)
-                ~json ~use_ranges (read_file file)
-            in
-            print_string output;
-            code))
-  in
-  let json_arg =
-    let doc = "Emit diagnostics as JSON instead of text." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let doc =
-    "Run the static diagnostic checks over a PF file: program defects \
-     (out-of-bounds subscripts, use before definition, zero loop steps, possible \
-     division by zero, dead branches) and the places where the performance \
-     prediction goes conservative (non-affine subscripts, unknown call costs). \
-     Exit status is 2 when any error is reported, 1 when any warning, else 0."
-  in
-  Cmd.v (Cmd.info "lint" ~doc)
-    Term.(const run $ json_arg $ ranges_flag $ domain_arg $ trace_arg $ file_arg 0 "FILE")
-
-(* ---- ranges ---- *)
-
-let ranges_cmd =
-  let run json domain stats trace file =
-    handle (fun () ->
-        with_stats ~stats ~trace (fun () ->
-        print_string
-          (Pperf_server.Render.ranges
-             ~domain:(resolve_domain domain)
-             ~json (read_file file))))
-  in
-  let json_arg =
-    let doc = "Emit the ranges as JSON instead of text." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let doc =
-    "Run the abstract interpretation over each routine and print the \
-     inferred ranges: per-loop index and trip-count intervals (indented by \
-     nesting depth) and the routine-wide variable range summary. A \
-     relational --domain additionally prints the per-point and summary \
-     relational constraints."
-  in
-  Cmd.v (Cmd.info "ranges" ~doc)
-    Term.(const run $ json_arg $ domain_arg $ stats_arg $ trace_arg $ file_arg 0 "FILE")
+  Cmd.v (Cmd.info "run" ~doc)
+    Term.(const run $ machine_arg $ options_term [ Options.Flag.eval ] $ file_arg 0 "FILE")
 
 (* ---- machine ---- *)
 
 let machine_cmd =
   let run mspec =
     handle (fun () ->
-        let m = machine_of_spec mspec in
+        let m = Pperf_server.Machines.load mspec in
         print_string (Descr.to_string m))
   in
   let doc = "Print a machine description in the portable textual format." in
   let spec = Arg.(value & pos 0 string "power1" & info [] ~docv:"MACHINE" ~doc:"machine name or file") in
   Cmd.v (Cmd.info "machine" ~doc) Term.(const run $ spec)
-
-(* ---- machines ---- *)
-
-let machines_cmd =
-  let run dir = handle (fun () -> print_string (Pperf_server.Render.machines ~dir ())) in
-  let dir_arg =
-    let doc = "Directory of .pmach machine description files to list." in
-    Arg.(value & opt string "machines" & info [ "dir" ] ~docv:"DIR" ~doc)
-  in
-  let doc =
-    "List every known machine — the builtins plus the .pmach files of a \
-     directory — with its cost-model kind (classic or ports), unit/port \
-     count and issue width."
-  in
-  Cmd.v (Cmd.info "machines" ~doc) Term.(const run $ dir_arg)
-
-(* ---- calibrate ---- *)
-
-let calibrate_cmd =
-  let run mspec tolerance out =
-    handle_code (fun () ->
-        let machine = machine_of_spec mspec in
-        let r = Pperf_exec.Calibrate.run ~machine ?tolerance () in
-        (* same bytes as the server's calibrate verb: both print
-           Calibrate.report of a default-tolerance run *)
-        print_string (Pperf_exec.Calibrate.report r);
-        Option.iter
-          (fun path ->
-            let oc = open_out path in
-            output_string oc r.Pperf_exec.Calibrate.description;
-            close_out oc)
-          out;
-        if r.Pperf_exec.Calibrate.ok then 0 else 1)
-  in
-  let tolerance_arg =
-    let doc =
-      "Maximum acceptable relative error between a measurement and the \
-       fitted machine's prediction of it (default 0.25). Exceeding it \
-       makes the exit code 1."
-    in
-    Arg.(value & opt (some float) None & info [ "tolerance" ] ~docv:"T" ~doc)
-  in
-  let out_arg =
-    let doc = "Write the fitted machine description (.pmach v2) to FILE." in
-    Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE" ~doc)
-  in
-  let doc =
-    "Fit an issue-port cost model to a machine by measurement: run \
-     microbenchmark kernels through the interpreter, fit port structure, \
-     µop counts and latencies, and report how well the fitted machine \
-     reproduces every measurement."
-  in
-  Cmd.v (Cmd.info "calibrate" ~doc)
-    Term.(const run $ machine_arg $ tolerance_arg $ out_arg)
 
 (* ---- batch / serve ---- *)
 
@@ -574,10 +332,14 @@ let batch_cmd =
          & info [] ~docv:"FILE" ~doc:"JSON-lines request file (default: stdin)")
   in
   let doc =
-    "Answer a stream of JSON-lines requests (one JSON object per line; verbs \
-     predict, compare, ranges, lint, ping, stats, shutdown) and exit at end of \
-     input. Responses come in request order; query outputs are byte-identical \
-     to the one-shot subcommands. See README section \"The prediction service\"."
+    let names verbs = String.concat ", " (List.map Protocol.verb_string verbs) in
+    let queries, controls = List.partition (fun v -> Query.find v <> None) Protocol.all_verbs in
+    Printf.sprintf
+      "Answer a stream of JSON-lines requests (one JSON object per line; query \
+       verbs %s; control verbs %s) and exit at end of input. Responses come in \
+       request order; query outputs are byte-identical to the one-shot \
+       subcommands. See README section \"The prediction service\"."
+      (names queries) (names controls)
   in
   Cmd.v (Cmd.info "batch" ~doc)
     Term.(const run $ jobs_arg $ max_request_bytes_arg $ cache_capacity_arg $ file)
@@ -779,4 +541,6 @@ let loadgen_cmd =
 let () =
   let doc = "compile-time performance prediction for superscalar machines" in
   let info = Cmd.info "ppredict" ~version:"1.0.0" ~doc in
-  exit (Cmd.eval' (Cmd.group info [ predict_cmd; schedule_cmd; compare_cmd; bounds_cmd; search_cmd; run_cmd; deps_cmd; report_cmd; lint_cmd; ranges_cmd; machine_cmd; machines_cmd; calibrate_cmd; batch_cmd; serve_cmd; loadgen_cmd ]))
+  let others = [ schedule_cmd; search_cmd; run_cmd; deps_cmd; report_cmd; machine_cmd ] in
+  let service = [ batch_cmd; serve_cmd; loadgen_cmd ] in
+  exit (Cmd.eval' (Cmd.group info (List.map query_cmd Query.all @ others @ service)))

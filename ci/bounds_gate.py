@@ -14,9 +14,9 @@ Directed classifications that the bounds must keep earning:
     strictly above the bin-packing bound and a bound-disagreement event;
   * daxpy.pf on power1 stays compute-bound (the paper's model suffices).
 
-Protocol parity: the server's bounds verb is byte-identical to the CLI
-for the same machine, source, and flags, and a repeated request is
-served from the result cache.
+That the server's bounds verb answers byte-identically to the CLI, and
+from the result cache on a repeat, is checked by the parity test,
+test/test_verbs.ml.
 """
 
 import glob
@@ -36,8 +36,8 @@ def err(msg):
     print("::error::" + msg)
 
 
-def run(args, stdin=None):
-    return subprocess.run([PP] + args, capture_output=True, text=True, input=stdin)
+def run(args):
+    return subprocess.run([PP] + args, capture_output=True, text=True)
 
 
 def rat(s):
@@ -112,35 +112,6 @@ for f in ["samples/recurrence.pf", "samples/lcd.pf"]:
 nest, events = classify("samples/daxpy.pf")
 if nest is None or nest["classification"] != "compute-bound":
     err("samples/daxpy.pf: expected compute-bound on power1")
-
-# -- 3: server parity and caching ------------------------------------------
-
-for f, flags, extra in [("samples/recurrence.pf", {}, []),
-                        ("samples/jacobi.pf", {"memory": True}, ["--memory"])]:
-    cli = run(["bounds"] + extra + [f])
-    if cli.returncode != 0:
-        err(f"bounds {f} failed: {cli.stderr.strip()}")
-        continue
-    reqs = "\n".join(
-        json.dumps({"id": i, "verb": "bounds", "file": f, "flags": flags})
-        for i in (1, 2)) + "\n"
-    batch = run(["batch"], stdin=reqs)
-    if batch.returncode != 0:
-        err(f"batch bounds {f} failed: {batch.stderr.strip()}")
-        continue
-    lines = [json.loads(l) for l in batch.stdout.splitlines() if l.strip()]
-    if len(lines) != 2:
-        err(f"batch bounds {f}: expected 2 responses, got {len(lines)}")
-        continue
-    first, second = lines
-    if first.get("output") != cli.stdout:
-        err(f"batch bounds {f}: server output differs from CLI stdout")
-    if second.get("output") != cli.stdout:
-        err(f"batch bounds {f}: repeated request output differs from CLI stdout")
-    if first.get("cached"):
-        err(f"batch bounds {f}: first request claims a cache hit")
-    if not second.get("cached"):
-        err(f"batch bounds {f}: repeated request not served from the cache")
 
 if fail:
     print(f"bounds gate: {fail} failure(s)")

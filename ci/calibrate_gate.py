@@ -7,13 +7,14 @@ Asserts:
      max relative error is within the default tolerance;
   2. the fitted description written by --out is the canonical fixpoint
      (`ppredict machine FITTED` re-emits the identical bytes) and is a
-     usable machine (it drives `ppredict predict` cleanly);
-  3. the server's machines and calibrate verbs answer byte-identically
-     to the one-shot CLI, and repeating each request is served from the
-     warm result cache.
+     usable machine (it drives `ppredict predict` cleanly).
+
+That the server's machines and calibrate verbs answer byte-identically
+to the CLI (status included, on a machine that fails calibration too),
+and from the result cache on a repeat, is checked by the parity test,
+test/test_verbs.ml.
 """
 
-import json
 import os
 import re
 import subprocess
@@ -39,12 +40,10 @@ def cli(args):
 # ---- 1 + 2: calibrate two machines, check the reports and fitted files ----
 
 tmpdir = tempfile.mkdtemp(prefix="ppredict-calibrate-")
-reports = {}
 for spec in ["scalar", "machines/ooo4.pmach"]:
     tag = os.path.splitext(os.path.basename(spec))[0]
     fitted = os.path.join(tmpdir, tag + "-fit.pmach")
     r = cli(["calibrate", "-m", spec, "--out", fitted])
-    reports[spec] = r.stdout
     if r.returncode != 0:
         err(f"calibrate {spec}: exit {r.returncode}: {r.stderr.strip()}")
         continue
@@ -75,50 +74,8 @@ for spec in ["scalar", "machines/ooo4.pmach"]:
     if pred.returncode != 0:
         err(f"predict with fitted {tag}: exit {pred.returncode}: {pred.stderr.strip()}")
 
-# ---- 3: server verbs match the CLI byte for byte and cache on repeat ----
-
-machines_cli = cli(["machines", "--dir", "machines"])
-if machines_cli.returncode != 0:
-    err(f"machines: exit {machines_cli.returncode}: {machines_cli.stderr.strip()}")
-
-requests = [
-    {"id": "m0", "verb": "machines"},
-    {"id": "m1", "verb": "machines"},
-    {"id": "c0", "verb": "calibrate", "machine": "scalar"},
-    {"id": "c1", "verb": "calibrate", "machine": "scalar"},
-    {"id": "bye", "verb": "shutdown"},
-]
-proc = subprocess.run(
-    [PP, "serve", "--jobs", "1"],
-    input="\n".join(json.dumps(r) for r in requests) + "\n",
-    capture_output=True,
-    text=True,
-)
-if proc.returncode != 0:
-    err(f"serve exited {proc.returncode}: {proc.stderr.strip()}")
-    sys.exit(1)
-outs = {o.get("id"): o for o in map(json.loads, proc.stdout.splitlines())}
-if len(outs) != len(requests):
-    err(f"{len(requests)} requests but {len(outs)} responses")
-
-for rid, expect_out, expect_cached in [
-    ("m0", machines_cli.stdout, False),
-    ("m1", machines_cli.stdout, True),
-    ("c0", reports["scalar"], False),
-    ("c1", reports["scalar"], True),
-]:
-    r = outs.get(rid)
-    if not r or not r.get("ok"):
-        err(f"request {rid} failed: {json.dumps(r)}")
-        continue
-    if r.get("output") != expect_out:
-        err(f"request {rid}: serve output differs from the one-shot CLI")
-    if bool(r.get("cached")) != expect_cached:
-        err(f"request {rid}: expected cached={expect_cached}")
-
 print(
     f"calibrate gate: 2 machines fitted within tolerance {TOLERANCE}, "
-    f"fitted descriptions round-trip and predict, "
-    f"machines+calibrate verbs match the CLI with warm cache hits"
+    f"fitted descriptions round-trip and predict"
 )
 sys.exit(1 if fail else 0)

@@ -2,19 +2,21 @@
 """CI gate for the JSON-lines prediction service.
 
 Drives a scripted session through `ppredict serve` and asserts:
-  1. every query response's "output" is byte-identical to the one-shot
-     CLI subcommand's stdout (and "status" to its exit code);
-  2. repeating the whole query block is served from the warm result
-     cache (cached:true, nonzero hit count in the stats verb), and
-     back-to-back repeats of the same compare all report cached:true;
-  3. malformed / unknown-verb / ill-formed / oversized requests get
+  1. repeating the whole query block is served from the warm result
+     cache (nonzero hit count in the stats verb), and back-to-back
+     repeats of the same compare all report cached:true;
+  2. malformed / unknown-verb / ill-formed / oversized requests get
      structured error responses and the server keeps answering;
-  4. a parallel session (--jobs 4) produces the same responses in the
+  3. a parallel session (--jobs 4) produces the same responses in the
      same order as --jobs 1 (timings and cache bits aside);
-  5. the same session over the TCP fleet (--sched fifo --jobs 1) is
+  4. the same session over the TCP fleet (--sched fifo --jobs 1) is
      byte-identical to the stdio transport (timings aside);
-  6. a restart over a stale Unix-socket file (previous daemon killed
+  5. a restart over a stale Unix-socket file (previous daemon killed
      hard) succeeds, while a second daemon on a live socket is refused.
+
+That each query's output, status and warnings equal the one-shot CLI
+subcommand's, and that a repeat is a cache hit, is checked per verb and
+flag by the parity test, test/test_verbs.ml.
 """
 
 import glob
@@ -36,10 +38,6 @@ def err(msg):
     global fail
     fail += 1
     print("::error::" + msg)
-
-
-def cli(args):
-    return subprocess.run([PP] + args, capture_output=True, text=True)
 
 
 def serve(lines, jobs):
@@ -64,33 +62,17 @@ if not samples:
 
 cases = []
 for f in samples:
-    cases.append((["predict", f], {"verb": "predict", "file": f}))
-    cases.append(
-        (["predict", f, "--ranges"], {"verb": "predict", "file": f, "flags": {"ranges": True}})
-    )
-    cases.append(
-        (["lint", f, "--json"], {"verb": "lint", "file": f, "flags": {"json": True}})
-    )
-    cases.append(
-        (["ranges", f, "--json"], {"verb": "ranges", "file": f, "flags": {"json": True}})
-    )
-cases.append(
-    (
-        ["compare", "samples/daxpy.pf", "samples/jacobi.pf"],
-        {"verb": "compare", "file": "samples/daxpy.pf", "file2": "samples/jacobi.pf"},
-    )
-)
-cases.append(
-    (
-        ["predict", "samples/calls.pf", "-i"],
-        {"verb": "predict", "file": "samples/calls.pf", "flags": {"interproc": True}},
-    )
-)
+    cases.append({"verb": "predict", "file": f})
+    cases.append({"verb": "predict", "file": f, "flags": {"ranges": True}})
+    cases.append({"verb": "lint", "file": f, "flags": {"json": True}})
+    cases.append({"verb": "ranges", "file": f, "flags": {"json": True}})
+cases.append({"verb": "compare", "file": "samples/daxpy.pf", "file2": "samples/jacobi.pf"})
+cases.append({"verb": "predict", "file": "samples/calls.pf", "flags": {"interproc": True}})
 
 n = len(cases)
 lines = []
 for rep in range(2):  # the second pass must be all cache hits
-    for i, (_, req) in enumerate(cases):
+    for i, req in enumerate(cases):
         r = dict(req)
         r["id"] = rep * n + i
         lines.append(json.dumps(r))
@@ -122,22 +104,7 @@ if len(outs) != len(lines):
     err(f"{len(lines)} requests but {len(outs)} responses")
     sys.exit(1)
 
-# 1 + 2: byte-identical to the one-shot CLI, warm on the repeat
-for i, (argv, _) in enumerate(cases):
-    one = cli(argv)
-    for pos, expect_cached in ((i, False), (n + i, True)):
-        r = outs[pos]
-        if not r.get("ok"):
-            err(f"{argv}: request {pos} failed: {json.dumps(r)}")
-            continue
-        if r.get("output") != one.stdout:
-            err(f"{argv}: serve output differs from the one-shot CLI")
-        if r.get("status") != one.returncode:
-            err(f"{argv}: serve status {r.get('status')} != CLI exit {one.returncode}")
-        if bool(r.get("cached")) != expect_cached:
-            err(f"{argv}: request {pos} expected cached={expect_cached}")
-
-# 3: structured errors, session still live afterwards
+# 2: structured errors, session still live afterwards
 for k, (_, code) in enumerate(ERRORS):
     r = outs[2 * n + k]
     got = r.get("error", {}).get("code")
@@ -163,7 +130,7 @@ bye = outs[-1]
 if not bye.get("ok") or bye.get("verb") != "shutdown":
     err(f"shutdown not acknowledged: {json.dumps(bye)}")
 
-# 4: --jobs 4 answers the same session identically (order included)
+# 3: --jobs 4 answers the same session identically (order included)
 def strip(o):
     o = dict(o)
     o.pop("t", None)
@@ -177,7 +144,7 @@ if [strip(o) for o in par] != [strip(o) for o in outs]:
     err("--jobs 4 session differs from --jobs 1 session")
 
 
-# 5: the same session over TCP must be byte-identical to stdio (the
+# 4: the same session over TCP must be byte-identical to stdio (the
 # fleet under --sched fifo --jobs 1 is the deterministic baseline); here
 # only timings and the stats payload may differ, cache bits included
 def start_tcp(extra):
@@ -241,7 +208,7 @@ elif [strip_t(o) for o in tcp_outs] != [strip_t(o) for o in outs]:
             err(f"tcp response differs from stdio: {strip_t(a)} != {strip_t(b)}")
             break
 
-# 6: socket-file lifecycle — a hard-killed daemon leaves a stale file a
+# 5: socket-file lifecycle — a hard-killed daemon leaves a stale file a
 # restart must claim, while a live daemon's socket is refused
 sockdir = tempfile.mkdtemp(prefix="ppredict-sock-")
 spath = os.path.join(sockdir, "daemon.sock")
@@ -307,7 +274,7 @@ if os.path.exists(spath):
     err("socket file not unlinked on clean exit")
 os.rmdir(sockdir)
 
-print(f"serve gate: {len(lines)} requests, {2 * n} outputs matched the CLI, "
+print(f"serve gate: {len(lines)} requests, "
       f"{hits} warm cache hits, {len(ERRORS)} structured errors, "
       f"jobs 1 == jobs 4 == tcp, stale socket reclaimed, live socket refused")
 sys.exit(1 if fail else 0)

@@ -101,16 +101,10 @@ module Core = struct
     | Protocol.Text s -> "t:" ^ Digest.to_hex (Digest.string s)
 
   let affinity_key (req : Protocol.request) =
-    match req.verb with
-    | Protocol.Predict | Protocol.Compare | Protocol.Ranges | Protocol.Lint
-    | Protocol.Bounds -> (
-      match req.source with
-      | None -> None
-      | Some s ->
-        let s2 =
-          match req.source2 with None -> "" | Some x -> "|" ^ source_key x
-        in
-        Some (req.machine ^ "|" ^ source_key s ^ s2))
+    match (Pperf_server.Query.find req.verb, req.source) with
+    | Some _, Some s ->
+      let s2 = match req.source2 with None -> "" | Some x -> "|" ^ source_key x in
+      Some (req.machine ^ "|" ^ source_key s ^ s2)
     | _ -> None
 
   let shard_of_key t key = Hashtbl.hash key mod t.cfg.jobs

@@ -1,10 +1,11 @@
 (* Request evaluation: one request in, one response out, never an
    escaping exception. Query verbs go through a content-addressed result
    cache keyed by (machine hash, source hash, verb, canonical flags); a
-   miss renders with the shared Render module — predict through a
-   per-domain Incremental predictor — so the output is byte-identical to
-   the one-shot CLI. Every error maps to a structured error response with
-   the same message the CLI prints to stderr.
+   miss runs the verb's Query row — the same run the one-shot CLI
+   subcommand makes, predict through a per-domain Incremental predictor —
+   so the payload is the CLI's stdout, warnings and exit code. Every
+   error maps through Query's exception table to a structured error
+   response with the message the CLI prints to stderr.
 
    Telemetry: every lifecycle stage is measured into the Obs registry —
    queue wait, cache lookup, and evaluation as log-bucketed histograms
@@ -12,16 +13,11 @@
    additionally as spans so a traced request ([flags.trace]) shows where
    it spent its time down through the pipeline phases. *)
 
-open Pperf_lang
-open Pperf_machine
 open Pperf_core
 module Obs = Pperf_obs.Obs
 
-(* the cacheable part of a finished query *)
-type payload = { output : string; warnings : string list; status : int }
-
 type t = {
-  cache : payload Cache.t;
+  cache : Query.payload Cache.t;
   jobs : int;
   requests : int Atomic.t;
   ok_count : int Atomic.t;
@@ -78,14 +74,6 @@ let mean_eval_ns t =
 let now = Unix.gettimeofday
 let ns_of_span s = int_of_float (s *. 1e9)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let source_text = function Protocol.File p -> read_file p | Protocol.Text s -> s
-
 (* a span plus a latency histogram around one lifecycle stage *)
 let staged sp hist f =
   Obs.enter sp;
@@ -115,95 +103,24 @@ let incremental ~machine ~machine_hash ~(options : Aggregate.options) =
     Hashtbl.add tbl key inc;
     inc
 
-exception Bad_req of string
-
-(* the machines verb lists this directory (the CLI's --dir default);
-   requests carry no source, so the cache key digests the directory's
-   listing and file contents instead — an added, removed or edited .pmach
-   invalidates the cached table *)
-let machines_dir = "machines"
-
-let machines_dir_digest dir =
-  let entries =
-    if Sys.file_exists dir && Sys.is_directory dir then
-      Sys.readdir dir |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".pmach")
-      |> List.sort compare
-      |> List.map (fun f ->
-             let p = Filename.concat dir f in
-             f ^ ":" ^ (try Digest.to_hex (Digest.file p) with Sys_error _ -> "unreadable"))
-    else []
+(* Evaluate a query from scratch; exceptions escape to [handle]. [srcs]
+   are the request's sources already resolved to text — the same text
+   the cache key digested, so a file edit racing the request can never
+   cache one version's output under the other's digest. *)
+let run_query t (q : Query.t) (flags : Options.t) ~srcs machine =
+  let sources = Query.required q srcs in
+  let inc =
+    incremental ~machine ~machine_hash:(Machines.hash machine)
+      ~options:(Options.to_aggregate flags)
   in
-  Digest.string (String.concat ";" entries)
-
-let require_source verb = function
-  | Some s -> s
-  | None ->
-    raise
-      (Bad_req
-         (Printf.sprintf "verb %S needs a \"source\" or \"file\" field"
-            (Protocol.verb_string verb)))
-
-(* Evaluate a query verb from scratch; exceptions escape to [handle].
-   [src]/[src2] are the request's sources already resolved to text — the
-   same text the cache key digested, so a file edit racing the request
-   can never cache one version's output under the other's digest. *)
-let run_query t (req : Protocol.request) ~src ~src2 machine : payload =
-  let flags = req.flags in
-  let options = Options.to_aggregate flags in
-  let warnings = ref [] in
-  let warn m = warnings := m :: !warnings in
-  let output, status =
-    match req.verb with
-    | Protocol.Predict ->
-      let src = require_source req.verb src in
-      let machine_hash = Machines.hash machine in
-      let inc = incremental ~machine ~machine_hash ~options in
-      let h0, m0 = Incremental.stats inc in
-      let out =
-        Render.predict
-          ~predictor:(Incremental.predict_checked inc)
-          ~machine ~options ~interproc:flags.interproc ~strict:flags.strict
-          ~evals:flags.eval ~warn src
-      in
-      let h1, m1 = Incremental.stats inc in
-      if h1 > h0 then ignore (Atomic.fetch_and_add t.inc_hits (h1 - h0));
-      if m1 > m0 then ignore (Atomic.fetch_and_add t.inc_misses (m1 - m0));
-      (out, 0)
-    | Protocol.Compare ->
-      let src1 = require_source req.verb src in
-      let src2 =
-        match src2 with
-        | Some s -> s
-        | None -> raise (Bad_req "verb \"compare\" needs a \"source2\" or \"file2\" field")
-      in
-      ( Render.compare
-          ~domain:(Options.domain flags)
-          ~machine ~options ~use_ranges:flags.ranges ~ranges:flags.range src1 src2,
-        0 )
-    | Protocol.Ranges ->
-      let src = require_source req.verb src in
-      (Render.ranges ~domain:(Options.domain flags) ~json:flags.json src, 0)
-    | Protocol.Lint ->
-      let src = require_source req.verb src in
-      Render.lint
-        ~domain:(Options.domain flags)
-        ~json:flags.json ~use_ranges:flags.ranges src
-    | Protocol.Bounds ->
-      let src = require_source req.verb src in
-      (Render.bounds ~machine ~memory:flags.memory ~json:flags.json ~evals:flags.eval src, 0)
-    | Protocol.Machines -> (Render.machines ~dir:machines_dir (), 0)
-    | Protocol.Calibrate -> (Render.calibrate ~machine, 0)
-    | Protocol.Ping | Protocol.Stats | Protocol.Metrics | Protocol.Shutdown ->
-      assert false
+  let h0, m0 = Incremental.stats inc in
+  let payload =
+    Query.run ~predictor:(Incremental.predict_checked inc) q flags machine sources
   in
-  { output; warnings = List.rev !warnings; status }
-
-(* digest the request's resolved sources so a file edit invalidates the
-   entry *)
-let source_key ~src ~src2 =
-  let one = function None -> "" | Some s -> Digest.string s in
-  Digest.string (one src ^ one src2)
+  let h1, m1 = Incremental.stats inc in
+  if h1 > h0 then ignore (Atomic.fetch_and_add t.inc_hits (h1 - h0));
+  if m1 > m0 then ignore (Atomic.fetch_and_add t.inc_misses (m1 - m0));
+  payload
 
 (* refresh the engine-state gauges so stats/metrics exposition and any
    later scrape see current values *)
@@ -282,33 +199,37 @@ let rec trace_to_json (n : Obs.Trace.node) =
       ("self_ns", Json.Int n.self_ns);
       ("children", Json.List (List.map trace_to_json n.children)) ]
 
-(* the CLI's handle_code exception table, as structured error responses *)
-let error_of_exn = function
-  | Bad_req msg -> Some (Protocol.Bad_request, msg)
-  | Render.Bad_flag msg -> Some (Protocol.Bad_request, msg)
-  | Pperf_backend.Pipeline.Livelock { cycle; unissued } ->
-    Some
-      ( Protocol.Failed,
-        Printf.sprintf
-          "pipeline schedule livelocked after %d cycles with %d operation(s) unissued"
-          cycle unissued )
-  | Parser.Error (msg, loc) ->
-    Some
-      ( Protocol.Parse_error,
-        Printf.sprintf "parse error at %s: %s" (Srcloc.to_string loc) msg )
-  | Typecheck.Type_error (msg, loc) ->
-    Some
-      ( Protocol.Type_error,
-        Printf.sprintf "type error at %s: %s" (Srcloc.to_string loc) msg )
-  | Descr.Parse_error msg ->
-    Some (Protocol.Machine_error, Printf.sprintf "machine description error: %s" msg)
-  | Machine.Unknown_atomic { machine; op } ->
-    Some
-      ( Protocol.Machine_error,
-        Printf.sprintf "machine %s has no atomic operation %s" machine op )
-  | Failure msg -> Some (Protocol.Failed, msg)
-  | Sys_error msg -> Some (Protocol.Failed, msg)
-  | _ -> None
+(* a query answered from the result cache or evaluated afresh:
+   (payload, cached, span tree) *)
+let answer t (req : Protocol.request) (q : Query.t) =
+  let machine = Machines.load req.machine in
+  (* resolve file sources to text exactly once: digesting and evaluating
+     the same bytes even if the file changes mid-request *)
+  let srcs = List.map (Option.map Query.source_text) [ req.source; req.source2 ] in
+  (* the key digests the resolved sources, plus whatever else the verb
+     reads, so a file edit invalidates the entry; traced requests bypass
+     the cache, their span tree being per-evaluation by definition *)
+  let key =
+    if req.flags.trace then None
+    else
+      let digest = Option.fold ~none:"" ~some:Digest.string in
+      let sources = Digest.string (String.concat "" (List.map digest srcs) ^ q.inputs ()) in
+      Some
+        (Cache.key ~machine_hash:(Machines.hash machine) ~source_hash:sources
+           ~kind:(Query.name q) ~flags:(Protocol.flags_key req.flags))
+  in
+  match Option.bind key (fun k -> staged sp_cache h_cache (fun () -> Cache.find t.cache k)) with
+  | Some p -> (p, true, None)
+  | None ->
+    let eval () = staged sp_eval h_eval (fun () -> run_query t q req.flags ~srcs machine) in
+    let p, trace =
+      if req.flags.trace then (
+        let p, node = Obs.Trace.collect eval in
+        (p, Some (trace_to_json node)))
+      else (eval (), None)
+    in
+    Option.iter (fun k -> Cache.store t.cache k p) key;
+    (p, false, trace)
 
 let handle t ~received (req : Protocol.request) : Protocol.response =
   Atomic.incr t.requests;
@@ -334,69 +255,22 @@ let handle t ~received (req : Protocol.request) : Protocol.response =
          (Printf.sprintf "deadline of %gms expired before evaluation"
             (Option.get req.deadline_ms)))
   else
-    match req.verb with
-    | Protocol.Ping ->
+    match Query.find req.verb with
+    | None ->
+      (* a control verb: ping, stats, metrics or shutdown *)
+      let stats, output =
+        match req.verb with
+        | Protocol.Ping -> (None, "pong")
+        | Protocol.Stats -> (Some (stats_json t), "")
+        | Protocol.Metrics -> (None, metrics_text t)
+        | _ -> (None, "")
+      in
       finish
-        (Protocol.ok ~id:req.id ~verb:req.verb ~warnings:req.proto_warnings
-           ~timing:{ queue_ns; eval_ns = 0 } "pong")
-    | Protocol.Stats ->
-      finish
-        (Protocol.ok ~id:req.id ~verb:req.verb ~stats:(stats_json t)
-           ~warnings:req.proto_warnings ~timing:{ queue_ns; eval_ns = 0 } "")
-    | Protocol.Metrics ->
-      finish
-        (Protocol.ok ~id:req.id ~verb:req.verb ~warnings:req.proto_warnings
-           ~timing:{ queue_ns; eval_ns = 0 } (metrics_text t))
-    | Protocol.Shutdown ->
-      finish
-        (Protocol.ok ~id:req.id ~verb:req.verb ~warnings:req.proto_warnings
-           ~timing:{ queue_ns; eval_ns = 0 } "")
-    | Protocol.Predict | Protocol.Compare | Protocol.Ranges | Protocol.Lint
-    | Protocol.Bounds | Protocol.Machines | Protocol.Calibrate -> (
-      match
-        let machine = Machines.load req.machine in
-        (* resolve file sources to text exactly once: digesting and
-           evaluating the same bytes even if the file changes mid-request *)
-        let src = Option.map source_text req.source in
-        let src2 = Option.map source_text req.source2 in
-        (* traced requests bypass the result cache: their span tree is
-           per-evaluation by definition, and must not be served stale *)
-        let key =
-          if Protocol.cacheable req.verb && not req.flags.trace then
-            Some
-              (Cache.key ~machine_hash:(Machines.hash machine)
-                 ~source_hash:
-                   (match req.verb with
-                   | Protocol.Machines -> machines_dir_digest machines_dir
-                   | _ -> source_key ~src ~src2)
-                 ~kind:(Protocol.verb_string req.verb)
-                 ~flags:(Protocol.flags_key req.flags))
-          else None
-        in
-        let lookup () =
-          match key with
-          | None -> None
-          | Some k -> staged sp_cache h_cache (fun () -> Cache.find t.cache k)
-        in
-        let payload, cached, trace =
-          match lookup () with
-          | Some p -> (p, true, None)
-          | None ->
-            let eval () =
-              staged sp_eval h_eval (fun () -> run_query t req ~src ~src2 machine)
-            in
-            let p, trace =
-              if req.flags.trace then (
-                let p, node = Obs.Trace.collect eval in
-                (p, Some (trace_to_json node)))
-              else (eval (), None)
-            in
-            Option.iter (fun k -> Cache.store t.cache k p) key;
-            (p, false, trace)
-        in
-        (payload, cached, trace)
-      with
-      | payload, cached, trace ->
+        (Protocol.ok ~id:req.id ~verb:req.verb ?stats ~warnings:req.proto_warnings
+           ~timing:{ queue_ns; eval_ns = 0 } output)
+    | Some q -> (
+      match answer t req q with
+      | (payload : Query.payload), cached, trace ->
         let stop = now () in
         let eval_ns = ns_of_span (stop -. start) in
         ignore (Atomic.fetch_and_add t.eval_ns_total eval_ns);
@@ -405,10 +279,6 @@ let handle t ~received (req : Protocol.request) : Protocol.response =
              ~deadline_missed:(expired stop)
              ~warnings:(payload.warnings @ req.proto_warnings)
              ?trace ~timing:{ queue_ns; eval_ns } payload.output)
-      | exception e -> (
-        match error_of_exn e with
-        | Some (code, message) -> finish (Protocol.err ~id:req.id code message)
-        | None ->
-          finish
-            (Protocol.err ~id:req.id Protocol.Internal
-               (Printf.sprintf "uncaught exception: %s" (Printexc.to_string e)))))
+      | exception e ->
+        let code, message = Query.error_of_exn e in
+        finish (Protocol.err ~id:req.id code message))

@@ -1,16 +1,16 @@
 (** Request evaluation for the prediction service.
 
     [handle] maps one {!Protocol.request} to one {!Protocol.response} and
-    never lets an exception escape: the CLI's error table (parse, type,
-    machine, [Failure]) becomes structured error responses, and anything
-    else becomes [internal] with the server still live.
+    never lets an exception escape: {!Query.error_of_exn}, the table the
+    CLI prints its errors from, turns every failure into a structured
+    error response, with the server still live.
 
     Query verbs are served through a content-addressed result cache keyed
     by (machine hash, source hash, verb, canonical flags) — file sources
     are digested by content, so editing the file invalidates the entry —
-    and, on a miss, rendered with {!Render} (predict through a per-domain
-    {!Pperf_core.Incremental} predictor), so [output] is byte-identical
-    to the one-shot CLI subcommand. *)
+    and, on a miss, run through {!Query.run} (predict through a
+    per-domain {!Pperf_core.Incremental} predictor), the same run the
+    one-shot CLI subcommand makes. *)
 
 type t
 

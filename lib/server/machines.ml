@@ -8,12 +8,6 @@
 open Pperf_machine
 open Pperf_translate
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let builtin = function
   | "power1" -> Some Machine.power1
   | "power1x2" -> Some Machine.power1_wide
@@ -89,7 +83,7 @@ let load spec =
     m
   | None ->
     if Sys.file_exists spec then (
-      let text = read_file spec in
+      let text = In_channel.with_open_bin spec In_channel.input_all in
       let digest = Digest.string text in
       with_lock (fun () ->
           match Hashtbl.find_opt by_digest digest with

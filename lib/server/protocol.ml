@@ -28,19 +28,11 @@ let verb_string = function
   | Metrics -> "metrics"
   | Shutdown -> "shutdown"
 
-let verb_of_string = function
-  | "predict" -> Some Predict
-  | "compare" -> Some Compare
-  | "ranges" -> Some Ranges
-  | "lint" -> Some Lint
-  | "bounds" -> Some Bounds
-  | "machines" -> Some Machines
-  | "calibrate" -> Some Calibrate
-  | "ping" -> Some Ping
-  | "stats" -> Some Stats
-  | "metrics" -> Some Metrics
-  | "shutdown" -> Some Shutdown
-  | _ -> None
+let all_verbs =
+  [ Predict; Compare; Ranges; Lint; Bounds; Machines; Calibrate; Ping; Stats; Metrics;
+    Shutdown ]
+
+let verb_of_string s = List.find_opt (fun v -> verb_string v = s) all_verbs
 
 type source = File of string | Text of string
 
@@ -97,59 +89,46 @@ let error_code_string = function
 
 (* ------------------------------------------------------------- requests *)
 
-let get_bool obj name ~default =
-  match Json.member name obj with
-  | None -> Ok default
-  | Some j -> (
+let ( let* ) = Result.bind
+
+let strings_of name j =
+  match Json.to_list_opt j with
+  | Some items when List.for_all (fun x -> Json.to_string_opt x <> None) items ->
+    Ok (List.filter_map Json.to_string_opt items)
+  | _ -> Error (Bad_request, Printf.sprintf "field %S must be a list of strings" name)
+
+(* a JSON flag value of the row's kind; list values are checked where
+   they are used, so a malformed binding is a bad_request either way *)
+let flag_value : type a. string -> a Options.kind -> Json.t -> (a, error_code * string) result
+    =
+ fun key kind j ->
+  match kind with
+  | Options.Bool -> (
     match Json.to_bool_opt j with
     | Some b -> Ok b
-    | None -> Error (Bad_request, Printf.sprintf "flag %S must be a boolean" name))
-
-let get_string_list obj name =
-  match Json.member name obj with
-  | None -> Ok []
-  | Some j -> (
-    match Json.to_list_opt j with
-    | None -> Error (Bad_request, Printf.sprintf "field %S must be a list of strings" name)
-    | Some items ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | x :: rest -> (
-          match Json.to_string_opt x with
-          | Some s -> go (s :: acc) rest
-          | None ->
-            Error (Bad_request, Printf.sprintf "field %S must be a list of strings" name))
-      in
-      go [] items)
-
-let ( let* ) = Result.bind
+    | None -> Error (Bad_request, Printf.sprintf "flag %S must be a boolean" key))
+  | Options.Strings _ -> strings_of key j
+  | Options.Choice { choices; _ } -> (
+    match Json.to_string_opt j with
+    | Some d when List.mem d choices -> Ok (Some d)
+    | Some d ->
+      Error
+        ( Bad_request,
+          Printf.sprintf "unknown %s %S (expected one of %s)" key d
+            (String.concat ", " choices) )
+    | None -> Error (Bad_request, Printf.sprintf "field %S must be a string" key))
 
 let parse_flags obj =
   match Json.member "flags" obj with
   | None -> Ok default_flags
   | Some (Json.Obj _ as f) ->
-    let* memory = get_bool f "memory" ~default:false in
-    let* ranges = get_bool f "ranges" ~default:false in
-    let* interproc = get_bool f "interproc" ~default:false in
-    let* strict = get_bool f "strict" ~default:false in
-    let* json = get_bool f "json" ~default:false in
-    let* trace = get_bool f "trace" ~default:false in
-    let* eval = get_string_list f "eval" in
-    let* range = get_string_list f "range" in
-    let* domain =
-      match Json.member "domain" f with
-      | None -> Ok None
-      | Some j -> (
-        match Json.to_string_opt j with
-        | Some d when List.mem d Pperf_absint.Absint.all_domains -> Ok (Some d)
-        | Some d ->
-          Error
-            ( Bad_request,
-              Printf.sprintf "unknown domain %S (expected one of %s)" d
-                (String.concat ", " Pperf_absint.Absint.all_domains) )
-        | None -> Error (Bad_request, "field \"domain\" must be a string"))
-    in
-    Ok { memory; ranges; interproc; strict; json; trace; eval; range; domain }
+    List.fold_left
+      (fun acc (Options.Flag r) ->
+        let* o = acc in
+        match Json.member r.key f with
+        | None -> Ok o
+        | Some j -> Result.map (r.set o) (flag_value r.key r.kind j))
+      (Ok default_flags) Options.Flag.all
   | Some _ -> Error (Bad_request, "field \"flags\" must be an object")
 
 let parse_source obj ~file_field ~text_field =
@@ -247,10 +226,6 @@ let request_of_line line =
   | j -> request_of_json j
 
 let flags_key = Options.to_canonical_string
-
-let cacheable = function
-  | Predict | Compare | Ranges | Lint | Bounds | Machines | Calibrate -> true
-  | Ping | Stats | Metrics | Shutdown -> false
 
 (* ------------------------------------------------------------ responses *)
 

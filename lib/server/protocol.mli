@@ -24,6 +24,9 @@ type verb =
 val protocol_version : int
 (** The wire version this server speaks (1). *)
 
+val all_verbs : verb list
+(** Every verb of the protocol, query verbs first. *)
+
 val verb_string : verb -> string
 val verb_of_string : string -> verb option
 
@@ -84,8 +87,6 @@ val request_of_line : string -> (request, error_code * string) result
 val flags_key : flags -> string
 (** Canonical flag rendering used in the result-cache key; an alias for
     {!Options.to_canonical_string}. *)
-
-val cacheable : verb -> bool
 
 type timing = { queue_ns : int; eval_ns : int }
 

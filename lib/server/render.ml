@@ -1,8 +1,7 @@
-(* The one-shot renderings of the query subcommands, shared verbatim by
-   `ppredict predict/compare/ranges/lint` and the server's verbs of the
-   same names: both sides call these, so a server response's [output] is
-   byte-identical to the one-shot CLI's stdout by construction (the CI
-   serve-gate asserts it end-to-end). *)
+(* The renderings of the query verbs. Each Query row calls one of these,
+   and both the one-shot CLI subcommand and the server verb run that row,
+   so a server response's [output] is byte-identical to the CLI's stdout
+   by construction (test/test_verbs.ml checks it over the samples). *)
 
 open Pperf_lang
 open Pperf_core
@@ -21,9 +20,9 @@ let with_formatter f =
   Buffer.contents buf
 
 exception Bad_flag of string
-(* A malformed --eval/--bind/--range value. The CLI never raises it (its
-   cmdliner converters validate at parse time); the server maps it to a
-   structured bad_request response instead of a generic failure. *)
+(* A malformed --eval/--bind/--range value: a cmdliner usage error at the
+   CLI (its converters call the two parsers below), a structured
+   bad_request at the server. *)
 
 let parse_bindings specs =
   List.map
@@ -457,12 +456,6 @@ let machines ~dir () =
      :: builtins)
     @ files)
   ^ "\n"
-
-(* ---- calibrate ---- *)
-
-let calibrate ~machine =
-  Obs.time sp_render @@ fun () ->
-  Pperf_exec.Calibrate.(report (run ~machine ()))
 
 (* ---- lint ---- *)
 

@@ -1,9 +1,10 @@
-(** Shared renderers for the query verbs.
+(** Renderers for the query verbs.
 
-    Both the one-shot CLI subcommands and the server verbs call these, so
-    a server response's [output] field is byte-identical to the CLI's
-    stdout for the same machine, source, and flags — by construction, not
-    by parallel maintenance of two formatting paths. *)
+    {!Query}'s rows call these, and the one-shot CLI subcommands and the
+    server verbs both run those rows, so a server response's [output]
+    field is byte-identical to the CLI's stdout for the same machine,
+    source, and flags — by construction, not by parallel maintenance of
+    two formatting paths. *)
 
 open Pperf_lang
 open Pperf_machine
@@ -11,8 +12,9 @@ open Pperf_core
 
 exception Bad_flag of string
 (** A malformed [--eval]/[--bind]/[--range] value. The server maps it to a
-    structured [bad_request] response; the CLI's cmdliner converters
-    validate the same syntax at parse time, so it never escapes there. *)
+    structured [bad_request] response; the CLI's cmdliner converters call
+    {!parse_bindings} and {!range_env} on each value at parse time, so
+    there it is a usage error instead. *)
 
 val parse_bindings : string list -> (string * float) list
 (** ["VAR=VALUE"] specs to bindings. @raise Bad_flag on malformed specs. *)
@@ -86,13 +88,8 @@ val builtin_machine_names : string list
 
 val machines : dir:string -> unit -> string
 (** One table of every known machine: the builtins plus each [.pmach]
-    file of [dir] (default CLI dir: ["machines"]) — name, cost-model kind
+    file of [dir] ({!Query.machines_dir} unless the CLI's [--dir] says
+    otherwise) — name, cost-model kind
     ([classic]/[ports]), unit/port count, issue width, and provenance.
     Unreadable description files become one diagnostic line each instead
     of failing the whole listing. *)
-
-val calibrate : machine:Pperf_machine.Machine.t -> string
-(** {!Pperf_exec.Calibrate.report} of a calibration run against [machine]
-    at the default tolerance — the server side of [ppredict calibrate]
-    (the CLI prints the same report via the same functions, so the two
-    surfaces stay byte-identical). *)
