@@ -81,32 +81,50 @@ let extend o xs =
 
 (* ---------- strong closure ---------- *)
 
-let close o =
+(* [close ~pivots o] is the strong closure of [o] when [o.m] came from a
+   strongly closed matrix by tightening entries whose two endpoints are
+   both variables in [pivots]: a shorter path must then run through those
+   variables, so the Floyd–Warshall step pivots on them alone, skipping
+   rows whose two pivot entries are +∞ (they cannot improve). One
+   strengthening pass over the whole matrix follows; after a shortest-path
+   closure that single pass gives the strong closure over ℚ (Bagnara, Hill
+   & Zaffanella). Without [pivots] it pivots on every variable, which
+   closes any matrix. *)
+let close ?pivots o =
   Pperf_obs.Obs.incr (Lazy.force c_closures);
-  let nv = Array.length o.vars in
   let n2 = dim o in
   let m = copy_m o.m in
-  for k = 0 to nv - 1 do
-    let k1 = 2 * k and k2 = (2 * k) + 1 in
-    for i = 0 to n2 - 1 do
+  let pivots =
+    match pivots with Some ks -> ks | None -> List.init (Array.length o.vars) Fun.id
+  in
+  List.iter
+    (fun k ->
+      let k1 = 2 * k and k2 = (2 * k) + 1 in
+      let rk1 = m.(k1) and rk2 = m.(k2) in
+      for i = 0 to n2 - 1 do
+        let row = m.(i) in
+        match (row.(k1), row.(k2)) with
+        | Inf, Inf -> ()
+        | ik1, ik2 ->
+          (* shortest ways from i into v_k1 and v_k2, each possibly via the
+             other: the four paths of Miné's step in two additions *)
+          let a = ub_min ik1 (ub_add ik2 rk2.(k1))
+          and b = ub_min ik2 (ub_add ik1 rk1.(k2)) in
+          for j = 0 to n2 - 1 do
+            row.(j) <- ub_min row.(j) (ub_min (ub_add a rk1.(j)) (ub_add b rk2.(j)))
+          done
+      done)
+    pivots;
+  (* strengthening: m[i][j] <- min m[i][j] ((m[i][ī] + m[j̄][j]) / 2) *)
+  let half = Array.init n2 (fun i -> ub_half m.(i).(i lxor 1)) in
+  for i = 0 to n2 - 1 do
+    match half.(i) with
+    | Inf -> ()
+    | d ->
       let row = m.(i) in
-      let ik1 = row.(k1) and ik2 = row.(k2) in
       for j = 0 to n2 - 1 do
-        let v1 = ub_add ik1 m.(k1).(j)
-        and v2 = ub_add ik2 m.(k2).(j)
-        and v3 = ub_add (ub_add ik1 m.(k1).(k2)) m.(k2).(j)
-        and v4 = ub_add (ub_add ik2 m.(k2).(k1)) m.(k1).(j) in
-        row.(j) <- ub_min row.(j) (ub_min (ub_min v1 v2) (ub_min v3 v4))
+        row.(j) <- ub_min row.(j) (ub_add d half.(j lxor 1))
       done
-    done;
-    (* strengthening: m[i][j] <- min m[i][j] ((m[i][ī] + m[j̄][j]) / 2) *)
-    for i = 0 to n2 - 1 do
-      let d = ub_half m.(i).(i lxor 1) in
-      for j = 0 to n2 - 1 do
-        let e = ub_half m.(j lxor 1).(j) in
-        m.(i).(j) <- ub_min m.(i).(j) (ub_add d e)
-      done
-    done
   done;
   let empty = ref false in
   for i = 0 to n2 - 1 do
@@ -268,7 +286,7 @@ let meet_le ?(ivb = full_ivb) t (lin : Lin.t) =
           pairs rest
       in
       pairs lin.terms;
-      close { o with m })
+      close ~pivots:(List.filter_map (idx o) (Lin.vars lin)) { o with m })
 
 let meet_eq ?ivb t lin =
   match meet_le ?ivb t lin with
@@ -339,7 +357,8 @@ let assign ?(ivb = full_ivb) t x rhs =
           (* x - (±y) <= c and (±y) - x <= -c *)
           tighten2 m (pos_of ia 1) (pos_of ib s) (Fin e.const);
           tighten2 m (pos_of ia (-1)) (pos_of ib (-s)) (Fin (Rat.neg e.const));
-          close { o with m }
+          (* both ends: a path x -> y -> z is new too *)
+          close ~pivots:[ ia; ib ] { o with m }
         | _ ->
           (* y past the cap: fall back to the interval value of e *)
           let iv = bound ~ivb (Oct o) e in
@@ -349,7 +368,7 @@ let assign ?(ivb = full_ivb) t x rhs =
             let m = copy_m o.m in
             forget_idx m ia;
             set_interval m ia iv;
-            close { o with m }))
+            close ~pivots:[ ia ] { o with m }))
       | _, _ ->
         (* general affine (may mention x): bound value and pairwise
            relations against the pre-state, then kill x *)
@@ -391,7 +410,14 @@ let assign ?(ivb = full_ivb) t x rhs =
                   tighten2 m (pos_of ia (-1)) (pos_of ib 1) (Fin (Rat.neg l))
                 | _ -> ())
             rels;
-          close { o with m })))
+          (* pivots: x and every y given a finite bound against it *)
+          let linked =
+            List.filter_map
+              (fun (y, diff, sum) ->
+                if Interval.is_full diff && Interval.is_full sum then None else idx o y)
+              rels
+          in
+          close ~pivots:(ia :: linked) { o with m })))
 
 (* ---------- lattice operations ---------- *)
 
@@ -559,3 +585,5 @@ let satisfies f t =
       done
     done;
     !ok
+
+let reclose = function Bot -> Bot | Oct o -> close o

@@ -2,11 +2,21 @@
 
     Conjunctions of constraints [±x ± y <= c] kept as a difference-bound
     matrix over the split variables [v₂ₖ = +xₖ], [v₂ₖ₊₁ = -xₖ]: entry
-    [m.(i).(j)] bounds [vᵢ - vⱼ]. Values are kept strongly closed
-    (Floyd–Warshall interleaved with the [((x-x̄)+(ȳ-y))/2] strengthening
-    step), so entailment and projection read straight off the matrix.
-    Variables enter the matrix lazily as constraints mention them, capped
-    at {!max_vars}; constraints over variables past the cap are silently
+    [m.(i).(j)] bounds [vᵢ - vⱼ]. Values are kept strongly closed, so
+    entailment and projection read straight off the matrix. Closure is a
+    Floyd–Warshall shortest-path step followed by one
+    [((x-x̄)+(ȳ-y))/2] strengthening pass over the whole matrix, which
+    over ℚ gives the strong closure (Bagnara, Hill & Zaffanella). It is
+    incremental: a transfer that tightens entries of a closed matrix
+    pivots only on the variables at either end of a tightened entry —
+    the constraint's variables for {!meet_le}/{!meet_eq}; [x] and [y] for
+    [x := ±y + c]; [x] and every [y] given a finite bound against it for
+    other affine assignments — since any new shorter path runs through
+    them. Widening and narrowing pivot on every variable. The strong
+    closure is canonical, so the result does not depend on the pivots;
+    {!reclose} is the test-side check of that contract. Variables enter
+    the matrix lazily as constraints mention them, capped at
+    {!max_vars}; constraints over variables past the cap are silently
     dropped (sound: fewer facts). *)
 
 open Pperf_num
@@ -64,3 +74,7 @@ val unconstrained : t -> string -> bool
 
 val satisfies : (string -> Rat.t) -> t -> bool
 (** Concrete model check — test support. *)
+
+val reclose : t -> t
+(** Strong closure recomputed from scratch, pivoting on every variable —
+    test support: every transfer's result must equal its own re-closure. *)

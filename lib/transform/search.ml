@@ -134,6 +134,11 @@ module PQ = Map.Make (struct
   let compare = compare
 end)
 
+(* The seen-state key: a 128-bit digest of the printed routine. A
+   colliding key silently drops a candidate as already seen; with a 30-bit
+   hash the odds of that reach 1% near 5,000 states. *)
+let seen_key r = Digest.string (Ast.show_routine r)
+
 let run ~machine ?(options = Aggregate.default_options) ?(env = default_env)
     ?(max_nodes = 200) ?(max_depth = 4) (checked : Typecheck.checked) =
   let seen = Hashtbl.create 64 in
@@ -146,7 +151,7 @@ let run ~machine ?(options = Aggregate.default_options) ?(env = default_env)
     frontier := PQ.add (sc, !counter) state !frontier
   in
   push init_score (checked, [], 0);
-  Hashtbl.replace seen (Hashtbl.hash (Ast.show_routine checked.routine)) ();
+  Hashtbl.replace seen (seen_key checked.routine) ();
   let explored = ref 0 in
   while (not (PQ.is_empty !frontier)) && !explored < max_nodes do
     let (sc, id), (state, trace, depth) = PQ.min_binding !frontier in
@@ -158,7 +163,7 @@ let run ~machine ?(options = Aggregate.default_options) ?(env = default_env)
           match apply state.Typecheck.routine with
           | None -> ()
           | Some r' -> (
-            let key = Hashtbl.hash (Ast.show_routine r') in
+            let key = seen_key r' in
             if not (Hashtbl.mem seen key) then (
               Hashtbl.replace seen key ();
               match Typecheck.check_routine r' with

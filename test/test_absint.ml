@@ -318,6 +318,63 @@ let prop_closure_sound =
       let t = build_oct (List.filter holds lins) in
       Oct.satisfies valu t)
 
+(* every transfer re-closes only through the variables it tightened; its
+   result must still be the strong closure, i.e. equal its own full
+   re-closure. Six variables, so paths through untouched variables exist. *)
+type transfer = Le of Lin.t | Eq of Lin.t | Assign of string * Lin.t option
+
+let wide_pool = [ "a"; "b"; "c"; "d"; "e"; "f" ]
+
+let transfer_to_string = function
+  | Le l -> Lin.to_string l ^ " <= 0"
+  | Eq l -> Lin.to_string l ^ " = 0"
+  | Assign (x, Some e) -> x ^ " := " ^ Lin.to_string e
+  | Assign (x, None) -> x ^ " := ?"
+
+let gen_transfer =
+  let open QCheck.Gen in
+  let var = oneofl wide_pool and const = map Rat.of_int (int_range (-8) 8) in
+  let unit_term = pair (oneofl [ Rat.one; Rat.minus_one ]) var in
+  let term = pair (map Rat.of_int (oneofl [ -2; -1; 1; 2; 3 ])) var in
+  let sum ts c = Lin.add_const c (Lin.of_terms ts Rat.zero) in
+  let octagonal = map3 (fun t t' c -> sum [ t; t' ] c) unit_term unit_term const in
+  let affine = map2 sum (list_size (int_range 1 3) term) const in
+  frequency
+    [
+      (3, map (fun l -> Le l) octagonal);
+      (1, map (fun l -> Le l) affine);
+      (1, map (fun l -> Eq l) octagonal);
+      (* x := x + c, x := ±y + c, general affine, unanalyzable *)
+      (1, map2 (fun x c -> Assign (x, Some (sum [ (Rat.one, x) ] c))) var const);
+      (3, map3 (fun x t c -> Assign (x, Some (sum [ t ] c))) var unit_term const);
+      (2, map2 (fun x l -> Assign (x, Some l)) var affine);
+      (1, map (fun x -> Assign (x, None)) var);
+    ]
+
+let prop_transfers_strongly_closed =
+  QCheck.Test.make ~name:"octagon: every transfer leaves the strong closure" ~count:500
+    (QCheck.make
+       ~print:(fun ts -> String.concat "; " (List.map transfer_to_string ts))
+       QCheck.Gen.(list_size (int_range 1 14) gen_transfer))
+    (fun ts ->
+      let rec go t k = function
+        | [] -> true
+        | tr :: rest ->
+          let t =
+            match tr with
+            | Le l -> Oct.meet_le t l
+            | Eq l -> Oct.meet_eq t l
+            | Assign (x, e) -> Oct.assign t x e
+          in
+          if not (Oct.equal t (Oct.reclose t)) then
+            QCheck.Test.fail_reportf
+              "transfer %d (%s) left a matrix that is not strongly closed: %s" k
+              (transfer_to_string tr)
+              (String.concat " && " (List.map Lin.cons_to_string (Oct.constraints t)));
+          go t (k + 1) rest
+      in
+      go Oct.top 1 ts)
+
 (* random straight-line integer programs: every relational fact the product
    domain reports for the routine must hold of the concrete final state *)
 let locals = [ "w"; "x"; "y"; "z" ]
@@ -432,5 +489,10 @@ let () =
           Alcotest.test_case "product decides compare" `Quick test_product_decides_compare;
         ] );
       qsuite "relational-props"
-        [ prop_closure_idempotent; prop_closure_sound; prop_product_sound_on_exec ];
+        [
+          prop_closure_idempotent;
+          prop_closure_sound;
+          prop_transfers_strongly_closed;
+          prop_product_sound_on_exec;
+        ];
     ]
