@@ -962,6 +962,9 @@ let timing ?json () =
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
   let grouped = Test.make_grouped ~name:"pperf" tests in
   let raw = Benchmark.all cfg Instance.[ monotonic_clock ] grouped in
+  (* a predictor no memo holds is cleared when done, so its units leave the
+     incremental.units entries *)
+  Incremental.clear inc;
   let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
   let results = Analyze.all ols Instance.monotonic_clock raw in
   let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [] in

@@ -15,7 +15,12 @@ asserts, in order:
      --max-queue 4) sheds with structured `overloaded` errors carrying
      a retry_after_ms hint — it neither hangs nor crashes, and keeps
      answering after the flood;
-  4. drain: SIGTERM answers what is in flight and exits cleanly.
+  4. drain: SIGTERM answers what is in flight and exits cleanly;
+  5. memory: `ppredict batch --jobs 1` over 8,000 and 32,000 distinct
+     one-loop kernels, and over 1,000 and 4,000 distinct .pmach files,
+     keeps every memo within its capacity (the closing `stats` request)
+     and grows its peak RSS (`os.wait4`) by at most 20 MiB from the
+     small run to the large one.
 
 Environment knobs (all optional): LOAD_GATE_REQUESTS (default 100000),
 LOAD_GATE_BASELINE_REQUESTS (20000), LOAD_GATE_P99_US (1000000),
@@ -24,6 +29,7 @@ LOAD_GATE_MIN_RPS (500), LOAD_GATE_CONNECTIONS (16), LOAD_GATE_WINDOW (64).
 
 import json
 import os
+import resource
 import signal
 import socket
 import subprocess
@@ -256,5 +262,87 @@ with socket.create_connection(("127.0.0.1", port), timeout=30) as sck:
         proc.kill()
         err("daemon did not exit within 30s of SIGTERM")
 print("load gate 4/4: SIGTERM drained and exited cleanly")
+
+# ---- 5. memory stays bounded ---------------------------------------
+
+# peak-RSS growth allowed from the small run to the large one: bounded
+# memos plateau, while one unbounded table grows tens of MiB over these
+# sizes
+RSS_MARGIN_MIB = 20
+
+KERNEL = ("subroutine k{i}(x, y, n)\n  integer n, j\n  real x(1000), y(1000)\n"
+          "  do j = 1, n\n    y(j) = y(j) + {i}.0 * x(j)\n  end do\nend\n")
+
+
+def kernels(n, _tmp):
+    for i in range(n):
+        yield {"id": i, "verb": "predict", "source": KERNEL.format(i=i)}
+
+
+def machine_files(n, tmp):
+    with open("machines/power1.pmach") as f:
+        text = f.read()
+    for i in range(n):
+        path = os.path.join(tmp, f"m{i}.pmach")
+        with open(path, "w") as f:
+            f.write(text.replace("(name power1)", f"(name power1_{i})", 1))
+        yield {"id": i, "verb": "predict", "machine": path,
+               "file": "samples/daxpy.pf"}
+
+
+def batch_peak(requests, tmp):
+    """Run `ppredict batch --jobs 1` over the requests and a closing stats
+    request: (the child's peak RSS in MiB, the stats payload). A child's
+    ru_maxrss starts from this process's RSS at spawn, so requests and
+    responses are streamed through files, never held here."""
+    reqs = os.path.join(tmp, "requests.jsonl")
+    out = os.path.join(tmp, "responses.jsonl")
+    n = 0
+    with open(reqs, "w") as f:
+        for r in requests:
+            f.write(json.dumps(r) + "\n")
+            n += 1
+        f.write(json.dumps({"id": "stats", "verb": "stats"}) + "\n")
+    pid = os.posix_spawn(PP, [PP, "batch", "--jobs", "1", reqs], os.environ,
+                         file_actions=[
+                             (os.POSIX_SPAWN_OPEN, 1, out,
+                              os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600),
+                             (os.POSIX_SPAWN_OPEN, 2, os.devnull, os.O_WRONLY, 0)])
+    _, status, usage = os.wait4(pid, 0)
+    if status != 0:
+        err(f"batch of {n} requests exited with status {status}")
+    last = ""
+    with open(out) as f:
+        for line in f:
+            last = line
+    stats = json.loads(last).get("stats", {}) if last else {}
+    return usage.ru_maxrss / 1024.0, stats
+
+
+def check_memos(what, stats):
+    memos = stats.get("memos")
+    if not memos:
+        err(f"memory, {what}: stats reports no memo entries")
+        return
+    for name, m in memos.items():
+        if m["entries"] > m["capacity"]:
+            err(f"memory, {what}: memo {name} holds {m['entries']} entries, "
+                f"past its capacity {m['capacity']}")
+
+
+with tempfile.TemporaryDirectory() as tmp:
+    for what, small, large, gen in (("kernels", 8000, 32000, kernels),
+                                    ("machine files", 1000, 4000, machine_files)):
+        rss_small, stats_small = batch_peak(gen(small, tmp), tmp)
+        rss_large, stats_large = batch_peak(gen(large, tmp), tmp)
+        check_memos(f"{small} {what}", stats_small)
+        check_memos(f"{large} {what}", stats_large)
+        if rss_large - rss_small > RSS_MARGIN_MIB:
+            err(f"memory, {what}: peak RSS grew {rss_large - rss_small:.1f} MiB "
+                f"from {small} to {large} ({rss_small:.1f} -> {rss_large:.1f} MiB), "
+                f"past the {RSS_MARGIN_MIB} MiB margin")
+        print(f"load gate 5 ({what}): peak RSS {rss_small:.1f} MiB at {small}, "
+              f"{rss_large:.1f} MiB at {large} (this gate: "
+              f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0:.1f} MiB)")
 
 sys.exit(1 if fail else 0)

@@ -98,9 +98,15 @@ let inferred_env ?base checkeds = fst (inferred_rel ?base checkeds)
 
 let sp_compare = Pperf_obs.Obs.span "compare"
 
-(* one decision counter per domain, registered on first decided verdict so
-   interval-only runs keep their historical counter set *)
-let c_decided : (string, Pperf_obs.Obs.counter) Hashtbl.t = Hashtbl.create 4
+(* one decision counter per abstract domain, lazy so interval-only runs
+   keep their historical counter set; forced under a lock, since worker
+   domains may decide their first verdict in a domain at once *)
+let c_decided =
+  List.map
+    (fun d -> (d, lazy (Pperf_obs.Obs.counter ("compare.decided." ^ d))))
+    Pperf_absint.Absint.all_domains
+
+let c_decided_lock = Mutex.create ()
 
 let count_decided rel verdict =
   match verdict with
@@ -110,16 +116,8 @@ let count_decided rel verdict =
       | Some r -> Pperf_absint.Absint.domain_to_string r.rel_domain
       | None -> "interval"
     in
-    let name = "compare.decided." ^ dom in
-    let c =
-      match Hashtbl.find_opt c_decided name with
-      | Some c -> c
-      | None ->
-        let c = Pperf_obs.Obs.counter name in
-        Hashtbl.add c_decided name c;
-        c
-    in
-    Pperf_obs.Obs.incr c
+    Pperf_obs.Obs.incr
+      (Mutex.protect c_decided_lock (fun () -> Lazy.force (List.assoc dom c_decided)))
   | Signs.Crossover _ | Signs.Undecided _ -> ()
 
 (* ---- comparison-level memo ----
@@ -128,16 +126,9 @@ let count_decided rel verdict =
    pure function of the two (rewritten, point-substituted) totals, the
    widened environment restricted to their variables, the subdivision
    parameters, and the relational facts feeding the oracle. We key a
-   per-domain capped memo on a digest of exactly those inputs. Worker
-   domains never share the table (same DLS pattern as the Sturm-chain
-   memo in {!Pperf_symbolic.Roots}), so the hot path takes no locks. *)
+   per-domain memo on a digest of exactly those inputs. *)
 
-let c_memo_hits = Pperf_obs.Obs.counter "compare.memo.hits"
-let c_memo_misses = Pperf_obs.Obs.counter "compare.memo.misses"
-let memo_cap = 256
-
-let memo_key : (string, Signs.verdict) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 32)
+let verdicts = Pperf_obs.Memo.create Pperf_obs.Memo.Per_domain "compare.memo" ~capacity:256
 
 let verdict_digest ?eps ?depth ~rel ~env f g =
   let buf = Buffer.create 256 in
@@ -194,17 +185,10 @@ let decide ?eps ?depth ?rel env (cf : Perf_expr.t) (cg : Perf_expr.t) : decision
   let diff = Poly.sub f g in
   let env = widen_env env diff in
   let key = verdict_digest ?eps ?depth ~rel ~env f g in
-  let tbl = Domain.DLS.get memo_key in
   let verdict =
-    match Hashtbl.find_opt tbl key with
-    | Some v -> Pperf_obs.Obs.incr c_memo_hits; v
-    | None ->
-      Pperf_obs.Obs.incr c_memo_misses;
-      let oracle = Option.map (fun r -> r.rel_oracle) rel in
-      let v = Signs.compare_over ?eps ?depth ?oracle env f g in
-      if Hashtbl.length tbl >= memo_cap then Hashtbl.reset tbl;
-      Hashtbl.add tbl key v;
-      v
+    Pperf_obs.Memo.find_or_add verdicts key (fun () ->
+        let oracle = Option.map (fun r -> r.rel_oracle) rel in
+        Signs.compare_over ?eps ?depth ?oracle env f g)
   in
   count_decided rel verdict;
   let recommended =

@@ -25,33 +25,69 @@
 open Pperf_lang
 open Pperf_machine
 
-type stats = { mutable hits : int; mutable misses : int }
+module Memo = Pperf_obs.Memo
 
-(* the unit's statements and the routine's symbol bindings are kept to
-   verify hits structurally: a fingerprint collision must never return a
-   stale prediction *)
-type entry = {
+(* a unit's cache key: its context (everything that changes a unit's
+   prediction: the routine name, its symbol table, whose variable types,
+   array dimensions and element sizes set unit costs, and the
+   probability-variable offset) and its statements. Hashing traverses the
+   structure (cheap, no string building); equality compares it in full,
+   so a hash collision can never return a stale prediction. *)
+type key = {
+  routine : string;
   syms : (string * Typecheck.sym) list;
+  symtab_fp : int;
+  prob_offset : int;
   stmts : Ast.stmt list;
-  pred : Aggregate.prediction;
 }
+
+let key_hash k =
+  Hashtbl.hash
+    ( k.routine,
+      k.symtab_fp,
+      k.prob_offset,
+      Hashtbl.hash_param 4096 4096 (List.map (fun (s : Ast.stmt) -> s.Ast.kind) k.stmts) )
+
+let sym_equal (a : Typecheck.sym) (b : Typecheck.sym) =
+  Ast.equal_dtype a.ty b.ty
+  && a.is_param = b.is_param
+  && a.element_bytes = b.element_bytes
+  && List.equal Ast.equal_array_dim a.dims b.dims
+
+let key_equal a b =
+  String.equal a.routine b.routine
+  && a.symtab_fp = b.symtab_fp
+  && a.prob_offset = b.prob_offset
+  && List.equal Ast.equal_stmt a.stmts b.stmts
+  && List.equal (fun (n1, s1) (n2, s2) -> String.equal n1 n2 && sym_equal s1 s2) a.syms b.syms
 
 type t = {
   machine : Machine.t;
   options : Aggregate.options;
-  cache : (string * int, entry) Hashtbl.t;
-  stats : stats;
+  units : (key, Aggregate.prediction) Memo.t;
 }
 
+let units_memo = "incremental.units"
+
+(* 4,096 units keep a long-lived predictor's memory flat while holding
+   the units of every sample and search variant several times over *)
 let create ?(options = Aggregate.default_options) machine =
-  { machine; options; cache = Hashtbl.create 256; stats = { hits = 0; misses = 0 } }
+  {
+    machine;
+    options;
+    units = Memo.create ~hash:key_hash ~equal:key_equal Memo.Local units_memo ~capacity:4096;
+  }
 
-let stats t = (t.stats.hits, t.stats.misses)
+let stats t =
+  let s = Memo.stats t.units in
+  (s.hits, s.misses)
 
-let clear t =
-  Hashtbl.reset t.cache;
-  t.stats.hits <- 0;
-  t.stats.misses <- 0
+let totals () =
+  match List.assoc_opt units_memo (Memo.report ()) with
+  | Some s -> (s.hits, s.misses)
+  | None -> (0, 0)
+
+let clear t = Memo.clear t.units
 
 (* split a body into the units Aggregate.stmts aggregates independently:
    maximal straight-line runs and single compound statements *)
@@ -69,32 +105,6 @@ let units_of body =
   in
   go [] body
 
-(* the context key must capture everything that changes a unit's
-   prediction: the routine name, its symbol table (unit costs depend on
-   variable types, array dimensions, and element sizes — a
-   declarations-only edit must miss), and the probability-variable
-   offset. The fingerprints traverse the structure (cheap, no string
-   building); hits are verified with structural equality checks. *)
-let unit_key routine_name symtab_fp prob_offset (unit : Ast.stmt list) =
-  ( Printf.sprintf "%s|%d|%d" routine_name symtab_fp prob_offset,
-    Hashtbl.hash_param 4096 4096 (List.map (fun (s : Ast.stmt) -> s.Ast.kind) unit) )
-
-let unit_equal a b =
-  List.length a = List.length b && List.for_all2 Ast.equal_stmt a b
-
-let sym_equal (a : Typecheck.sym) (b : Typecheck.sym) =
-  Ast.equal_dtype a.ty b.ty
-  && a.is_param = b.is_param
-  && a.element_bytes = b.element_bytes
-  && List.length a.dims = List.length b.dims
-  && List.for_all2 Ast.equal_array_dim a.dims b.dims
-
-let syms_equal a b =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (n1, s1) (n2, s2) -> String.equal n1 n2 && sym_equal s1 s2)
-       a b
-
 (* Predict a routine re-using cached per-unit predictions. With
    [infer_ranges] on, the interval analysis reads the whole body, so units
    are not independent and we fall back to a from-scratch aggregation. *)
@@ -109,20 +119,10 @@ let predict_checked t (checked : Typecheck.checked) : Aggregate.prediction =
     let cost, prob_vars, diags, _ =
       List.fold_left
         (fun (cost, vars, diags, prob_offset) unit ->
-          let key = unit_key name symtab_fp prob_offset unit in
+          let key = { routine = name; syms; symtab_fp; prob_offset; stmts = unit } in
           let p =
-            match Hashtbl.find_opt t.cache key with
-            | Some e when unit_equal e.stmts unit && syms_equal e.syms syms ->
-              t.stats.hits <- t.stats.hits + 1;
-              e.pred
-            | _ ->
-              t.stats.misses <- t.stats.misses + 1;
-              let p =
-                Aggregate.stmts ~machine:t.machine ~options:t.options ~prob_offset ~symtab
-                  unit
-              in
-              Hashtbl.replace t.cache key { syms; stmts = unit; pred = p };
-              p
+            Memo.find_or_add t.units key (fun () ->
+                Aggregate.stmts ~machine:t.machine ~options:t.options ~prob_offset ~symtab unit)
           in
           ( Perf_expr.add cost p.Aggregate.cost,
             vars @ p.prob_vars,
@@ -134,14 +134,3 @@ let predict_checked t (checked : Typecheck.checked) : Aggregate.prediction =
     { Aggregate.cost; prob_vars; diagnostics = Pperf_lint.Lint.dedupe diags })
 
 let predict t checked = (predict_checked t checked).Aggregate.cost
-
-let invalidate_routine t (checked : Typecheck.checked) =
-  let name = checked.routine.rname in
-  let prefix = name ^ "|" in
-  let stale =
-    Hashtbl.fold
-      (fun ((ctx, _) as key) _ acc ->
-        if String.starts_with ~prefix ctx then key :: acc else acc)
-      t.cache []
-  in
-  List.iter (Hashtbl.remove t.cache) stale

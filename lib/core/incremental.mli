@@ -4,9 +4,10 @@
     the structure it changes"; everything outside keeps its cached estimate.
     Realized structurally: per-unit predictions (a unit is a maximal
     straight-line run or one compound statement, the granularity
-    {!Aggregate.stmts} works at) are memoized under a full structural
-    fingerprint (verified by equality on hits, so collisions can never
-    return a stale prediction) plus the routine's symbol table (unit costs
+    {!Aggregate.stmts} works at) are memoized, at most 4,096 per
+    predictor, under a full structural key (hashed by fingerprint,
+    compared in full, so collisions can never return a stale prediction)
+    plus the routine's symbol table (unit costs
     depend on variable types and array shapes, so a declarations-only edit
     re-predicts) and the probability-variable offset of the unit's
     position; re-predicting a transformed program recomputes exactly
@@ -35,7 +36,11 @@ val predict : t -> Typecheck.checked -> Perf_expr.t
 val stats : t -> int * int
 (** [(hits, misses)] since creation or the last {!clear}. *)
 
-val clear : t -> unit
+val totals : unit -> int * int
+(** [(hits, misses)] of every predictor in the process since the last
+    {!Pperf_obs.Obs.reset_all}: the ["incremental.units"] memo family. *)
 
-val invalidate_routine : t -> Typecheck.checked -> unit
-(** Drop every cached unit of this routine (by name). *)
+val clear : t -> unit
+(** Drop every unit. A predictor that no memo holds must be cleared when
+    its caller is done with it, or its units stay counted in the
+    ["incremental.units"] entries. *)

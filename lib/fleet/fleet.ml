@@ -4,11 +4,12 @@
 
    Layering: one shared Engine (shared content-addressed result cache —
    answers stay byte-identical wherever a request runs) evaluated on N
-   shard domains. What affinity buys is the *incremental* layer: the
-   per-domain Domain.DLS predictors in Engine are warm exactly for the
-   (machine, source) pairs that domain has seen, so hashing
-   machine ‖ source onto a stable shard keeps repeat traffic on the
-   domain that already holds its predictor.
+   shard domains. What affinity buys is the per-domain memos: Engine's
+   Incremental predictors (memo "server.predictors") and the analysis
+   memos below them are warm exactly for the (machine, source) pairs
+   that domain has seen, so hashing machine ‖ source onto a stable shard
+   keeps repeat traffic on the domain that already holds its units. A
+   domain's memos leave with it when the core stops and joins it.
 
    Concurrency shape: one reader per session (the main thread for
    stdio/batch, a systhread per socket connection) parses and
@@ -93,7 +94,7 @@ module Core = struct
   (* The affinity key is the stable part of the result-cache key: machine
      spec plus source descriptor (path, or digest of inline text; compare
      includes both variants). Flags and eval bindings are deliberately
-     excluded — the per-domain incremental predictor is keyed by
+     excluded — the per-domain incremental units are keyed by
      (machine, source, options-sans-eval), so "same kernel, different
      bindings" is exactly the traffic affinity should keep together. *)
   let source_key = function

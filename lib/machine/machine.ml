@@ -145,6 +145,7 @@ let atomic t name =
   | None -> raise (Unknown_atomic { machine = t.name; op = name })
 
 let atomic_opt t name = Hashtbl.find_opt t.atomics name
+let hash t = Hashtbl.hash t.name
 let has_atomic t name = Hashtbl.mem t.atomics name
 let num_units t = Array.length t.units
 

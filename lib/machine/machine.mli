@@ -95,6 +95,11 @@ val atomic : t -> string -> Atomic_op.t
     operation is not in the cost table. *)
 
 val atomic_opt : t -> string -> Atomic_op.t option
+
+val hash : t -> int
+(** Hash of the name, which never changes. Memo tables key a machine by
+    physical identity and hash it with this. *)
+
 val has_atomic : t -> string -> bool
 val num_units : t -> int
 val units_of_kind : t -> Funit.kind -> Funit.t list

@@ -1,5 +1,6 @@
 open Pperf_machine
 module Obs = Pperf_obs.Obs
+module Memo = Pperf_obs.Memo
 
 let c_placements = Obs.counter "bins.placements"
 let c_scan = Obs.counter "bins.scan_cells"
@@ -17,38 +18,21 @@ type t = {
 }
 
 (* the candidate table depends only on the machine's unit mix; bins are
-   created per dropped dag, so share it across all bins of one machine
-   (keyed by physical identity — machines are built once and reused).
-   Atomic so concurrent server domains publish entries safely; a lost
-   CAS race only recomputes a pure table. *)
-let kc_cache : (Machine.t * int array array) list Atomic.t = Atomic.make []
+   created per dropped dag, so share it across all bins of one machine,
+   per worker domain, for the 16 machines every machine-keyed memo keeps *)
+let kind_candidates =
+  Memo.create ~hash:Machine.hash ~equal:( == ) Memo.Per_domain "bins.kinds" ~capacity:16
 
 let kind_candidates_of machine =
-  match List.find_opt (fun (m, _) -> m == machine) (Atomic.get kc_cache) with
-  | Some (_, kc) -> kc
-  | None ->
-    let n = Machine.num_units machine in
-    let kc =
-      Array.init n (fun u ->
+  Memo.find_or_add kind_candidates machine (fun () ->
+      Array.init (Machine.num_units machine) (fun u ->
           let kind = (Machine.unit_at machine u).Funit.kind in
           let same =
             Machine.units_list machine
             |> List.filter_map (fun (v : Funit.t) -> if v.kind = kind then Some v.id else None)
           in
           (* prefer the named unit itself, then its twins *)
-          Array.of_list (u :: List.filter (fun v -> v <> u) same))
-    in
-    let rec publish () =
-      let old = Atomic.get kc_cache in
-      if List.exists (fun (m, _) -> m == machine) old then ()
-      else if
-        Atomic.compare_and_set kc_cache old
-          ((machine, kc) :: List.filteri (fun i _ -> i < 15) old)
-      then ()
-      else publish ()
-    in
-    publish ();
-    kc
+          Array.of_list (u :: List.filter (fun v -> v <> u) same)))
 
 let create ?(focus_span = 64) machine =
   let n = Machine.num_units machine in

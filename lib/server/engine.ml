@@ -1,11 +1,12 @@
 (* Request evaluation: one request in, one response out, never an
    escaping exception. Query verbs go through a content-addressed result
-   cache keyed by (machine hash, source hash, verb, canonical flags); a
-   miss runs the verb's Query row — the same run the one-shot CLI
-   subcommand makes, predict through a per-domain Incremental predictor —
-   so the payload is the CLI's stdout, warnings and exit code. Every
-   error maps through Query's exception table to a structured error
-   response with the message the CLI prints to stderr.
+   cache, a shared memo keyed by (machine hash for the rows that take a
+   machine, source hash, verb, canonical flags); a miss runs the verb's
+   Query row — the same run the one-shot CLI subcommand makes, predict
+   through a per-domain Incremental predictor — so the payload is the
+   CLI's stdout, warnings and exit code. Every error maps through Query's
+   exception table to a structured error response with the message the
+   CLI prints to stderr.
 
    Telemetry: every lifecycle stage is measured into the Obs registry —
    queue wait, cache lookup, and evaluation as log-bucketed histograms
@@ -15,15 +16,14 @@
 
 open Pperf_core
 module Obs = Pperf_obs.Obs
+module Memo = Pperf_obs.Memo
 
 type t = {
-  cache : Query.payload Cache.t;
+  cache : (string, Query.payload) Memo.t;
   jobs : int;
   requests : int Atomic.t;
   ok_count : int Atomic.t;
   err_count : int Atomic.t;
-  inc_hits : int Atomic.t;
-  inc_misses : int Atomic.t;
   queue_ns_total : int Atomic.t;
   eval_ns_total : int Atomic.t;
 }
@@ -39,31 +39,24 @@ let sp_eval = Obs.span "server.eval"
 let g_requests = Obs.gauge "server.requests"
 let g_ok = Obs.gauge "server.ok"
 let g_errors = Obs.gauge "server.errors"
-let g_cache_hits = Obs.gauge "server.cache.hits"
-let g_cache_misses = Obs.gauge "server.cache.misses"
-let g_cache_entries = Obs.gauge "server.cache.entries"
 let g_inc_hits = Obs.gauge "server.incremental.hits"
 let g_inc_misses = Obs.gauge "server.incremental.misses"
 let g_jobs = Obs.gauge "server.jobs"
-let g_machines = Obs.gauge "server.machines"
 
-let create ?cache_capacity ~jobs () =
+let create ?(cache_capacity = 4096) ~jobs () =
   if jobs < 1 then
     invalid_arg (Printf.sprintf "Engine.create: jobs must be >= 1 (got %d)" jobs);
   {
-    cache = Cache.create ?capacity:cache_capacity ();
+    cache = Memo.create Memo.Shared "server.cache" ~capacity:cache_capacity;
     jobs;
     requests = Atomic.make 0;
     ok_count = Atomic.make 0;
     err_count = Atomic.make 0;
-    inc_hits = Atomic.make 0;
-    inc_misses = Atomic.make 0;
     queue_ns_total = Atomic.make 0;
     eval_ns_total = Atomic.make 0;
   }
 
 let jobs t = t.jobs
-let cache_stats t = Cache.stats t.cache
 
 (* mean wall time of one evaluated request so far — the unit behind the
    fleet's retry-after hint. Zero before the first request completes. *)
@@ -84,58 +77,44 @@ let staged sp hist f =
       Obs.exit sp)
     f
 
-(* Worker domains keep their own Incremental predictors (no lock on the
-   unit cache), one per (machine, options) pair. *)
-let inc_key : (string, Incremental.t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
+(* Worker domains keep their own Incremental predictors, one per machine
+   with and without --memory: 8 cover the four builtins. A ranges run
+   aggregates the whole routine from scratch, as Incremental would, so it
+   takes no predictor. An evicted predictor drops its units. *)
+let predictors =
+  Memo.create ~on_drop:Incremental.clear Memo.Per_domain "server.predictors" ~capacity:8
 
-let incremental ~machine ~machine_hash ~(options : Aggregate.options) =
-  let tbl = Domain.DLS.get inc_key in
-  let key =
-    Printf.sprintf "%s|mem=%b|rng=%b|dom=%s" machine_hash options.include_memory
-      options.infer_ranges
-      (Pperf_absint.Absint.domain_to_string options.range_domain)
-  in
-  match Hashtbl.find_opt tbl key with
-  | Some inc -> inc
-  | None ->
-    let inc = Incremental.create ~options machine in
-    Hashtbl.add tbl key inc;
-    inc
+(* the predict row's predictor: this domain's Incremental predictor for the
+   machine, looked up when the first routine is predicted, so the other
+   rows never create one *)
+let predictor machine (options : Aggregate.options) =
+  if options.infer_ranges then None
+  else
+    let inc =
+      lazy
+        (Memo.find_or_add predictors (Machines.hash machine, options.include_memory) (fun () ->
+             Incremental.create ~options machine))
+    in
+    Some (fun checked -> Incremental.predict_checked (Lazy.force inc) checked)
 
 (* Evaluate a query from scratch; exceptions escape to [handle]. [srcs]
    are the request's sources already resolved to text — the same text
    the cache key digested, so a file edit racing the request can never
    cache one version's output under the other's digest. *)
-let run_query t (q : Query.t) (flags : Options.t) ~srcs machine =
+let run_query (q : Query.t) (flags : Options.t) ~srcs machine =
   let sources = Query.required q srcs in
-  let inc =
-    incremental ~machine ~machine_hash:(Machines.hash machine)
-      ~options:(Options.to_aggregate flags)
-  in
-  let h0, m0 = Incremental.stats inc in
-  let payload =
-    Query.run ~predictor:(Incremental.predict_checked inc) q flags machine sources
-  in
-  let h1, m1 = Incremental.stats inc in
-  if h1 > h0 then ignore (Atomic.fetch_and_add t.inc_hits (h1 - h0));
-  if m1 > m0 then ignore (Atomic.fetch_and_add t.inc_misses (m1 - m0));
-  payload
+  Query.run ?predictor:(predictor machine (Options.to_aggregate flags)) q flags machine sources
 
 (* refresh the engine-state gauges so stats/metrics exposition and any
    later scrape see current values *)
 let publish_gauges t =
-  let hits, misses, entries = Cache.stats t.cache in
+  let inc_hits, inc_misses = Incremental.totals () in
   Obs.set_gauge g_requests (Atomic.get t.requests);
   Obs.set_gauge g_ok (Atomic.get t.ok_count);
   Obs.set_gauge g_errors (Atomic.get t.err_count);
-  Obs.set_gauge g_cache_hits hits;
-  Obs.set_gauge g_cache_misses misses;
-  Obs.set_gauge g_cache_entries entries;
-  Obs.set_gauge g_inc_hits (Atomic.get t.inc_hits);
-  Obs.set_gauge g_inc_misses (Atomic.get t.inc_misses);
-  Obs.set_gauge g_jobs t.jobs;
-  Obs.set_gauge g_machines (Machines.loaded_count ())
+  Obs.set_gauge g_inc_hits inc_hits;
+  Obs.set_gauge g_inc_misses inc_misses;
+  Obs.set_gauge g_jobs t.jobs
 
 let quantile_json hs q =
   let v = Obs.quantile hs q in
@@ -148,7 +127,8 @@ let hist_json hs =
       ("p99_ns", quantile_json hs 0.99) ]
 
 let stats_json t =
-  let hits, misses, entries = Cache.stats t.cache in
+  let cache = Memo.stats t.cache in
+  let inc_hits, inc_misses = Incremental.totals () in
   let snap = Obs.snapshot () in
   let hist name =
     match List.assoc_opt name snap.Obs.histograms with
@@ -161,13 +141,16 @@ let stats_json t =
       ("errors", Json.Int (Atomic.get t.err_count));
       ( "cache",
         Json.Obj
-          [ ("hits", Json.Int hits); ("misses", Json.Int misses);
-            ("entries", Json.Int entries) ] );
-      ( "incremental",
-        Json.Obj
-          [ ("hits", Json.Int (Atomic.get t.inc_hits));
-            ("misses", Json.Int (Atomic.get t.inc_misses)) ] );
+          [ ("hits", Json.Int cache.hits); ("misses", Json.Int cache.misses);
+            ("entries", Json.Int cache.entries) ] );
+      ("incremental", Json.Obj [ ("hits", Json.Int inc_hits); ("misses", Json.Int inc_misses) ]);
       ("machines", Json.Int (Machines.loaded_count ()));
+      ( "memos",
+        Json.Obj
+          (List.map
+             (fun (name, (s : Memo.stats)) ->
+               (name, Json.Obj [ ("entries", Json.Int s.entries); ("capacity", Json.Int s.capacity) ]))
+             (Memo.report ())) );
       ("jobs", Json.Int t.jobs);
       ("queue_ns", Json.Int (Atomic.get t.queue_ns_total));
       ("eval_ns", Json.Int (Atomic.get t.eval_ns_total));
@@ -207,28 +190,31 @@ let answer t (req : Protocol.request) (q : Query.t) =
      the same bytes even if the file changes mid-request *)
   let srcs = List.map (Option.map Query.source_text) [ req.source; req.source2 ] in
   (* the key digests the resolved sources, plus whatever else the verb
-     reads, so a file edit invalidates the entry; traced requests bypass
-     the cache, their span tree being per-evaluation by definition *)
+     reads — the machine only for the rows that take one — so a file edit
+     invalidates the entry; traced requests bypass the cache, their span
+     tree being per-evaluation by definition *)
   let key =
     if req.flags.trace then None
     else
       let digest = Option.fold ~none:"" ~some:Digest.string in
       let sources = Digest.string (String.concat "" (List.map digest srcs) ^ q.inputs ()) in
+      let machine = if q.machine then Machines.hash machine else "" in
       Some
-        (Cache.key ~machine_hash:(Machines.hash machine) ~source_hash:sources
-           ~kind:(Query.name q) ~flags:(Protocol.flags_key req.flags))
+        (Digest.string
+           (String.concat "\x00"
+              [ machine; sources; Query.name q; Protocol.flags_key req.flags ]))
   in
-  match Option.bind key (fun k -> staged sp_cache h_cache (fun () -> Cache.find t.cache k)) with
+  match Option.bind key (fun k -> staged sp_cache h_cache (fun () -> Memo.find t.cache k)) with
   | Some p -> (p, true, None)
   | None ->
-    let eval () = staged sp_eval h_eval (fun () -> run_query t q req.flags ~srcs machine) in
+    let eval () = staged sp_eval h_eval (fun () -> run_query q req.flags ~srcs machine) in
     let p, trace =
       if req.flags.trace then (
         let p, node = Obs.Trace.collect eval in
         (p, Some (trace_to_json node)))
       else (eval (), None)
     in
-    Option.iter (fun k -> Cache.store t.cache k p) key;
+    Option.iter (fun k -> ignore (Memo.add t.cache k p)) key;
     (p, false, trace)
 
 let handle t ~received (req : Protocol.request) : Protocol.response =

@@ -5,12 +5,13 @@
     CLI prints its errors from, turns every failure into a structured
     error response, with the server still live.
 
-    Query verbs are served through a content-addressed result cache keyed
-    by (machine hash, source hash, verb, canonical flags) — file sources
-    are digested by content, so editing the file invalidates the entry —
-    and, on a miss, run through {!Query.run} (predict through a
-    per-domain {!Pperf_core.Incremental} predictor), the same run the
-    one-shot CLI subcommand makes. *)
+    Query verbs are served through a content-addressed result cache (the
+    shared memo ["server.cache"]) keyed by (machine hash if the row takes
+    a machine, source hash, verb, canonical flags) — file sources are
+    digested by content, so editing the file invalidates the entry — and,
+    on a miss, run through {!Query.run} (predict without ranges through a
+    per-domain {!Pperf_core.Incremental} predictor, looked up on its first
+    routine), the same run the one-shot CLI subcommand makes. *)
 
 type t
 
@@ -31,15 +32,12 @@ val handle : t -> received:float -> Protocol.request -> Protocol.response
 
 val stats_json : t -> Json.t
 (** The [stats] verb payload: request/outcome counts, result-cache and
-    incremental-cache hit rates, loaded machines, jobs, cumulative
-    queue/eval time, p50/p90/p99 request latency plus per-stage
-    (queue/cache/eval/write) histogram summaries, span aggregates, and
-    the {!Pperf_obs.Obs} counter snapshot. *)
+    incremental-cache hit rates, loaded machines, each memo's entries and
+    capacity, jobs, cumulative queue/eval time, p50/p90/p99 request
+    latency plus per-stage (queue/cache/eval/write) histogram summaries,
+    span aggregates, and the {!Pperf_obs.Obs} counter snapshot. *)
 
 val metrics_text : t -> string
 (** The [metrics] verb payload: the full telemetry snapshot (counters,
     gauges, latency histograms, span aggregates) as Prometheus text
     exposition, with the engine's own state published as gauges. *)
-
-val cache_stats : t -> int * int * int
-(** [(hits, misses, entries)] of the result cache. *)

@@ -2,12 +2,13 @@
     by the prediction server.
 
     Resolves a machine spec — a builtin name ([power1], [power1x2],
-    [alpha21064]/[alpha], [scalar]) or a [.pmach] description file — and
-    memoizes file loads by content digest, so a long-lived server parses
-    each distinct description once while still picking up edits to the
-    file. Loading also pre-builds the machine's derived tables (atomic-op
-    chains, bin kind-candidate arrays) so worker domains mostly read them.
-    Domain-safe. *)
+    [alpha21064]/[alpha], [scalar]) or a [.pmach] description file. File
+    loads are memoized by content digest in a shared memo of 16 entries
+    (["machines.files"]), so a long-lived server parses each description
+    it keeps serving once while still picking up edits to the file, and
+    returns one physical machine per digest while it stays memoized. The
+    tables derived from a machine are built on first use, per worker
+    domain. Domain-safe. *)
 
 open Pperf_machine
 
@@ -17,11 +18,9 @@ val load : string -> Machine.t
 
 val hash : Machine.t -> string
 (** Content digest of the machine's canonical textual description
-    (memoized per machine); part of the server's result-cache key. *)
-
-val warm : Machine.t -> unit
-(** Pre-build the derived tables for a machine obtained elsewhere. *)
+    (memoized per worker domain, ["machines.digests"]); part of the
+    server's result-cache key. *)
 
 val loaded_count : unit -> int
-(** Distinct description files parsed so far (the [stats] verb's
-    [machines] field). *)
+(** Description files memoized now (the [stats] verb's [machines]
+    field). *)

@@ -19,7 +19,9 @@ type t = {
   verb : Protocol.verb;
   doc : string;  (** the CLI subcommand's description *)
   sources : string list;  (** one CLI metavariable per PF source taken *)
-  machine : bool;  (** the CLI offers [-m] *)
+  machine : bool;
+      (** the CLI offers [-m]; a row without it never reads the machine,
+          so the result-cache key leaves the machine out *)
   stats : bool;  (** the CLI offers [--stats] *)
   flags : Options.flag list;  (** the options the CLI offers *)
   inputs : unit -> string;

@@ -1,6 +1,7 @@
 open Pperf_num
 module B = Bigint
 module Obs = Pperf_obs.Obs
+module Memo = Pperf_obs.Memo
 
 let c_chain_builds = Obs.counter "roots.chain_builds"
 let c_chain_hits = Obs.counter "roots.chain_cache_hits"
@@ -108,47 +109,32 @@ let beval_sign (a : B.t array) ~num ~den =
 (* ---- cached chains ----
 
    A chain is built once per distinct dense polynomial and kept in a
-   capped per-domain memo (same domain-safety pattern as the per-machine
-   atomic-chain memos: worker domains never share mutable state, so no
-   locks on this hot path). Endpoint variation counts are memoized inside
-   the chain record, because bisection in [isolate] and the region walk
-   in [Signs.regions] re-query the full chain at every shared midpoint. *)
-
-module Rat_tbl = Hashtbl.Make (struct
-  type t = Rat.t
-
-  let equal = Rat.equal
-  let hash = Rat.hash
-end)
+   per-domain memo. Endpoint variation counts are memoized inside the
+   chain, because bisection in [isolate] and the region walk in
+   [Signs.regions] re-query the full chain at every shared midpoint. *)
 
 type chain = {
   polys : B.t array list;  (* primitive Sturm chain, first element = p *)
   bound : Rat.t;  (* Cauchy root bound of p *)
-  var_memo : int Rat_tbl.t;  (* endpoint -> variation count *)
+  endpoints : (Rat.t, int) Memo.t;  (* endpoint -> variation count *)
 }
 
-let var_memo_cap = 8192
-
 let variations ch x =
-  match Rat_tbl.find_opt ch.var_memo x with
-  | Some v -> v
-  | None ->
-    Obs.incr c_variations;
-    let num = Rat.num x and den = Rat.den x in
-    let signs =
-      List.filter_map
-        (fun p ->
-          let s = beval_sign p ~num ~den in
-          if s = 0 then None else Some s)
-        ch.polys
-    in
-    let rec count = function
-      | a :: (b :: _ as rest) -> (if a <> b then 1 else 0) + count rest
-      | _ -> 0
-    in
-    let v = count signs in
-    if Rat_tbl.length ch.var_memo < var_memo_cap then Rat_tbl.add ch.var_memo x v;
-    v
+  Memo.find_or_add ch.endpoints x (fun () ->
+      Obs.incr c_variations;
+      let num = Rat.num x and den = Rat.den x in
+      let signs =
+        List.filter_map
+          (fun p ->
+            let s = beval_sign p ~num ~den in
+            if s = 0 then None else Some s)
+          ch.polys
+      in
+      let rec count = function
+        | a :: (b :: _ as rest) -> (if a <> b then 1 else 0) + count rest
+        | _ -> 0
+      in
+      count signs)
 
 (* distinct roots in (a, b] by Sturm *)
 let count_half_open ch a b = variations ch a - variations ch b
@@ -172,32 +158,26 @@ let cauchy_bound p =
     done;
     Rat.add Rat.one (Rat.div !m lead))
 
-let chain_cache_cap = 128
-
 (* per-domain chain memo, keyed on the dense coefficient array (canonical:
    trimmed, exact rationals), so the same difference polynomial queried in
    different variables or re-derived from different sources still shares
-   one chain. Capped by wholesale flush: the working set of distinct
-   polynomials per domain is tiny, and a flush only costs rebuilds. *)
-let chain_tbl_key : (Rat.t array, chain) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 32)
+   one chain. An evicted chain takes its endpoint memo with it. *)
+let chains =
+  Memo.create ~on_drop:(fun ch -> Memo.clear ch.endpoints) Memo.Per_domain "roots.chains"
+    ~capacity:128
 
 let build_chain (d : Rat.t array) =
   Obs.incr c_chain_builds;
   Obs.time sp_sturm @@ fun () ->
   { polys = sturm_chain_int (bigint_of_rat_dense d);
     bound = cauchy_bound d;
-    var_memo = Rat_tbl.create 64 }
+    endpoints =
+      Memo.create ~hash:Rat.hash ~equal:Rat.equal Memo.Local "roots.endpoints" ~capacity:8192 }
 
 let chain_for (d : Rat.t array) =
-  let tbl = Domain.DLS.get chain_tbl_key in
-  match Hashtbl.find_opt tbl d with
+  match Memo.find chains d with
   | Some ch -> Obs.incr c_chain_hits; ch
-  | None ->
-    let ch = build_chain d in
-    if Hashtbl.length tbl >= chain_cache_cap then Hashtbl.reset tbl;
-    Hashtbl.add tbl d ch;
-    ch
+  | None -> Memo.add chains d (build_chain d)
 
 (* ---- public interface over Poly ---- *)
 

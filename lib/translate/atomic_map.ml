@@ -8,6 +8,7 @@
     compare feeding a select/copy. *)
 
 open Pperf_machine
+module Memo = Pperf_obs.Memo
 
 (** [map machine b] is the chain of atomic operations implementing [b];
     element [k+1] consumes the result of element [k]. *)
@@ -58,49 +59,16 @@ let map_uncached (m : Machine.t) (b : Basic_op.t) : Atomic_op.t list =
     if Machine.has_atomic m name then a name
     else a "call" (* unknown intrinsic: library call *)
 
-(* the mapping is a pure function of the machine's tables; every block
-   translation asks for the same handful of basic ops, so cache the
-   chains per machine (keyed by physical identity). The prediction
-   server's worker domains translate concurrently, so the memo must be
-   domain-safe: per machine an immutable map swapped in with CAS (lost
-   races just recompute a pure value), never a shared Hashtbl. *)
-module BMap = Map.Make (struct
-  type t = Basic_op.t
-
-  let compare = Stdlib.compare
-end)
-
-type entry = { machine : Machine.t; chains : Atomic_op.t list BMap.t Atomic.t }
-
-let cache : entry list Atomic.t = Atomic.make []
-
-let entry_for (m : Machine.t) =
-  match List.find_opt (fun e -> e.machine == m) (Atomic.get cache) with
-  | Some e -> e
-  | None ->
-    let e = { machine = m; chains = Atomic.make BMap.empty } in
-    let rec push () =
-      let old = Atomic.get cache in
-      match List.find_opt (fun e' -> e'.machine == m) old with
-      | Some e' -> e'
-      | None ->
-        if Atomic.compare_and_set cache old (e :: List.filteri (fun i _ -> i < 15) old)
-        then e
-        else push ()
-    in
-    push ()
+(* the mapping is a pure function of the machine's tables, and every block
+   translation asks for the same handful of basic ops: memoize the chains
+   per worker domain, keyed by (machine, basic op). 512 entries: the 31
+   non-intrinsic basic ops, rounded up, on 16 machines, the bound of the
+   other machine-keyed memos. *)
+let chains =
+  Memo.create
+    ~hash:(fun (m, b) -> Machine.hash m lxor Hashtbl.hash b)
+    ~equal:(fun (m, b) (m', b') -> m == m' && b = b')
+    Memo.Per_domain "translate.atomic_chains" ~capacity:512
 
 let map (m : Machine.t) (b : Basic_op.t) : Atomic_op.t list =
-  let e = entry_for m in
-  match BMap.find_opt b (Atomic.get e.chains) with
-  | Some chain -> chain
-  | None ->
-    let chain = map_uncached m b in
-    let rec publish () =
-      let old = Atomic.get e.chains in
-      if BMap.mem b old then ()
-      else if Atomic.compare_and_set e.chains old (BMap.add b chain old) then ()
-      else publish ()
-    in
-    publish ();
-    chain
+  Memo.find_or_add chains (m, b) (fun () -> map_uncached m b)

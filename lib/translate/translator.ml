@@ -2,6 +2,7 @@ open Pperf_lang
 open Pperf_machine
 open Pperf_sched
 module SSet = Analysis.SSet
+module Memo = Pperf_obs.Memo
 
 type result = {
   body : Dag.t;
@@ -96,19 +97,9 @@ let binop_key_name : Ast.binop -> string = function
 
 (* the exact-hex rendering of a float literal is format-machinery slow;
    distinct literals recur across the many builders one prediction makes,
-   so memoize the rendering. Domain-local: each server worker keeps its
-   own table, so no locking on this hot path and no Hashtbl races *)
-let real_key_tbl_key =
-  Domain.DLS.new_key (fun () : (float, string) Hashtbl.t -> Hashtbl.create 64)
-
-let real_key f =
-  let real_key_tbl = Domain.DLS.get real_key_tbl_key in
-  match Hashtbl.find_opt real_key_tbl f with
-  | Some k -> k
-  | None ->
-    let k = Printf.sprintf "%h" f in
-    if Hashtbl.length real_key_tbl < 4096 then Hashtbl.add real_key_tbl f k;
-    k
+   so memoize the rendering per worker domain *)
+let real_keys = Memo.create Memo.Per_domain "translate.real_keys" ~capacity:4096
+let real_key f = Memo.find_or_add real_keys f (fun () -> Printf.sprintf "%h" f)
 
 (* canonical string key of an expression for value numbering; memoized
    per builder so nested expressions don't rebuild their children's keys

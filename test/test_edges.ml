@@ -198,18 +198,15 @@ let test_interp_return_early () =
 
 (* ---- incremental edges ---- *)
 
-let test_incremental_clear_invalidate () =
+let test_incremental_clear () =
   let src = "subroutine s(x, n)\n  integer n, i\n  real x(100)\n  do i = 1, n\n    x(i) = 1.0\n  end do\nend\n" in
   let checked = Typecheck.check_routine (Parser.parse_routine src) in
   let inc = Incremental.create p1 in
   ignore (Incremental.predict inc checked);
-  Incremental.invalidate_routine inc checked;
-  ignore (Incremental.predict inc checked);
-  let hits, misses = Incremental.stats inc in
-  Alcotest.(check int) "no hits after invalidate" 0 hits;
-  Alcotest.(check int) "recomputed" 2 misses;
   Incremental.clear inc;
-  Alcotest.(check (pair int int)) "cleared stats" (0, 0) (Incremental.stats inc)
+  Alcotest.(check (pair int int)) "cleared stats" (0, 0) (Incremental.stats inc);
+  ignore (Incremental.predict inc checked);
+  Alcotest.(check (pair int int)) "recomputed after clear" (0, 1) (Incremental.stats inc)
 
 (* ---- interproc main_cost ---- *)
 
@@ -280,7 +277,7 @@ let () =
           Alcotest.test_case "early return" `Quick test_interp_return_early;
         ] );
       ( "incremental",
-        [ Alcotest.test_case "clear/invalidate" `Quick test_incremental_clear_invalidate ] );
+        [ Alcotest.test_case "clear" `Quick test_incremental_clear ] );
       ( "interproc", [ Alcotest.test_case "main cost" `Quick test_interproc_main ] );
       ( "sym-expr", [ Alcotest.test_case "trip idioms" `Quick test_trip_idioms ] );
     ]

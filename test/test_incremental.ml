@@ -1,6 +1,7 @@
 (* Tests for lib/core/incremental.ml: per-unit memoized re-prediction must
    be bit-identical to from-scratch aggregation, reuse cached units when
-   only one routine (or one unit) changes, and invalidate correctly. *)
+   only one routine (or one unit) changes, re-predict edited ones, and keep
+   its unit memo within its bound. *)
 
 open Pperf_lang
 open Pperf_core
@@ -126,24 +127,36 @@ let test_decl_only_edit () =
   Alcotest.(check bool) "decl edit changes the prediction" true
     (cost_string on_real.cost <> cost_string on_int.cost)
 
-let test_invalidate_routine () =
-  let checked = check_src daxpy in
-  let inc = Incremental.create machine in
-  ignore (Incremental.predict_checked inc checked);
-  Incremental.invalidate_routine inc checked;
-  let _, misses0 = Incremental.stats inc in
-  ignore (Incremental.predict_checked inc checked);
-  let _, misses1 = Incremental.stats inc in
-  Alcotest.(check bool) "invalidation forces recompute" true (misses1 > misses0);
-  same_prediction "after invalidate" (Incremental.predict_checked inc checked)
-    (Aggregate.routine ~machine checked)
-
 let test_clear () =
   let checked = check_src daxpy in
   let inc = Incremental.create machine in
   ignore (Incremental.predict_checked inc checked);
   Incremental.clear inc;
   Alcotest.(check (pair int int)) "stats reset" (0, 0) (Incremental.stats inc)
+
+(* more distinct units than one predictor keeps: its memo evicts, stays
+   within 4,096 entries, and the prediction is still the from-scratch one *)
+let test_bounded_units () =
+  let loops = 4200 in
+  let body =
+    String.concat ""
+      (List.init loops (fun k ->
+           Printf.sprintf "  do i = 1, %d\n    x(i) = x(i) + 1.0\n  end do\n" (k + 1)))
+  in
+  let checked = check_src ("subroutine many(x)\n  integer i\n  real x(10000)\n" ^ body ^ "end\n") in
+  let entries () =
+    match List.assoc_opt "incremental.units" (Pperf_obs.Memo.report ()) with
+    | Some s -> s.entries
+    | None -> 0
+  in
+  let before = entries () in
+  let inc = Incremental.create machine in
+  same_prediction "past the bound" (Incremental.predict_checked inc checked)
+    (Aggregate.routine ~machine checked);
+  Alcotest.(check (pair int int)) "every unit computed once" (0, loops) (Incremental.stats inc);
+  Alcotest.(check bool) "entries within the bound" true (entries () - before <= 4096);
+  Incremental.clear inc;
+  Alcotest.(check int) "clear drops them" before (entries ())
 
 (* a different machine is a different predictor: same source must not
    reuse entries cached for another machine *)
@@ -183,7 +196,7 @@ let () =
           Alcotest.test_case "warm hits" `Quick test_warm_hits;
           Alcotest.test_case "edit one routine" `Quick test_edit_one_routine;
           Alcotest.test_case "declarations-only edit" `Quick test_decl_only_edit;
-          Alcotest.test_case "invalidate routine" `Quick test_invalidate_routine;
+          Alcotest.test_case "bounded units" `Quick test_bounded_units;
           Alcotest.test_case "clear" `Quick test_clear;
         ] );
     ]

@@ -1,6 +1,7 @@
 (* Tests for the lib/obs telemetry API: histogram bucket boundaries and
    quantiles, span nesting self/total accounting, unbalanced exits,
-   cross-domain snapshot merging, and epoch-consistent reset. *)
+   cross-domain snapshot merging, epoch-consistent reset, and the bounded
+   memo tables. *)
 
 module Obs = Pperf_obs.Obs
 
@@ -230,6 +231,78 @@ let test_export_shapes () =
   Alcotest.(check bool) "--stats has no sections" true
     (not (contains stats "\"histograms\""))
 
+(* ---------------------------------------------------------------- memo *)
+
+module Memo = Pperf_obs.Memo
+
+let pure k = (k * 7919) + 3
+
+let family_entries name =
+  Option.fold ~none:0 ~some:(fun (s : Memo.stats) -> s.entries)
+    (List.assoc_opt name (Memo.report ()))
+
+(* every value is the function's, the table never passes its capacity,
+   and every lookup is a hit or a miss *)
+let memo_steps t ~capacity keys =
+  List.for_all
+    (fun k -> Memo.find_or_add t k (fun () -> pure k) = pure k && (Memo.stats t).entries <= capacity)
+    keys
+
+let memo_sequences =
+  QCheck.Test.make ~name:"find_or_add at capacities 1, 2 and 8" ~count:300
+    QCheck.(pair (oneofl [ 1; 2; 8 ]) (list_of_size Gen.(0 -- 64) (int_bound 15)))
+    (fun (capacity, keys) ->
+      List.for_all
+        (fun sharing ->
+          let t = Memo.create sharing "test.memo" ~capacity in
+          let ok = memo_steps t ~capacity keys in
+          let s = Memo.stats t in
+          Memo.clear t;
+          ok && s.hits + s.misses = List.length keys)
+        [ Memo.Local; Memo.Shared; Memo.Per_domain ])
+
+let memo_shared_domains =
+  QCheck.Test.make ~name:"shared table under 4 domains" ~count:40
+    QCheck.(pair (oneofl [ 1; 2; 8 ]) (list_of_size (Gen.return 4) (list_of_size Gen.(0 -- 64) (int_bound 15))))
+    (fun (capacity, streams) ->
+      let t = Memo.create Memo.Shared "test.memo.shared" ~capacity in
+      let ok =
+        List.map (fun keys -> Domain.spawn (fun () -> memo_steps t ~capacity keys)) streams
+        |> List.map Domain.join |> List.for_all Fun.id
+      in
+      let s = Memo.stats t in
+      Memo.clear t;
+      ok && s.entries <= capacity && s.hits + s.misses = List.length (List.concat streams))
+
+let test_memo_domain_exit () =
+  let t = Memo.create Memo.Per_domain "test.memo.domains" ~capacity:8 in
+  let before = family_entries "test.memo.domains" in
+  let during =
+    Domain.join
+      (Domain.spawn (fun () ->
+           for k = 1 to 5 do
+             ignore (Memo.find_or_add t k (fun () -> pure k))
+           done;
+           family_entries "test.memo.domains"))
+  in
+  Alcotest.(check int) "the domain's entries count" (before + 5) during;
+  Alcotest.(check int) "and leave with it" before (family_entries "test.memo.domains")
+
+let test_memo_owner_eviction () =
+  let outer = Memo.create ~on_drop:Memo.clear Memo.Local "test.memo.outer" ~capacity:1 in
+  let owner () =
+    let inner = Memo.create Memo.Local "test.memo.inner" ~capacity:4 in
+    List.iter (fun k -> ignore (Memo.add inner k (pure k))) [ 1; 2; 3 ];
+    inner
+  in
+  let before = family_entries "test.memo.inner" in
+  ignore (Memo.find_or_add outer 1 owner);
+  Alcotest.(check int) "one owner's entries" (before + 3) (family_entries "test.memo.inner");
+  ignore (Memo.find_or_add outer 2 owner);
+  Alcotest.(check int) "the evicted owner's left" (before + 3) (family_entries "test.memo.inner");
+  Memo.clear outer;
+  Alcotest.(check int) "a cleared owner's too" before (family_entries "test.memo.inner")
+
 let () =
   Alcotest.run "obs"
     [
@@ -251,4 +324,11 @@ let () =
         [ Alcotest.test_case "epoch reset" `Quick test_epoch_reset ] );
       ( "export",
         [ Alcotest.test_case "export shapes" `Quick test_export_shapes ] );
+      ( "memo",
+        [
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) memo_sequences;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) memo_shared_domains;
+          Alcotest.test_case "domain exit" `Quick test_memo_domain_exit;
+          Alcotest.test_case "owner eviction" `Quick test_memo_owner_eviction;
+        ] );
     ]

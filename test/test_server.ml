@@ -6,6 +6,7 @@
    identical response sets under --jobs 1 and --jobs 4. *)
 
 open Pperf_server
+module Memo = Pperf_obs.Memo
 
 let daxpy =
   "subroutine daxpy(x, y, a, n)\n\
@@ -135,30 +136,49 @@ let test_unknown_fields () =
 
 (* ------------------------------------------------------------ cache *)
 
+(* the result cache is the shared memo family server.cache *)
+let result_cache ~capacity = Memo.create Memo.Shared "server.cache" ~capacity
+
+let handle engine line =
+  match Protocol.request_of_line line with
+  | Ok r -> Engine.handle engine ~received:(Unix.gettimeofday ()) r
+  | Error (_, m) -> Alcotest.failf "request %s rejected: %s" line m
+
 let test_cache_basics () =
-  let c = Cache.create ~capacity:4 () in
-  let k = Cache.key ~machine_hash:"m" ~source_hash:"s" ~kind:"predict" ~flags:"f" in
-  Alcotest.(check bool) "miss first" true (Cache.find c k = None);
-  Cache.store c k 42;
-  Alcotest.(check bool) "hit second" true (Cache.find c k = Some 42);
-  let hits, misses, entries = Cache.stats c in
-  Alcotest.(check (triple int int int)) "stats" (1, 1, 1) (hits, misses, entries);
-  Alcotest.(check bool) "machine change misses" true
-    (Cache.find c (Cache.key ~machine_hash:"m2" ~source_hash:"s" ~kind:"predict" ~flags:"f")
-     = None);
-  Alcotest.(check bool) "source change misses" true
-    (Cache.find c (Cache.key ~machine_hash:"m" ~source_hash:"s2" ~kind:"predict" ~flags:"f")
-     = None)
+  let c = result_cache ~capacity:4 in
+  Alcotest.(check bool) "miss first" true (Memo.find c "k" = None);
+  ignore (Memo.add c "k" 42);
+  Alcotest.(check bool) "hit second" true (Memo.find c "k" = Some 42);
+  Alcotest.(check int) "first writer wins" 42 (Memo.add c "k" 43);
+  let s = Memo.stats c in
+  Alcotest.(check (triple int int int)) "stats" (1, 1, 1) (s.hits, s.misses, s.entries);
+  Memo.clear c;
+  (* through an engine: a machine change misses for a row that takes a
+     machine, and hits for one that never reads it *)
+  let engine = Engine.create ~jobs:1 () in
+  let cached verb machine =
+    let line =
+      Printf.sprintf {|{"verb":"%s","machine":"%s","source":%s}|} verb machine
+        (Json.to_string (Json.String daxpy))
+    in
+    match handle engine line with
+    | Protocol.Ok_response r -> r.cached
+    | Protocol.Err_response e -> Alcotest.failf "%s failed: %s" verb e.message
+  in
+  Alcotest.(check (list bool)) "predict: machine change misses" [ false; false; true ]
+    (List.map (cached "predict") [ "power1"; "scalar"; "scalar" ]);
+  Alcotest.(check (list bool)) "ranges: machine change hits" [ false; true ]
+    (List.map (cached "ranges") [ "power1"; "scalar" ])
 
 let test_cache_eviction () =
-  let c = Cache.create ~capacity:4 () in
+  let c = result_cache ~capacity:4 in
   for i = 0 to 19 do
-    Cache.store c
-      (Cache.key ~machine_hash:"m" ~source_hash:(string_of_int i) ~kind:"k" ~flags:"")
-      i
+    ignore (Memo.add c (string_of_int i) i)
   done;
-  let _, _, entries = Cache.stats c in
-  Alcotest.(check bool) "stays bounded" true (entries <= 4)
+  let s = Memo.stats c in
+  Alcotest.(check bool) "stays bounded" true (s.entries <= 4);
+  Alcotest.(check int) "evicted the rest" (20 - s.entries) s.evictions;
+  Memo.clear c
 
 (* ---------------------------------------------------------- sessions *)
 
@@ -407,6 +427,39 @@ let test_extended_stats () =
       | j -> Alcotest.failf "%s not an object: %s" sec (Json.to_string j))
     [ "stages"; "spans"; "counters" ]
 
+(* only predict without ranges looks up an incremental predictor, one per
+   machine and memory option: a session of the other query verbs and of
+   ranges predictions leaves the predictor memo as it found it, and the
+   domain flag alone shares the plain predictor *)
+let test_predictor_only_for_predict () =
+  let entries stats =
+    match Json.member "memos" stats with
+    | Some memos -> (
+      match Option.bind (Json.member "server.predictors" memos) (Json.member "entries") with
+      | Some (Json.Int n) -> n
+      | _ -> Alcotest.fail "stats.memos has no server.predictors entries")
+    | None -> Alcotest.fail "stats has no memos section"
+  in
+  let before =
+    match List.assoc_opt "server.predictors" (Memo.report ()) with
+    | Some s -> s.entries
+    | None -> 0
+  in
+  let source = Printf.sprintf {|,"source":%s|} (Json.to_string (Json.String daxpy)) in
+  let predict flags id = req id "predict" ~extra:(source ^ {|,"flags":|} ^ flags) in
+  let lines =
+    session ~jobs:1
+      [ req 0 "lint" ~extra:source; req 1 "ranges" ~extra:source; req 2 "bounds" ~extra:source;
+        req 3 "compare" ~extra:(source ^ {|,"source2":|} ^ Json.to_string (Json.String daxpy));
+        predict {|{"ranges":true}|} 4; predict {|{"ranges":true,"domain":"product"}|} 5;
+        req 6 "stats"; predict_daxpy 7; predict {|{"domain":"product"}|} 8; req 9 "stats" ]
+  in
+  List.iter
+    (fun i -> Alcotest.(check bool) "predict answered" true (field "ok" (List.nth lines i) = Json.Bool true))
+    [ 4; 5; 7; 8 ];
+  Alcotest.(check int) "no predictor before predict" before (entries (field "stats" (List.nth lines 6)));
+  Alcotest.(check int) "one after" (before + 1) (entries (field "stats" (List.nth lines 9)))
+
 let test_machines_helper () =
   let m1 = Machines.load "power1" in
   let m2 = Machines.load "alpha" in
@@ -448,6 +501,7 @@ let () =
           Alcotest.test_case "metrics verb" `Quick test_metrics_verb;
           Alcotest.test_case "trace flag" `Quick test_trace_flag;
           Alcotest.test_case "extended stats" `Quick test_extended_stats;
+          Alcotest.test_case "predictor only for predict" `Quick test_predictor_only_for_predict;
           Alcotest.test_case "machines helper" `Quick test_machines_helper;
         ] );
     ]
