@@ -571,7 +571,8 @@ and exec_do ctx ~rec_ (env, rel) loc (d : Ast.do_loop) =
       in
       (env', rel')
     in
-    let head = ref (set_idx_st (entry, rel)) in
+    let entry_st = set_idx_st (entry, rel) in
+    let head = ref entry_st in
     ctx.depth <- ctx.depth + 1;
     (let continue = ref true and iter = ref 0 in
      while !continue && !iter < max_iters do
@@ -592,7 +593,7 @@ and exec_do ctx ~rec_ (env, rel) loc (d : Ast.do_loop) =
     (match exec_stmts ctx ~rec_:false (Some !head) d.body with
     | Some out ->
       let he, hr = !head in
-      let ne, nr = join_st (set_idx_st (entry, rel)) (set_idx_st out) in
+      let ne, nr = join_st entry_st (set_idx_st out) in
       head := (narrow_env he ne, Reldom.narrow hr nr)
     | None -> ());
     let out = exec_stmts ctx ~rec_ (Some !head) d.body in

@@ -89,11 +89,12 @@ let extend o xs =
    strengthening pass over the whole matrix follows; after a shortest-path
    closure that single pass gives the strong closure over ℚ (Bagnara, Hill
    & Zaffanella). Without [pivots] it pivots on every variable, which
-   closes any matrix. *)
+   closes any matrix. It works in place: [o.m] must be a matrix the caller
+   owns, such as the fresh copy every transfer tightens. *)
 let close ?pivots o =
   Pperf_obs.Obs.incr (Lazy.force c_closures);
   let n2 = dim o in
-  let m = copy_m o.m in
+  let m = o.m in
   let pivots =
     match pivots with Some ks -> ks | None -> List.init (Array.length o.vars) Fun.id
   in
@@ -133,7 +134,7 @@ let close ?pivots o =
     | _ -> ());
     m.(i).(i) <- Fin Rat.zero
   done;
-  if !empty then Bot else Oct { o with m }
+  if !empty then Bot else Oct o
 
 (* ---------- entry helpers ---------- *)
 
@@ -440,15 +441,33 @@ let union_vars oa ob =
   let rec take n = function [] -> [] | x :: tl -> if n = 0 then [] else x :: take (n - 1) tl in
   Array.of_list (take max_vars all)
 
+(* Both matrices in the order of the union variables; an operand already in
+   that order is used as it is, not copied. *)
+let aligned oa ob =
+  let vars = union_vars oa ob in
+  let in_order o = if o.vars = vars then o.m else conform o vars in
+  (vars, in_order oa, in_order ob)
+
+let pointwise f ma mb = Array.map2 (Array.map2 f) ma mb
+
 let lift2 f a b =
   match (a, b) with
   | Bot, t | t, Bot -> t
   | Oct oa, Oct ob ->
-    let vars = union_vars oa ob in
-    let ma = conform oa vars and mb = conform ob vars in
-    let n2 = 2 * Array.length vars in
-    let m = Array.init n2 (fun i -> Array.init n2 (fun j -> f ma.(i).(j) mb.(i).(j))) in
-    Oct { vars; m }
+    let vars, ma, mb = aligned oa ob in
+    Oct { vars; m = pointwise f ma mb }
+
+let for_all2 p ma mb = Array.for_all2 (Array.for_all2 p) ma mb
+
+(* the entries of [widen] and [narrow] *)
+let widen_entry ths ea eb =
+  if ub_le eb ea then ea
+  else
+    match List.find_opt (fun th -> ub_le eb (Fin th)) ths with
+    | Some th -> Fin th
+    | None -> Inf
+
+let narrow_entry ea eb = match ea with Inf -> eb | _ -> ea
 
 (* pointwise max of strongly closed matrices is strongly closed *)
 let join a b = lift2 ub_max a b
@@ -456,39 +475,30 @@ let join a b = lift2 ub_max a b
 let widen ?(thresholds = []) a b =
   match (a, b) with
   | Bot, t | t, Bot -> t
-  | Oct _, Oct _ ->
+  | Oct _, Oct _ -> (
     let ths = List.sort_uniq Rat.compare thresholds in
-    let wid ea eb =
-      if ub_le eb ea then ea
-      else
-        match List.find_opt (fun th -> ub_le eb (Fin th)) ths with
-        | Some th -> Fin th
-        | None -> Inf
-    in
-    (match lift2 wid a b with Bot -> Bot | Oct o -> close o)
+    match lift2 (widen_entry ths) a b with Bot -> Bot | Oct o -> close o)
 
 let narrow a b =
   match (a, b) with
   | Bot, _ | _, Bot -> Bot
-  | Oct _, Oct _ -> (
-    let nar ea eb = match ea with Inf -> eb | _ -> ea in
-    match lift2 nar a b with Bot -> Bot | Oct o -> close o)
+  | Oct oa, Oct ob ->
+    let vars, ma, mb = aligned oa ob in
+    (* when [a] is in the union order and [b] is finite nowhere [a] is +∞,
+       the narrowing is [a] itself, strongly closed already *)
+    let unrefined ea eb = match (ea, eb) with Inf, Fin _ -> false | _ -> true in
+    if ma == oa.m && for_all2 unrefined ma mb then a
+    else close { vars; m = pointwise narrow_entry ma mb }
 
 let equal a b =
+  a == b
+  ||
   match (a, b) with
   | Bot, Bot -> true
   | Bot, _ | _, Bot -> false
   | Oct oa, Oct ob ->
-    let vars = union_vars oa ob in
-    let ma = conform oa vars and mb = conform ob vars in
-    let n2 = 2 * Array.length vars in
-    let eq = ref true in
-    for i = 0 to n2 - 1 do
-      for j = 0 to n2 - 1 do
-        if not (ub_equal ma.(i).(j) mb.(i).(j)) then eq := false
-      done
-    done;
-    !eq
+    let _, ma, mb = aligned oa ob in
+    for_all2 ub_equal ma mb
 
 (* ---------- inspection ---------- *)
 
@@ -586,4 +596,31 @@ let satisfies f t =
     done;
     !ok
 
-let reclose = function Bot -> Bot | Oct o -> close o
+let reclose = function Bot -> Bot | Oct o -> close { o with m = copy_m o.m }
+
+module Reference = struct
+  let lift2 f a b =
+    match (a, b) with
+    | Bot, t | t, Bot -> t
+    | Oct oa, Oct ob ->
+      let vars = union_vars oa ob in
+      Oct { vars; m = pointwise f (conform oa vars) (conform ob vars) }
+
+  let join a b = reclose (lift2 ub_max a b)
+
+  let widen ?(thresholds = []) a b =
+    reclose (lift2 (widen_entry (List.sort_uniq Rat.compare thresholds)) a b)
+
+  let narrow a b =
+    match (a, b) with
+    | Bot, _ | _, Bot -> Bot
+    | Oct _, Oct _ -> reclose (lift2 narrow_entry a b)
+
+  let equal a b =
+    match (a, b) with
+    | Bot, Bot -> true
+    | Bot, _ | _, Bot -> false
+    | Oct oa, Oct ob ->
+      let vars = union_vars oa ob in
+      for_all2 ub_equal (conform oa vars) (conform ob vars)
+end

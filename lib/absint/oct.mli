@@ -78,3 +78,15 @@ val satisfies : (string -> Rat.t) -> t -> bool
 val reclose : t -> t
 (** Strong closure recomputed from scratch, pivoting on every variable —
     test support: every transfer's result must equal its own re-closure. *)
+
+(** The lattice operations without their fast paths — test support: both
+    operands re-indexed to the sorted union of their variables, combined
+    entry by entry, and the result closed from scratch ({!reclose}).
+    {!join}, {!widen}, {!narrow} and {!equal} must agree with these, down
+    to the {!tracked} order and the {!constraints} list. *)
+module Reference : sig
+  val join : t -> t -> t
+  val widen : ?thresholds:Rat.t list -> t -> t -> t
+  val narrow : t -> t -> t
+  val equal : t -> t -> bool
+end

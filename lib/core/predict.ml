@@ -33,12 +33,10 @@ let total t = Perf_expr.total t.prediction.cost
 let prob_vars t = t.prediction.prob_vars
 
 (** Every place this prediction went conservative: the aggregation's own
-    events plus the static lint pass, deduplicated. *)
-let precision_diagnostics ?ranges t =
+    events plus the lint pass's precision checks, deduplicated. *)
+let precision_diagnostics t =
   let checked = { Typecheck.routine = t.routine; symbols = t.symbols } in
-  Pperf_lint.Lint.dedupe
-    (t.prediction.diagnostics
-    @ Pperf_lint.Lint.precision (Pperf_lint.Lint.run_checked ?ranges checked))
+  Pperf_lint.Lint.dedupe (t.prediction.diagnostics @ Pperf_lint.Lint.run_precision checked)
 
 (** Evaluate the prediction at concrete values of the unknowns; probability
     variables default to 1/2 when unbound. *)

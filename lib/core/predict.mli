@@ -24,13 +24,12 @@ val cost : t -> Perf_expr.t
 val total : t -> Pperf_symbolic.Poly.t
 val prob_vars : t -> string list
 
-val precision_diagnostics : ?ranges:bool -> t -> Pperf_lint.Diagnostic.t list
+val precision_diagnostics : t -> Pperf_lint.Diagnostic.t list
 (** Every place the prediction went conservative: aggregation events
     (symbolic trip counts, invented probabilities, default-cost calls)
-    merged with the static lint pass's [Precision] findings. [ranges]
-    (default false) hands the lint pass the interval abstract
-    interpretation, matching a prediction made with
-    [options.infer_ranges]. *)
+    merged with the static lint pass's [Precision] findings
+    ({!Pperf_lint.Lint.run_precision}, which reads no ranges, so the
+    findings are the same whether or not the prediction inferred them). *)
 
 val eval : t -> (string * float) list -> float
 (** Total cycles at concrete unknowns; unbound probability variables

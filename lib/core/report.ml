@@ -103,7 +103,7 @@ let generate ?(options = Aggregate.default_options) ?(env = Interval.Env.empty) 
          of conservatism (and optimism) once *)
       Pperf_lint.Lint.dedupe
         (prediction.diagnostics @ bound_summary.diagnostics
-        @ Pperf_lint.Lint.precision (Pperf_lint.Lint.run_checked checked));
+        @ Pperf_lint.Lint.run_precision checked);
   }
 
 let pp fmt (t : t) =

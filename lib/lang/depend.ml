@@ -131,37 +131,38 @@ let term_bounds a b lo hi (dir : dir_or_any) =
       Some (mnx + mnd, mxx + mxd))
 
 (* Banerjee-style test of one subscript pair against a direction vector:
-   true = disproved (no dependence with these directions) *)
-let banerjee_disproves ?env ?oracle common dirs (fa, ga, diff) =
-  let rec go common dirs fa ga (mn, mx) =
-    match (common, dirs, fa, ga) with
+   true = disproved (no dependence with these directions). [bounds] holds
+   each common loop's [const_bounds], forced only at the levels reached. *)
+let banerjee_disproves bounds dirs (fa, ga, diff) =
+  let rec go bounds dirs fa ga (mn, mx) =
+    match (bounds, dirs, fa, ga) with
     | [], [], [], [] -> diff < mn || diff > mx
-    | l :: common', d :: dirs', a :: fa', b :: ga' -> (
-      match const_bounds ?env ?oracle l with
+    | l :: bounds', d :: dirs', a :: fa', b :: ga' -> (
+      match Lazy.force l with
       | None ->
         (* unknown bounds: only the Eq direction allows exact treatment of
            the (a-b) x term when a = b (contributes 0) *)
         (match d with
-         | D Eq when a = b -> go common' dirs' fa' ga' (mn, mx)
+         | D Eq when a = b -> go bounds' dirs' fa' ga' (mn, mx)
          | _ ->
            (* unbounded contribution unless both coefficients are zero *)
-           if a = 0 && b = 0 then go common' dirs' fa' ga' (mn, mx) else false)
+           if a = 0 && b = 0 then go bounds' dirs' fa' ga' (mn, mx) else false)
       | Some (lo, hi) -> (
         match term_bounds a b lo hi d with
         | None -> true (* direction infeasible for this loop *)
-        | Some (tmn, tmx) -> go common' dirs' fa' ga' (mn + tmn, mx + tmx)))
+        | Some (tmn, tmx) -> go bounds' dirs' fa' ga' (mn + tmn, mx + tmx)))
     | _ -> false
   in
-  go common dirs fa ga (0, 0)
+  go bounds dirs fa ga (0, 0)
 
 (* test a full direction vector against all subscript pairs; true = the
    tests disproved a dependence with this direction vector *)
-let vector_disproved ?env ?oracle common dirs pairs =
+let vector_disproved bounds dirs pairs =
   List.exists
     (fun pair ->
       match pair with
       | None -> false (* unanalyzable dimension: cannot disprove *)
-      | Some p -> gcd_disproves p || banerjee_disproves ?env ?oracle common dirs p)
+      | Some p -> gcd_disproves p || banerjee_disproves bounds dirs p)
     pairs
 
 (* strong-SIV sharpening: when a dim is a*x - a*y = diff with a <> 0, the
@@ -197,10 +198,10 @@ let siv_direction common pairs =
         None pairs)
     common
 
-(* interval of one subscript over a range environment extended with the
-   enclosing loops' index ranges (outermost first, so triangular bounds
-   see the outer index) *)
-let subscript_interval env (r : Analysis.array_ref) sub =
+(* intervals of a reference's subscripts over a range environment extended
+   with the enclosing loops' index ranges (outermost first, so triangular
+   bounds see the outer index); each is computed on first use *)
+let subscript_intervals env (r : Analysis.array_ref) =
   let index_interval env (l : Analysis.loop_ctx) =
     let eval e =
       match Sym_expr.to_poly e with
@@ -221,28 +222,31 @@ let subscript_interval env (r : Analysis.array_ref) sub =
     with Invalid_argument _ -> Interval.union lo_iv hi_iv
   in
   let env =
-    List.fold_left
-      (fun env (l : Analysis.loop_ctx) -> Interval.Env.add l.lvar (index_interval env l) env)
-      env r.loops
+    lazy
+      (List.fold_left
+         (fun env (l : Analysis.loop_ctx) -> Interval.Env.add l.lvar (index_interval env l) env)
+         env r.loops)
   in
-  match Sym_expr.to_poly sub with
-  | Some p -> Interval.eval_poly env p
-  | None -> Interval.full
+  List.map
+    (fun sub ->
+      lazy
+        (match Sym_expr.to_poly sub with
+         | Some p -> Interval.eval_poly (Lazy.force env) p
+         | None -> Interval.full))
+    r.subs
 
 (* range disproof: the two references touch provably disjoint index sets in
    some dimension, so no element is shared at all *)
-let ranges_disjoint env (r1 : Analysis.array_ref) (r2 : Analysis.array_ref) =
-  List.length r1.subs = List.length r2.subs
+let ranges_disjoint ivs1 ivs2 =
+  List.length ivs1 = List.length ivs2
   && List.exists2
-       (fun s1 s2 ->
-         Interval.intersect (subscript_interval env r1 s1) (subscript_interval env r2 s2)
-         = None)
-       r1.subs r2.subs
+       (fun i1 i2 -> Interval.intersect (Lazy.force i1) (Lazy.force i2) = None)
+       ivs1 ivs2
 
-let directions ~common ?env ?oracle (r1 : Analysis.array_ref) (r2 : Analysis.array_ref) =
-  if not (String.equal r1.array r2.array) then []
-  else if (match env with Some env -> ranges_disjoint env r1 r2 | None -> false) then []
-  else if List.length r1.subs <> List.length r2.subs then
+(* the direction vectors of two references to one array that the range
+   disproof left standing and the subscript tests cannot disprove *)
+let direction_vectors ~common ?env ?oracle (r1 : Analysis.array_ref) (r2 : Analysis.array_ref) =
+  if List.length r1.subs <> List.length r2.subs then
     (* inconsistent shapes: be conservative, all-any *)
     [ List.map (fun _ -> Eq) common ]
   else (
@@ -252,14 +256,14 @@ let directions ~common ?env ?oracle (r1 : Analysis.array_ref) (r2 : Analysis.arr
     let forced = siv_direction common pairs in
     if List.exists (fun f -> f = Some `Impossible) forced then []
     else (
+      let bounds = List.map (fun l -> lazy (const_bounds ?env ?oracle l)) common in
       (* hierarchical refinement of direction vectors *)
       let n = List.length common in
       let results = ref [] in
       let rec refine prefix j =
         if j = n then (
           let dirs = List.rev prefix in
-          if not (vector_disproved ?env ?oracle common (List.map (fun d -> D d) dirs) pairs)
-          then
+          if not (vector_disproved bounds (List.map (fun d -> D d) dirs) pairs) then
             results := dirs :: !results)
         else (
           let candidates =
@@ -274,12 +278,20 @@ let directions ~common ?env ?oracle (r1 : Analysis.array_ref) (r2 : Analysis.arr
                 List.rev_append (List.map (fun d -> D d) (d :: prefix))
                   (List.init (n - j - 1) (fun _ -> Any))
               in
-              if not (vector_disproved ?env ?oracle common partial pairs) then
-                refine (d :: prefix) (j + 1))
+              if not (vector_disproved bounds partial pairs) then refine (d :: prefix) (j + 1))
             candidates)
       in
       refine [] 0;
       List.rev !results))
+
+let directions ~common ?env ?oracle (r1 : Analysis.array_ref) (r2 : Analysis.array_ref) =
+  if not (String.equal r1.array r2.array) then []
+  else if
+    match env with
+    | Some env -> ranges_disjoint (subscript_intervals env r1) (subscript_intervals env r2)
+    | None -> false
+  then []
+  else direction_vectors ~common ?env ?oracle r1 r2
 
 let may_depend ~common ?env ?oracle r1 r2 = directions ~common ?env ?oracle r1 r2 <> []
 
@@ -308,13 +320,19 @@ let dependences_in ?env ?oracle stmts =
   let deps = ref [] in
   let arr = Array.of_list refs in
   let n = Array.length arr in
+  (* each reference's subscript intervals, shared by all its pairs *)
+  let ivs = Option.map (fun env -> Array.map (subscript_intervals env) arr) env in
   for i = 0 to n - 1 do
     for j = i to n - 1 do
       let r1 = arr.(i) and r2 = arr.(j) in
       if String.equal r1.array r2.array && (r1.is_write || r2.is_write) && not (i = j && not r1.is_write)
       then (
         let common = common_loops r1 r2 in
-        let dirs = directions ~common ?env ?oracle r1 r2 in
+        let dirs =
+          match ivs with
+          | Some ivs when ranges_disjoint ivs.(i) ivs.(j) -> []
+          | _ -> direction_vectors ~common ?env ?oracle r1 r2
+        in
         List.iter
           (fun dvec ->
             (* orient the dependence source-before-destination *)

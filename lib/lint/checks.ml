@@ -17,6 +17,7 @@ let default_ctx = { known = (fun _ -> false); ranges = None }
 type check = {
   id : string;
   about : string;
+  emits : Diagnostic.severity list;
   run : ctx -> Typecheck.checked -> Diagnostic.t list;
 }
 
@@ -698,55 +699,90 @@ let unknown_call ctx (c : Typecheck.checked) =
 (* ---- registry ---- *)
 
 let registry =
+  let open Diagnostic in
   [
-    { id = "use-before-def"; about = "scalar read before any assignment"; run = use_before_def };
-    { id = "unused-var"; about = "declared variable never referenced"; run = unused_var };
-    { id = "dead-store"; about = "scalar store whose value is never read"; run = dead_store };
+    {
+      id = "use-before-def";
+      about = "scalar read before any assignment";
+      emits = [ Warning ];
+      run = use_before_def;
+    };
+    {
+      id = "unused-var";
+      about = "declared variable never referenced";
+      emits = [ Hint ];
+      run = unused_var;
+    };
+    {
+      id = "dead-store";
+      about = "scalar store whose value is never read";
+      emits = [ Warning ];
+      run = dead_store;
+    };
     {
       id = "oob-subscript";
       about = "subscript provably outside the array extent (symbolic bounds included)";
+      emits = [ Error ];
       run = oob_subscript;
     };
     {
       id = "carried-dep";
       about = "loop-carried dependence: iterations are not independent";
+      emits = [ Hint ];
       run = carried_dep;
     };
     {
       id = "non-affine-subscript";
       about = "subscript outside the affine domain of the dependence tests (precision loss)";
+      emits = [ Precision ];
       run = non_affine;
     };
-    { id = "bad-step"; about = "zero, contradictory, or sign-unknown do step"; run = bad_step };
+    {
+      id = "bad-step";
+      about = "zero, contradictory, or sign-unknown do step";
+      emits = [ Error; Warning; Precision ];
+      run = bad_step;
+    };
     {
       id = "index-shadowed";
       about = "inner loop reuses an enclosing loop index";
+      emits = [ Error ];
       run = index_shadowed;
     };
     {
       id = "index-modified";
       about = "loop index assigned inside its loop body";
+      emits = [ Error ];
       run = index_modified;
     };
     {
       id = "unreachable-branch";
       about = "branch condition decided by sign analysis over the index ranges";
+      emits = [ Warning ];
       run = unreachable;
     };
-    { id = "div-by-zero"; about = "denominator sign region includes zero"; run = div_zero };
+    {
+      id = "div-by-zero";
+      about = "denominator sign region includes zero";
+      emits = [ Error; Warning ];
+      run = div_zero;
+    };
     {
       id = "provably-empty-loop";
       about = "do loop whose trip count is provably zero";
+      emits = [ Warning ];
       run = empty_loop;
     };
     {
       id = "constant-condition";
       about = "branch condition decided by the inferred ranges (needs --ranges)";
+      emits = [ Hint ];
       run = constant_condition;
     };
     {
       id = "unknown-call";
       about = "call charged the default cost (precision loss)";
+      emits = [ Precision ];
       run = unknown_call;
     };
   ]

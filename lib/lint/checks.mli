@@ -27,6 +27,9 @@ val default_ctx : ctx
 type check = {
   id : string;  (** stable identifier, shown as [severity[id]] *)
   about : string;  (** one-line description for docs and [--help] *)
+  emits : Diagnostic.severity list;
+      (** every severity [run] can return; the [test_lint] suite checks
+          the tags against the samples *)
   run : ctx -> Typecheck.checked -> Diagnostic.t list;
 }
 

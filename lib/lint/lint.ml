@@ -25,6 +25,19 @@ let run_source ?ranges ?domain src =
 
 let precision = List.filter (fun (d : Diagnostic.t) -> d.severity = Diagnostic.Precision)
 
+let precision_checks =
+  List.filter
+    (fun (check : Checks.check) -> List.mem Diagnostic.Precision check.emits)
+    Checks.registry
+
+(* None of the precision checks reads [ranges], so the default context gives
+   what the whole registry would, with or without the abstract
+   interpretation. *)
+let run_precision (c : Typecheck.checked) =
+  List.concat_map (fun (check : Checks.check) -> check.run Checks.default_ctx c) precision_checks
+  |> precision
+  |> List.sort Diagnostic.compare
+
 let dedupe ds =
   let seen = Hashtbl.create 16 in
   List.filter

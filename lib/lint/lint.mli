@@ -34,6 +34,13 @@ val run_source :
 val precision : Diagnostic.t list -> Diagnostic.t list
 (** Only the [Precision] diagnostics — the subset predictions carry. *)
 
+val run_precision : Typecheck.checked -> Diagnostic.t list
+(** [precision (run_checked ?ranges ?domain c)] for every [ranges] and
+    [domain], computed by the checks whose {!Checks.check.emits} tags
+    include [Precision] alone, under {!Checks.default_ctx}: none of them
+    reads the abstract interpretation, so neither the dependence tests nor
+    the interpretation run. *)
+
 val dedupe : Diagnostic.t list -> Diagnostic.t list
 (** Sort and drop diagnostics that repeat an earlier (check, location)
     pair — used when merging aggregation events with lint passes. *)

@@ -184,6 +184,8 @@ let describe = function
     (Protocol.Parse_error, true, Printf.sprintf "parse error at %s: %s" (Srcloc.to_string loc) msg)
   | Typecheck.Type_error (msg, loc) ->
     (Protocol.Type_error, true, Printf.sprintf "type error at %s: %s" (Srcloc.to_string loc) msg)
+  | Pperf_exec.Interp.Runtime_error (msg, loc) ->
+    (Protocol.Failed, true, Printf.sprintf "runtime error at %s: %s" (Srcloc.to_string loc) msg)
   | Descr.Parse_error msg -> (Protocol.Machine_error, true, "machine description error: " ^ msg)
   | Machine.Unknown_atomic { machine; op } ->
     ( Protocol.Machine_error,

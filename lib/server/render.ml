@@ -97,7 +97,6 @@ let check_bindings ~strict ~warn ~expr_vars ~prob_vars bindings =
 
 let predict ?predictor ~machine ~options ~interproc ~strict ~evals ~warn src =
   Obs.time sp_render @@ fun () ->
-  let use_ranges = options.Aggregate.infer_ranges in
   let bindings = parse_bindings evals in
   with_formatter (fun fmt ->
       if interproc then (
@@ -135,7 +134,7 @@ let predict ?predictor ~machine ~options ~interproc ~strict ~evals ~warn src =
             if Predict.prob_vars p <> [] then
               Format.fprintf fmt "  branch probabilities: %s (in [0,1])@."
                 (String.concat ", " (Predict.prob_vars p));
-            let diags = Predict.precision_diagnostics ~ranges:use_ranges p in
+            let diags = Predict.precision_diagnostics p in
             if diags <> [] then (
               Format.fprintf fmt "  precision diagnostics:@.";
               List.iter

@@ -351,6 +351,11 @@ let gen_transfer =
       (1, map (fun x -> Assign (x, None)) var);
     ]
 
+let apply_transfer t = function
+  | Le l -> Oct.meet_le t l
+  | Eq l -> Oct.meet_eq t l
+  | Assign (x, e) -> Oct.assign t x e
+
 let prop_transfers_strongly_closed =
   QCheck.Test.make ~name:"octagon: every transfer leaves the strong closure" ~count:500
     (QCheck.make
@@ -360,12 +365,7 @@ let prop_transfers_strongly_closed =
       let rec go t k = function
         | [] -> true
         | tr :: rest ->
-          let t =
-            match tr with
-            | Le l -> Oct.meet_le t l
-            | Eq l -> Oct.meet_eq t l
-            | Assign (x, e) -> Oct.assign t x e
-          in
+          let t = apply_transfer t tr in
           if not (Oct.equal t (Oct.reclose t)) then
             QCheck.Test.fail_reportf
               "transfer %d (%s) left a matrix that is not strongly closed: %s" k
@@ -374,6 +374,58 @@ let prop_transfers_strongly_closed =
           go t (k + 1) rest
       in
       go Oct.top 1 ts)
+
+(* The lattice operations skip re-indexing an operand already in the union
+   order, narrowing skips its closure, and equality short-cuts physically
+   equal operands; each must give what the plain computation gives. Two
+   octagons from independent transfer sequences track different variables
+   in different orders (or, now and then, the same ones); their join is in
+   the union order, so the derived pairs reach every fast path, including
+   narrow's skip on [narrow j j] and physically equal operands. *)
+let prop_lattice_fast_paths =
+  let open QCheck.Gen in
+  let seq = list_size (int_range 1 10) gen_transfer in
+  let gen = triple seq seq (list_size (int_range 0 3) (map Rat.of_int (int_range (-8) 8))) in
+  let print (ta, tb, ths) =
+    Printf.sprintf "a: %s\nb: %s\nthresholds: %s"
+      (String.concat "; " (List.map transfer_to_string ta))
+      (String.concat "; " (List.map transfer_to_string tb))
+      (String.concat ", " (List.map Rat.to_string ths))
+  in
+  QCheck.Test.make ~name:"octagon: lattice fast paths match the plain computation" ~count:500
+    (QCheck.make ~print gen)
+    (fun (ta, tb, thresholds) ->
+      let a = List.fold_left apply_transfer Oct.top ta in
+      let b = List.fold_left apply_transfer Oct.top tb in
+      let j = Oct.join a b in
+      let operands =
+        [ ("a", a, "b", b); ("b", b, "a", a); ("a", a, "a", a); ("j", j, "j", j);
+          ("j", j, "a", a); ("a", a, "j", j); ("j", j, "b", b); ("j", j, "join b a", Oct.join b a);
+          ("widen j b", Oct.widen ~thresholds j b, "j", j) ]
+      in
+      let same what (xn, _, yn, _) fast plain =
+        if
+          not
+            (Oct.Reference.equal fast plain
+            && Oct.tracked fast = Oct.tracked plain
+            && Oct.constraints fast = Oct.constraints plain)
+        then
+          QCheck.Test.fail_reportf "%s %s %s: [%s] %s, plain [%s] %s" what xn yn
+            (String.concat "," (Oct.tracked fast))
+            (String.concat " && " (List.map Lin.cons_to_string (Oct.constraints fast)))
+            (String.concat "," (Oct.tracked plain))
+            (String.concat " && " (List.map Lin.cons_to_string (Oct.constraints plain)))
+      in
+      List.iter
+        (fun ((xn, x, yn, y) as names) ->
+          same "join" names (Oct.join x y) (Oct.Reference.join x y);
+          same "widen" names (Oct.widen ~thresholds x y) (Oct.Reference.widen ~thresholds x y);
+          same "narrow" names (Oct.narrow x y) (Oct.Reference.narrow x y);
+          if Oct.equal x y <> Oct.Reference.equal x y then
+            QCheck.Test.fail_reportf "equal %s %s: %b, plain %b" xn yn (Oct.equal x y)
+              (Oct.Reference.equal x y))
+        operands;
+      true)
 
 (* random straight-line integer programs: every relational fact the product
    domain reports for the routine must hold of the concrete final state *)
@@ -493,6 +545,7 @@ let () =
           prop_closure_idempotent;
           prop_closure_sound;
           prop_transfers_strongly_closed;
+          prop_lattice_fast_paths;
           prop_product_sound_on_exec;
         ];
     ]

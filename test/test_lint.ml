@@ -217,6 +217,71 @@ let test_json_escaping () =
      !found);
   Alcotest.(check bool) "no raw newline" true (not (String.contains s '\n'))
 
+(* ---- severity tags ---- *)
+
+(* One routine that fires every precision check, each way it can: a
+   non-polynomial and a sign-unknown step, a non-affine subscript, unknown
+   calls in an expression and as a statement. *)
+let precision_fixture =
+  "subroutine s(x, n, k, st)\n  integer n, k, i\n  integer st(10)\n  real x(100)\n\
+  \  do i = 1, n, st(1)\n    x(i * i) = 1.0\n  end do\n\
+  \  do i = 1, n, k\n    x(2) = x(2) + other(x(1))\n  end do\n  call mystery(x)\nend\n"
+
+let tagged_routines () =
+  let dir = List.find Sys.file_exists [ "../samples"; "samples" ] in
+  let read f =
+    let ic = open_in_bin (Filename.concat dir f) in
+    Fun.protect ~finally:(fun () -> close_in ic) (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".pf")
+  |> List.sort compare |> List.map read
+  |> List.cons precision_fixture
+  |> List.concat_map (fun src -> Typecheck.check_program (Parser.parse_program src))
+
+(* ranges off, intervals, product *)
+let range_settings =
+  [ ("ranges off", false, None); ("intervals", true, None);
+    ("product", true, Some Pperf_absint.Absint.Product) ]
+
+let test_severity_tags () =
+  List.iter
+    (fun (c : Typecheck.checked) ->
+      List.iter
+        (fun (setting, ranges, domain) ->
+          let ctx =
+            { Checks.default_ctx with
+              ranges = (if ranges then Some (Pperf_absint.Absint.analyze ?domain c) else None) }
+          in
+          List.iter
+            (fun (check : Checks.check) ->
+              List.iter
+                (fun (d : Diagnostic.t) ->
+                  if not (List.mem d.severity check.emits) then
+                    Alcotest.failf "%s (%s): %s returned an untagged %s diagnostic"
+                      c.routine.rname setting check.id (Diagnostic.severity_to_string d.severity))
+                (check.run ctx c))
+            Checks.registry)
+        range_settings)
+    (tagged_routines ())
+
+let test_precision_only_pass () =
+  let fired = ref [] in
+  List.iter
+    (fun (c : Typecheck.checked) ->
+      let only = Lint.run_precision c in
+      fired := List.map (fun (d : Diagnostic.t) -> d.check) only @ !fired;
+      List.iter
+        (fun (setting, ranges, domain) ->
+          if only <> Lint.precision (Lint.run_checked ~ranges ?domain c) then
+            Alcotest.failf "%s (%s): the precision-only pass differs from the full registry's"
+              c.routine.rname setting)
+        range_settings)
+    (tagged_routines ());
+  Alcotest.(check (list string)) "every precision check fired"
+    [ "bad-step"; "non-affine-subscript"; "unknown-call" ]
+    (List.sort_uniq compare !fired)
+
 (* ---- pipeline wiring ---- *)
 
 let predict src = Pperf_core.Predict.of_source ~machine src
@@ -297,6 +362,11 @@ let () =
           Alcotest.test_case "exit codes" `Quick test_exit_codes;
           Alcotest.test_case "dedupe" `Quick test_dedupe;
           Alcotest.test_case "json escaping" `Quick test_json_escaping;
+        ] );
+      ( "tags",
+        [
+          Alcotest.test_case "severities within tags" `Quick test_severity_tags;
+          Alcotest.test_case "precision-only pass" `Quick test_precision_only_pass;
         ] );
       ( "pipeline",
         [
