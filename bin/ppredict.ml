@@ -1,14 +1,12 @@
 (* ppredict: command-line driver for the performance prediction framework.
 
    The query subcommands are built from Pperf_server.Query's rows and
-   run the same code as the server verbs of the same names; the others
-   are written out below. Every subcommand reports failure through
-   Query's exception table. *)
+   run the same code as the server verbs of the same names; [search] and
+   the service subcommands are written out below. Every query subcommand
+   and [search] report failure through Query's exception table. *)
 
 open Cmdliner
 open Pperf_lang
-open Pperf_machine
-open Pperf_sched
 open Pperf_core
 module Query = Pperf_server.Query
 module Options = Pperf_server.Options
@@ -59,15 +57,10 @@ let with_telemetry ~stats ~trace f =
   if stats then print_string (Pperf_obs.Obs.to_json () ^ "\n");
   code
 
-let handle_code f =
+let handle f =
   try f () with e ->
     Printf.eprintf "%s\n" (Query.cli_message e);
     1
-
-let handle f =
-  handle_code (fun () ->
-      f ();
-      0)
 
 (* ---- the query subcommands ---- *)
 
@@ -99,8 +92,12 @@ let query_cmd (q : Query.t) =
     | _ -> Term.const q
   in
   let machine =
-    if q.machine then Term.(const (fun spec () -> Pperf_server.Machines.load spec) $ machine_arg)
-    else Term.const (fun () -> Machine.power1)
+    match q.machine with
+    | Query.No_machine -> Term.const "power1"
+    | Query.Machine_option -> machine_arg
+    | Query.Machine_positional ->
+      let doc = "machine name or file" in
+      Arg.(value & pos (List.length q.sources) string "power1" & info [] ~docv:"MACHINE" ~doc)
   in
   let stats = if q.stats then stats_arg else Term.const false in
   let sources =
@@ -109,9 +106,9 @@ let query_cmd (q : Query.t) =
       (List.mapi file_arg q.sources) (Term.const [])
   in
   let run row machine (options : Options.t) stats sources =
-    handle_code (fun () ->
+    handle (fun () ->
         with_telemetry ~stats ~trace:options.trace (fun () ->
-            let machine = machine () in
+            let machine = Pperf_server.Machines.load machine in
             let sources = List.map Query.source_text sources in
             let p = Query.run row options machine sources in
             List.iter (Printf.eprintf "warning: %s\n%!") p.warnings;
@@ -121,45 +118,6 @@ let query_cmd (q : Query.t) =
   Cmd.v
     (Cmd.info (Query.name q) ~doc:q.doc)
     Term.(const run $ row $ machine $ options_term q.flags $ stats $ sources)
-
-(* ---- schedule ---- *)
-
-let schedule_cmd =
-  let run mspec file =
-    handle (fun () ->
-        let machine = Pperf_server.Machines.load mspec in
-        let checked = Typecheck.check_program (Parser.parse_program (Query.source_text file)) in
-        List.iter
-          (fun (c : Typecheck.checked) ->
-            Format.printf "routine %s:@." c.routine.rname;
-            List.iter
-              (fun (loops, body) ->
-                let loop_vars = List.map (fun (l : Analysis.loop_ctx) -> l.lvar) loops in
-                let assigned = Analysis.assigned_vars c.routine.body in
-                let invariants =
-                  Analysis.SSet.diff
-                    (Analysis.SSet.union (Analysis.used_vars c.routine.body) assigned)
-                    assigned
-                in
-                let res =
-                  Pperf_translate.Translator.translate_block ~machine ~symtab:c.symbols
-                    ~loop_vars ~invariants body
-                in
-                Format.printf "@.innermost block under loops [%s]:@.%a@."
-                  (String.concat "," loop_vars) Dag.pp res.body;
-                let bins = Bins.create machine in
-                let s = Bins.drop_dag bins res.body in
-                Format.printf "%a@." Bins.pp bins;
-                Format.printf
-                  "cost %d cycles | critical path %d | operation count %d | reference %d@."
-                  s.cost (Dag.critical_path res.body)
-                  (Bins.Opcount.cost res.body)
-                  (Pperf_backend.Pipeline.reference_cycles machine res.body))
-              (Analysis.innermost_bodies c.routine.body))
-          checked)
-  in
-  let doc = "Show the translated atomic operations and their bin schedule." in
-  Cmd.v (Cmd.info "schedule" ~doc) Term.(const run $ machine_arg $ file_arg 0 "FILE")
 
 (* ---- search ---- *)
 
@@ -185,99 +143,12 @@ let search_cmd =
               Format.printf "  %s at %a: %a@." b.action Pperf_transform.Transformations.pp_path
                 b.at Pperf_lint.Diagnostic.pp_short b.why)
             out.blocked);
-        Format.printf "@.%s" (Pp_ast.routine_to_string out.best.routine))
+        Format.printf "@.%s" (Pp_ast.routine_to_string out.best.routine);
+        0)
   in
   let doc = "Performance-guided automatic restructuring (A*-style search)." in
   Cmd.v (Cmd.info "search" ~doc)
     Term.(const run $ machine_arg $ options_term [ Options.Flag.memory ] $ file_arg 0 "FILE")
-
-(* ---- report ---- *)
-
-let report_cmd =
-  let run mspec (opts : Options.t) file =
-    handle (fun () ->
-        let machine = Pperf_server.Machines.load mspec in
-        let options = Options.to_aggregate opts in
-        let env = Pperf_server.Render.range_env opts.range in
-        List.iter
-          (fun checked ->
-            let r = Report.generate ~options ~env ~machine checked in
-            Format.printf "%a@." Report.pp r)
-          (Typecheck.check_program (Parser.parse_program (Query.source_text file))))
-  in
-  let doc = "Full prediction report: expression, unknowns, sensitivity, hot spots." in
-  Cmd.v (Cmd.info "report" ~doc)
-    Term.(const run $ machine_arg $ options_term Options.Flag.[ memory; range ] $ file_arg 0 "FILE")
-
-(* ---- deps ---- *)
-
-let deps_cmd =
-  let run file =
-    handle (fun () ->
-        let checked = Typecheck.check_program (Parser.parse_program (Query.source_text file)) in
-        List.iter
-          (fun (c : Typecheck.checked) ->
-            Format.printf "routine %s:@." c.routine.rname;
-            let deps = Depend.dependences_in c.routine.body in
-            if deps = [] then Format.printf "  no data dependences@."
-            else
-              List.iter
-                (fun (d : Depend.dependence) ->
-                  Format.printf "  %a  (line %d -> line %d)@." Depend.pp_dependence d
-                    d.src.Analysis.at.Srcloc.line d.dst.Analysis.at.Srcloc.line)
-                deps;
-            (* interchange legality of each outer perfect nest *)
-            Ast.iter_stmts
-              (fun s ->
-                match s.Ast.kind with
-                | Ast.Do d when (match d.body with [ { kind = Ast.Do _; _ } ] -> true | _ -> false) ->
-                  Format.printf "  nest at line %d: interchange %s@." s.loc.Srcloc.line
-                    (if Depend.interchange_legal d then "legal" else "ILLEGAL")
-                | _ -> ())
-              c.routine.body)
-          checked)
-  in
-  let doc = "Report data dependences and interchange legality." in
-  Cmd.v (Cmd.info "deps" ~doc) Term.(const run $ file_arg 0 "FILE")
-
-(* ---- run (interpreter + profile) ---- *)
-
-let run_cmd =
-  let run mspec (opts : Options.t) file =
-    handle (fun () ->
-        let machine = Pperf_server.Machines.load mspec in
-        let bindings = Pperf_server.Render.parse_bindings opts.eval in
-        let args =
-          List.map (fun (v, f) ->
-              (v, if Float.is_integer f then Pperf_exec.Interp.VInt (int_of_float f)
-                  else Pperf_exec.Interp.VReal f))
-            bindings
-        in
-        let src = Query.source_text file in
-        let res = Pperf_exec.Interp.run_source ~machine ~args src in
-        Format.printf "dynamic cycles: %.0f@." res.cycles;
-        Format.printf "profile:@.%a" Pperf_exec.Interp.Profile.pp res.profile;
-        (* compare with the static prediction at the same bindings *)
-        let p = Predict.of_source ~machine src in
-        let static = Predict.eval p bindings in
-        Format.printf "static prediction %a = %.0f (%.2f%% from dynamic)@." Predict.pp p static
-          (100.0 *. Float.abs (static -. res.cycles) /. Float.max 1.0 res.cycles))
-  in
-  let doc = "Interpret the program, profile it, and validate the static prediction." in
-  Cmd.v (Cmd.info "run" ~doc)
-    Term.(const run $ machine_arg $ options_term [ Options.Flag.eval ] $ file_arg 0 "FILE")
-
-(* ---- machine ---- *)
-
-let machine_cmd =
-  let run mspec =
-    handle (fun () ->
-        let m = Pperf_server.Machines.load mspec in
-        print_string (Descr.to_string m))
-  in
-  let doc = "Print a machine description in the portable textual format." in
-  let spec = Arg.(value & pos 0 string "power1" & info [] ~docv:"MACHINE" ~doc:"machine name or file") in
-  Cmd.v (Cmd.info "machine" ~doc) Term.(const run $ spec)
 
 (* ---- batch / serve ---- *)
 
@@ -421,9 +292,8 @@ let serve_cmd =
   in
   let sched_arg =
     let doc =
-      "Scheduling policy of the worker shards: $(b,fifo) (admission order), \
-       $(b,lifo) (newest first), or $(b,ws) (fifo plus work stealing of \
-       affinity-free requests by idle shards)."
+      "Scheduling policy of the worker shards: $(b,fifo) (admission order) or \
+       $(b,lifo) (newest first)."
     in
     Arg.(value & opt sched_conv (module Pperf_fleet.Sched.Fifo : Pperf_fleet.Sched.POLICY)
          & info [ "sched" ] ~docv:"POLICY" ~doc)
@@ -541,6 +411,5 @@ let loadgen_cmd =
 let () =
   let doc = "compile-time performance prediction for superscalar machines" in
   let info = Cmd.info "ppredict" ~version:"1.0.0" ~doc in
-  let others = [ schedule_cmd; search_cmd; run_cmd; deps_cmd; report_cmd; machine_cmd ] in
   let service = [ batch_cmd; serve_cmd; loadgen_cmd ] in
-  exit (Cmd.eval' (Cmd.group info (List.map query_cmd Query.all @ others @ service)))
+  exit (Cmd.eval' (Cmd.group info (List.map query_cmd Query.all @ (search_cmd :: service))))

@@ -152,7 +152,7 @@ def shutdown(proc, port, timeout=30):
 
 # ---- 1. main storm -------------------------------------------------
 
-proc, port = start_daemon(["--jobs", "4", "--sched", "ws"])
+proc, port = start_daemon(["--jobs", "4"])
 s = loadgen(port, REQUESTS)
 if not s.get("pass") or s["_exit"] != 0:
     err(f"main storm failed: {json.dumps(s)}")
@@ -185,14 +185,14 @@ print(f"load gate 1/4: {s['responses']}/{REQUESTS} answered, "
 
 # ---- 2. affinity beats --no-affinity -------------------------------
 
-proc, port = start_daemon(["--jobs", "4", "--sched", "ws"])
+proc, port = start_daemon(["--jobs", "4"])
 sa = loadgen(port, BASELINE_REQUESTS, seed=7)
 rate_affinity = warm_hit_rate(scrape_metrics(port))
 shutdown(proc, port)
 if not sa.get("pass"):
     err(f"affinity storm failed: {json.dumps(sa)}")
 
-proc, port = start_daemon(["--jobs", "4", "--sched", "ws", "--no-affinity"])
+proc, port = start_daemon(["--jobs", "4", "--no-affinity"])
 sb = loadgen(port, BASELINE_REQUESTS, seed=7)
 rate_baseline = warm_hit_rate(scrape_metrics(port))
 shutdown(proc, port)

@@ -6,7 +6,6 @@ module Translator = Pperf_translate.Translator
 module Memcost = Pperf_memcost.Memcost
 module Diagnostic = Pperf_lint.Diagnostic
 module Obs = Pperf_obs.Obs
-module SSet = Analysis.SSet
 
 let sp_bounds = Obs.span "bounds"
 let c_nests = Obs.counter "bounds.nests"
@@ -328,10 +327,7 @@ let analyze_nest ~machine ~include_memory ~bindings ~symtab ~invariants
 
 let analyze_stmts ~machine ?(include_memory = false) ?(bindings = []) ~symtab body =
   Obs.time sp_bounds @@ fun () ->
-  let assigned = Analysis.assigned_vars body in
-  let invariants =
-    SSet.diff (SSet.union (Analysis.used_vars body) assigned) assigned
-  in
+  let invariants = Analysis.invariant_vars body in
   let nests =
     List.filter_map
       (analyze_nest ~machine ~include_memory ~bindings ~symtab ~invariants)

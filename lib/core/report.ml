@@ -30,18 +30,13 @@ type t = {
 }
 
 let hotspots ~machine ~options (checked : Typecheck.checked) =
+  let invariants = Analysis.invariant_vars checked.routine.body in
   List.filter_map
     (fun (loops, body) ->
       match body with
       | [] -> None
       | first :: _ ->
         let loop_vars = List.map (fun (l : Analysis.loop_ctx) -> l.lvar) loops in
-        let assigned = Analysis.assigned_vars checked.routine.body in
-        let invariants =
-          Analysis.SSet.diff
-            (Analysis.SSet.union (Analysis.used_vars checked.routine.body) assigned)
-            assigned
-        in
         (match
            Pperf_translate.Translator.translate_block ~machine
              ~flags:options.Aggregate.flags ~symtab:checked.symbols ~loop_vars ~invariants

@@ -94,9 +94,17 @@ type state = {
   mutable next_activation : int;
       (** loop-entry counter; each [do] entry gets a fresh id, which is the
           key under which its body's hoisted (one-time) costs are charged *)
+  mutable elements : int;  (** array elements allocated so far, all frames *)
+  mutable depth : int;  (** calls in progress *)
 }
 
 let max_steps = 50_000_000
+
+(* array elements one run may allocate over all its frames: 400 MB of reals *)
+let max_elements = 50_000_000
+
+(* calls one run may nest, recursion included *)
+let max_depth = 1_000
 
 let budget st loc =
   st.steps <- st.steps + 1;
@@ -225,7 +233,10 @@ and call_routine st loc f vargs =
       with Invalid_argument _ -> err loc "arity mismatch calling %s" f
     in
     let named = List.map (fun (p, v) -> (p, v)) bindings in
+    if st.depth >= max_depth then err loc "call to %s nested deeper than %d calls" f max_depth;
+    st.depth <- st.depth + 1;
     let res = exec_routine st callee named in
+    st.depth <- st.depth - 1;
     match res with Some v -> v | None -> VInt 0)
 
 (* ---- arrays ---- *)
@@ -514,42 +525,47 @@ and make_frame st (checked : Typecheck.checked) (args : (string * value) list) =
         let v = match List.assoc_opt name args with Some v -> v | None -> default in
         Hashtbl.replace frame.scalars name v))
     (Typecheck.symbols_list checked.symbols);
-  (* arrays: evaluate extents under the scalar bindings *)
+  (* arrays: evaluate extents under the scalar bindings and charge each
+     array to the run's budget, all before allocating any. An extent is
+     checked against what the run has left before it multiplies the size,
+     so neither the product nor the sum can overflow past the check *)
+  let int_of e = as_int Srcloc.dummy (eval st frame Srcloc.dummy e) in
+  let shapes =
+    List.filter_map
+      (fun (name, sym) ->
+        if sym.Typecheck.dims = [] then None
+        else
+          let bounds =
+            List.map
+              (fun (dim : Ast.array_dim) ->
+                let lo = match dim.dim_lo with None -> 1 | Some e -> int_of e in
+                let hi = int_of dim.dim_hi in
+                let n = hi - lo + 1 in
+                (lo, if hi >= lo && n <= 0 then max_int (* overflowed *) else max 0 n))
+              sym.dims
+          in
+          let extents = Array.of_list (List.map snd bounds) in
+          let left = max_elements - st.elements in
+          let check n e =
+            if n > left / e then
+              err Srcloc.dummy
+                "routine %s: array %s takes the run past its budget of %d array elements (%d taken)"
+                checked.routine.rname name max_elements st.elements;
+            n * e
+          in
+          let size = if Array.mem 0 extents then 0 else Array.fold_left check 1 extents in
+          st.elements <- st.elements + size;
+          let lows = Array.of_list (List.map fst bounds) in
+          Some (name, { ty = sym.ty; lows; extents; fdata = [||]; idata = [||] }, size))
+      (Typecheck.symbols_list checked.symbols)
+  in
   List.iter
-    (fun (name, sym) ->
-      if sym.Typecheck.dims <> [] then (
-        let eval_int_expr e =
-          let loc = Srcloc.dummy in
-          as_int loc (eval st frame loc e)
-        in
-        let lows =
-          List.map
-            (fun (dim : Ast.array_dim) ->
-              match dim.dim_lo with None -> 1 | Some e -> eval_int_expr e)
-            sym.dims
-          |> Array.of_list
-        in
-        let extents =
-          List.map
-            (fun (dim : Ast.array_dim) ->
-              let hi = eval_int_expr dim.dim_hi in
-              let lo = match dim.dim_lo with None -> 1 | Some e -> eval_int_expr e in
-              max 0 (hi - lo + 1))
-            sym.dims
-          |> Array.of_list
-        in
-        let size = Array.fold_left ( * ) 1 extents in
-        if size > 50_000_000 then
-          raise (Runtime_error (Printf.sprintf "array %s too large (%d elems)" name size, Srcloc.dummy));
-        let arr =
-          match sym.ty with
-          | Ast.Treal | Ast.Tdouble ->
-            { ty = sym.ty; lows; extents; fdata = Array.make size 0.0; idata = [||] }
-          | Ast.Tint | Ast.Tlogical ->
-            { ty = sym.ty; lows; extents; fdata = [||]; idata = Array.make size 0 }
-        in
-        Hashtbl.replace frame.arrays name arr))
-    (Typecheck.symbols_list checked.symbols);
+    (fun (name, arr, size) ->
+      Hashtbl.replace frame.arrays name
+        (match arr.ty with
+         | Ast.Treal | Ast.Tdouble -> { arr with fdata = Array.make size 0.0 }
+         | Ast.Tint | Ast.Tlogical -> { arr with idata = Array.make size 0 }))
+    shapes;
   frame
 
 and exec_routine st (checked : Typecheck.checked) (args : (string * value) list) :
@@ -584,6 +600,8 @@ let run ~machine ?(options = Pperf_core.Aggregate.default_options) ?(args = [])
       cond_costs = Hashtbl.create 16;
       charged_one_time = Hashtbl.create 64;
       next_activation = 0;
+      elements = 0;
+      depth = 0;
     }
   in
   let frame = make_frame st checked args in
@@ -605,7 +623,10 @@ let run ~machine ?(options = Pperf_core.Aggregate.default_options) ?(args = [])
     scalars = Hashtbl.fold (fun k v acc -> (k, v) :: acc) frame.scalars [];
   }
 
-let run_source ~machine ?options ?args src =
-  match Typecheck.check_program (Parser.parse_program src) with
+let split_program = function
   | [] -> failwith "empty program"
-  | main :: rest -> run ~machine ?options ?args ~program:rest main
+  | main :: rest -> (main, rest)
+
+let run_source ~machine ?options ?args src =
+  let main, program = split_program (Typecheck.check_program (Parser.parse_program src)) in
+  run ~machine ?options ?args ~program main

@@ -68,7 +68,13 @@ val run :
     [call] statements and user function calls.
 
     @raise Runtime_error on out-of-bounds accesses, missing routines,
-    division by zero, or non-terminating suspicion (iteration budget). *)
+    division by zero, non-terminating suspicion (iteration budget), a frame
+    whose arrays would take the run past 50,000,000 elements over all its
+    frames (checked before any is allocated), or calls nested past 1,000. *)
+
+val split_program : Typecheck.checked list -> Typecheck.checked * Typecheck.checked list
+(** The unit a run interprets (the first) and its callees (the rest).
+    @raise Failure on an empty program. *)
 
 val run_source :
   machine:Machine.t ->
@@ -76,5 +82,5 @@ val run_source :
   ?args:(string * value) list ->
   string ->
   result
-(** Parse, check and {!run} the first routine of the source; remaining
-    routines are callable. *)
+(** Parse, check and {!run} the source's units as {!split_program}
+    divides them. *)

@@ -17,7 +17,7 @@
    request order on the way out. All queue state sits under one
    scheduler lock — queue operations are a few list cells, evaluation is
    micro- to milliseconds, so a single lock is contention-free at fleet
-   scale and makes admission + routing + stealing atomic. *)
+   scale and makes admission + routing atomic. *)
 
 module Engine = Pperf_server.Engine
 module Protocol = Pperf_server.Protocol
@@ -36,7 +36,6 @@ let g_queue_depth = Obs.gauge "fleet.queue.depth"
 let g_inflight = Obs.gauge "fleet.inflight"
 let g_connections = Obs.gauge "fleet.connections.active"
 let c_pops = Obs.counter "sched.pops"
-let c_steals = Obs.counter "sched.steals"
 
 type config = {
   jobs : int;
@@ -81,7 +80,6 @@ module Core = struct
     room : Condition.t;  (** signalled on pop and on stop *)
     idle : Condition.t;  (** signalled when queued + in-flight reaches 0 *)
     queues : item Sched.t array;
-    mutable next_seq : int;  (** global admission order, feeds Sched *)
     mutable queued : int;
     mutable in_flight : int;
     mutable stopping : bool;
@@ -137,28 +135,11 @@ module Core = struct
             | Some it ->
               Obs.incr c_pops;
               Some it
-            | None -> (
-              (* own queue empty: steal (policy-permitting) before sleeping *)
-              let n = Array.length t.queues in
-              let stolen = ref None in
-              (try
-                 for d = 1 to n - 1 do
-                   match P.steal t.queues.((shard + d) mod n) with
-                   | Some it ->
-                     stolen := Some it;
-                     raise Exit
-                   | None -> ()
-                 done
-               with Exit -> ());
-              match !stolen with
-              | Some it ->
-                Obs.incr c_steals;
-                Some it
-              | None ->
-                if t.stopping then None
-                else (
-                  Condition.wait t.work t.lock;
-                  get ()))
+            | None ->
+              if t.stopping then None
+              else (
+                Condition.wait t.work t.lock;
+                get ())
           in
           match get () with
           | None -> None
@@ -200,7 +181,6 @@ module Core = struct
         room = Condition.create ();
         idle = Condition.create ();
         queues = Array.init cfg.jobs (fun _ -> Sched.create ());
-        next_seq = 0;
         queued = 0;
         in_flight = 0;
         stopping = false;
@@ -224,21 +204,22 @@ module Core = struct
           Obs.incr c_rejected;
           Error (retry_after_ms t))
         else (
-          let seq = t.next_seq in
-          t.next_seq <- seq + 1;
-          (match key with
-          | Some k when t.cfg.affinity ->
-            Obs.incr c_routed_affinity;
-            Sched.push_bound t.queues.(shard_of_key t k) ~seq { run }
-          | _ ->
-            Obs.incr c_routed_free;
-            Sched.push_free t.queues.(least_loaded t) ~seq { run });
+          let shard =
+            match key with
+            | Some k when t.cfg.affinity ->
+              Obs.incr c_routed_affinity;
+              shard_of_key t k
+            | _ ->
+              Obs.incr c_routed_free;
+              least_loaded t
+          in
+          Sched.push t.queues.(shard) { run };
           t.queued <- t.queued + 1;
           Obs.incr c_admitted;
           Obs.add_gauge g_queue_depth 1;
-          (* broadcast, not signal: a signal could wake only a shard that
-             cannot run this item (bound work is not stealable), losing
-             the wakeup while the home shard sleeps *)
+          (* broadcast, not signal: only this item's shard can run it, and
+             a signal could wake another shard instead, losing the wakeup
+             while this one sleeps *)
           Condition.broadcast t.work;
           Ok ()))
 

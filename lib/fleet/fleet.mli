@@ -9,10 +9,10 @@
     the shard, so repeat queries for the same kernel land on the same
     domain and hit its warm per-domain incremental predictor. Requests
     with no source (ping/stats/metrics, or with [affinity = false]) are
-    {e affinity-free}: they go to the least-loaded shard and — under
-    [--sched ws] — may be stolen by idle shards. Admission is bounded at
-    [max_queue] queued requests; what happens beyond it is the
-    transport's {!admission} choice.
+    {e affinity-free}: they go to the least-loaded shard. A shard runs
+    only its own queue, in the order its {!Sched} policy picks. Admission
+    is bounded at [max_queue] queued requests; what happens beyond it is
+    the transport's {!admission} choice.
 
     Responses leave each session in request order (one {!Sequencer} per
     session) and every request is answered exactly once. Deadlines are

@@ -232,7 +232,7 @@ let draw rng ~hot ~files ~id =
         flags [ ("eval", Json.List [ Json.String (Printf.sprintf "N=%d" k) ]) ] ]
       Eok
   else if r < 88 then
-    (* control-plane: affinity-free traffic, stealable under ws *)
+    (* control-plane: affinity-free traffic, placed on the least-loaded shard *)
     case [ ("verb", Json.String (if r land 1 = 0 then "ping" else "stats")) ] Eok
   else if r < 94 then
     (* deadline churn: near-zero budgets race the queue; rejected-late and

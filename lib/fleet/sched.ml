@@ -1,114 +1,64 @@
-(* Shard-local two-class run queues (affinity-bound vs affinity-free)
-   plus the scheduling policies that pick from them. Policies are
-   first-class modules so `--sched {fifo,lifo,ws}` is a table lookup and
-   a new discipline is one more module, not a new match arm in the core.
+(* Shard-local run queues plus the scheduling policies that pick from
+   them. Policies are first-class modules so `--sched {fifo,lifo}` is a
+   table lookup and a new discipline is one more module, not a new match
+   arm in the core.
 
    No locking here: the fleet core owns synchronisation. *)
 
-(* amortised-O(1) deque: push at the back, pop (and peek) at both ends;
-   elements are (admission seq, payload) so policies can order across
-   the bound/free pair of deques *)
-type 'a dq = {
-  mutable front : (int * 'a) list;
-  mutable back : (int * 'a) list;  (** reversed *)
+(* amortised-O(1) deque: push at the back, pop at both ends *)
+type 'a t = {
+  mutable front : 'a list;
+  mutable back : 'a list;  (** reversed *)
   mutable len : int;
 }
 
-let dq_create () = { front = []; back = []; len = 0 }
+let create () = { front = []; back = []; len = 0 }
+let length q = q.len
 
-let dq_push_back d seq x =
-  d.back <- (seq, x) :: d.back;
-  d.len <- d.len + 1
+let push q x =
+  q.back <- x :: q.back;
+  q.len <- q.len + 1
 
-let dq_norm_front d =
-  if d.front = [] then (
-    d.front <- List.rev d.back;
-    d.back <- [])
-
-let dq_norm_back d =
-  if d.back = [] then (
-    d.back <- List.rev d.front;
-    d.front <- [])
-
-let dq_peek_front d =
-  dq_norm_front d;
-  match d.front with [] -> None | (seq, _) :: _ -> Some seq
-
-let dq_peek_back d =
-  dq_norm_back d;
-  match d.back with [] -> None | (seq, _) :: _ -> Some seq
-
-let dq_pop_front d =
-  dq_norm_front d;
-  match d.front with
+let pop_front q =
+  if q.front = [] then (
+    q.front <- List.rev q.back;
+    q.back <- []);
+  match q.front with
   | [] -> None
-  | (_, x) :: tl ->
-    d.front <- tl;
-    d.len <- d.len - 1;
+  | x :: tl ->
+    q.front <- tl;
+    q.len <- q.len - 1;
     Some x
 
-let dq_pop_back d =
-  dq_norm_back d;
-  match d.back with
+let pop_back q =
+  if q.back = [] then (
+    q.back <- List.rev q.front;
+    q.front <- []);
+  match q.back with
   | [] -> None
-  | (_, x) :: tl ->
-    d.back <- tl;
-    d.len <- d.len - 1;
+  | x :: tl ->
+    q.back <- tl;
+    q.len <- q.len - 1;
     Some x
-
-type 'a t = { bound : 'a dq; free : 'a dq }
-
-let create () = { bound = dq_create (); free = dq_create () }
-let length q = q.bound.len + q.free.len
-let push_bound q ~seq x = dq_push_back q.bound seq x
-let push_free q ~seq x = dq_push_back q.free seq x
-
-(* oldest across both classes: compare the head admission seqs *)
-let take_oldest q =
-  match (dq_peek_front q.bound, dq_peek_front q.free) with
-  | None, None -> None
-  | Some _, None -> dq_pop_front q.bound
-  | None, Some _ -> dq_pop_front q.free
-  | Some b, Some f -> if b <= f then dq_pop_front q.bound else dq_pop_front q.free
-
-let take_newest q =
-  match (dq_peek_back q.bound, dq_peek_back q.free) with
-  | None, None -> None
-  | Some _, None -> dq_pop_back q.bound
-  | None, Some _ -> dq_pop_back q.free
-  | Some b, Some f -> if b >= f then dq_pop_back q.bound else dq_pop_back q.free
 
 module type POLICY = sig
   val name : string
   val take : 'a t -> 'a option
-  val steal : 'a t -> 'a option
 end
 
 module Fifo = struct
   let name = "fifo"
-  let take = take_oldest
-  let steal _ = None
+  let take = pop_front
 end
 
 module Lifo = struct
   let name = "lifo"
-  let take = take_newest
-  let steal _ = None
-end
-
-module Ws = struct
-  let name = "ws"
-  let take = take_oldest
-
-  (* steal the oldest affinity-free item only: bound work stays on the
-     shard whose domain holds its warm incremental predictor *)
-  let steal q = dq_pop_front q.free
+  let take = pop_back
 end
 
 type policy = (module POLICY)
 
-let all : (string * policy) list =
-  [ ("fifo", (module Fifo)); ("lifo", (module Lifo)); ("ws", (module Ws)) ]
+let all : (string * policy) list = [ ("fifo", (module Fifo)); ("lifo", (module Lifo)) ]
 
 let of_string s =
   match List.assoc_opt (String.lowercase_ascii s) all with

@@ -1,17 +1,12 @@
 (** Per-shard run queues and pluggable scheduling policies for the fleet.
 
-    Each shard owns one {!t}: a pair of bounded-front deques separating
-    {e affinity-bound} items (routed here because their cache key hashes
-    to this shard — moving them would cool a warm per-domain incremental
-    predictor) from {e affinity-free} items (no source to be warm for:
-    ping/stats/metrics, or affinity disabled). Items carry the global
-    admission sequence number, so policies can order across the two
-    classes exactly.
+    Each shard owns one {!t} and runs only what is queued on it: a
+    request whose cache key hashes to the shard (so it meets the shard
+    domain's warm incremental predictor), or, with no key to follow, one
+    the core placed on the least-loaded shard.
 
-    A policy is a first-class module ({!POLICY}): [take] picks the next
-    item for the owning shard, [steal] removes work on behalf of
-    {e another} shard. Only [ws] steals, and it steals only affinity-free
-    items — bound work never migrates off its home shard.
+    A policy is a first-class module ({!POLICY}) whose [take] picks the
+    owning shard's next item.
 
     Queues are not internally synchronised; the fleet core serialises all
     access under its scheduler lock. *)
@@ -21,39 +16,30 @@ type 'a t
 val create : unit -> 'a t
 
 val length : 'a t -> int
-(** Total queued items, both classes. *)
+(** Queued items. *)
 
-val push_bound : 'a t -> seq:int -> 'a -> unit
-val push_free : 'a t -> seq:int -> 'a -> unit
+val push : 'a t -> 'a -> unit
+(** Queue an item behind every item already queued. *)
 
-(** A scheduling discipline over one shard's two-class queue. *)
+(** A scheduling discipline over one shard's queue. *)
 module type POLICY = sig
   val name : string
 
   val take : 'a t -> 'a option
   (** Next item for the shard that owns this queue. *)
-
-  val steal : 'a t -> 'a option
-  (** Remove an item on behalf of an idle {e other} shard; [None] when
-      the policy forbids migration or nothing is stealable. *)
 end
 
 module Fifo : POLICY
-(** Globally oldest-first (admission order across both classes); never
-    steals. [--sched fifo --jobs 1] is the deterministic baseline. *)
+(** Oldest first, in admission order. [--sched fifo --jobs 1] is the
+    deterministic baseline. *)
 
 module Lifo : POLICY
-(** Newest-first; never steals. *)
-
-module Ws : POLICY
-(** FIFO locally; an idle shard steals the oldest {e affinity-free} item
-    from a busy peer. Affinity-bound work stays home so warm predictors
-    stay warm. *)
+(** Newest first. *)
 
 type policy = (module POLICY)
 
 val all : (string * policy) list
-(** Selection table for the CLI: [fifo], [lifo], [ws]. *)
+(** Selection table for the CLI: [fifo], [lifo]. *)
 
 val of_string : string -> (policy, string) result
 val name : policy -> string

@@ -104,6 +104,8 @@ let used_vars stmts =
     stmts;
   !acc
 
+let invariant_vars stmts = SSet.diff (used_vars stmts) (assigned_vars stmts)
+
 let loop_indices stmts =
   let acc = ref SSet.empty in
   Ast.iter_stmts

@@ -31,6 +31,10 @@ val assigned_vars : Ast.stmt list -> SSet.t
 val used_vars : Ast.stmt list -> SSet.t
 (** Scalars and arrays read. *)
 
+val invariant_vars : Ast.stmt list -> SSet.t
+(** [used_vars \ assigned_vars]: what the fragment reads but never
+    writes, which every block inside it may treat as loop-invariant. *)
+
 val expr_reads : Ast.expr -> SSet.t
 
 val loop_indices : Ast.stmt list -> SSet.t

@@ -198,7 +198,7 @@ let answer t (req : Protocol.request) (q : Query.t) =
     else
       let digest = Option.fold ~none:"" ~some:Digest.string in
       let sources = Digest.string (String.concat "" (List.map digest srcs) ^ q.inputs ()) in
-      let machine = if q.machine then Machines.hash machine else "" in
+      let machine = if q.machine = Query.No_machine then "" else Machines.hash machine in
       Some
         (Digest.string
            (String.concat "\x00"

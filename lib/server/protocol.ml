@@ -11,6 +11,7 @@
 
 type verb =
   | Predict | Compare | Ranges | Lint | Bounds | Machines | Calibrate
+  | Schedule | Report | Deps | Run | Machine
   | Ping | Stats | Metrics | Shutdown
 
 let protocol_version = 1
@@ -23,14 +24,19 @@ let verb_string = function
   | Bounds -> "bounds"
   | Machines -> "machines"
   | Calibrate -> "calibrate"
+  | Schedule -> "schedule"
+  | Report -> "report"
+  | Deps -> "deps"
+  | Run -> "run"
+  | Machine -> "machine"
   | Ping -> "ping"
   | Stats -> "stats"
   | Metrics -> "metrics"
   | Shutdown -> "shutdown"
 
 let all_verbs =
-  [ Predict; Compare; Ranges; Lint; Bounds; Machines; Calibrate; Ping; Stats; Metrics;
-    Shutdown ]
+  [ Predict; Compare; Ranges; Lint; Bounds; Machines; Calibrate; Schedule; Report; Deps;
+    Run; Machine; Ping; Stats; Metrics; Shutdown ]
 
 let verb_of_string s = List.find_opt (fun v -> verb_string v = s) all_verbs
 

@@ -2,14 +2,15 @@
     and [ppredict serve].
 
     One request object per input line; one response object per output
-    line, in request order. Query verbs ([predict], [compare], [ranges],
-    [lint], [bounds]) carry a machine spec, a source (inline text or a
-    file path) and CLI-mirroring flags; their [output] field is
-    byte-identical to the one-shot CLI subcommand's stdout. [machines]
-    (list known machines) and [calibrate] (fit a ports cost model to the
-    request's machine by measurement) take no source; both are cached like
-    the other query verbs. Control verbs: [ping], [stats], [metrics],
-    [shutdown].
+    line, in request order. The query verbs are the rows of {!Query}:
+    [predict], [compare], [ranges], [lint], [bounds], [schedule],
+    [report], [deps] and [run] carry a source (inline text or a file
+    path), a machine spec and CLI-mirroring flags; [machines] (list known
+    machines), [calibrate] (fit a ports cost model to the request's
+    machine by measurement) and [machine] (print the request's machine
+    description) take no source. Every query verb is cached, and its
+    [output] field is byte-identical to the one-shot CLI subcommand's
+    stdout. Control verbs: [ping], [stats], [metrics], [shutdown].
 
     {b Versioning.} Requests may carry an optional top-level [{"v": 1}]
     field; absent means version {!protocol_version}. Any other value is a
@@ -19,6 +20,7 @@
 
 type verb =
   | Predict | Compare | Ranges | Lint | Bounds | Machines | Calibrate
+  | Schedule | Report | Deps | Run | Machine
   | Ping | Stats | Metrics | Shutdown
 
 val protocol_version : int

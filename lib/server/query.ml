@@ -13,11 +13,13 @@ open Pperf_core
 
 type payload = { output : string; warnings : string list; status : int }
 
+type machine_arg = No_machine | Machine_option | Machine_positional
+
 type t = {
   verb : Protocol.verb;
   doc : string;
   sources : string list;
-  machine : bool;
+  machine : machine_arg;
   stats : bool;
   flags : Options.flag list;
   inputs : unit -> string;
@@ -36,7 +38,7 @@ let no_inputs () = ""
 (* a renderer gets exactly as many sources as its row names: the CLI's
    positional arguments, or the server's through [required] *)
 let predict =
-  { verb = Protocol.Predict; sources = [ "FILE" ]; machine = true; stats = true;
+  { verb = Protocol.Predict; sources = [ "FILE" ]; machine = Machine_option; stats = true;
     flags = Options.Flag.[ memory; interproc; ranges; domain; strict; trace; eval ];
     inputs = no_inputs;
     doc = "Predict performance expressions for each routine in a PF file.";
@@ -47,8 +49,8 @@ let predict =
           0 )) }
 
 let compare =
-  { verb = Protocol.Compare; sources = [ "FILE1"; "FILE2" ]; machine = true; stats = true;
-    flags = Options.Flag.[ memory; range; ranges; domain; trace ];
+  { verb = Protocol.Compare; sources = [ "FILE1"; "FILE2" ]; machine = Machine_option;
+    stats = true; flags = Options.Flag.[ memory; range; ranges; domain; trace ];
     inputs = no_inputs;
     doc = "Compare two program variants symbolically.";
     render =
@@ -58,7 +60,7 @@ let compare =
           0 )) }
 
 let bounds =
-  { verb = Protocol.Bounds; sources = [ "FILE" ]; machine = true; stats = true;
+  { verb = Protocol.Bounds; sources = [ "FILE" ]; machine = Machine_option; stats = true;
     flags = Options.Flag.[ memory; json; trace; eval ];
     inputs = no_inputs;
     doc =
@@ -73,7 +75,7 @@ let bounds =
         (Render.bounds ~machine ~memory:o.memory ~json:o.json ~evals:o.eval (List.hd srcs), 0)) }
 
 let lint =
-  { verb = Protocol.Lint; sources = [ "FILE" ]; machine = false; stats = false;
+  { verb = Protocol.Lint; sources = [ "FILE" ]; machine = No_machine; stats = false;
     flags = Options.Flag.[ json; ranges; domain; trace ];
     inputs = no_inputs;
     doc =
@@ -87,7 +89,7 @@ let lint =
         Render.lint ~domain:(Options.domain o) ~json:o.json ~use_ranges:o.ranges (List.hd srcs)) }
 
 let ranges =
-  { verb = Protocol.Ranges; sources = [ "FILE" ]; machine = false; stats = true;
+  { verb = Protocol.Ranges; sources = [ "FILE" ]; machine = No_machine; stats = true;
     flags = Options.Flag.[ json; domain; trace ];
     inputs = no_inputs;
     doc =
@@ -117,7 +119,7 @@ let dir_digest dir =
   else ""
 
 let machines ?(dir = machines_dir) () =
-  { verb = Protocol.Machines; sources = []; machine = false; stats = false; flags = [];
+  { verb = Protocol.Machines; sources = []; machine = No_machine; stats = false; flags = [];
     inputs = (fun () -> dir_digest dir);
     doc =
       "List every known machine — the builtins plus the .pmach files of a \
@@ -126,8 +128,8 @@ let machines ?(dir = machines_dir) () =
     render = (fun ?predictor:_ ~warn:_ _ _ _ -> (Render.machines ~dir (), 0)) }
 
 let calibrate ?tolerance ?out () =
-  { verb = Protocol.Calibrate; sources = []; machine = true; stats = false; flags = [];
-    inputs = no_inputs;
+  { verb = Protocol.Calibrate; sources = []; machine = Machine_option; stats = false;
+    flags = []; inputs = no_inputs;
     doc =
       "Fit an issue-port cost model to a machine by measurement: run \
        microbenchmark kernels through the interpreter, fit port structure, \
@@ -142,7 +144,47 @@ let calibrate ?tolerance ?out () =
           out;
         (Pperf_exec.Calibrate.report r, if r.ok then 0 else 1)) }
 
-let all = [ predict; compare; ranges; lint; bounds; machines (); calibrate () ]
+let schedule =
+  { verb = Protocol.Schedule; sources = [ "FILE" ]; machine = Machine_option; stats = false;
+    flags = []; inputs = no_inputs;
+    doc = "Show the translated atomic operations and their bin schedule.";
+    render =
+      (fun ?predictor:_ ~warn:_ _ machine srcs -> (Render.schedule ~machine (List.hd srcs), 0)) }
+
+let report =
+  { verb = Protocol.Report; sources = [ "FILE" ]; machine = Machine_option; stats = false;
+    flags = Options.Flag.[ memory; range ]; inputs = no_inputs;
+    doc = "Full prediction report: expression, unknowns, sensitivity, hot spots.";
+    render =
+      (fun ?predictor:_ ~warn:_ o machine srcs ->
+        ( Render.report ~machine ~options:(Options.to_aggregate o) ~ranges:o.range
+            (List.hd srcs),
+          0 )) }
+
+let deps =
+  { verb = Protocol.Deps; sources = [ "FILE" ]; machine = No_machine; stats = false; flags = [];
+    inputs = no_inputs;
+    doc = "Report data dependences and interchange legality.";
+    render = (fun ?predictor:_ ~warn:_ _ _ srcs -> (Render.deps (List.hd srcs), 0)) }
+
+let run_verb =
+  { verb = Protocol.Run; sources = [ "FILE" ]; machine = Machine_option; stats = false;
+    flags = Options.Flag.[ eval ]; inputs = no_inputs;
+    doc = "Interpret the program, profile it, and validate the static prediction.";
+    render =
+      (fun ?predictor:_ ~warn:_ o machine srcs ->
+        (Render.run ~machine ~evals:o.eval (List.hd srcs), 0)) }
+
+let machine =
+  { verb = Protocol.Machine; sources = []; machine = Machine_positional; stats = false;
+    flags = []; inputs = no_inputs;
+    doc = "Print a machine description in the portable textual format.";
+    render = (fun ?predictor:_ ~warn:_ _ machine _ -> (Descr.to_string machine, 0)) }
+
+let all =
+  [ predict; compare; ranges; lint; bounds; machines (); calibrate (); schedule; report; deps;
+    run_verb; machine ]
+
 let find verb = List.find_opt (fun q -> q.verb = verb) all
 
 let run ?predictor q options machine sources =

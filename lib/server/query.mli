@@ -15,13 +15,22 @@ type payload = { output : string; warnings : string list; status : int }
 (** [status] is the CLI's exit code (lint: 0/1/2; calibrate: 1 when the
     fit misses its tolerance). *)
 
+(** How a verb takes its machine. A server request names it in its
+    [machine] field whatever the case. *)
+type machine_arg =
+  | No_machine
+      (** the verb never reads the machine, so the result-cache key
+          leaves it out *)
+  | Machine_option  (** the CLI offers [-m MACHINE] *)
+  | Machine_positional
+      (** the CLI takes an optional [MACHINE] argument after the
+          sources ([ppredict machine scalar]) *)
+
 type t = {
   verb : Protocol.verb;
   doc : string;  (** the CLI subcommand's description *)
   sources : string list;  (** one CLI metavariable per PF source taken *)
-  machine : bool;
-      (** the CLI offers [-m]; a row without it never reads the machine,
-          so the result-cache key leaves the machine out *)
+  machine : machine_arg;
   stats : bool;  (** the CLI offers [--stats] *)
   flags : Options.flag list;  (** the options the CLI offers *)
   inputs : unit -> string;

@@ -469,3 +469,109 @@ let lint ?(domain = Pperf_absint.Absint.Box) ~json ~use_ranges src =
     else with_formatter (fun fmt -> Format.fprintf fmt "%a" Pperf_lint.Lint.pp reports)
   in
   (output, Pperf_lint.Lint.exit_code reports)
+
+(* ---- schedule ---- *)
+
+(* every innermost block of every routine, translated and dropped into
+   the bins; a block with control flow in it has no single schedule *)
+let schedule ~machine src =
+  Obs.time sp_render @@ fun () ->
+  let module Translator = Pperf_translate.Translator in
+  let module Dag = Pperf_sched.Dag in
+  let module Bins = Pperf_sched.Bins in
+  with_formatter (fun fmt ->
+      List.iter
+        (fun (c : Typecheck.checked) ->
+          Format.fprintf fmt "routine %s:@." c.routine.rname;
+          let invariants = Analysis.invariant_vars c.routine.body in
+          List.iter
+            (fun (loops, body) ->
+              let loop_vars = List.map (fun (l : Analysis.loop_ctx) -> l.lvar) loops in
+              let under = String.concat "," loop_vars in
+              match
+                Translator.translate_block ~machine ~symtab:c.symbols ~loop_vars ~invariants body
+              with
+              | exception Translator.Not_straight_line loc ->
+                Format.fprintf fmt
+                  "@.innermost block under loops [%s]: control flow at %s, no single schedule@."
+                  under (Srcloc.to_string loc)
+              | res ->
+                Format.fprintf fmt "@.innermost block under loops [%s]:@.%a@." under Dag.pp
+                  res.body;
+                let bins = Bins.create machine in
+                let s = Bins.drop_dag bins res.body in
+                Format.fprintf fmt "%a@." Bins.pp bins;
+                Format.fprintf fmt
+                  "cost %d cycles | critical path %d | operation count %d | reference %d@."
+                  s.cost (Dag.critical_path res.body) (Bins.Opcount.cost res.body)
+                  (Pperf_backend.Pipeline.reference_cycles machine res.body))
+            (Analysis.innermost_bodies c.routine.body))
+        (Typecheck.check_program (Parser.parse_program src)))
+
+(* ---- report ---- *)
+
+let report ~machine ~options ~ranges src =
+  Obs.time sp_render @@ fun () ->
+  let env = range_env ranges in
+  with_formatter (fun fmt ->
+      List.iter
+        (fun checked ->
+          Format.fprintf fmt "%a@." Report.pp (Report.generate ~options ~env ~machine checked))
+        (Typecheck.check_program (Parser.parse_program src)))
+
+(* ---- deps ---- *)
+
+let deps src =
+  Obs.time sp_render @@ fun () ->
+  with_formatter (fun fmt ->
+      List.iter
+        (fun (c : Typecheck.checked) ->
+          Format.fprintf fmt "routine %s:@." c.routine.rname;
+          (match Depend.dependences_in c.routine.body with
+           | [] -> Format.fprintf fmt "  no data dependences@."
+           | deps ->
+             List.iter
+               (fun (d : Depend.dependence) ->
+                 Format.fprintf fmt "  %a  (line %d -> line %d)@." Depend.pp_dependence d
+                   d.src.at.line d.dst.at.line)
+               deps);
+          (* interchange legality of each outer perfect nest *)
+          Ast.iter_stmts
+            (fun s ->
+              match s.Ast.kind with
+              | Ast.Do ({ body = [ { kind = Ast.Do _; _ } ]; _ } as d) ->
+                Format.fprintf fmt "  nest at line %d: interchange %s@." s.loc.line
+                  (if Depend.interchange_legal d then "legal" else "ILLEGAL")
+              | _ -> ())
+            c.routine.body)
+        (Typecheck.check_program (Parser.parse_program src)))
+
+(* ---- run ---- *)
+
+(* interpret the first unit, the others being its callees, and set its
+   static prediction beside the dynamic count: predicted over the whole
+   program, so its calls are charged with the callees' costs *)
+let run ~machine ~evals src =
+  Obs.time sp_render @@ fun () ->
+  let module Interp = Pperf_exec.Interp in
+  let bindings = parse_bindings evals in
+  let args =
+    List.map
+      (fun (v, f) ->
+        (v, if Float.is_integer f then Interp.VInt (int_of_float f) else Interp.VReal f))
+      bindings
+  in
+  let units = Typecheck.check_program (Parser.parse_program src) in
+  let main, callees = Interp.split_program units in
+  let res = Interp.run ~machine ~args ~program:callees main in
+  let program = Interproc.predict_program ~machine units in
+  let rp = Option.get (Interproc.find program main.routine.rname) in
+  let p =
+    { Predict.routine = main.routine; symbols = main.symbols; machine; prediction = rp.prediction }
+  in
+  let static = Predict.eval p bindings in
+  with_formatter (fun fmt ->
+      Format.fprintf fmt "dynamic cycles: %.0f@." res.cycles;
+      Format.fprintf fmt "profile:@.%a" Interp.Profile.pp res.profile;
+      Format.fprintf fmt "static prediction %a = %.0f (%.2f%% from dynamic)@." Predict.pp p static
+        (100.0 *. Float.abs (static -. res.cycles) /. Float.max 1.0 res.cycles))

@@ -93,3 +93,26 @@ val machines : dir:string -> unit -> string
     ([classic]/[ports]), unit/port count, issue width, and provenance.
     Unreadable description files become one diagnostic line each instead
     of failing the whole listing. *)
+
+val schedule : machine:Machine.t -> string -> string
+(** Every innermost loop body of every routine, translated to atomic
+    operations and dropped into the Tetris bins: the DAG, the bin chart,
+    and its cost beside the critical path, the operation count and the
+    pipeline reference. A body with control flow in it gets one line
+    naming where, since it has no single schedule. *)
+
+val report :
+  machine:Machine.t -> options:Aggregate.options -> ranges:string list -> string -> string
+(** {!Pperf_core.Report} of every routine; [ranges] (["VAR=LO:HI"]) bound
+    the unknowns for the sensitivity samples. *)
+
+val deps : string -> string
+(** The data dependences of every routine and the interchange legality
+    of each perfect nest. *)
+
+val run : machine:Machine.t -> evals:string list -> string -> string
+(** Interpret the program's first unit at the [evals] bindings (the other
+    units are its callees), print the dynamic cycle count and profile,
+    and set beside them its static prediction at the same bindings,
+    predicted interprocedurally so calls cost what their callees do.
+    @raise Pperf_exec.Interp.Runtime_error when the run fails. *)

@@ -213,9 +213,7 @@ let innermost_dag ?(flags = Pperf_translate.Flags.default) ~machine kernel =
   let checked = Typecheck.check_routine (Parser.parse_routine kernel.source) in
   let loops, body = List.hd (Analysis.innermost_bodies checked.routine.body) in
   let loop_vars = List.map (fun (l : Analysis.loop_ctx) -> l.lvar) loops in
-  let assigned = Analysis.assigned_vars checked.routine.body in
-  let all = Analysis.SSet.union (Analysis.used_vars checked.routine.body) assigned in
-  let invariants = Analysis.SSet.diff all assigned in
+  let invariants = Analysis.invariant_vars checked.routine.body in
   Pperf_translate.Translator.translate_block ~machine ~flags ~symtab:checked.symbols
     ~loop_vars ~invariants body
 

@@ -59,6 +59,47 @@ let test_errors () =
     (try ignore (run "subroutine s\n  call nonexistent(1)\nend\n"); false
      with Interp.Runtime_error _ -> true)
 
+(* one run allocates at most 50,000,000 array elements over all its
+   frames, so a served program cannot declare its way to an OOM kill; a
+   frame's arrays are all checked before any is allocated, and sizes too
+   large for an int are refused rather than wrapped *)
+let test_allocation_budget () =
+  (* [earlier]: bytes of arrays that frames before the refused one hold *)
+  let fails_with ?(earlier = 0.) expected src =
+    let before = Gc.allocated_bytes () in
+    (match run src with
+     | _ -> Alcotest.failf "ran past the allocation budget: %s" expected
+     | exception Interp.Runtime_error (msg, _) ->
+       Alcotest.(check string) "budget error" expected msg);
+    Alcotest.(check bool) "refused frame allocates nothing" true
+      (Gc.allocated_bytes () -. before < earlier +. 1e6)
+  in
+  (* one frame: refused before either array is allocated *)
+  fails_with
+    "routine s: array b takes the run past its budget of 50000000 array elements (30000000 taken)"
+    "subroutine s\n  real a(30000000), b(30000000)\n  a(1) = 1.0\n  b(1) = 1.0\nend\n";
+  (* b's extents multiply to 2^62, which would wrap to min_int *)
+  fails_with
+    "routine s: array b takes the run past its budget of 50000000 array elements (1000000 taken)"
+    "subroutine s\n  real a(1000000), b(2147483648, 2147483648)\n  a(1) = 1.0\nend\n";
+  (* an extent past max_int would wrap to an empty array *)
+  fails_with
+    "routine s: array a takes the run past its budget of 50000000 array elements (0 taken)"
+    "subroutine s\n  real a(-4611686018427387000:4611686018427387000)\n  a(1) = 1.0\nend\n";
+  (* across frames: every call's arrays count against the same run *)
+  fails_with ~earlier:(25. *. 2e6 *. 8.)
+    "routine t: array x takes the run past its budget of 50000000 array elements (50000000 taken)"
+    "subroutine s\n  integer i\n  do i = 1, 26\n    call t(i)\n  end do\nend\n\n\
+     subroutine t(k)\n  integer k\n  real x(2000000)\n  x(1) = 1.0\nend\n"
+
+(* recursion stops at the call-depth cap with a runtime error, not a
+   stack overflow *)
+let test_call_depth () =
+  match run "subroutine s\n  call s\nend\n" with
+  | _ -> Alcotest.fail "unbounded recursion returned"
+  | exception Interp.Runtime_error (msg, _) ->
+    Alcotest.(check string) "depth error" "call to s nested deeper than 1000 calls" msg
+
 (* ---- cost accounting vs static prediction ---- *)
 
 let close_to ?(tol = 0.02) a b =
@@ -292,6 +333,8 @@ let () =
           Alcotest.test_case "function call" `Quick test_function_call;
           Alcotest.test_case "negative step" `Quick test_step_and_bounds;
           Alcotest.test_case "runtime errors" `Quick test_errors;
+          Alcotest.test_case "allocation budget" `Quick test_allocation_budget;
+          Alcotest.test_case "call depth" `Quick test_call_depth;
         ] );
       ( "cost-agreement",
         [

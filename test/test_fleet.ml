@@ -1,9 +1,9 @@
-(* Tests for lib/fleet: the two-class shard deques and scheduling
-   policies, admission control (bounded queue, structured overloaded
-   rejection with a retry hint), and the exactly-once / in-order
-   delivery contract of the core — including QCheck properties driving
-   random request mixes, deadline churn, and mid-session disconnects
-   under all three policies. *)
+(* Tests for lib/fleet: the shard deques and scheduling policies,
+   admission control (bounded queue, structured overloaded rejection
+   with a retry hint), and the exactly-once / in-order delivery contract
+   of the core — including QCheck properties driving random request
+   mixes, deadline churn, and mid-session disconnects under both
+   policies. *)
 
 open Pperf_fleet
 
@@ -33,38 +33,21 @@ let drain_policy (module P : Sched.POLICY) q =
 
 let test_sched_fifo () =
   let q = Sched.create () in
-  (* interleave classes; fifo must honour global admission order *)
-  Sched.push_bound q ~seq:0 "b0";
-  Sched.push_free q ~seq:1 "f1";
-  Sched.push_bound q ~seq:2 "b2";
-  Sched.push_free q ~seq:3 "f3";
+  List.iter (Sched.push q) [ "r0"; "r1"; "r2"; "r3" ];
   Alcotest.(check int) "length" 4 (Sched.length q);
-  Alcotest.(check bool) "fifo never steals" true (Sched.Fifo.steal q = None);
-  Alcotest.(check (list string)) "oldest first" [ "b0"; "f1"; "b2"; "f3" ]
+  Alcotest.(check (list string)) "oldest first" [ "r0"; "r1"; "r2"; "r3" ]
     (drain_policy (module Sched.Fifo) q);
   Alcotest.(check int) "drained" 0 (Sched.length q)
 
 let test_sched_lifo () =
   let q = Sched.create () in
-  Sched.push_bound q ~seq:0 "b0";
-  Sched.push_free q ~seq:1 "f1";
-  Sched.push_bound q ~seq:2 "b2";
-  Alcotest.(check bool) "lifo never steals" true (Sched.Lifo.steal q = None);
-  Alcotest.(check (list string)) "newest first" [ "b2"; "f1"; "b0" ]
-    (drain_policy (module Sched.Lifo) q)
-
-let test_sched_ws () =
-  let q = Sched.create () in
-  Sched.push_bound q ~seq:0 "b0";
-  Sched.push_free q ~seq:1 "f1";
-  Sched.push_free q ~seq:4 "f4";
-  Sched.push_bound q ~seq:5 "b5";
-  (* a thief gets the oldest affinity-free item; bound work never moves *)
-  Alcotest.(check (option string)) "steal oldest free" (Some "f1") (Sched.Ws.steal q);
-  Alcotest.(check (option string)) "steal next free" (Some "f4") (Sched.Ws.steal q);
-  Alcotest.(check (option string)) "bound not stealable" None (Sched.Ws.steal q);
-  Alcotest.(check (list string)) "owner drains fifo" [ "b0"; "b5" ]
-    (drain_policy (module Sched.Ws) q)
+  List.iter (Sched.push q) [ "r0"; "r1" ];
+  (* a push between takes goes first: newest first throughout *)
+  Alcotest.(check (option string)) "newest" (Some "r1") (Sched.Lifo.take q);
+  Sched.push q "r2";
+  Alcotest.(check (list string)) "newest first" [ "r2"; "r0" ]
+    (drain_policy (module Sched.Lifo) q);
+  Alcotest.(check int) "drained" 0 (Sched.length q)
 
 let test_sched_of_string () =
   List.iter
@@ -72,12 +55,14 @@ let test_sched_of_string () =
       match Sched.of_string s with
       | Ok p -> Alcotest.(check string) s expect (Sched.name p)
       | Error e -> Alcotest.failf "%s rejected: %s" s e)
-    [ ("fifo", "fifo"); ("LIFO", "lifo"); ("ws", "ws") ];
-  match Sched.of_string "round-robin" with
-  | Ok _ -> Alcotest.fail "round-robin accepted"
-  | Error msg ->
-    Alcotest.(check bool) "error lists options" true
-      (contains ~affix:"fifo" msg)
+    [ ("fifo", "fifo"); ("LIFO", "lifo") ];
+  List.iter
+    (fun s ->
+      match Sched.of_string s with
+      | Ok _ -> Alcotest.failf "%s accepted" s
+      | Error msg ->
+        Alcotest.(check bool) "error lists options" true (contains ~affix:"fifo, lifo" msg))
+    [ "round-robin"; "ws" ]
 
 (* --------------------------------------------------------- config *)
 
@@ -267,7 +252,7 @@ let session_arb =
     ~print:(fun (policy, cases) ->
       Printf.sprintf "%s × %d requests" policy (List.length cases))
     QCheck.Gen.(
-      pair (oneofl [ "fifo"; "lifo"; "ws" ]) (list_size (int_range 1 40) case_gen))
+      pair (oneofl [ "fifo"; "lifo" ]) (list_size (int_range 1 40) case_gen))
 
 (* The delivery contract under random mixes and deadline churn: every
    request — admitted, shed, expired, or malformed — is answered exactly
@@ -331,7 +316,6 @@ let () =
         [
           Alcotest.test_case "fifo" `Quick test_sched_fifo;
           Alcotest.test_case "lifo" `Quick test_sched_lifo;
-          Alcotest.test_case "ws" `Quick test_sched_ws;
           Alcotest.test_case "of_string" `Quick test_sched_of_string;
         ] );
       ( "core",

@@ -4,10 +4,11 @@
    server verb on one engine, and check that the response's output is the
    CLI's stdout, its status the CLI's exit code and its warnings the
    CLI's "warning: " lines (or, on failure, that the CLI printed the
-   response's error message and exited 1), and that a repeat is served
-   from the result cache with the same bytes. A row that never reads the
-   machine leaves it out of the cache key, so its answer on a second
-   machine already comes from the cache, with the first machine's bytes.
+   response's error message and exited 1, and that the error is not an
+   uncaught exception), and that a repeat is served from the result cache
+   with the same bytes. A row that never reads the machine leaves it out
+   of the cache key, so its answer on a second machine already comes from
+   the cache, with the first machine's bytes.
    The argv and the request both come from the table's rows, so a verb or
    flag added there is covered here without editing this file. --trace
    and --stats are left out: they carry timings.
@@ -98,7 +99,12 @@ let cases (q : Query.t) =
     (fun (machine, files) ->
       List.map
         (fun (args, flags) ->
-          let m_args = match machine with Some m when q.machine -> [ "-m"; m ] | _ -> [] in
+          let m_option, m_positional =
+            match (machine, q.machine) with
+            | Some m, Query.Machine_option -> ([ "-m"; m ], [])
+            | Some m, Query.Machine_positional -> ([], [ m ])
+            | _ -> ([], [])
+          in
           let file i f = ((if i = 0 then "file" else Printf.sprintf "file%d" (i + 1)), Json.String f) in
           let fields =
             (("verb", Json.String (Query.name q))
@@ -106,7 +112,7 @@ let cases (q : Query.t) =
             @ List.mapi file files
             @ if flags = [] then [] else [ ("flags", Json.Obj flags) ]
           in
-          ((Query.name q :: m_args) @ args @ files, Json.Obj fields))
+          ((Query.name q :: m_option) @ args @ files @ m_positional, Json.Obj fields))
         variants)
     (inputs q)
 
@@ -173,6 +179,7 @@ let check_case ?cached_as (argv, request) =
     Alcotest.(check (list string)) (what ^ ": repeat warnings") r.warnings r2.warnings;
     Some r.output
   | Protocol.Err_response e, Protocol.Err_response e2 ->
+    if e.code = Protocol.Internal then Alcotest.failf "%s: internal error: %s" what e.message;
     Alcotest.(check string) (what ^ ": no stdout on error") "" c.stdout;
     Alcotest.(check int) (what ^ ": exit 1 on error") 1 c.code;
     Alcotest.(check bool) (what ^ ": stderr carries the error message") true
@@ -189,7 +196,7 @@ let test_row (q : Query.t) () =
     (fun ((_, request) as case) ->
       let key =
         match request with
-        | Json.Obj fields when not q.machine ->
+        | Json.Obj fields when q.machine = Query.No_machine ->
           Json.to_string (Json.Obj (List.remove_assoc "machine" fields))
         | _ -> Json.to_string request
       in
