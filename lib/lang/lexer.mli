@@ -18,9 +18,12 @@ type spanned = { tok : token; loc : Srcloc.t }
 
 exception Error of string * Srcloc.t
 
-val tokenize : string -> spanned array
+val tokenize : string -> spanned list
 (** Comments ([!] to end of line), blank lines, and [&] continuations are
     handled here; consecutive separators are collapsed to one [NEWLINE].
+    The list ends with [EOF]. It is not copied into an array: an array of
+    more than 256 tokens goes straight to the major heap, and creating it
+    forces a minor collection that promotes every token.
     @raise Error on an unrecognizable character sequence. *)
 
 val token_to_string : token -> string

@@ -2,12 +2,14 @@ open Lexer
 
 exception Error of string * Srcloc.t
 
-type state = { toks : spanned array; mutable i : int }
+(* The tokens not yet consumed. The lexer ends the list with EOF, which no
+   rule consumes, so it is never empty. *)
+type state = { mutable toks : spanned list }
 
-let cur st = st.toks.(st.i)
+let cur st = match st.toks with t :: _ -> t | [] -> assert false
 let peek_tok st = (cur st).tok
 let loc st = (cur st).loc
-let advance st = st.i <- st.i + 1
+let advance st = match st.toks with _ :: rest -> st.toks <- rest | [] -> ()
 
 let error st msg = raise (Error (msg ^ " (got " ^ token_to_string (peek_tok st) ^ ")", loc st))
 
@@ -367,11 +369,11 @@ let parse_unit st : Ast.routine =
     skip_newlines st;
     (* lookahead: a type keyword followed by 'function' starts a new unit; we
        are inside a unit so that cannot happen here *)
-    let save = st.i in
+    let save = st.toks in
     match parse_dtype st with
     | Some ty when not (at_kw st "function") -> decls := !decls @ parse_decl st ty
     | Some _ ->
-      st.i <- save;
+      st.toks <- save;
       continue_decls := false
     | None -> continue_decls := false
   done;
@@ -385,7 +387,7 @@ let parse_unit st : Ast.routine =
   { Ast.rname; rkind; params; decls = !decls; body }
 
 let with_state src f =
-  try f { toks = Lexer.tokenize src; i = 0 }
+  try f { toks = Lexer.tokenize src }
   with Lexer.Error (msg, l) -> raise (Error (msg, l))
 
 let sp_parse = Pperf_obs.Obs.span "parse"
