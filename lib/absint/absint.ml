@@ -66,7 +66,12 @@ let c_widen = Pperf_obs.Obs.counter "absint.widenings"
 let widen_env a b =
   Pperf_obs.Obs.incr c_widen;
   env_merge Interval.widen a b
-let narrow_env a b = env_merge Interval.narrow a b
+(* [a] itself when [b] refines none of its bounds and the merge adds no
+   binding, so a caller can see an unchanged state by physical equality *)
+let narrow_env a b =
+  let n = env_merge Interval.narrow a b in
+  let same (x, u) (y, v) = String.equal x y && Interval.equal u v in
+  if List.equal same (Env.bindings n) (Env.bindings a) then a else n
 
 let env_equal a b =
   List.for_all
@@ -572,31 +577,47 @@ and exec_do ctx ~rec_ (env, rel) loc (d : Ast.do_loop) =
       (env', rel')
     in
     let entry_st = set_idx_st (entry, rel) in
-    let head = ref entry_st in
+    let body st = exec_stmts ctx ~rec_:false (Some st) d.body in
     ctx.depth <- ctx.depth + 1;
-    (let continue = ref true and iter = ref 0 in
-     while !continue && !iter < max_iters do
-       incr iter;
-       match exec_stmts ctx ~rec_:false (Some !head) d.body with
-       | None -> continue := false
-       | Some out ->
-         let he, hr = !head in
-         let ne, nr = join_st !head (set_idx_st out) in
-         if env_equal ne he && Reldom.equal nr hr then continue := false
-         else
-           head :=
-             if !iter >= 3 then
-               (widen_env he ne, Reldom.widen ~thresholds:ctx.thresholds hr nr)
-             else (ne, nr)
-     done);
-    (* one narrowing pass to recover bounds widening discarded *)
-    (match exec_stmts ctx ~rec_:false (Some !head) d.body with
-    | Some out ->
-      let he, hr = !head in
-      let ne, nr = join_st entry_st (set_idx_st out) in
-      head := (narrow_env he ne, Reldom.narrow hr nr)
-    | None -> ());
-    let out = exec_stmts ctx ~rec_ (Some !head) d.body in
+    (* The head the iteration stops at, with the body's output there when
+       its last evaluation ran at that head: it converged, or the body
+       never completes. Past max_iters the head has moved since. *)
+    let rec iterate head iter =
+      let out = body head in
+      match out with
+      | None -> (head, Some out)
+      | Some o ->
+        let he, hr = head in
+        let ne, nr = join_st head (set_idx_st o) in
+        if env_equal ne he && Reldom.equal nr hr then (head, Some out)
+        else (
+          let next =
+            if iter >= 3 then (widen_env he ne, Reldom.widen ~thresholds:ctx.thresholds hr nr)
+            else (ne, nr)
+          in
+          if iter >= max_iters then (next, None) else iterate next (iter + 1))
+    in
+    let head, last = iterate entry_st 1 in
+    (* One narrowing pass to recover bounds widening discarded, then the
+       final pass. Unrecorded, the body's output is a function of its input
+       state's representation, so neither pass re-runs it at a head it was
+       just run at: narrowing takes the last iteration's output, and the
+       final pass takes narrowing's when narrowing returned the head itself
+       (both narrowings return their left operand when they refine
+       nothing). *)
+    let at_head = match last with Some out -> out | None -> body head in
+    let narrowed =
+      match at_head with
+      | Some out ->
+        let he, hr = head in
+        let ne, nr = join_st entry_st (set_idx_st out) in
+        (narrow_env he ne, Reldom.narrow hr nr)
+      | None -> head
+    in
+    let out =
+      if (not rec_) && fst narrowed == fst head && snd narrowed == snd head then at_head
+      else exec_stmts ctx ~rec_ (Some narrowed) d.body
+    in
     ctx.depth <- ctx.depth - 1;
     let after_base, after_rel =
       match out with

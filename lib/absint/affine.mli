@@ -31,7 +31,8 @@ val widen : t -> t -> t
 (** [join] — the domain has no infinite ascending chains. *)
 
 val narrow : t -> t -> t
-(** [meet] — descending chains are finite too, so one pass is safe. *)
+(** [meet] — descending chains are finite too, so one pass is safe. It
+    returns its left operand itself when the right one adds no row. *)
 
 val assign : t -> string -> Lin.t option -> t
 (** Strongest post of [x := e]; invertible updates ([x] on both sides) are

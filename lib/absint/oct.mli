@@ -41,7 +41,10 @@ val widen : ?thresholds:Rat.t list -> t -> t -> t
     or to infinity when none does. *)
 
 val narrow : t -> t -> t
-(** Refine the infinite bounds of [a] with those of [b]. *)
+(** Refine the infinite bounds of [a] with those of [b]. Returns [a]
+    itself exactly when the result would have [a]'s variable order and
+    entries: [a] is in the order of the union of both variable sets and
+    [b] refines none of its infinite bounds. *)
 
 val meet_le : ?ivb:(string -> Interval.t) -> t -> Lin.t -> t
 (** Assume [lin <= 0]. The optional [ivb] supplies outside interval bounds

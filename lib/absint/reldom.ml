@@ -45,7 +45,9 @@ let widen ?thresholds a b =
 
 let narrow a b =
   if a.dom = Box then a
-  else { a with oct = Oct.narrow a.oct b.oct; aff = Affine.narrow a.aff b.aff }
+  else (
+    let oct = Oct.narrow a.oct b.oct and aff = Affine.narrow a.aff b.aff in
+    if oct == a.oct && aff == a.aff then a else { a with oct; aff })
 
 let forget t x =
   if t.dom = Box then t

@@ -33,6 +33,10 @@ val widen : ?thresholds:Rat.t list -> t -> t -> t
     chains). Bumps the [absint.relational.widenings] counter. *)
 
 val narrow : t -> t -> t
+(** Returns its left operand itself exactly when neither component changes
+    it: the same octagon variable order and entries, the same affine rows.
+    {!equal} cannot tell that apart, since it aligns variable orders. *)
+
 val forget : t -> string -> t
 
 val assign : ivb:(string -> Interval.t) -> t -> string -> Poly.t option -> t
