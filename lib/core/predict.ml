@@ -38,15 +38,17 @@ let precision_diagnostics t =
   let checked = { Typecheck.routine = t.routine; symbols = t.symbols } in
   Pperf_lint.Lint.dedupe (t.prediction.diagnostics @ Pperf_lint.Lint.run_precision checked)
 
-(** Evaluate the prediction at concrete values of the unknowns; probability
-    variables default to 1/2 when unbound. *)
-let eval t (bindings : (string * float) list) =
+let default_prob = 0.5
+
+let eval_prediction (p : Aggregate.prediction) (bindings : (string * float) list) =
   Pperf_symbolic.Poly.eval_float
     (fun v ->
       match List.assoc_opt v bindings with
       | Some f -> f
-      | None -> if List.mem v t.prediction.prob_vars then 0.5 else 1.0)
-    (total t)
+      | None -> if List.mem v p.prob_vars then default_prob else 1.0)
+    (Perf_expr.total p.cost)
+
+let eval t bindings = eval_prediction t.prediction bindings
 
 let pp fmt t =
   Format.fprintf fmt "%s on %s: %a" t.routine.rname t.machine.Machine.name Perf_expr.pp

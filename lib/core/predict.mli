@@ -31,9 +31,15 @@ val precision_diagnostics : t -> Pperf_lint.Diagnostic.t list
     ({!Pperf_lint.Lint.run_precision}, which reads no ranges, so the
     findings are the same whether or not the prediction inferred them). *)
 
-val eval : t -> (string * float) list -> float
+val default_prob : float
+(** The value of a branch probability left unbound: 1/2. *)
+
+val eval_prediction : Aggregate.prediction -> (string * float) list -> float
 (** Total cycles at concrete unknowns; unbound probability variables
-    default to 1/2, other unbound unknowns to 1. *)
+    default to {!default_prob}, other unbound unknowns to 1. *)
+
+val eval : t -> (string * float) list -> float
+(** {!eval_prediction} of the routine's prediction. *)
 
 val pp : Format.formatter -> t -> unit
 

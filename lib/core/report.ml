@@ -70,7 +70,7 @@ let generate ?(options = Aggregate.default_options) ?(env = Interval.Env.empty) 
   let total = Perf_expr.total prediction.cost in
   let unknowns = List.map (fun v -> (v, Interval.Env.find v env)) (Poly.vars total) in
   let valuation n v =
-    if List.mem v prediction.prob_vars then 0.5
+    if List.mem v prediction.prob_vars then Predict.default_prob
     else if String.equal v "n" then n
     else Rat.to_float (Interval.Env.midpoint_valuation env v)
   in

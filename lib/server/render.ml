@@ -67,28 +67,35 @@ let range_env specs =
 
 (* an --eval/--bind set that names variables the expression does not have,
    or misses variables it does, silently predicts with the wrong values
-   (unbound unknowns default to 1.0); say so *)
+   (unbound probabilities default to Predict.default_prob, other unknowns
+   to 1.0); say so *)
 let check_bindings ~strict ~warn ~expr_vars ~prob_vars bindings =
   if bindings <> [] then (
     let bound = List.map fst bindings in
     let known v = List.mem v expr_vars || List.mem v prob_vars in
     let unused = List.filter (fun v -> not (known v)) bound in
-    let unbound = List.filter (fun v -> not (List.mem v bound)) expr_vars in
+    let unbound_probs, unbound =
+      List.filter (fun v -> not (List.mem v bound)) expr_vars
+      |> List.partition (fun v -> List.mem v prob_vars)
+    in
+    let one l a b = if List.length l = 1 then a else b in
     let msgs =
       (if unused = [] then []
        else
          [ Printf.sprintf
              "binding%s %s do%s not match any variable of the performance expression"
-             (if List.length unused = 1 then "" else "s")
-             (String.concat ", " unused)
-             (if List.length unused = 1 then "es" else "") ])
+             (one unused "" "s") (String.concat ", " unused) (one unused "es" "") ])
+      @ (if unbound = [] then []
+         else
+           [ Printf.sprintf "unbound variable%s %s default%s to 1.0" (one unbound "" "s")
+               (String.concat ", " unbound) (one unbound "s" "") ])
       @
-      if unbound = [] then []
+      if unbound_probs = [] then []
       else
-        [ Printf.sprintf "unbound variable%s %s default%s to 1.0"
-            (if List.length unbound = 1 then "" else "s")
-            (String.concat ", " unbound)
-            (if List.length unbound = 1 then "s" else "") ]
+        [ Printf.sprintf "unbound probabilit%s %s default%s to %g"
+            (one unbound_probs "y" "ies")
+            (String.concat ", " unbound_probs)
+            (one unbound_probs "s" "") Predict.default_prob ]
     in
     if msgs <> [] then
       if strict then failwith (String.concat "; " msgs) else List.iter warn msgs)
@@ -108,12 +115,8 @@ let predict ?predictor ~machine ~options ~interproc ~strict ~evals ~warn src =
               let total = Perf_expr.total rp.prediction.cost in
               check_bindings ~strict ~warn ~expr_vars:(Pperf_symbolic.Poly.vars total)
                 ~prob_vars:rp.prediction.prob_vars bindings;
-              let v =
-                Pperf_symbolic.Poly.eval_float
-                  (fun x -> match List.assoc_opt x bindings with Some f -> f | None -> 1.0)
-                  total
-              in
-              Format.fprintf fmt "  %s at bindings: %.0f cycles@." rp.checked.routine.rname v)
+              Format.fprintf fmt "  %s at bindings: %.0f cycles@." rp.checked.routine.rname
+                (Predict.eval_prediction rp.prediction bindings))
             t.routines)
       else (
         let checkeds = Typecheck.check_program (Parser.parse_program src) in
