@@ -468,6 +468,8 @@ and exec_do st checked frame loop_vars invariants loc (d : Ast.do_loop) =
     if not !absorbed then st.cycles <- st.cycles +. float_of_int overhead_alone;
     i := !i + step
   done;
+  (* Fortran leaves the index at lo + trips * step, lo when the body never runs *)
+  Hashtbl.replace frame.scalars d.var (VInt !i);
   Profile.record_loop st.profile loc ~iterations:!iterations
 
 and exec_if st checked frame ~activation loop_vars invariants loc branches els =

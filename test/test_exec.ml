@@ -48,6 +48,21 @@ let test_step_and_bounds () =
   | Interp.VInt c -> Alcotest.failf "expected 5 iterations, got %d" c
   | _ -> Alcotest.fail "c"
 
+(* the index leaves a DO at lo + trips * step, as in Fortran and the
+   abstract interpreter; a loop that never runs leaves it at lo *)
+let index_after src =
+  match scalar (run src) "i" with
+  | Interp.VInt i -> i
+  | _ -> Alcotest.fail "i integer"
+
+let test_zero_trip_exit () =
+  Alcotest.(check int) "do i = 1, 0" 1
+    (index_after "subroutine s\n  integer i\n  do i = 1, 0\n  end do\nend\n")
+
+let test_exit_value () =
+  Alcotest.(check int) "do i = 1, 3" 4
+    (index_after "subroutine s\n  integer i, c\n  c = 0\n  do i = 1, 3\n    c = c + i\n  end do\nend\n")
+
 let test_errors () =
   Alcotest.(check bool) "out of bounds" true
     (try ignore (run "subroutine s\n  real x(10)\n  x(11) = 1.0\nend\n"); false
@@ -335,6 +350,8 @@ let () =
           Alcotest.test_case "runtime errors" `Quick test_errors;
           Alcotest.test_case "allocation budget" `Quick test_allocation_budget;
           Alcotest.test_case "call depth" `Quick test_call_depth;
+          Alcotest.test_case "zero-trip exit value" `Quick test_zero_trip_exit;
+          Alcotest.test_case "exit value" `Quick test_exit_value;
         ] );
       ( "cost-agreement",
         [
