@@ -50,7 +50,7 @@ let with_telemetry ~stats ~trace f =
   let code =
     if trace then (
       let code, node = Pperf_obs.Obs.Trace.collect f in
-      print_string (Pperf_obs.Obs.Trace.to_json node ^ "\n");
+      print_string (Pperf_server.(Json.to_string (Render.trace_json node)) ^ "\n");
       code)
     else f ()
   in

@@ -51,32 +51,3 @@ let pp_short fmt d =
 let pp fmt d =
   pp_short fmt d;
   match d.fix with None -> () | Some f -> Format.fprintf fmt "@.    fix: %s" f
-
-(* hand-rolled JSON: the toolchain has no JSON library and the shape is flat *)
-let json_escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-let to_json buf d =
-  Buffer.add_string buf "{\"severity\":\"";
-  Buffer.add_string buf (severity_to_string d.severity);
-  Buffer.add_string buf "\",\"check\":\"";
-  json_escape buf d.check;
-  Buffer.add_string buf (Printf.sprintf "\",\"line\":%d,\"col\":%d,\"message\":\"" d.loc.Srcloc.line d.loc.Srcloc.col);
-  json_escape buf d.message;
-  Buffer.add_string buf "\"";
-  (match d.fix with
-   | None -> ()
-   | Some f ->
-     Buffer.add_string buf ",\"fix\":\"";
-     json_escape buf f;
-     Buffer.add_string buf "\"");
-  Buffer.add_string buf "}"

@@ -45,6 +45,3 @@ val pp_short : Format.formatter -> t -> unit
 
 val pp : Format.formatter -> t -> unit
 (** {!pp_short}, plus a [fix:] line when present. *)
-
-val to_json : Buffer.t -> t -> unit
-(** One JSON object; strings are escaped. *)

@@ -63,31 +63,3 @@ let pp fmt reports =
           (if List.length r.diagnostics = 1 then "" else "s");
         List.iter (fun d -> Format.fprintf fmt "  %a@." Diagnostic.pp d) r.diagnostics))
     reports
-
-let to_json reports =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"routines\":[";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "{\"routine\":\"";
-      Buffer.add_string buf r.routine;
-      Buffer.add_string buf "\",\"diagnostics\":[";
-      List.iteri
-        (fun j d ->
-          if j > 0 then Buffer.add_char buf ',';
-          Diagnostic.to_json buf d)
-        r.diagnostics;
-      Buffer.add_string buf "]}")
-    reports;
-  Buffer.add_string buf "],\"max_severity\":";
-  (match Diagnostic.max_severity (all_diagnostics reports) with
-   | None -> Buffer.add_string buf "null"
-   | Some s ->
-     Buffer.add_char buf '"';
-     Buffer.add_string buf (Diagnostic.severity_to_string s);
-     Buffer.add_char buf '"');
-  Buffer.add_string buf ",\"exit_code\":";
-  Buffer.add_string buf (string_of_int (exit_code reports));
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf

@@ -334,21 +334,6 @@ module Trace = struct
     | exception e ->
       ignore (finish ());
       raise e
-
-  let rec write_node buf n =
-    Printf.bprintf buf "{\"name\":%S,\"total_ns\":%d,\"self_ns\":%d,\"children\":[" n.name
-      n.total_ns n.self_ns;
-    List.iteri
-      (fun i c ->
-        if i > 0 then Buffer.add_char buf ',';
-        write_node buf c)
-      n.children;
-    Buffer.add_string buf "]}"
-
-  let to_json n =
-    let buf = Buffer.create 256 in
-    write_node buf n;
-    Buffer.contents buf
 end
 
 (* --------------------------------------------------------------- export *)
@@ -362,48 +347,6 @@ module Export = struct
     if Float.is_integer le && Float.abs le < 1e15 then Printf.sprintf "%.0f" le
     else if le = Float.infinity then "+Inf"
     else Printf.sprintf "%g" le
-
-  let json (s : snapshot) =
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf "{\"counters\":{";
-    List.iteri
-      (fun i (n, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Printf.bprintf buf "%S:%d" n v)
-      s.counters;
-    Buffer.add_string buf "},\"gauges\":{";
-    List.iteri
-      (fun i (n, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Printf.bprintf buf "%S:%d" n v)
-      s.gauges;
-    Buffer.add_string buf "},\"histograms\":{";
-    List.iteri
-      (fun i (n, h) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Printf.bprintf buf "%S:{\"count\":%d,\"sum\":%d,\"buckets\":[" n h.hist_count
-          h.hist_sum;
-        let first = ref true in
-        List.iter
-          (fun (le, c) ->
-            if c > 0 then (
-              if not !first then Buffer.add_char buf ',';
-              first := false;
-              Printf.bprintf buf "{\"le\":%s,\"n\":%d}"
-                (if le = Float.infinity then "\"+Inf\"" else bound_string le)
-                c))
-          h.buckets;
-        Buffer.add_string buf "]}")
-      s.histograms;
-    Buffer.add_string buf "},\"spans\":{";
-    List.iteri
-      (fun i (n, sp) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Printf.bprintf buf "%S:{\"count\":%d,\"total_ns\":%d,\"self_ns\":%d}" n
-          sp.span_count sp.span_total_ns sp.span_self_ns)
-      s.spans;
-    Buffer.add_string buf "}}";
-    Buffer.contents buf
 
   let sanitize name =
     String.map

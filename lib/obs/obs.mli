@@ -124,10 +124,6 @@ module Trace : sig
       usual; collection only adds tree capture. Not reentrant per
       domain: an inner [collect] simply nests its spans in the outer
       tree. *)
-
-  val to_json : node -> string
-  (** One-line JSON: [{"name":..,"total_ns":..,"self_ns":..,
-      "children":[...]}]. *)
 end
 
 (** {1 Snapshot and reset} *)
@@ -174,11 +170,6 @@ module Export : sig
   val counters_json : (string * int) list -> string
   (** The counters-only JSON object [{"name": count, ...}] that
       [--stats] emits. *)
-
-  val json : snapshot -> string
-  (** The full snapshot as one JSON object with ["counters"],
-      ["gauges"], ["histograms"] (buckets as [le]/[n] pairs), and
-      ["spans"] sections. *)
 
   val prometheus : snapshot -> string
   (** Prometheus text exposition (version 0.0.4): counters as

@@ -4,7 +4,8 @@
     server verbs both run those rows, so a server response's [output]
     field is byte-identical to the CLI's stdout for the same machine,
     source, and flags — by construction, not by parallel maintenance of
-    two formatting paths. *)
+    two formatting paths. A JSON rendering is built as a {!Json.t} and
+    printed by {!Json.to_string}, on one line. *)
 
 open Pperf_lang
 open Pperf_machine
@@ -82,6 +83,10 @@ val lint :
   string * int
 (** Returns the rendered report and the lint exit code. A relational
     [domain] implies [use_ranges]. *)
+
+val trace_json : Pperf_obs.Obs.Trace.node -> Json.t
+(** A span tree as [{"name":..,"total_ns":..,"self_ns":..,"children":[..]}]:
+    the CLI's [--trace] line and the server's [trace] field. *)
 
 val builtin_machine_names : string list
 (** The builtin machine specs, in listing order. *)

@@ -203,20 +203,6 @@ let test_dedupe () =
   let c = Diagnostic.make Diagnostic.Precision ~check:"non-affine-subscript" ~loc "other" in
   Alcotest.(check int) "same check+loc collapses" 2 (List.length (Lint.dedupe [ a; b; c ]))
 
-let test_json_escaping () =
-  let buf = Buffer.create 64 in
-  Diagnostic.to_json buf
-    (Diagnostic.make Diagnostic.Warning ~check:"c" ~loc:Srcloc.dummy "say \"hi\"\n\ttab");
-  let s = Buffer.contents buf in
-  Alcotest.(check bool) "escaped quote" true
-    (let found = ref false in
-     String.iteri
-       (fun i _ ->
-         if i + 2 <= String.length s && String.sub s i 2 = "\\\"" then found := true)
-       s;
-     !found);
-  Alcotest.(check bool) "no raw newline" true (not (String.contains s '\n'))
-
 (* ---- severity tags ---- *)
 
 (* One routine that fires every precision check, each way it can: a
@@ -361,7 +347,6 @@ let () =
         [
           Alcotest.test_case "exit codes" `Quick test_exit_codes;
           Alcotest.test_case "dedupe" `Quick test_dedupe;
-          Alcotest.test_case "json escaping" `Quick test_json_escaping;
         ] );
       ( "tags",
         [
