@@ -29,38 +29,6 @@ type t = {
   diagnostics : Pperf_lint.Diagnostic.t list;
 }
 
-let hotspots ~machine ~options (checked : Typecheck.checked) =
-  let invariants = Analysis.invariant_vars checked.routine.body in
-  List.filter_map
-    (fun (loops, body) ->
-      match body with
-      | [] -> None
-      | first :: _ ->
-        let loop_vars = List.map (fun (l : Analysis.loop_ctx) -> l.lvar) loops in
-        (match
-           Pperf_translate.Translator.translate_block ~machine
-             ~flags:options.Aggregate.flags ~symtab:checked.symbols ~loop_vars ~invariants
-             body
-         with
-         | exception _ -> None
-         | res ->
-           (* include the loop-control overhead so the number matches the
-              per-iteration coefficient of the aggregate expression *)
-           let dag =
-             Pperf_sched.Dag.concat res.body
-               (Pperf_translate.Translator.loop_overhead_dag ~machine ())
-           in
-           let bins = Pperf_sched.Bins.create machine in
-           let s1 = Pperf_sched.Bins.drop_dag bins dag in
-           let s2 = Pperf_sched.Bins.drop_dag bins dag in
-           Some
-             {
-               loops = loop_vars;
-               at = first.Ast.loc;
-               cycles_per_iteration = max 1 (s2.cost - s1.cost);
-             }))
-    (Analysis.innermost_bodies checked.routine.body)
-
 let generate ?(options = Aggregate.default_options) ?(env = Interval.Env.empty) ~machine
     (checked : Typecheck.checked) : t =
   let prediction = Aggregate.routine ~machine ~options checked in
@@ -88,9 +56,13 @@ let generate ?(options = Aggregate.default_options) ?(env = Interval.Env.empty) 
     samples;
     sensitivity = Sensitivity.rank env total;
     hotspots =
-      List.sort
-        (fun a b -> compare b.cycles_per_iteration a.cycles_per_iteration)
-        (hotspots ~machine ~options checked);
+      (* the bin-packing bound's per-iteration cost is the steady state of
+         the body plus loop control: the expression's coefficient *)
+      List.map
+        (fun (n : Pperf_bounds.Bounds.nest) ->
+          { loops = n.loop_vars; at = n.at; cycles_per_iteration = n.bin_per_iter })
+        bound_summary.nests
+      |> List.sort (fun a b -> compare b.cycles_per_iteration a.cycles_per_iteration);
     bounds = bound_summary.nests;
     diagnostics =
       (* the aggregation's own events, merged with the bound-disagreement
