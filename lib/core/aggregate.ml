@@ -9,31 +9,25 @@ module SSet = Analysis.SSet
 
 type options = {
   flags : Flags.t;
-  focus_span : int;
   include_memory : bool;
   layouts : Commcost.layouts option;
   branch_prob : Srcloc.t -> Poly.t option;
   near_equal_tol : float;
-  iteration_overlap : bool;
   library : Libtable.t option;
   infer_ranges : bool;
   range_domain : Pperf_absint.Absint.domain;
-  bound_events : bool;
 }
 
 let default_options =
   {
     flags = Flags.default;
-    focus_span = 64;
     include_memory = false;
     layouts = None;
     branch_prob = (fun _ -> None);
     near_equal_tol = 0.05;
-    iteration_overlap = true;
     library = None;
     infer_ranges = false;
     range_domain = Pperf_absint.Absint.Box;
-    bound_events = false;
   }
 
 type prediction = {
@@ -70,7 +64,7 @@ let scratch_bins ctx =
     Bins.reset bins;
     bins
   | None ->
-    let bins = Bins.create ~focus_span:ctx.options.focus_span ctx.machine in
+    let bins = Bins.create ctx.machine in
     ctx.scratch.bins <- Some bins;
     bins
 
@@ -118,14 +112,9 @@ let per_iteration_cost ?(loc = Srcloc.dummy) ctx dag =
   else (
     let bins = scratch_bins ctx in
     let s1 = Bins.drop_dag bins dag in
-    let cost =
-      if not ctx.options.iteration_overlap then s1.cost
-      else (
-        let s2 = Bins.drop_dag bins dag in
-        max 1 (s2.cost - s1.cost))
-    in
+    let s2 = Bins.drop_dag bins dag in
     note_fallbacks ctx ~loc bins;
-    cost)
+    max 1 (s2.cost - s1.cost))
 
 let trip_of ctx ~loc (d : Ast.do_loop) =
   let inferred =
@@ -271,7 +260,7 @@ let branch_penalty ctx (cond_body : Dag.t) (body : Ast.stmt list) =
         let c_cond = (Bins.drop_dag bins cond_body).cost in
         let combined = (Bins.drop_dag bins res.body).cost in
         let alone =
-          let b2 = Bins.create ~focus_span:ctx.options.focus_span ctx.machine in
+          let b2 = Bins.create ctx.machine in
           (Bins.drop_dag b2 res.body).cost
         in
         let overlap = max 0 (c_cond + alone - combined) in
@@ -527,20 +516,10 @@ let stmts ~machine ?(options = default_options) ?(prob_offset = 0) ~symtab body 
   let ranges = infer_ranges_of ~options ~symtab body in
   let ctx = make_ctx ~machine ~options ~symtab ?ranges ~prob_offset () in
   let cost = agg_stmts ctx body in
-  (* opt-in (it costs a dependence analysis per nest): report where the
-     critical-path/LCD or memory bound crosses above the bin-packing
-     prediction, i.e. where this expression is provably optimistic *)
-  let bound_diags =
-    if options.bound_events then
-      snd
-        (Pperf_bounds.Bounds.analyze_stmts ~machine
-           ~include_memory:options.include_memory ~symtab body)
-    else []
-  in
   {
     cost;
     prob_vars = List.rev ctx.probs.vars;
-    diagnostics = Pperf_lint.Lint.dedupe (ctx.probs.diags @ bound_diags);
+    diagnostics = Pperf_lint.Lint.dedupe ctx.probs.diags;
   }
 
 let routine ~machine ?(options = default_options) (checked : Typecheck.checked) =

@@ -18,11 +18,10 @@
     (n-k)*C(Bf)], the paper's example) instead of probabilities.
 
     Loop-invariant (one-time) costs identified by the translator are
-    charged per loop {e entry}, not per iteration. When
-    [iteration_overlap] is on, the per-iteration cost of an innermost
-    block is the {e steady-state} cost — the body is dropped into the bins
-    twice and the increment is used, capturing software overlap between
-    consecutive iterations (§2.4.2, Fig. 9). *)
+    charged per loop {e entry}, not per iteration. The per-iteration cost
+    of an innermost block is the {e steady-state} cost — the body is
+    dropped into the bins twice and the increment is used, capturing
+    software overlap between consecutive iterations (§2.4.2, Fig. 9). *)
 
 open Pperf_symbolic
 open Pperf_lang
@@ -32,7 +31,6 @@ open Pperf_translate
 
 type options = {
   flags : Flags.t;
-  focus_span : int;
   include_memory : bool;  (** add the §2.3 cache model's cycles *)
   layouts : Commcost.layouts option;  (** when set, add communication cost *)
   branch_prob : Srcloc.t -> Poly.t option;
@@ -40,7 +38,6 @@ type options = {
   near_equal_tol : float;
       (** §3.3.2: treat branch costs within this relative tolerance as
           equal and skip the probability variable *)
-  iteration_overlap : bool;
   library : Libtable.t option;
   infer_ranges : bool;
       (** run the interval abstract interpretation over the routine and use
@@ -50,12 +47,6 @@ type options = {
   range_domain : Pperf_absint.Absint.domain;
       (** abstract domain for that analysis (default [Box]); relational
           domains sharpen the flow-sensitive facts the events consult *)
-  bound_events : bool;
-      (** run the three-bound analysis ({!Pperf_bounds.Bounds}) over every
-          loop nest and add a [bound-disagreement] precision event where a
-          critical-path/LCD or memory bound exceeds the bin-packing
-          prediction (default off: it costs a dependence analysis per
-          nest) *)
 }
 
 val default_options : options

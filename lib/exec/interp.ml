@@ -286,7 +286,7 @@ and block_cost st (symtab : Typecheck.symtab) ~standalone ~with_overhead loop_va
     in
     let result =
       if standalone then (
-        let bins = Bins.create ~focus_span:st.options.focus_span st.machine in
+        let bins = Bins.create st.machine in
         ((Bins.drop_dag bins (Dag.concat res.one_time res.body)).cost, 0))
       else (
         let overhead =
@@ -294,18 +294,14 @@ and block_cost st (symtab : Typecheck.symtab) ~standalone ~with_overhead loop_va
           else Dag.make [||]
         in
         let dag = Dag.concat res.body overhead in
-        let bins = Bins.create ~focus_span:st.options.focus_span st.machine in
+        let bins = Bins.create st.machine in
         let s1 = Bins.drop_dag bins dag in
-        let per_exec =
-          if not st.options.iteration_overlap then s1.cost
-          else (
-            let s2 = Bins.drop_dag bins dag in
-            max 1 (s2.cost - s1.cost))
-        in
+        let s2 = Bins.drop_dag bins dag in
+        let per_exec = max 1 (s2.cost - s1.cost) in
         let one_time =
           if Dag.length res.one_time = 0 then 0
           else (
-            let one_bins = Bins.create ~focus_span:st.options.focus_span st.machine in
+            let one_bins = Bins.create st.machine in
             (Bins.drop_dag one_bins res.one_time).cost)
         in
         (per_exec, one_time))
@@ -449,12 +445,10 @@ and exec_do st checked frame loop_vars invariants loc (d : Ast.do_loop) =
      it (mirrors Aggregate's fallback) *)
   let overhead_dag = Pperf_translate.Translator.loop_overhead_dag ~machine:st.machine () in
   let overhead_alone =
-    let b = Bins.create ~focus_span:st.options.focus_span st.machine in
+    let b = Bins.create st.machine in
     let s1 = Bins.drop_dag b overhead_dag in
-    if not st.options.iteration_overlap then s1.cost
-    else (
-      let s2 = Bins.drop_dag b overhead_dag in
-      max 1 (s2.cost - s1.cost))
+    let s2 = Bins.drop_dag b overhead_dag in
+    max 1 (s2.cost - s1.cost)
   in
   let iterations = ref 0 in
   let i = ref lo in

@@ -1,5 +1,5 @@
 (* Tests for the three-bound analysis: bin-packing throughput vs
-   critical-path/LCD latency vs memory, and its Aggregate integration. *)
+   critical-path/LCD latency vs memory, and how its events reach the report. *)
 
 open Pperf_num
 open Pperf_symbolic
@@ -75,20 +75,17 @@ let test_steady_total_takes_max () =
   Alcotest.(check bool) "steady total includes the LCD bound" true
     (Poly.equal (Bounds.steady_total r) n.lcd_bound)
 
+(* the aggregation reports only its own events; the report merges the
+   bound-disagreement events of the three-bound analysis into them *)
 let test_aggregate_bound_events () =
   let checked = check_src recurrence_src in
-  let has_event (p : Pperf_core.Aggregate.prediction) =
-    List.exists
-      (fun (d : Pperf_lint.Diagnostic.t) -> String.equal d.check "bound-disagreement")
-      p.diagnostics
+  let has_event ds =
+    List.exists (fun (d : Pperf_lint.Diagnostic.t) -> String.equal d.check "bound-disagreement") ds
   in
-  let off = Pperf_core.Aggregate.routine ~machine:p1 checked in
-  Alcotest.(check bool) "off by default" false (has_event off);
-  let options =
-    { Pperf_core.Aggregate.default_options with bound_events = true }
-  in
-  let on = Pperf_core.Aggregate.routine ~machine:p1 ~options checked in
-  Alcotest.(check bool) "on when enabled" true (has_event on)
+  let p = Pperf_core.Aggregate.routine ~machine:p1 checked in
+  Alcotest.(check bool) "not in the aggregation" false (has_event p.diagnostics);
+  let r = Pperf_core.Report.generate ~machine:p1 checked in
+  Alcotest.(check bool) "in the report" true (has_event r.diagnostics)
 
 let () =
   Alcotest.run "bounds"
