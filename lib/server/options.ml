@@ -131,10 +131,13 @@ let domain f =
   Option.bind f.domain Pperf_absint.Absint.domain_of_string
   |> Option.value ~default:Pperf_absint.Absint.Box
 
+(* a relational domain is read only through the range analysis, so
+   choosing one implies --ranges, as it does for lint and compare *)
 let to_aggregate f =
+  let range_domain = domain f in
   {
     Pperf_core.Aggregate.default_options with
     include_memory = f.memory;
-    infer_ranges = f.ranges;
-    range_domain = domain f;
+    infer_ranges = f.ranges || range_domain <> Pperf_absint.Absint.Box;
+    range_domain;
   }

@@ -71,4 +71,5 @@ val domain : t -> Pperf_absint.Absint.domain
     fall back to [Box] (validation happens at the surfaces). *)
 
 val to_aggregate : t -> Pperf_core.Aggregate.options
-(** The {!Pperf_core.Aggregate.options} these flags select. *)
+(** The {!Pperf_core.Aggregate.options} these flags select. A relational
+    [domain] implies [ranges]. *)

@@ -429,8 +429,8 @@ let test_extended_stats () =
 
 (* only predict without ranges looks up an incremental predictor, one per
    machine and memory option: a session of the other query verbs and of
-   ranges predictions leaves the predictor memo as it found it, and the
-   domain flag alone shares the plain predictor *)
+   ranges predictions leaves the predictor memo as it found it, and a
+   relational domain alone implies ranges, so it takes no predictor either *)
 let test_predictor_only_for_predict () =
   let entries stats =
     match Json.member "memos" stats with
