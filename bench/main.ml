@@ -187,13 +187,10 @@ let unroll () =
       in
       let r' = { checked.routine with body = stmts } in
       let c' = Typecheck.check_routine (Parser.parse_routine (Pp_ast.routine_to_string r')) in
-      let loops, body = List.hd (Analysis.innermost_bodies c'.routine.body) in
+      let loops, d', body = List.hd (Analysis.innermost_nests c'.routine.body) in
       let loop_vars = List.map (fun (l : Analysis.loop_ctx) -> l.lvar) loops in
-      let assigned = Analysis.assigned_vars c'.routine.body in
       let invariants =
-        Analysis.SSet.diff
-          (Analysis.SSet.union (Analysis.used_vars c'.routine.body) assigned)
-          assigned
+        Analysis.loop_invariants ~declared:(Analysis.declared_names c'.symbols) d'
       in
       let res =
         Pperf_translate.Translator.translate_block ~machine:p1 ~symtab:c'.symbols ~loop_vars
@@ -202,10 +199,8 @@ let unroll () =
       let overhead = Pperf_translate.Translator.loop_overhead_dag ~machine:p1 () in
       let dag = Dag.concat res.body overhead in
       (* method 2 (SS2.2.2): drop the block into the bins multiple times *)
-      let bins = Bins.create p1 in
-      let s1 = Bins.drop_dag bins dag in
-      let s2 = Bins.drop_dag bins dag in
-      let pred = float_of_int (max 1 (s2.cost - s1.cost)) /. float_of_int factor in
+      let _, per_iter = Bins.steady_state (Bins.create p1) dag in
+      let pred = float_of_int per_iter /. float_of_int factor in
       (* method 1: examine the shape of the cost block (self-overlap) *)
       let shape_bins = Bins.create p1 in
       ignore (Bins.drop_dag shape_bins dag);
@@ -434,8 +429,7 @@ let astar () =
       in
       let value c =
         Poly.eval_float
-          (fun v ->
-            if String.length v >= 5 && String.sub v 0 5 = "trip_" then 8.0 else 128.0)
+          (fun v -> if Analysis.is_trip_var v then 8.0 else 128.0)
           (Perf_expr.total c)
       in
       let before = value out.initial and after = value out.predicted in
@@ -605,72 +599,26 @@ let dyn () =
    with the same kind of result dumps). Flat name -> ns/run map plus the
    PERF-LIN growth ratios; parsed back by [check] below. *)
 let write_json file rows ratios =
-  let oc = open_out file in
-  Printf.fprintf oc "{\n  \"schema\": 1,\n  \"unit\": \"ns/run\",\n  \"benches\": {\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i (name, ns) ->
-      Printf.fprintf oc "    %S: %.1f%s\n" name ns (if i = n - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  },\n  \"perf_lin\": {\n";
-  let rn = List.length ratios in
-  List.iteri
-    (fun i (name, r) ->
-      Printf.fprintf oc "    %S: %.2f%s\n" name r (if i = rn - 1 then "" else ","))
-    ratios;
-  Printf.fprintf oc "  }\n}\n";
-  close_out oc;
+  let module Json = Pperf_server.Json in
+  let floats =
+    List.map (fun (name, v) -> (name, if Float.is_finite v then Json.Float v else Json.Null))
+  in
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc
+        (Json.to_string
+           (Json.Obj
+              [ ("schema", Json.Int 1); ("unit", Json.String "ns/run");
+                ("benches", Json.Obj (floats rows)); ("perf_lin", Json.Obj (floats ratios)) ]));
+      output_char oc '\n');
   Printf.printf "\nwrote %s\n" file
 
-(* minimal parser for the JSON we write: "name": number pairs inside the
-   "benches" object (we only ever read our own dumps, so no general JSON
-   dependency is needed) *)
+(* the "benches" name -> ns/run pairs of a dump *)
 let read_json file =
-  let ic = open_in file in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  let rows = ref [] in
-  let i = ref 0 in
-  let len = String.length s in
-  (* skip to the "benches" object so perf_lin entries are not picked up *)
-  (match String.index_opt s '{' with Some _ -> () | None -> failwith "not a JSON dump");
-  let start =
-    match
-      let rec find i =
-        if i + 9 > len then None
-        else if String.sub s i 9 = "\"benches\"" then Some i
-        else find (i + 1)
-      in
-      find 0
-    with
-    | Some p -> p
-    | None -> failwith (file ^ ": no \"benches\" object")
-  in
-  i := start + 9;
-  let depth = ref 0 in
-  let fin = ref false in
-  while not !fin && !i < len do
-    (match s.[!i] with
-     | '{' -> incr depth
-     | '}' ->
-       decr depth;
-       if !depth <= 0 then fin := true
-     | '"' when !depth = 1 ->
-       let close = String.index_from s (!i + 1) '"' in
-       let name = String.sub s (!i + 1) (close - !i - 1) in
-       let colon = String.index_from s close ':' in
-       let stop = ref (colon + 1) in
-       while !stop < len && (match s.[!stop] with ',' | '\n' | '}' -> false | _ -> true) do
-         incr stop
-       done;
-       let v = float_of_string (String.trim (String.sub s (colon + 1) (!stop - colon - 1))) in
-       rows := (name, v) :: !rows;
-       i := !stop - 1
-     | _ -> ());
-    incr i
-  done;
-  List.rev !rows
+  let module Json = Pperf_server.Json in
+  match Json.member "benches" (Json.of_string (In_channel.with_open_bin file In_channel.input_all)) with
+  | Some (Json.Obj rows) ->
+    List.filter_map (fun (name, v) -> Option.map (fun f -> (name, f)) (Json.to_number_opt v)) rows
+  | _ -> failwith (file ^ ": no \"benches\" object")
 
 (* the benches whose trajectory is gated in CI *)
 let gated_prefixes =

@@ -43,7 +43,7 @@ let () =
   let out = Search.run ~machine ~options ~env ~max_nodes:80 ~max_depth:3 checked in
   let value c =
     Poly.eval_float
-      (fun v -> if String.length v >= 5 && String.sub v 0 5 = "trip_" then 8.0 else 256.0)
+      (fun v -> if Analysis.is_trip_var v then 8.0 else 256.0)
       (Perf_expr.total c)
   in
   Format.printf "@.search explored %d states@." out.explored;

@@ -836,15 +836,8 @@ let decide_cond_at r loc cond =
 
 let summary_rel r = r.sum_rel
 
-let summary_bound r p =
-  let iv = Interval.eval_poly r.summary_env p in
-  if r.dom = Box then iv else meet_rel r.summary_env r.sum_rel p iv
-
 let rewrites r = Reldom.rewrites r.sum_rel
 let relations r = Reldom.constraints r.sum_rel
-let relations_at (r : result) loc =
-  if r.dom = Box then [] else Reldom.constraints (rel_at r loc)
-
 let relation_points (r : result) =
   if r.dom = Box then []
   else

@@ -96,18 +96,12 @@ val summary_rel : result -> Reldom.t
     variables unconstrained there). Survivors are typically input
     couplings like [m = 2*n]; loop-local facts are filtered out. *)
 
-val summary_bound : result -> Poly.t -> Interval.t
-(** Enclosure of the polynomial over {!summary}, met with the relational
-    summary's bound. *)
-
 val rewrites : result -> (string * Poly.t) list
 (** Exact substitutions from the affine rows of {!summary_rel}, usable on
     arbitrary polynomials (e.g. [m = 2*n] turns [m·n] into [2·n²]). *)
 
 val relations : result -> Lin.cons list
 (** Displayable constraints of {!summary_rel}. *)
-
-val relations_at : result -> Srcloc.t -> Lin.cons list
 
 val relation_points : result -> (Srcloc.t * Lin.cons list) list
 (** Every recorded program point with at least one relational fact, in

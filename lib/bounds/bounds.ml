@@ -150,26 +150,9 @@ let chain_ratio body carries =
 
 (* ------------------------------------------------------------- per nest *)
 
-let trips_of loops =
-  List.fold_left
-    (fun acc (l : Analysis.loop_ctx) ->
-      let t =
-        match Sym_expr.trip_count ~lo:l.llo ~hi:l.lhi ~step:l.lstep with
-        | Some p -> p
-        | None -> Poly.var ("trip_" ^ l.lvar)
-      in
-      Poly.mul acc t)
-    Poly.one loops
-
-let wrap_nest (loops : Analysis.loop_ctx list) body =
-  List.fold_right
-    (fun (l : Analysis.loop_ctx) inner ->
-      [ Ast.mk (Ast.Do { Ast.var = l.lvar; lo = l.llo; hi = l.lhi; step = l.lstep; body = inner }) ])
-    loops body
-
 (* the carried flow dependences of the nest, with resolved distances *)
 let carried_chains ~(loops : Analysis.loop_ctx list) body =
-  let deps = Depend.dependences_in (wrap_nest loops body) in
+  let deps = Depend.dependences_in (Analysis.wrap_nest loops body) in
   List.filter_map
     (fun (dep : Depend.dependence) ->
       if dep.kind <> Depend.Flow then None
@@ -214,17 +197,12 @@ let analyze_nest ~machine ~include_memory ~bindings ~symtab ~invariants
     | exception _ -> None
     | res ->
       Obs.incr c_nests;
-      (* bin-packing: per-iteration steady state (drop the body plus loop
-         control twice, take the increment — the aggregate's coefficient)
-         and the standalone one-iteration cost *)
-      let dag =
-        Dag.concat res.Translator.body (Translator.loop_overhead_dag ~machine ())
+      (* bin-packing: the aggregate's steady state of the body plus loop
+         control, and the standalone one-iteration cost *)
+      let bin_once, bin_per_iter =
+        Bins.steady_state (Bins.create machine)
+          (Dag.concat res.Translator.body (Translator.loop_overhead_dag ~machine ()))
       in
-      let bins = Bins.create machine in
-      let s1 = Bins.drop_dag bins dag in
-      let s2 = Bins.drop_dag bins dag in
-      let bin_once = s1.cost in
-      let bin_per_iter = max 1 (s2.cost - s1.cost) in
       let critical_path = Dag.critical_path res.Translator.body in
       (* LCD: carry edges from each store of the carried array to each of
          its loads, at the dependence distance *)
@@ -253,7 +231,7 @@ let analyze_nest ~machine ~include_memory ~bindings ~symtab ~invariants
       in
       let all_edges = List.concat_map carry_edges chains in
       let lcd_per_iter = chain_ratio res.Translator.body all_edges in
-      let trips = trips_of loops in
+      let trips = List.fold_left (fun acc l -> Poly.mul acc (Analysis.trip l)) Poly.one loops in
       let bin_bound = Poly.scale_int bin_per_iter trips in
       let lcd_bound = Poly.scale lcd_per_iter trips in
       let mem_bound =
@@ -327,11 +305,15 @@ let analyze_nest ~machine ~include_memory ~bindings ~symtab ~invariants
 
 let analyze_stmts ~machine ?(include_memory = false) ?(bindings = []) ~symtab body =
   Obs.time sp_bounds @@ fun () ->
-  let invariants = Analysis.invariant_vars body in
+  let declared = Analysis.declared_names symtab in
   let nests =
     List.filter_map
-      (analyze_nest ~machine ~include_memory ~bindings ~symtab ~invariants)
-      (Analysis.innermost_bodies body)
+      (fun (loops, d, body) ->
+        (* the body translates as the aggregation translates it: with the
+           invariants of its innermost enclosing loop *)
+        let invariants = Analysis.loop_invariants ~declared d in
+        analyze_nest ~machine ~include_memory ~bindings ~symtab ~invariants (loops, body))
+      (Analysis.innermost_nests body)
   in
   (nests, List.filter_map (fun n -> n.disagreement) nests)
 

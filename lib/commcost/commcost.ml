@@ -55,12 +55,7 @@ let surface_bytes symtab loops skip_var name =
   let trips =
     List.filter_map
       (fun (l : Analysis.loop_ctx) ->
-        if String.equal l.lvar skip_var then None
-        else
-          Some
-            (match Sym_expr.trip_count ~lo:l.llo ~hi:l.lhi ~step:l.lstep with
-             | Some p -> p
-             | None -> Poly.var ("trip_" ^ l.lvar)))
+        if String.equal l.lvar skip_var then None else Some (Analysis.trip l))
       loops
   in
   Poly.scale_int (elem_bytes symtab name) (List.fold_left Poly.mul Poly.one trips)
@@ -314,13 +309,7 @@ module Sim = struct
           | Ast.Call_stmt _ | Ast.Return -> ())
         ss
     in
-    let wrapped =
-      List.fold_right
-        (fun (l : Analysis.loop_ctx) inner ->
-          [ Ast.mk (Ast.Do { var = l.lvar; lo = l.llo; hi = l.lhi; step = l.lstep; body = inner }) ])
-        loops stmts
-    in
-    exec ~depth:0 bounds wrapped;
+    exec ~depth:0 bounds (Analysis.wrap_nest loops stmts);
     flush_phase ();
     (!messages, !bytes)
 end

@@ -45,7 +45,7 @@ type prob_state = {
 
 (* one scratch Bins shared by all the [{ ctx with ... }] copies: every
    standalone drop resets it instead of re-allocating slot arrays *)
-type scratch = { mutable bins : Bins.t option; mutable symbol_set : SSet.t option }
+type scratch = { mutable bins : Bins.t option; mutable declared : SSet.t option }
 
 type ctx = {
   machine : Machine.t;
@@ -104,17 +104,11 @@ let dag_cost ?(loc = Srcloc.dummy) ctx dag =
     note_fallbacks ctx ~loc bins;
     cost)
 
-(* steady-state per-iteration cost: drop the block (body + loop control)
-   twice; the increment is what one more iteration costs once overlap with
-   the previous iteration is accounted for *)
 let per_iteration_cost ?(loc = Srcloc.dummy) ctx dag =
-  if Dag.length dag = 0 then 0
-  else (
-    let bins = scratch_bins ctx in
-    let s1 = Bins.drop_dag bins dag in
-    let s2 = Bins.drop_dag bins dag in
-    note_fallbacks ctx ~loc bins;
-    max 1 (s2.cost - s1.cost))
+  let bins = scratch_bins ctx in
+  let _, per_iter = Bins.steady_state bins dag in
+  note_fallbacks ctx ~loc bins;
+  per_iter
 
 let trip_of ctx ~loc (d : Ast.do_loop) =
   let inferred =
@@ -143,7 +137,7 @@ let trip_of ctx ~loc (d : Ast.do_loop) =
     | _ -> ());
     p
   | None ->
-    let v = "trip_" ^ d.var in
+    let v = Analysis.trip_var d.var in
     let bound_note =
       match inferred with
       | Some l when not (Interval.is_full l.trip || Interval.equal l.trip Interval.nonneg) ->
@@ -156,42 +150,29 @@ let trip_of ctx ~loc (d : Ast.do_loop) =
          d.var v bound_note);
     Poly.var v
 
-(* is this statement straight-line at this level? *)
-let is_straight (s : Ast.stmt) =
-  match s.kind with
-  | Ast.Assign _ | Ast.Call_stmt _ | Ast.Return -> true
-  | Ast.Do _ | Ast.If _ -> false
-
+(* what the library cost table adds for the run's calls; a call it has no
+   entry for stays at the translator's default call cost, which lint's
+   unknown-call check reports *)
 let library_extra ctx (run : Ast.stmt list) =
-  let charge loc acc f args =
-    let cost =
-      match ctx.options.library with
-      | None -> None
-      | Some lib -> Libtable.call_cost lib f args
-    in
-    match cost with
-    | Some c -> Perf_expr.add acc c
-    | None ->
-      imprecise ctx ~check:"unknown-call" ~loc
-        (Printf.sprintf
-           "no cost model for routine '%s'; the call is charged at the default call cost" f);
-      acc
+  let charge acc f args =
+    match ctx.options.library with
+    | None -> acc
+    | Some lib -> (
+      match Libtable.call_cost lib f args with Some c -> Perf_expr.add acc c | None -> acc)
   in
-  let charge_expr loc acc e =
+  let charge_expr acc e =
     Ast.fold_expr
       (fun acc e ->
         match e with
-        | Ast.Call (f, args) when not (Intrinsics.is_intrinsic f) -> charge loc acc f args
+        | Ast.Call (f, args) when not (Intrinsics.is_intrinsic f) -> charge acc f args
         | _ -> acc)
       acc e
   in
   List.fold_left
     (fun acc (s : Ast.stmt) ->
       match s.kind with
-      | Ast.Call_stmt (f, args) ->
-        List.fold_left (charge_expr s.loc) (charge s.loc acc f args) args
-      | Ast.Assign (lhs, e) ->
-        charge_expr s.loc (List.fold_left (charge_expr s.loc) acc lhs.subs) e
+      | Ast.Call_stmt (f, args) -> List.fold_left charge_expr (charge acc f args) args
+      | Ast.Assign (lhs, e) -> charge_expr (List.fold_left charge_expr acc lhs.subs) e
       | _ -> acc)
     Perf_expr.zero run
 
@@ -244,11 +225,7 @@ let index_cond_count (d : Ast.do_loop) cond =
    dropped into the same bins. *)
 let branch_penalty ctx (cond_body : Dag.t) (body : Ast.stmt list) =
   let c_br = ctx.machine.Machine.branch_taken_cycles in
-  let rec leading acc = function
-    | (s : Ast.stmt) :: rest when is_straight s -> leading (s :: acc) rest
-    | _ -> List.rev acc
-  in
-  match leading [] body with
+  match fst (Analysis.split_run body) with
   | [] -> c_br
   | run -> (
     match translate_run ctx run with
@@ -278,8 +255,8 @@ let rec agg_stmts ctx (stmts : Ast.stmt list) : Perf_expr.t =
   (* segment into straight-line runs and control statements *)
   let rec go acc = function
     | [] -> acc
-    | s :: _ as rest when is_straight s ->
-      let run, rest' = split_run rest in
+    | s :: _ as rest when Analysis.is_straight s ->
+      let run, rest' = Analysis.split_run rest in
       let res = translate_run ctx run in
       (* outside a loop there is no "per entry" distinction *)
       let c = dag_cost ~loc:s.Ast.loc ctx (Dag.concat res.one_time res.body) in
@@ -292,12 +269,6 @@ let rec agg_stmts ctx (stmts : Ast.stmt list) : Perf_expr.t =
       let acc = Perf_expr.add acc (agg_if ctx s) in
       go acc rest
     | _ :: rest -> go acc rest
-  and split_run stmts =
-    let rec take acc = function
-      | s :: rest when is_straight s -> take (s :: acc) rest
-      | rest -> (List.rev acc, rest)
-    in
-    take [] stmts
   in
   go Perf_expr.zero stmts
 
@@ -367,17 +338,15 @@ and agg_do ctx ~loc (d : Ast.do_loop) : Perf_expr.t =
   in
   let entry_cost = dag_cost ~loc ctx (Dag.concat bounds_res.one_time bounds_res.body) in
   (* context inside the loop *)
-  let assigned = SSet.add d.var (Analysis.assigned_vars d.body) in
-  let symbol_set =
-    match ctx.scratch.symbol_set with
+  let declared =
+    match ctx.scratch.declared with
     | Some s -> s
     | None ->
-      let s = SSet.of_list (List.map fst (Typecheck.symbols_list ctx.symtab)) in
-      ctx.scratch.symbol_set <- Some s;
+      let s = Analysis.declared_names ctx.symtab in
+      ctx.scratch.declared <- Some s;
       s
   in
-  let visible = SSet.union (Analysis.used_vars d.body) symbol_set in
-  let invariants = SSet.diff visible assigned in
+  let invariants = Analysis.loop_invariants ~declared d in
   let inner_ctx =
     { ctx with loops = ctx.loops @ [ Analysis.{ lvar = d.var; llo = d.lo; lhi = d.hi; lstep = d.step } ];
                invariants }
@@ -391,12 +360,8 @@ and agg_do ctx ~loc (d : Ast.do_loop) : Perf_expr.t =
   let overhead_charged = ref false in
   let rec walk = function
     | [] -> ()
-    | s :: _ as rest when is_straight s ->
-      let rec take acc = function
-        | x :: r when is_straight x -> take (x :: acc) r
-        | r -> (List.rev acc, r)
-      in
-      let run, rest' = take [] rest in
+    | s :: _ as rest when Analysis.is_straight s ->
+      let run, rest' = Analysis.split_run rest in
       let res = translate_run inner_ctx run in
       let dag =
         if not !overhead_charged then (
@@ -496,7 +461,7 @@ let make_ctx ~machine ~options ~symtab ?ranges ?(prob_offset = 0) () =
     invariants = SSet.empty;
     probs = { counter = prob_offset; vars = []; diags = [] };
     ranges;
-    scratch = { bins = None; symbol_set = None };
+    scratch = { bins = None; declared = None };
   }
 
 let infer_ranges_of ~options ~symtab body =
@@ -535,8 +500,3 @@ let if_penalty ~machine ?(options = default_options) ~symtab ?(loop_vars = [])
   in
   let ctx = { ctx with loops; invariants } in
   branch_penalty ctx cond_dag body
-
-let block_cycles ~machine ?(options = default_options) ~symtab body =
-  let ctx = make_ctx ~machine ~options ~symtab () in
-  let res = translate_run ctx body in
-  dag_cost ctx (Dag.concat res.one_time res.body)

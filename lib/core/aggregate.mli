@@ -56,15 +56,11 @@ type prediction = {
   prob_vars : string list;  (** fresh probability unknowns introduced *)
   diagnostics : Pperf_lint.Diagnostic.t list;
       (** [Precision] events recorded while aggregating: symbolic trip
-          counts, invented branch probabilities, calls without a cost
-          model — each one a place where the prediction went conservative *)
+          counts, invented branch probabilities, stacked-placement
+          fallbacks — each one a place where the prediction went
+          conservative. Calls without a cost model are lint's
+          [unknown-call] check, which every diagnostics printer merges in. *)
 }
-
-val is_straight : Ast.stmt -> bool
-(** Is the statement straight-line at its own level (no loop, no branch)?
-    Adjacent straight-line statements aggregate as one translated block, so
-    callers that cost statement groups independently (see {!Incremental})
-    must use maximal straight-line runs as their unit. *)
 
 val stmts :
   machine:Machine.t ->
@@ -78,12 +74,6 @@ val stmts :
     variable names it would get at position [offset] of a larger body. *)
 
 val routine : machine:Machine.t -> ?options:options -> Typecheck.checked -> prediction
-
-val block_cycles :
-  machine:Machine.t -> ?options:options -> symtab:Typecheck.symtab -> Ast.stmt list -> int
-(** Straight-line only: the Tetris-model cycle count of one execution
-    (one-time costs included), for Fig. 7-style comparisons.
-    @raise Translator.Not_straight_line on control flow. *)
 
 val if_penalty :
   machine:Machine.t ->

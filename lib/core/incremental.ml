@@ -89,22 +89,6 @@ let totals () =
 
 let clear t = Memo.clear t.units
 
-(* split a body into the units Aggregate.stmts aggregates independently:
-   maximal straight-line runs and single compound statements *)
-let units_of body =
-  let rec go acc = function
-    | [] -> List.rev acc
-    | s :: _ as rest when Aggregate.is_straight s ->
-      let rec take run = function
-        | x :: r when Aggregate.is_straight x -> take (x :: run) r
-        | r -> (List.rev run, r)
-      in
-      let run, rest' = take [] rest in
-      go (run :: acc) rest'
-    | s :: rest -> go ([ s ] :: acc) rest
-  in
-  go [] body
-
 (* Predict a routine re-using cached per-unit predictions. With
    [infer_ranges] on, the interval analysis reads the whole body, so units
    are not independent and we fall back to a from-scratch aggregation. *)
@@ -129,7 +113,7 @@ let predict_checked t (checked : Typecheck.checked) : Aggregate.prediction =
             diags @ p.diagnostics,
             prob_offset + List.length p.prob_vars ))
         (Perf_expr.zero, [], [], 0)
-        (units_of checked.routine.body)
+        (Analysis.units checked.routine.body)
     in
     { Aggregate.cost; prob_vars; diagnostics = Pperf_lint.Lint.dedupe diags })
 

@@ -48,7 +48,3 @@ let call_cost t name (actuals : Ast.expr list) : Perf_expr.t option =
       List.fold_left (fun acc (formal, repl) -> Poly.subst formal repl acc) poly pairs
     in
     Some (Perf_expr.map substitute entry.cost)
-
-(** Build a table entry from a routine's own predicted cost, expressed in
-    its formal parameters. *)
-let of_prediction ~formals cost = { formals; cost }

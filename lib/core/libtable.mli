@@ -23,5 +23,3 @@ val call_cost : t -> string -> Ast.expr list -> Perf_expr.t option
 (** Substitute the actual arguments for the formals. A non-polynomial
     actual leaves its formal in place, renamed [<callee>.<formal>], so it
     remains a distinct unknown rather than a wrong guess. *)
-
-val of_prediction : formals:string list -> Perf_expr.t -> entry

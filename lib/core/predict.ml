@@ -23,11 +23,6 @@ let of_source ?options ~machine src =
   let checked = Typecheck.check_routine (Parser.parse_routine src) in
   of_checked ?options ~machine checked
 
-let of_program ?options ~machine src =
-  Parser.parse_program src
-  |> Typecheck.check_program
-  |> List.map (of_checked ?options ~machine)
-
 let cost t = t.prediction.cost
 let total t = Perf_expr.total t.prediction.cost
 let prob_vars t = t.prediction.prob_vars

@@ -16,10 +16,6 @@ val of_source : ?options:Aggregate.options -> machine:Machine.t -> string -> t
 (** Parse, check and predict a single-routine source.
     @raise Parser.Error or Typecheck.Type_error on bad input. *)
 
-val of_program : ?options:Aggregate.options -> machine:Machine.t -> string -> t list
-(** Every routine of a multi-unit source, each predicted independently
-    (see {!Interproc} for call-site charging). *)
-
 val cost : t -> Perf_expr.t
 val total : t -> Pperf_symbolic.Poly.t
 val prob_vars : t -> string list

@@ -91,6 +91,8 @@ type state = {
   cond_costs : (Srcloc.t, int) Hashtbl.t;
   charged_one_time : (Srcloc.t * string, int) Hashtbl.t;
       (** block -> activation id for which one-time cost was last charged *)
+  mutable declared : (Typecheck.symtab * SSet.t) list;
+      (** each routine's declared names, built on its first loop entry *)
   mutable next_activation : int;
       (** loop-entry counter; each [do] entry gets a fresh id, which is the
           key under which its body's hoisted (one-time) costs are charged *)
@@ -263,11 +265,11 @@ and element_offset st frame loc arr name subs =
     idxs;
   !off
 
-(* ---- cost accounting (mirrors Aggregate's recipe) ---- *)
+(* ---- cost accounting (Aggregate's recipe, its block rules shared) ---- *)
 
 and loop_ctx_key loop_vars = String.concat "," loop_vars
 
-(* mode mirrors Aggregate's cost rules:
+(* mode follows Aggregate's cost rules:
    - Direct_loop_body: per-iteration steady-state cost; the first run of an
      iteration absorbs the loop-control overhead; one-time parts charged
      once per loop activation.
@@ -293,11 +295,9 @@ and block_cost st (symtab : Typecheck.symtab) ~standalone ~with_overhead loop_va
           if with_overhead then Pperf_translate.Translator.loop_overhead_dag ~machine:st.machine ()
           else Dag.make [||]
         in
-        let dag = Dag.concat res.body overhead in
-        let bins = Bins.create st.machine in
-        let s1 = Bins.drop_dag bins dag in
-        let s2 = Bins.drop_dag bins dag in
-        let per_exec = max 1 (s2.cost - s1.cost) in
+        let _, per_exec =
+          Bins.steady_state (Bins.create st.machine) (Dag.concat res.body overhead)
+        in
         let one_time =
           if Dag.length res.one_time = 0 then 0
           else (
@@ -348,9 +348,6 @@ and charge_block st symtab ~standalone ~with_overhead ~activation loop_vars inva
 
 (* ---- statement execution ---- *)
 
-and is_straight (s : Ast.stmt) =
-  match s.kind with Ast.Assign _ | Ast.Call_stmt _ | Ast.Return -> true | _ -> false
-
 and exec_stmts st (checked : Typecheck.checked) frame ?overhead_pending ~activation loop_vars
     invariants stmts =
   let symtab = checked.symbols in
@@ -359,12 +356,8 @@ and exec_stmts st (checked : Typecheck.checked) frame ?overhead_pending ~activat
      rule); r is set once absorbed. None: standalone costing. *)
   let rec go = function
     | [] -> ()
-    | s :: _ as rest when is_straight s ->
-      let rec take acc = function
-        | x :: r when is_straight x -> take (x :: acc) r
-        | r -> (List.rev acc, r)
-      in
-      let run, rest' = take [] rest in
+    | s :: _ as rest when Analysis.is_straight s ->
+      let run, rest' = Analysis.split_run rest in
       (match overhead_pending with
        | Some r ->
          let with_overhead = not !r in
@@ -432,23 +425,24 @@ and exec_do st checked frame loop_vars invariants loc (d : Ast.do_loop) =
     st.cycles
     +. float_of_int (Bins.drop_dag bins (Dag.concat bounds_res.one_time bounds_res.body)).cost;
   (* inner context *)
-  let assigned = SSet.add d.var (Analysis.assigned_vars d.body) in
-  let visible =
-    SSet.union (Analysis.used_vars d.body)
-      (SSet.of_list (List.map fst (Typecheck.symbols_list checked.Typecheck.symbols)))
+  let declared =
+    let symtab = checked.Typecheck.symbols in
+    match List.assq_opt symtab st.declared with
+    | Some s -> s
+    | None ->
+      let s = Analysis.declared_names symtab in
+      st.declared <- (symtab, s) :: st.declared;
+      s
   in
-  let invariants' = SSet.diff visible assigned in
+  let invariants' = Analysis.loop_invariants ~declared d in
   let loop_vars' = loop_vars @ [ d.var ] in
   st.next_activation <- st.next_activation + 1;
   let activation = st.next_activation in
   (* per-iteration loop-control overhead when no straight-line run absorbs
-     it (mirrors Aggregate's fallback) *)
-  let overhead_dag = Pperf_translate.Translator.loop_overhead_dag ~machine:st.machine () in
-  let overhead_alone =
-    let b = Bins.create st.machine in
-    let s1 = Bins.drop_dag b overhead_dag in
-    let s2 = Bins.drop_dag b overhead_dag in
-    max 1 (s2.cost - s1.cost)
+     it (Aggregate's fallback) *)
+  let _, overhead_alone =
+    Bins.steady_state (Bins.create st.machine)
+      (Pperf_translate.Translator.loop_overhead_dag ~machine:st.machine ())
   in
   let iterations = ref 0 in
   let i = ref lo in
@@ -595,6 +589,7 @@ let run ~machine ?(options = Pperf_core.Aggregate.default_options) ?(args = [])
       block_costs = Hashtbl.create 64;
       cond_costs = Hashtbl.create 16;
       charged_one_time = Hashtbl.create 64;
+      declared = [];
       next_activation = 0;
       elements = 0;
       depth = 0;

@@ -31,10 +31,6 @@ val assigned_vars : Ast.stmt list -> SSet.t
 val used_vars : Ast.stmt list -> SSet.t
 (** Scalars and arrays read. *)
 
-val invariant_vars : Ast.stmt list -> SSet.t
-(** [used_vars \ assigned_vars]: what the fragment reads but never
-    writes, which every block inside it may treat as loop-invariant. *)
-
 val expr_reads : Ast.expr -> SSet.t
 
 val loop_indices : Ast.stmt list -> SSet.t
@@ -43,20 +39,59 @@ val loop_indices : Ast.stmt list -> SSet.t
 val has_call : Ast.expr -> bool
 (** Whether the expression contains any function call. *)
 
-val is_invariant_expr : SSet.t -> Ast.expr -> bool
-(** [is_invariant_expr assigned e]: no variable read by [e] is in
-    [assigned] and [e] has no calls (calls may have side effects). *)
-
 val perfect_nest : Ast.do_loop -> loop_ctx list * Ast.stmt list
 (** Longest chain of singly-nested loops from this loop inward, and the
     innermost body. *)
 
-val innermost_bodies : Ast.stmt list -> (loop_ctx list * Ast.stmt list) list
+val innermost_nests : Ast.stmt list -> (loop_ctx list * Ast.do_loop * Ast.stmt list) list
 (** Every maximal innermost loop body (no [do] inside) with its loop
-    context — the granularity of straight-line cost estimation. *)
+    context and its innermost enclosing loop — the granularity of
+    straight-line cost estimation. A loop whose body holds a [do] beside
+    an [if] contributes the [if]'s branch bodies, each with that loop. *)
 
-val count_statements : Ast.stmt list -> int
+val innermost_bodies : Ast.stmt list -> (loop_ctx list * Ast.stmt list) list
+(** {!innermost_nests} without the enclosing loops. *)
 
-val scalar_expansion_candidates : Ast.stmt list -> SSet.t
-(** Scalars both written and read within the fragment (e.g. reduction
-    accumulators), relevant to the sum-reduction pattern (§2.2.2). *)
+(** {1 Loop-costing rules}
+
+    The one copy of each rule the aggregation (§2.4) applies to a loop,
+    shared by everything that costs a loop body the same way: the
+    interpreter, the bound analysis, the schedule view and the memory and
+    communication models. *)
+
+val is_straight : Ast.stmt -> bool
+(** Is the statement straight-line at its own level (no loop, no branch)?
+    Adjacent straight-line statements are translated and costed as one
+    block. *)
+
+val split_run : Ast.stmt list -> Ast.stmt list * Ast.stmt list
+(** The maximal leading straight-line run (empty when the list starts
+    with a compound statement) and the rest. *)
+
+val units : Ast.stmt list -> Ast.stmt list list
+(** The body cut into the units aggregation costs independently: maximal
+    straight-line runs and single compound statements, in order. *)
+
+val declared_names : Typecheck.symtab -> SSet.t
+(** Every name the routine declares, the [declared] of {!loop_invariants}. *)
+
+val loop_invariants : declared:SSet.t -> Ast.do_loop -> SSet.t
+(** What every block inside the loop may treat as invariant, imitating the
+    back-end's loop-invariant code motion (§2.2.2): the names the body
+    reads or the routine declares, minus what the body may write and the
+    loop index. *)
+
+val trip : loop_ctx -> Pperf_symbolic.Poly.t
+(** The loop's trip count: the closed form of {!Sym_expr.trip_count},
+    else the free variable {!trip_var} of its index. *)
+
+val trip_var : string -> string
+(** [trip_var i]: the free variable ([trip_i]) standing for the trip
+    count of a loop over [i] with no closed form. *)
+
+val is_trip_var : string -> bool
+(** Is the name one {!trip_var} makes? *)
+
+val wrap_nest : loop_ctx list -> Ast.stmt list -> Ast.stmt list
+(** The body rebuilt inside [do] statements from its loop contexts,
+    outermost first. *)

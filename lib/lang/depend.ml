@@ -293,8 +293,6 @@ let directions ~common ?env ?oracle (r1 : Analysis.array_ref) (r2 : Analysis.arr
   then []
   else direction_vectors ~common ?env ?oracle r1 r2
 
-let may_depend ~common ?env ?oracle r1 r2 = directions ~common ?env ?oracle r1 r2 <> []
-
 let common_loops (r1 : Analysis.array_ref) (r2 : Analysis.array_ref) =
   let rec go l1 l2 =
     match (l1, l2) with

@@ -26,13 +26,6 @@ type dependence = {
 val classify : Analysis.array_ref -> Analysis.array_ref -> dep_kind
 (** Total over the four write/read combinations; read-read is {!Input}. *)
 
-val may_depend :
-  common:Analysis.loop_ctx list ->
-  ?env:Pperf_symbolic.Interval.Env.t ->
-  ?oracle:(Pperf_symbolic.Poly.t -> Pperf_symbolic.Interval.t) ->
-  Analysis.array_ref ->
-  Analysis.array_ref ->
-  bool
 (** Subscript-by-subscript GCD + Banerjee disproof attempt, any direction. *)
 
 val directions :

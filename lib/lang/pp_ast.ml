@@ -133,5 +133,4 @@ let pp_program fmt (p : Ast.program) =
     p
 
 let routine_to_string r = Format.asprintf "%a" pp_routine r
-let program_to_string p = Format.asprintf "%a" pp_program p
 let stmts_to_string ss = Format.asprintf "%a" (fun fmt -> List.iter (pp_stmt 0 fmt)) ss

@@ -16,7 +16,6 @@ val pp_decl : int -> Format.formatter -> Ast.decl -> unit
 val pp_routine : Format.formatter -> Ast.routine -> unit
 val pp_program : Format.formatter -> Ast.program -> unit
 val routine_to_string : Ast.routine -> string
-val program_to_string : Ast.program -> string
 val stmts_to_string : Ast.stmt list -> string
 val dtype_str : Ast.dtype -> string
 val binop_str : Ast.binop -> string

@@ -268,15 +268,6 @@ let of_string str =
      | Costmodel.Ports -> ports_of_fields ~line ~name ~cache ~comm ~has_fma fields)
   | sx -> err (sexp_line sx) "expected (machine ...)"
 
-let of_channel ic =
-  let buf = Buffer.create 4096 in
-  (try
-     while true do
-       Buffer.add_channel buf ic 1
-     done
-   with End_of_file -> ());
-  of_string (Buffer.contents buf)
-
 let to_string (m : Machine.t) =
   let b = Buffer.create 1024 in
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in

@@ -44,6 +44,5 @@ exception Parse_error of string
     costs and malformed fields. *)
 
 val of_string : string -> Machine.t
-val of_channel : in_channel -> Machine.t
 val to_string : Machine.t -> string
 (** Round-trips through {!of_string} (up to whitespace). *)

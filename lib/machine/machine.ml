@@ -163,22 +163,9 @@ let num_atomics t = Hashtbl.length t.atomics
 let iter_atomics f t = Hashtbl.iter f t.atomics
 let fold_atomics f t init = Hashtbl.fold f t.atomics init
 
-let atomic_names t =
-  List.sort compare (Hashtbl.fold (fun name _ acc -> name :: acc) t.atomics [])
-
 let reciprocal_throughput t op =
   let (module M : Costmodel.S) = Costmodel.model t.model in
   M.reciprocal_throughput ~units:t.units op
-
-let pp_summary fmt t =
-  Format.fprintf fmt "machine %s: %d units (%a), %d atomic ops, issue width %d%s" t.name
-    (Array.length t.units)
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.pp_print_string fmt " ")
-       (fun fmt (u : Funit.t) -> Format.pp_print_string fmt u.name))
-    (Array.to_list t.units)
-    (Hashtbl.length t.atomics) t.issue_width
-    (if t.has_fma then ", fma" else "")
 
 (* ---- built-in machines ---- *)
 

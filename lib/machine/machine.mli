@@ -119,14 +119,9 @@ val num_atomics : t -> int
 val iter_atomics : (string -> Atomic_op.t -> unit) -> t -> unit
 val fold_atomics : (string -> Atomic_op.t -> 'a -> 'a) -> t -> 'a -> 'a
 
-val atomic_names : t -> string list
-(** Sorted. *)
-
 val reciprocal_throughput : t -> Atomic_op.t -> float
 (** Steady-state cycles per back-to-back instance of the op, under the
     machine's cost model (see {!Costmodel.S.reciprocal_throughput}). *)
-
-val pp_summary : Format.formatter -> t -> unit
 
 (** {1 Built-in machines} *)
 

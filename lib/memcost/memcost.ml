@@ -12,13 +12,6 @@ type ref_group = {
   min_stride_bytes : int option;
 }
 
-(* trip count of a loop as a polynomial (fresh variable when symbolic step
-   defeats the closed form) *)
-let trip_poly (l : Analysis.loop_ctx) =
-  match Sym_expr.trip_count ~lo:l.llo ~hi:l.lhi ~step:l.lstep with
-  | Some p -> p
-  | None -> Poly.var ("trip_" ^ l.lvar)
-
 (* linearized element address of a reference (column-major), as a
    polynomial over loop indices and symbolic extents; None when a
    subscript is not polynomial *)
@@ -121,7 +114,7 @@ let analyze_nest ?bounds ~machine ~symtab loops stmts =
          | None ->
            (* unanalyzable: every iteration may touch a new line *)
            let all_trips =
-             List.fold_left (fun acc l -> Poly.mul acc (trip_poly l)) Poly.one loops
+             List.fold_left (fun acc l -> Poly.mul acc (Analysis.trip l)) Poly.one loops
            in
            {
              array = r.array;
@@ -137,7 +130,7 @@ let analyze_nest ?bounds ~machine ~symtab loops stmts =
              List.filter (fun (l : Analysis.loop_ctx) -> Poly.mem_var l.lvar addr) loops
            in
            let elements =
-             List.fold_left (fun acc l -> Poly.mul acc (trip_poly l)) Poly.one varying
+             List.fold_left (fun acc l -> Poly.mul acc (Analysis.trip l)) Poly.one varying
            in
            (* per-loop constant strides, innermost first *)
            let stride_of (l : Analysis.loop_ctx) =
@@ -167,7 +160,7 @@ let analyze_nest ?bounds ~machine ~symtab loops stmts =
            let lines, _ =
              List.fold_left
                (fun (cum, is_innermost) (l : Analysis.loop_ctx) ->
-                 let trip = trip_poly l in
+                 let trip = Analysis.trip l in
                  let s = stride_of l in
                  let shares =
                    match s with
@@ -397,13 +390,6 @@ module Sim = struct
         ss
     in
     let outer_env x = bounds x in
-    (* wrap the statement list in the given loops *)
-    let wrapped =
-      List.fold_right
-        (fun (l : Analysis.loop_ctx) inner ->
-          [ Ast.mk (Ast.Do { var = l.lvar; lo = l.llo; hi = l.lhi; step = l.lstep; body = inner }) ])
-        loops stmts
-    in
-    exec outer_env wrapped;
+    exec outer_env (Analysis.wrap_nest loops stmts);
     (misses cache, accesses cache)
 end

@@ -316,7 +316,6 @@ let mul a b =
     if sa = 0 || sb = 0 then zero else make (sa * sb) (mag_mul ma mb)
 
 let mul_int a i = mul a (of_int i)
-let add_int a i = add a (of_int i)
 
 let divmod a b =
   match (a, b) with
@@ -395,7 +394,6 @@ let num_bits t =
     ((la - 1) * base_bits) + bits mag.(la - 1) 0
 
 let is_even = function S v -> v land 1 = 0 | B { mag; _ } -> mag.(0) land 1 = 0
-let is_odd t = not (is_even t)
 
 let to_int = function
   | S v -> Some v

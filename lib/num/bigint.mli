@@ -89,7 +89,6 @@ val shift_right : t -> int -> t
 (** Arithmetic shift: floor division by 2{^n}. *)
 
 val mul_int : t -> int -> t
-val add_int : t -> int -> t
 
 (** {1 Inspection} *)
 
@@ -97,7 +96,6 @@ val num_bits : t -> int
 (** Bits in the magnitude; [num_bits zero = 0]. *)
 
 val is_even : t -> bool
-val is_odd : t -> bool
 
 (** {1 Infix operators} *)
 

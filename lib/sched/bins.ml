@@ -195,8 +195,6 @@ let cost_block t =
   let start = if start = max_int then 0 else start in
   { Costblock.start; finish = t.makespan; per_unit }
 
-let current_cost t = Costblock.cost (cost_block t)
-
 let sp_bins = Obs.span "sched.bins"
 
 let drop_dag ?(start_at = 0) t (dag : Dag.t) =
@@ -213,7 +211,15 @@ let drop_dag ?(start_at = 0) t (dag : Dag.t) =
   let block = cost_block t in
   { placements; cost = Costblock.cost block; block }
 
-let unit_slots t u = t.slots.(u)
+(* steady state (§2.4.2): the second drop of the block lands on the
+   first, so its extra cost is what one more iteration costs once it
+   overlaps the previous one *)
+let steady_state t dag =
+  if Dag.length dag = 0 then (0, 0)
+  else (
+    let once = (drop_dag t dag).cost in
+    let twice = (drop_dag t dag).cost in
+    (once, max 1 (twice - once)))
 
 let fallbacks t = t.fallbacks
 

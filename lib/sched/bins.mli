@@ -51,10 +51,11 @@ val drop_op : t -> ready:int -> Atomic_op.t -> int
 val cost_block : t -> Costblock.t
 (** Shape of everything currently in the bins. *)
 
-val current_cost : t -> int
-
-val unit_slots : t -> int -> Slots.t
-(** Read-only access for tests and visualization. *)
+val steady_state : t -> Dag.t -> int * int
+(** [steady_state t dag] drops a loop body twice into [t] (not reset
+    first) and returns the cost of the first drop and the steady-state
+    per-iteration cost: the increment of the second drop, at least 1
+    (§2.4.2). An empty body costs [(0, 0)] and is not dropped. *)
 
 val fallbacks : t -> int
 (** Number of placements since the last {!reset} that a non-converging

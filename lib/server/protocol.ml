@@ -267,8 +267,6 @@ let ok ?(status = 0) ?(cached = false) ?(deadline_missed = false) ?(warnings = [
 
 let err ?retry_after_ms ~id code message = Err_response { id; code; message; retry_after_ms }
 
-let response_id = function Ok_response { id; _ } | Err_response { id; _ } -> id
-
 let response_to_json = function
   | Ok_response r ->
     Json.Obj

@@ -128,6 +128,5 @@ val ok :
   response
 
 val err : ?retry_after_ms:int -> id:Json.t -> error_code -> string -> response
-val response_id : response -> Json.t
 val response_to_json : response -> Json.t
 val response_line : response -> string

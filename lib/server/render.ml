@@ -498,13 +498,14 @@ let schedule ~machine src =
       List.iter
         (fun (c : Typecheck.checked) ->
           Format.fprintf fmt "routine %s:@." c.routine.rname;
-          let invariants = Analysis.invariant_vars c.routine.body in
+          let declared = Analysis.declared_names c.symbols in
           List.iter
-            (fun (loops, body) ->
+            (fun (loops, d, body) ->
               let loop_vars = List.map (fun (l : Analysis.loop_ctx) -> l.lvar) loops in
               let under = String.concat "," loop_vars in
               match
-                Translator.translate_block ~machine ~symtab:c.symbols ~loop_vars ~invariants body
+                Translator.translate_block ~machine ~symtab:c.symbols ~loop_vars
+                  ~invariants:(Analysis.loop_invariants ~declared d) body
               with
               | exception Translator.Not_straight_line loc ->
                 Format.fprintf fmt
@@ -520,7 +521,7 @@ let schedule ~machine src =
                   "cost %d cycles | critical path %d | operation count %d | reference %d@."
                   s.cost (Dag.critical_path res.body) (Bins.Opcount.cost res.body)
                   (Pperf_backend.Pipeline.reference_cycles machine res.body))
-            (Analysis.innermost_bodies c.routine.body))
+            (Analysis.innermost_nests c.routine.body))
         (Typecheck.check_program (Parser.parse_program src)))
 
 (* ---- report ---- *)

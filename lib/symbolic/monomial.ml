@@ -97,9 +97,6 @@ let exponent x m =
 let vars m = Array.to_list (Array.map fst m.exps)
 let total_degree m = m.deg
 
-let max_negative_exponent m =
-  Array.fold_left (fun acc (_, k) -> if k < 0 then max acc (-k) else acc) 0 m.exps
-
 let is_polynomial m = Array.for_all (fun (_, k) -> k > 0) m.exps
 
 (* Same order as Stdlib.compare on the old sorted assoc lists:

@@ -38,9 +38,6 @@ val vars : t -> string list
 val total_degree : t -> int
 (** Sum of exponents (negative exponents subtract). *)
 
-val max_negative_exponent : t -> int
-(** Largest [k >= 0] such that some variable occurs with exponent [-k]. *)
-
 val is_polynomial : t -> bool
 (** True when all exponents are positive (no Laurent part). *)
 

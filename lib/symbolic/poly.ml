@@ -311,9 +311,6 @@ let univariate_coeffs x p =
   done;
   cs
 
-let of_univariate_coeffs x cs =
-  of_pairs (Array.mapi (fun k c -> (Monomial.var_pow x k, c)) cs)
-
 let clear_denominators x p =
   let lo = min_degree_in x p in
   if lo >= 0 then p else mul p (var_pow x (-lo))

@@ -96,8 +96,6 @@ val univariate_coeffs : string -> t -> Rat.t array
     @raise Invalid_argument if other variables occur or exponents are
     negative. *)
 
-val of_univariate_coeffs : string -> Rat.t array -> t
-
 val clear_denominators : string -> t -> t
 (** Multiply by [x^k] to remove negative powers of [x] (sign-preserving for
     [x > 0]); used before root analysis. *)

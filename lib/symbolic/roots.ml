@@ -183,8 +183,6 @@ let chain_for (d : Rat.t array) =
 
 type enclosure = { lo : Rat.t; hi : Rat.t }
 
-let enclosure_mid e = Rat.mul Rat.half (Rat.add e.lo e.hi)
-
 let dense_of_poly p x =
   let p = Poly.clear_denominators x p in
   (match Poly.vars p with

@@ -24,8 +24,6 @@ type enclosure = {
   hi : Rat.t;  (** [lo = hi] iff the root is known exactly. *)
 }
 
-val enclosure_mid : enclosure -> Rat.t
-
 val count_in : Poly.t -> string -> Interval.t -> int
 (** [count_in p x iv] is the number of {e distinct} real roots of [p]
     (viewed as univariate in [x]) within [iv], by Sturm's theorem.

@@ -122,7 +122,7 @@ let score ~machine ~options ~env (checked : Typecheck.checked) =
         | Some iv -> Rat.to_float (Interval.midpoint iv)
         | None ->
           if List.mem v pred.prob_vars then 0.5
-          else if String.length v >= 5 && String.sub v 0 5 = "trip_" then 64.0
+          else if Analysis.is_trip_var v then 64.0
           else 128.0)
       total
   in

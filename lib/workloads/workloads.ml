@@ -211,9 +211,11 @@ let all_kernels = fig7_kernels @ extended_kernels
     atomic-operation DAG for the given machine, with proper loop context. *)
 let innermost_dag ?(flags = Pperf_translate.Flags.default) ~machine kernel =
   let checked = Typecheck.check_routine (Parser.parse_routine kernel.source) in
-  let loops, body = List.hd (Analysis.innermost_bodies checked.routine.body) in
+  let loops, d, body = List.hd (Analysis.innermost_nests checked.routine.body) in
   let loop_vars = List.map (fun (l : Analysis.loop_ctx) -> l.lvar) loops in
-  let invariants = Analysis.invariant_vars checked.routine.body in
+  let invariants =
+    Analysis.loop_invariants ~declared:(Analysis.declared_names checked.symbols) d
+  in
   Pperf_translate.Translator.translate_block ~machine ~flags ~symtab:checked.symbols
     ~loop_vars ~invariants body
 

@@ -6,6 +6,7 @@ open Pperf_symbolic
 open Pperf_lang
 open Pperf_machine
 open Pperf_bounds
+open Pperf_core
 
 let p1 = Machine.power1
 let check_src src = Typecheck.check_routine (Parser.parse_routine src)
@@ -87,6 +88,32 @@ let test_aggregate_bound_events () =
   let r = Pperf_core.Report.generate ~machine:p1 checked in
   Alcotest.(check bool) "in the report" true (has_event r.diagnostics)
 
+(* The bin-packing rate is the aggregation's per-iteration coefficient:
+   the nest's trips (n or n^2 here) multiply exactly bin_per_iter in the
+   routine's predicted total. *)
+let check_rate_matches_aggregate ~expected src =
+  let checked = check_src src in
+  let n = List.hd (Bounds.analyze ~machine:p1 checked).nests in
+  let total = Perf_expr.total (Aggregate.routine ~machine:p1 checked).cost in
+  let coeff = List.assoc (Poly.degree_in "n" n.trips) (Poly.coeffs_in "n" total) in
+  Alcotest.(check (option string)) "aggregate's per-iteration coefficient"
+    (Some (string_of_int expected)) (Option.map Rat.to_string (Poly.to_const coeff));
+  Alcotest.(check int) "bin-packing rate" expected n.bin_per_iter
+
+(* a scalar assigned before the loop is invariant inside it: a * b + c * a
+   is hoisted out of the loop, as the aggregation hoists it *)
+let test_rate_hoists_prior_scalar () =
+  check_rate_matches_aggregate ~expected:3
+    "subroutine hoist(x, y, b, c, n)\n  integer n, i\n  real x(1000), y(1000), a, b, c\n\
+    \  a = b + c\n  do i = 1, n\n    y(i) = x(i) * (a * b + c * a)\n  end do\nend\n"
+
+(* the outer index is invariant in the inner loop: x(i) is loaded once per
+   inner loop entry, not once per iteration *)
+let test_rate_hoists_outer_index () =
+  check_rate_matches_aggregate ~expected:5
+    "subroutine matvec(a, x, y, n)\n  integer n, i, j\n  real a(100,100), x(100), y(100)\n\
+    \  do i = 1, n\n    do j = 1, n\n      y(j) = y(j) + a(j,i) * x(i)\n    end do\n  end do\nend\n"
+
 let () =
   Alcotest.run "bounds"
     [
@@ -98,5 +125,7 @@ let () =
           Alcotest.test_case "memory bound" `Quick test_memory_bound_classification;
           Alcotest.test_case "steady total" `Quick test_steady_total_takes_max;
           Alcotest.test_case "aggregate events" `Quick test_aggregate_bound_events;
+          Alcotest.test_case "hoisted scalar rate" `Quick test_rate_hoists_prior_scalar;
+          Alcotest.test_case "hoisted outer index rate" `Quick test_rate_hoists_outer_index;
         ] );
     ]

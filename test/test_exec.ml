@@ -216,30 +216,33 @@ let rec gen_expr depth st =
       st
 
 (* one distinct loop index per nesting depth: Fortran forbids reusing an
-   active do index *)
-let rec gen_stmt depth st =
+   active do index; [branches] off generates no [if] *)
+let rec gen_stmt ?(branches = true) depth st =
   let open QCheck.Gen in
   let lv = "i" ^ string_of_int depth in
   if depth = 0 then map (fun e -> Ast.sassign "y" e) (gen_expr 2) st
   else
     (frequency
-       [ (4, map (fun e -> Ast.sassign "y" e) (gen_expr 2));
-         (2, map (fun e -> Ast.assign "arr" [ Ast.Var "i" ] e) (gen_expr 2));
-         (1,
-          map2
-            (fun hi body -> Ast.do_ lv (Ast.int 1) hi body)
-            (oneofl [ Ast.Var "n"; Ast.Int 7 ])
-            (list_size (int_range 1 3) (gen_stmt (depth - 1))));
-         (1,
-          map3
-            (fun c t e -> Ast.if_ (Ast.Binop (Ast.Lt, c, Ast.real 2.0)) t e)
-            (gen_expr 1)
-            (list_size (int_range 1 2) (gen_stmt (depth - 1)))
-            (list_size (int_range 1 2) (gen_stmt (depth - 1))));
-       ])
+       ([ (4, map (fun e -> Ast.sassign "y" e) (gen_expr 2));
+          (2, map (fun e -> Ast.assign "arr" [ Ast.Var "i" ] e) (gen_expr 2));
+          (1,
+           map2
+             (fun hi body -> Ast.do_ lv (Ast.int 1) hi body)
+             (oneofl [ Ast.Var "n"; Ast.Int 7 ])
+             (list_size (int_range 1 3) (gen_stmt ~branches (depth - 1))));
+        ]
+       @
+       if branches then
+         [ (1,
+            map3
+              (fun c t e -> Ast.if_ (Ast.Binop (Ast.Lt, c, Ast.real 2.0)) t e)
+              (gen_expr 1)
+              (list_size (int_range 1 2) (gen_stmt (depth - 1)))
+              (list_size (int_range 1 2) (gen_stmt (depth - 1)))) ]
+       else []))
       st
 
-let gen_routine =
+let gen_routine_of gen_stmt =
   QCheck.Gen.map
     (fun body ->
       {
@@ -258,7 +261,9 @@ let gen_routine =
           ];
         body;
       })
-    (QCheck.Gen.list_size (QCheck.Gen.int_range 1 4) (gen_stmt 2))
+    (QCheck.Gen.list_size (QCheck.Gen.int_range 1 4) gen_stmt)
+
+let gen_routine = gen_routine_of (gen_stmt 2)
 
 let prop_static_matches_dynamic =
   QCheck.Test.make ~name:"profiled static prediction = dynamic cycles" ~count:120
@@ -286,6 +291,30 @@ let prop_static_matches_dynamic =
             (Perf_expr.total p.cost)
         in
         Float.abs (static -. res.cycles) <= (0.05 *. res.cycles) +. 6.0)
+
+(* ---- property: the bin-packing bound is a lower bound ---- *)
+
+(* Without branches every nest Bounds reports runs all its iterations, and
+   each iteration is charged the steady state of the same translated block
+   (the interpreter and Bounds share Aggregate's loop invariants), so the
+   summed bin-packing bounds cannot exceed the dynamic count. *)
+let prop_bin_bound_below_dynamic =
+  QCheck.Test.make ~name:"bin-packing bounds <= dynamic cycles" ~count:120
+    (QCheck.make ~print:Pp_ast.routine_to_string (gen_routine_of (gen_stmt ~branches:false 2)))
+    (fun r ->
+      let checked =
+        Typecheck.check_routine (Parser.parse_routine (Pp_ast.routine_to_string r))
+      in
+      match Interp.run ~machine:p1 ~args:[ ("n", Interp.VInt 6) ] checked with
+      | exception Interp.Runtime_error _ -> true
+      | res ->
+        let bound =
+          List.fold_left
+            (fun acc (nest : Pperf_bounds.Bounds.nest) ->
+              acc +. Pperf_symbolic.Poly.eval_float (fun _ -> 6.0) nest.bin_bound)
+            0.0 (Pperf_bounds.Bounds.analyze ~machine:p1 checked).nests
+        in
+        bound <= res.cycles)
 
 (* ---- calibration ---- *)
 
@@ -359,7 +388,7 @@ let () =
           Alcotest.test_case "jacobi" `Quick test_agreement_jacobi;
           Alcotest.test_case "index conditional" `Quick test_agreement_index_cond;
         ] );
-      qsuite "agreement-props" [ prop_static_matches_dynamic ];
+      qsuite "agreement-props" [ prop_static_matches_dynamic; prop_bin_bound_below_dynamic ];
       ( "profiling",
         [
           Alcotest.test_case "branch counts" `Quick test_profile_counts;
