@@ -210,36 +210,10 @@ module Sim = struct
         | Cyclic -> (idx - 1) mod p
         | _ -> 0))
 
-  exception Non_int of Ast.expr
-
   let count_messages ?(on_diag = fun (_ : Pperf_lint.Diagnostic.t) -> ()) ~comm ~symtab
       ~layouts ~bounds loops stmts =
     ignore comm;
     let messages = ref 0 and bytes = ref 0 in
-    let rec eval_int env (e : Ast.expr) : int =
-      match e with
-      | Ast.Int i -> i
-      | Ast.Var x -> env x
-      | Ast.Unop (Ast.Neg, a) -> -eval_int env a
-      | Ast.Binop (Ast.Add, a, b) -> eval_int env a + eval_int env b
-      | Ast.Binop (Ast.Sub, a, b) -> eval_int env a - eval_int env b
-      | Ast.Binop (Ast.Mul, a, b) -> eval_int env a * eval_int env b
-      | Ast.Binop (Ast.Div, a, b) -> eval_int env a / eval_int env b
-      | _ -> raise (Non_int e)
-    in
-    (* one report per offending source location, however many iterations *)
-    let reported = Hashtbl.create 4 in
-    let skip ~(loc : Srcloc.t) ~what e =
-      if not (Hashtbl.mem reported (loc.line, loc.col, what)) then (
-        Hashtbl.add reported (loc.line, loc.col, what) ();
-        on_diag
-          (Pperf_lint.Diagnostic.make Pperf_lint.Diagnostic.Precision
-             ~check:"sim-non-integer" ~loc
-             (Printf.sprintf
-                "communication simulation skipped this %s: '%s' does not evaluate to \
-                 an integer"
-                what (Pp_ast.expr_to_string e))))
-    in
     (* per outermost iteration, aggregate (src,dst,array) -> element set *)
     let phase : (int * int * string, (int list, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 64 in
     let flush_phase () =
@@ -264,52 +238,32 @@ module Sim = struct
         in
         Hashtbl.replace set idxs ())
     in
-    let rec exec ~depth env (ss : Ast.stmt list) =
-      List.iter
-        (fun (s : Ast.stmt) ->
-          match s.kind with
-          | Ast.Assign (lhs, e) -> (
-            match
-              if lhs.subs = [] then 0
-              else owner_of ~layouts ~symtab ~bounds lhs.base (List.map (eval_int env) lhs.subs)
-            with
-            | exception Non_int ex -> skip ~loc:s.loc ~what:"assignment target" ex
-            | owner ->
-              let reads =
-                Analysis.array_refs [ Ast.mk (Ast.Assign ({ lhs with subs = [] }, e)) ]
-              in
-              List.iter
-                (fun (r : Analysis.array_ref) ->
-                  if List.mem_assoc r.array layouts then (
-                    try
-                      let idxs = List.map (eval_int env) r.subs in
-                      let src = owner_of ~layouts ~symtab ~bounds r.array idxs in
-                      record src owner r.array idxs
-                    with Non_int ex -> skip ~loc:r.at ~what:"array reference" ex))
-                reads)
-          | Ast.Do d -> (
-            match
-              ( eval_int env d.lo,
-                eval_int env d.hi,
-                match d.step with None -> 1 | Some e -> eval_int env e )
-            with
-            | lo, hi, step ->
-              let i = ref lo in
-              while (step > 0 && !i <= hi) || (step < 0 && !i >= hi) do
-                let env' x = if String.equal x d.var then !i else env x in
-                exec ~depth:(depth + 1) env' d.body;
-                if depth = 0 then flush_phase ();
-                i := !i + step
-              done
-            | exception Non_int ex -> skip ~loc:s.loc ~what:"loop bound" ex)
-          | Ast.If (branches, els) ->
-            (match branches with
-             | (_, body) :: _ -> exec ~depth env body
-             | [] -> exec ~depth env els)
-          | Ast.Call_stmt _ | Ast.Return -> ())
-        ss
-    in
-    exec ~depth:0 bounds (Analysis.wrap_nest loops stmts);
+    let ints env subs = List.map (Analysis.eval_int env) subs in
+    Analysis.run_nest ~bounds
+      ~skip:(fun loc what e ->
+        on_diag
+          (Pperf_lint.Diagnostic.make Pperf_lint.Diagnostic.Precision
+             ~check:"sim-non-integer" ~loc
+             (Printf.sprintf
+                "communication simulation skipped this %s: '%s' does not evaluate to \
+                 an integer"
+                what (Pp_ast.expr_to_string e))))
+      ~outer_iteration:flush_phase
+      (fun ~skip env at lhs e ->
+        match
+          if lhs.subs = [] then 0 else owner_of ~layouts ~symtab ~bounds lhs.base (ints env lhs.subs)
+        with
+        | exception Analysis.Not_integer ex -> skip at "assignment target" ex
+        | owner ->
+          List.iter
+            (fun (r : Analysis.array_ref) ->
+              if List.mem_assoc r.array layouts then (
+                try
+                  let idxs = ints env r.subs in
+                  record (owner_of ~layouts ~symtab ~bounds r.array idxs) owner r.array idxs
+                with Analysis.Not_integer ex -> skip r.at "array reference" ex))
+            (Analysis.array_refs [ Ast.mk (Ast.Assign ({ lhs with subs = [] }, e)) ]))
+      loops stmts;
     flush_phase ();
     (!messages, !bytes)
 end

@@ -95,8 +95,8 @@ let note_fallbacks ctx ~loc bins =
           placement; the block cost is an overestimate"
          n)
 
-(* drop a dag into fresh bins and return its standalone cost *)
-let dag_cost ?(loc = Srcloc.dummy) ctx dag =
+(* drop a dag into the scratch bins and return its standalone cost *)
+let dag_cost ~loc ctx dag =
   if Dag.length dag = 0 then 0
   else (
     let bins = scratch_bins ctx in
@@ -104,11 +104,100 @@ let dag_cost ?(loc = Srcloc.dummy) ctx dag =
     note_fallbacks ctx ~loc bins;
     cost)
 
-let per_iteration_cost ?(loc = Srcloc.dummy) ctx dag =
+let per_iteration_cost ~loc ctx dag =
   let bins = scratch_bins ctx in
   let _, per_iter = Bins.steady_state bins dag in
   note_fallbacks ctx ~loc bins;
   per_iter
+
+let make_ctx ~machine ~options ~symtab ?ranges ?(prob_offset = 0) () =
+  {
+    machine;
+    options;
+    symtab;
+    loops = [];
+    invariants = SSet.empty;
+    probs = { counter = prob_offset; vars = []; diags = [] };
+    ranges;
+    scratch = { bins = None; declared = None };
+  }
+
+(* ---- block costs: each block the walk charges, in its loop context ---- *)
+
+type block_ctx = ctx
+
+let block_ctx ~machine ~options ~symtab = make_ctx ~machine ~options ~symtab ()
+
+let enter_loop ctx (d : Ast.do_loop) =
+  let declared =
+    match ctx.scratch.declared with
+    | Some s -> s
+    | None ->
+      let s = Analysis.declared_names ctx.symtab in
+      ctx.scratch.declared <- Some s;
+      s
+  in
+  {
+    ctx with
+    loops = ctx.loops @ [ Analysis.{ lvar = d.var; llo = d.lo; lhi = d.hi; lstep = d.step } ];
+    invariants = Analysis.loop_invariants ~declared d;
+  }
+
+let translate_run ctx (run : Ast.stmt list) =
+  Translator.translate_block ~machine:ctx.machine ~flags:ctx.options.flags
+    ~symtab:ctx.symtab ~loop_vars:(loop_vars ctx) ~invariants:ctx.invariants run
+
+(* outside a loop body there is no "per entry" distinction *)
+let run_cost ctx ~loc (res : Translator.result) =
+  dag_cost ~loc ctx (Dag.concat res.one_time res.body)
+
+let iteration_cost ctx ~loc ~control (res : Translator.result) =
+  per_iteration_cost ~loc ctx
+    (if control then Dag.concat res.body (Translator.loop_overhead_dag ~machine:ctx.machine ())
+     else res.body)
+
+let hoisted_cost ctx ~loc (res : Translator.result) = dag_cost ~loc ctx res.one_time
+
+let bound_cost ctx ~loc (d : Ast.do_loop) =
+  let res =
+    Translator.translate_exprs ~machine:ctx.machine ~flags:ctx.options.flags ~symtab:ctx.symtab
+      ~loop_vars:(loop_vars ctx) ~invariants:ctx.invariants
+      (d.lo :: d.hi :: Option.to_list d.step)
+  in
+  dag_cost ~loc ctx (Dag.concat res.one_time res.body)
+
+let control_cost ctx ~loc =
+  per_iteration_cost ~loc ctx (Translator.loop_overhead_dag ~machine:ctx.machine ())
+
+let translate_cond ctx cond =
+  (Translator.translate_condition ~machine:ctx.machine ~flags:ctx.options.flags
+     ~symtab:ctx.symtab ~loop_vars:(loop_vars ctx) ~invariants:ctx.invariants cond)
+    .body
+
+let cond_cost ctx ~loc dag = dag_cost ~loc ctx dag
+
+(* §2.2.2 branch optimization: "matching shapes of the cost blocks to
+   decide whether the branching cost needs to be included". The taken-
+   branch penalty is reduced by however much the branch body's leading
+   straight-line block really overlaps the condition's block when both are
+   dropped into the same bins. *)
+let branch_penalty ctx (cond_body : Dag.t) (body : Ast.stmt list) =
+  let c_br = ctx.machine.Machine.branch_taken_cycles in
+  match fst (Analysis.split_run body) with
+  | [] -> c_br
+  | run -> (
+    match translate_run ctx run with
+    | exception _ -> c_br
+    | res ->
+      if Dag.length res.body = 0 || Dag.length cond_body = 0 then c_br
+      else (
+        let bins = scratch_bins ctx in
+        let c_cond = (Bins.drop_dag bins cond_body).cost in
+        let combined = (Bins.drop_dag bins res.body).cost in
+        Bins.reset bins;
+        let alone = (Bins.drop_dag bins res.body).cost in
+        let overlap = max 0 (c_cond + alone - combined) in
+        max 0 (c_br - overlap)))
 
 let trip_of ctx ~loc (d : Ast.do_loop) =
   let inferred =
@@ -176,10 +265,6 @@ let library_extra ctx (run : Ast.stmt list) =
       | _ -> acc)
     Perf_expr.zero run
 
-let translate_run ctx (run : Ast.stmt list) =
-  Translator.translate_block ~machine:ctx.machine ~flags:ctx.options.flags
-    ~symtab:ctx.symtab ~loop_vars:(loop_vars ctx) ~invariants:ctx.invariants run
-
 (* probability that [cond] holds, as count-of-true iterations of the
    innermost loop when the condition tests the loop index (§3.3.2), or
    None when that heuristic does not apply *)
@@ -218,31 +303,6 @@ let index_cond_count (d : Ast.do_loop) cond =
       | _ -> None)
     | _ -> None)
 
-(* §2.2.2 branch optimization: "matching shapes of the cost blocks to
-   decide whether the branching cost needs to be included". The taken-
-   branch penalty is reduced by however much the branch body's leading
-   straight-line block really overlaps the condition's block when both are
-   dropped into the same bins. *)
-let branch_penalty ctx (cond_body : Dag.t) (body : Ast.stmt list) =
-  let c_br = ctx.machine.Machine.branch_taken_cycles in
-  match fst (Analysis.split_run body) with
-  | [] -> c_br
-  | run -> (
-    match translate_run ctx run with
-    | exception _ -> c_br
-    | res ->
-      if Dag.length res.body = 0 || Dag.length cond_body = 0 then c_br
-      else (
-        let bins = scratch_bins ctx in
-        let c_cond = (Bins.drop_dag bins cond_body).cost in
-        let combined = (Bins.drop_dag bins res.body).cost in
-        let alone =
-          let b2 = Bins.create ctx.machine in
-          (Bins.drop_dag b2 res.body).cost
-        in
-        let overlap = max 0 (c_cond + alone - combined) in
-        max 0 (c_br - overlap)))
-
 let near_equal tol a b =
   match (Poly.to_const (Perf_expr.total a), Poly.to_const (Perf_expr.total b)) with
   | Some ca, Some cb ->
@@ -257,9 +317,7 @@ let rec agg_stmts ctx (stmts : Ast.stmt list) : Perf_expr.t =
     | [] -> acc
     | s :: _ as rest when Analysis.is_straight s ->
       let run, rest' = Analysis.split_run rest in
-      let res = translate_run ctx run in
-      (* outside a loop there is no "per entry" distinction *)
-      let c = dag_cost ~loc:s.Ast.loc ctx (Dag.concat res.one_time res.body) in
+      let c = run_cost ctx ~loc:s.Ast.loc (translate_run ctx run) in
       let acc = Perf_expr.add acc (Perf_expr.of_cycles c) in
       go (Perf_expr.add acc (library_extra ctx run)) rest'
     | ({ Ast.kind = Ast.Do d; _ } as s) :: rest ->
@@ -275,15 +333,10 @@ let rec agg_stmts ctx (stmts : Ast.stmt list) : Perf_expr.t =
 and agg_if ctx (s : Ast.stmt) : Perf_expr.t =
   match s.kind with
   | Ast.If (branches, els) ->
-    let cond_dags =
-      List.map
-        (fun (c, _) ->
-          (Translator.translate_condition ~machine:ctx.machine ~flags:ctx.options.flags
-             ~symtab:ctx.symtab ~loop_vars:(loop_vars ctx) ~invariants:ctx.invariants c)
-            .body)
-        branches
+    let cond_dags = List.map (fun (c, _) -> translate_cond ctx c) branches in
+    let cond_cycles =
+      List.fold_left (fun acc d -> acc + cond_cost ctx ~loc:s.loc d) 0 cond_dags
     in
-    let cond_cost = List.fold_left (fun acc d -> acc + dag_cost ~loc:s.loc ctx d) 0 cond_dags in
     let first_cond = match cond_dags with d :: _ -> d | [] -> Dag.make [||] in
     let branch_costs =
       List.map2
@@ -325,35 +378,15 @@ and agg_if ctx (s : Ast.stmt) : Perf_expr.t =
         in
         Perf_expr.add (Perf_expr.sum weighted) (Perf_expr.scale p_else else_cost)
     in
-    Perf_expr.add (Perf_expr.of_cycles cond_cost) combined
+    Perf_expr.add (Perf_expr.of_cycles cond_cycles) combined
   | _ -> assert false
 
 and agg_do ctx ~loc (d : Ast.do_loop) : Perf_expr.t =
   let trip = trip_of ctx ~loc d in
-  (* bound evaluation, once per loop entry *)
-  let bounds_res =
-    Translator.translate_exprs ~machine:ctx.machine ~flags:ctx.options.flags
-      ~symtab:ctx.symtab ~loop_vars:(loop_vars ctx) ~invariants:ctx.invariants
-      (d.lo :: d.hi :: Option.to_list d.step)
-  in
-  let entry_cost = dag_cost ~loc ctx (Dag.concat bounds_res.one_time bounds_res.body) in
-  (* context inside the loop *)
-  let declared =
-    match ctx.scratch.declared with
-    | Some s -> s
-    | None ->
-      let s = Analysis.declared_names ctx.symtab in
-      ctx.scratch.declared <- Some s;
-      s
-  in
-  let invariants = Analysis.loop_invariants ~declared d in
-  let inner_ctx =
-    { ctx with loops = ctx.loops @ [ Analysis.{ lvar = d.var; llo = d.lo; lhi = d.hi; lstep = d.step } ];
-               invariants }
-  in
-  (* walk the body: straight-line runs fold the loop-control overhead into
-     the per-iteration drop; index conditionals use iteration counts *)
-  let overhead = Translator.loop_overhead_dag ~machine:ctx.machine () in
+  let entry_cost = bound_cost ctx ~loc d in
+  let inner_ctx = enter_loop ctx d in
+  (* walk the body: the first straight-line run folds the loop control into
+     its per-iteration drop; index conditionals use iteration counts *)
   let per_iter = ref Perf_expr.zero in
   let per_entry = ref (Perf_expr.of_cycles entry_cost) in
   let loop_total_extra = ref Perf_expr.zero in
@@ -363,19 +396,15 @@ and agg_do ctx ~loc (d : Ast.do_loop) : Perf_expr.t =
     | s :: _ as rest when Analysis.is_straight s ->
       let run, rest' = Analysis.split_run rest in
       let res = translate_run inner_ctx run in
-      let dag =
-        if not !overhead_charged then (
-          overhead_charged := true;
-          Dag.concat res.body overhead)
-        else res.body
-      in
+      let control = not !overhead_charged in
+      overhead_charged := true;
       per_iter :=
         Perf_expr.add !per_iter
-          (Perf_expr.of_cycles (per_iteration_cost ~loc:s.Ast.loc inner_ctx dag));
+          (Perf_expr.of_cycles (iteration_cost inner_ctx ~loc:s.Ast.loc ~control res));
       per_iter := Perf_expr.add !per_iter (library_extra inner_ctx run);
       per_entry :=
         Perf_expr.add !per_entry
-          (Perf_expr.of_cycles (dag_cost ~loc:s.Ast.loc inner_ctx res.one_time));
+          (Perf_expr.of_cycles (hoisted_cost inner_ctx ~loc:s.Ast.loc res));
       walk rest'
     | ({ Ast.kind = Ast.Do inner; _ } as s) :: rest ->
       per_iter := Perf_expr.add !per_iter (agg_do inner_ctx ~loc:s.loc inner);
@@ -386,15 +415,10 @@ and agg_do ctx ~loc (d : Ast.do_loop) : Perf_expr.t =
         (* the paper's §3.3.2 pattern: charge iteration counts directly *)
         let ct = agg_stmts inner_ctx then_body in
         let cf = agg_stmts inner_ctx else_body in
-        let cond_res =
-          Translator.translate_condition ~machine:ctx.machine ~flags:ctx.options.flags
-            ~symtab:ctx.symtab ~loop_vars:(loop_vars inner_ctx) ~invariants:inner_ctx.invariants cond
-        in
-        let pen_t = branch_penalty inner_ctx cond_res.body then_body in
-        let pen_f =
-          if else_body = [] then 0 else branch_penalty inner_ctx cond_res.body else_body
-        in
-        let cond_cycles = dag_cost ~loc:s.loc ctx cond_res.body in
+        let cond_dag = translate_cond inner_ctx cond in
+        let pen_t = branch_penalty inner_ctx cond_dag then_body in
+        let pen_f = if else_body = [] then 0 else branch_penalty inner_ctx cond_dag else_body in
+        let cond_cycles = cond_cost inner_ctx ~loc:s.loc cond_dag in
         let ct = Perf_expr.add ct (Perf_expr.of_cycles pen_t) in
         let cf = Perf_expr.add cf (Perf_expr.of_cycles pen_f) in
         let count_false = Poly.sub trip count_true in
@@ -420,8 +444,7 @@ and agg_do ctx ~loc (d : Ast.do_loop) : Perf_expr.t =
   walk d.body;
   (* if no straight-line run charged the loop control, charge it now *)
   if not !overhead_charged then
-    per_iter :=
-      Perf_expr.add !per_iter (Perf_expr.of_cycles (per_iteration_cost ~loc inner_ctx overhead));
+    per_iter := Perf_expr.add !per_iter (Perf_expr.of_cycles (control_cost inner_ctx ~loc));
   (* memory and communication are nest-global (§2.3): charge them when this
      is an outermost loop *)
   let mem_cost =
@@ -452,18 +475,6 @@ and agg_do ctx ~loc (d : Ast.do_loop) : Perf_expr.t =
        !loop_total_extra)
     (Perf_expr.add (Perf_expr.of_mem mem_cost) (Perf_expr.of_comm comm_cost))
 
-let make_ctx ~machine ~options ~symtab ?ranges ?(prob_offset = 0) () =
-  {
-    machine;
-    options;
-    symtab;
-    loops = [];
-    invariants = SSet.empty;
-    probs = { counter = prob_offset; vars = []; diags = [] };
-    ranges;
-    scratch = { bins = None; declared = None };
-  }
-
 let infer_ranges_of ~options ~symtab body =
   if not options.infer_ranges then None
   else (
@@ -489,14 +500,3 @@ let stmts ~machine ?(options = default_options) ?(prob_offset = 0) ~symtab body 
 
 let routine ~machine ?(options = default_options) (checked : Typecheck.checked) =
   stmts ~machine ~options ~symtab:checked.symbols checked.routine.body
-
-let if_penalty ~machine ?(options = default_options) ~symtab ?(loop_vars = [])
-    ?(invariants = SSet.empty) cond_dag body =
-  let ctx = make_ctx ~machine ~options ~symtab () in
-  let loops =
-    List.map
-      (fun v -> Analysis.{ lvar = v; llo = Ast.Int 1; lhi = Ast.Int 1; lstep = None })
-      loop_vars
-  in
-  let ctx = { ctx with loops; invariants } in
-  branch_penalty ctx cond_dag body

@@ -195,3 +195,61 @@ let wrap_nest loops body =
     (fun l inner ->
       [ Ast.mk (Ast.Do { Ast.var = l.lvar; lo = l.llo; hi = l.lhi; step = l.lstep; body = inner }) ])
     loops body
+
+(* ---- running a nest on concrete integers ---- *)
+
+exception Not_integer of Ast.expr
+
+let rec eval_int env (e : Ast.expr) =
+  match e with
+  | Ast.Int i -> i
+  | Ast.Var x -> env x
+  | Ast.Unop (Ast.Neg, a) -> -eval_int env a
+  | Ast.Binop (Ast.Add, a, b) -> eval_int env a + eval_int env b
+  | Ast.Binop (Ast.Sub, a, b) -> eval_int env a - eval_int env b
+  | Ast.Binop (Ast.Mul, a, b) -> eval_int env a * eval_int env b
+  | Ast.Binop (Ast.Div, a, b) -> eval_int env a / eval_int env b
+  | Ast.Call ("mod", [ a; b ]) -> eval_int env a mod eval_int env b
+  | Ast.Call (("min" | "min0"), args) ->
+    List.fold_left (fun acc a -> min acc (eval_int env a)) max_int args
+  | Ast.Call (("max" | "max0"), args) ->
+    List.fold_left (fun acc a -> max acc (eval_int env a)) min_int args
+  | _ -> raise (Not_integer e)
+
+let run_nest ~bounds ~skip ?(outer_iteration = ignore) assign loops body =
+  (* report each offending source location once, however many iterations
+     hit it *)
+  let reported = Hashtbl.create 4 in
+  let skip (loc : Srcloc.t) what e =
+    if not (Hashtbl.mem reported (loc.line, loc.col, what)) then (
+      Hashtbl.add reported (loc.line, loc.col, what) ();
+      skip loc what e)
+  in
+  let rec exec ~outer env stmts =
+    List.iter
+      (fun (s : Ast.stmt) ->
+        match s.kind with
+        | Ast.Assign (lhs, e) -> assign ~skip env s.loc lhs e
+        | Ast.Do d -> (
+          match
+            ( eval_int env d.lo,
+              eval_int env d.hi,
+              match d.step with None -> 1 | Some e -> eval_int env e )
+          with
+          | lo, hi, step ->
+            let i = ref lo in
+            while (step > 0 && !i <= hi) || (step < 0 && !i >= hi) do
+              let env' x = if String.equal x d.var then !i else env x in
+              exec ~outer:false env' d.body;
+              if outer then outer_iteration ();
+              i := !i + step
+            done
+          | exception Not_integer e -> skip s.loc "loop bound" e)
+        | Ast.If (branches, els) -> (
+          match branches with
+          | (_, body) :: _ -> exec ~outer env body
+          | [] -> exec ~outer env els)
+        | Ast.Call_stmt _ | Ast.Return -> ())
+      stmts
+  in
+  exec ~outer:true bounds (wrap_nest loops body)

@@ -95,3 +95,35 @@ val is_trip_var : string -> bool
 val wrap_nest : loop_ctx list -> Ast.stmt list -> Ast.stmt list
 (** The body rebuilt inside [do] statements from its loop contexts,
     outermost first. *)
+
+(** {1 Running a nest on concrete integers}
+
+    The one evaluator and walker of the validation simulators (the cache
+    and message-passing models); each simulator adds only its model. *)
+
+exception Not_integer of Ast.expr
+(** The (sub)expression that is not integer arithmetic. *)
+
+val eval_int : (string -> int) -> Ast.expr -> int
+(** The value under the environment of literals, variables, negation,
+    [+ - * /], [mod], [min]/[min0] and [max]/[max0].
+    @raise Not_integer on anything else. *)
+
+val run_nest :
+  bounds:(string -> int) ->
+  skip:(Srcloc.t -> string -> Ast.expr -> unit) ->
+  ?outer_iteration:(unit -> unit) ->
+  (skip:(Srcloc.t -> string -> Ast.expr -> unit) ->
+  (string -> int) -> Srcloc.t -> Ast.lhs -> Ast.expr -> unit) ->
+  loop_ctx list ->
+  Ast.stmt list ->
+  unit
+(** [run_nest ~bounds ~skip assign loops body] runs the body inside its
+    loops, [bounds] giving the free variables: each [do] iterates over its
+    evaluated bounds, each [if] runs its first branch, and each assignment
+    goes to [assign] with the index environment and its location.
+    [skip loc what e] reports that [e], the [what] at [loc], is not an
+    integer; it is called once per location and [what], and [assign]
+    receives it for its own skips. A loop whose bounds are not integers is
+    skipped. [outer_iteration] runs after each iteration of a top-level
+    loop. *)

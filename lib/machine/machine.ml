@@ -14,11 +14,12 @@ type comm_params = {
   per_byte_cycles : float;
 }
 
+type table = { units : Funit.t array; atomics : (string, Atomic_op.t) Hashtbl.t }
+
 type t = {
   name : string;
   description : string;
-  units : Funit.t array;
-  atomics : (string, Atomic_op.t) Hashtbl.t;
+  table : table;
   model : Costmodel.kind;
   issue_width : int;
   branch_taken_cycles : int;
@@ -67,8 +68,7 @@ let make ~name ?(description = "") ~units ~atomics ?(issue_width = 4)
   {
     name;
     description;
-    units = unit_arr;
-    atomics = tbl;
+    table = { units = unit_arr; atomics = tbl };
     model = Costmodel.Classic;
     issue_width;
     branch_taken_cycles;
@@ -120,8 +120,7 @@ let make_ports ~name ?(description = "") ~ports ~atomics ?(issue_width = 4)
   {
     name;
     description;
-    units = unit_arr;
-    atomics = tbl;
+    table = { units = unit_arr; atomics = tbl };
     model = Costmodel.Ports;
     issue_width;
     branch_taken_cycles;
@@ -140,32 +139,29 @@ let () =
     | _ -> None)
 
 let atomic t name =
-  match Hashtbl.find_opt t.atomics name with
+  match Hashtbl.find_opt t.table.atomics name with
   | Some op -> op
   | None -> raise (Unknown_atomic { machine = t.name; op = name })
 
-let atomic_opt t name = Hashtbl.find_opt t.atomics name
+let atomic_opt t name = Hashtbl.find_opt t.table.atomics name
 let hash t = Hashtbl.hash t.name
-let has_atomic t name = Hashtbl.mem t.atomics name
-let num_units t = Array.length t.units
+let has_atomic t name = Hashtbl.mem t.table.atomics name
+let num_units t = Array.length t.table.units
 
 let units_of_kind t kind =
-  Array.to_list t.units |> List.filter (fun (u : Funit.t) -> u.kind = kind)
-
-(* ---- cost-model API: consumers outside lib/machine go through these
-   accessors rather than the raw [units]/[atomics] fields ---- *)
+  Array.to_list t.table.units |> List.filter (fun (u : Funit.t) -> u.kind = kind)
 
 let model t = t.model
-let unit_at t id = t.units.(id)
-let units_list t = Array.to_list t.units
-let iter_units f t = Array.iter f t.units
-let num_atomics t = Hashtbl.length t.atomics
-let iter_atomics f t = Hashtbl.iter f t.atomics
-let fold_atomics f t init = Hashtbl.fold f t.atomics init
+let unit_at t id = t.table.units.(id)
+let units_list t = Array.to_list t.table.units
+let iter_units f t = Array.iter f t.table.units
+let num_atomics t = Hashtbl.length t.table.atomics
+let iter_atomics f t = Hashtbl.iter f t.table.atomics
+let fold_atomics f t init = Hashtbl.fold f t.table.atomics init
 
 let reciprocal_throughput t op =
   let (module M : Costmodel.S) = Costmodel.model t.model in
-  M.reciprocal_throughput ~units:t.units op
+  M.reciprocal_throughput ~units:t.table.units op
 
 (* ---- built-in machines ---- *)
 

@@ -26,14 +26,14 @@ type comm_params = {
   per_byte_cycles : float;  (** inverse bandwidth (beta) *)
 }
 
+type table
+(** The functional units and the atomic-operation cost table, read through
+    the accessors below. *)
+
 type t = {
   name : string;
   description : string;
-  units : Funit.t array
-      [@deprecated "access units via unit_at/units_list/iter_units/num_units"];
-  atomics : (string, Atomic_op.t) Hashtbl.t
-      [@deprecated
-        "access the cost table via atomic/atomic_opt/fold_atomics/iter_atomics"];
+  table : table;
   model : Costmodel.kind;  (** which cost model interprets the table *)
   issue_width : int;
   branch_taken_cycles : int;
@@ -107,9 +107,7 @@ val default_cache : cache_params
 
 (** {1 Cost-model accessors}
 
-    The redesigned API: consumers outside [lib/machine] use these rather
-    than reaching into the raw [units] array / [atomics] hashtable, so both
-    cost models present one interface. *)
+    Both cost models present their units and cost table through these. *)
 
 val model : t -> Costmodel.kind
 val unit_at : t -> int -> Funit.t

@@ -272,40 +272,8 @@ module Sim = struct
   let misses t = t.misses
   let accesses t = t.accesses
 
-  exception Non_int of Ast.expr
-
-  (* integer expression evaluation under an environment *)
-  let rec eval_int env (e : Ast.expr) : int =
-    match e with
-    | Ast.Int i -> i
-    | Ast.Var x -> env x
-    | Ast.Unop (Ast.Neg, a) -> -eval_int env a
-    | Ast.Binop (Ast.Add, a, b) -> eval_int env a + eval_int env b
-    | Ast.Binop (Ast.Sub, a, b) -> eval_int env a - eval_int env b
-    | Ast.Binop (Ast.Mul, a, b) -> eval_int env a * eval_int env b
-    | Ast.Binop (Ast.Div, a, b) -> eval_int env a / eval_int env b
-    | Ast.Call ("mod", [ a; b ]) -> eval_int env a mod eval_int env b
-    | Ast.Call ("min", args) | Ast.Call ("min0", args) ->
-      List.fold_left (fun acc a -> min acc (eval_int env a)) max_int args
-    | Ast.Call ("max", args) | Ast.Call ("max0", args) ->
-      List.fold_left (fun acc a -> max acc (eval_int env a)) min_int args
-    | _ -> raise (Non_int e)
-
   let run_nest ?(on_diag = fun (_ : Pperf_lint.Diagnostic.t) -> ()) ~machine ~symtab
       ~bounds loops stmts =
-    (* report each offending source location once, however many iterations
-       hit it *)
-    let reported = Hashtbl.create 4 in
-    let skip ~(loc : Srcloc.t) ~what e =
-      if not (Hashtbl.mem reported (loc.line, loc.col, what)) then (
-        Hashtbl.add reported (loc.line, loc.col, what) ();
-        on_diag
-          (Pperf_lint.Diagnostic.make Pperf_lint.Diagnostic.Precision
-             ~check:"sim-non-integer" ~loc
-             (Printf.sprintf
-                "cache simulation skipped this %s: '%s' does not evaluate to an integer"
-                what (Pp_ast.expr_to_string e))))
-    in
     let cache = create machine.Machine.cache in
     (* lay arrays out at disjoint bases *)
     let bases = Hashtbl.create 8 in
@@ -328,7 +296,7 @@ module Sim = struct
             let lows =
               List.map
                 (fun (d : Ast.array_dim) ->
-                  match d.dim_lo with None -> 1 | Some e -> eval_int bounds e)
+                  match d.dim_lo with None -> 1 | Some e -> Analysis.eval_int bounds e)
                 s.dims
             in
             (s.element_bytes, exts, lows)
@@ -340,10 +308,10 @@ module Sim = struct
         Hashtbl.add bases name (b, (elem_bytes, extents, lows));
         (b, (elem_bytes, extents, lows))
     in
-    let touch env (r : Analysis.array_ref) =
+    let touch ~skip env (r : Analysis.array_ref) =
       try
         let b, (elem_bytes, extents, lows) = base_of r.array in
-        let idxs = List.map (eval_int env) r.subs in
+        let idxs = List.map (Analysis.eval_int env) r.subs in
         let rec addr idxs extents lows scale acc =
           match (idxs, extents, lows) with
           | [], _, _ -> acc
@@ -353,43 +321,22 @@ module Sim = struct
         in
         let a = addr idxs extents lows 1 0 in
         ignore (access cache (b + (a * elem_bytes)))
-      with Non_int e -> skip ~loc:r.at ~what:"array reference" e
+      with Analysis.Not_integer e -> skip r.at "array reference" e
     in
-    let rec exec env (ss : Ast.stmt list) =
-      List.iter
-        (fun (s : Ast.stmt) ->
-          match s.kind with
-          | Ast.Assign (lhs, e) ->
-            (* reads first, then the write *)
-            let reads = Analysis.array_refs [ Ast.mk (Ast.Assign ({ lhs with subs = [] }, e)) ] in
-            List.iter (fun r -> touch env { r with loops = [] }) reads;
-            if lhs.subs <> [] then
-              touch env { array = lhs.base; subs = lhs.subs; is_write = true; loops = []; at = s.loc }
-          | Ast.Do d -> (
-            match
-              ( eval_int env d.lo,
-                eval_int env d.hi,
-                match d.step with None -> 1 | Some e -> eval_int env e )
-            with
-            | lo, hi, step ->
-              let i = ref lo in
-              while (step > 0 && !i <= hi) || (step < 0 && !i >= hi) do
-                let env' x = if String.equal x d.var then !i else env x in
-                exec env' d.body;
-                i := !i + step
-              done
-            | exception Non_int e -> skip ~loc:s.loc ~what:"loop bound" e)
-          | Ast.If (branches, els) ->
-            (* execute the first branch: for cost validation we take the
-               hot path; conditions with array refs are rare in our
-               workloads *)
-            (match branches with
-             | (_, body) :: _ -> exec env body
-             | [] -> exec env els)
-          | Ast.Call_stmt _ | Ast.Return -> ())
-        ss
-    in
-    let outer_env x = bounds x in
-    exec outer_env (Analysis.wrap_nest loops stmts);
+    Analysis.run_nest ~bounds
+      ~skip:(fun loc what e ->
+        on_diag
+          (Pperf_lint.Diagnostic.make Pperf_lint.Diagnostic.Precision
+             ~check:"sim-non-integer" ~loc
+             (Printf.sprintf
+                "cache simulation skipped this %s: '%s' does not evaluate to an integer"
+                what (Pp_ast.expr_to_string e))))
+      (fun ~skip env at lhs e ->
+        (* reads first, then the write *)
+        List.iter (touch ~skip env)
+          (Analysis.array_refs [ Ast.mk (Ast.Assign ({ lhs with subs = [] }, e)) ]);
+        if lhs.subs <> [] then
+          touch ~skip env { array = lhs.base; subs = lhs.subs; is_write = true; loops = []; at })
+      loops stmts;
     (misses cache, accesses cache)
 end

@@ -113,6 +113,23 @@ let test_sim_non_integer_skip () =
   Alcotest.(check string) "check id" "sim-non-integer"
     (List.hd !diags).Pperf_lint.Diagnostic.check
 
+let test_sim_min_subscript () =
+  (* min is integer arithmetic: each of the 48 iterations whose neighbour
+     lives on another processor fetches one element *)
+  let c = checked "subroutine s(a, b, n)\n  integer n, i\n  real a(64), b(64)\n  do i = 1, n\n    b(i) = a(min(i + 16, n))\n  end do\nend\n" in
+  let layouts = [ ("a", { ldist = [ Block ] }); ("b", { ldist = [ Block ] }) ] in
+  let diags = ref 0 in
+  let messages, bytes =
+    Comm.Sim.count_messages
+      ~on_diag:(fun _ -> incr diags)
+      ~comm ~symtab:c.symbols ~layouts
+      ~bounds:(fun v -> if v = "p" then 4 else 64)
+      [] c.routine.body
+  in
+  Alcotest.(check int) "48 messages" 48 messages;
+  Alcotest.(check int) "4 bytes each" 192 bytes;
+  Alcotest.(check int) "nothing skipped" 0 !diags
+
 let test_sim_vs_static_shift () =
   (* static prediction: shift = 2 messages on the critical path; the
      simulator counts 7 total one-hop messages (p-1 pairs), which the
@@ -145,5 +162,6 @@ let () =
           Alcotest.test_case "aligned zero" `Quick test_sim_aligned_zero;
           Alcotest.test_case "non-integer skip" `Quick test_sim_non_integer_skip;
           Alcotest.test_case "static vs sim" `Quick test_sim_vs_static_shift;
+          Alcotest.test_case "min subscript" `Quick test_sim_min_subscript;
         ] );
     ]

@@ -147,6 +147,30 @@ let test_agreement_index_cond () =
     [ ("n", Interp.VInt 500); ("k", Interp.VInt 125) ]
     [ ("n", 500.0); ("k", 125.0) ]
 
+let test_agreement_elseif () =
+  (* every alternative costs the same, so the probabilities cancel and the
+     static cost is exact: both conditions' drops plus one branch, whichever
+     is taken *)
+  agree
+    "subroutine s(a, b, n)\n  integer n, i\n  real a(100), b(100)\n  do i = 1, n\n    if (a(i) > 0.0) then\n      b(i) = 1.0\n    elseif (a(i) * a(i) + b(i) * 2.0 < sqrt(b(i))) then\n      b(i) = 2.0\n    else\n      b(i) = 3.0\n    end if\n  end do\nend\n"
+    [ ("n", Interp.VInt 8) ] [ ("n", 8.0) ]
+
+(* a block's cost is computed once per run however often it executes, so
+   the bins see as many drops at n = 16 as at n = 4 *)
+let test_drops_per_block () =
+  let drops n =
+    Pperf_obs.Obs.reset_all ();
+    ignore
+      (run ~args:[ ("n", Interp.VInt n) ]
+         "subroutine s(a, n)\n  integer n, i, j\n  real a(100,100)\n  do i = 1, n\n    do j = 1, n\n      a(i,j) = a(i,j) * 2.0 + 1.0\n    end do\n  end do\nend\n");
+    match List.assoc_opt "sched.bins" (Pperf_obs.Obs.snapshot ()).spans with
+    | Some s -> s.span_count
+    | None -> 0
+  in
+  let small = drops 4 in
+  Alcotest.(check bool) "the run drops blocks" true (small > 0);
+  Alcotest.(check int) "sched.bins entries at n = 16 as at n = 4" small (drops 16)
+
 (* ---- profiling (§3.4) ---- *)
 
 let branchy_src =
@@ -387,6 +411,8 @@ let () =
           Alcotest.test_case "daxpy" `Quick test_agreement_daxpy;
           Alcotest.test_case "jacobi" `Quick test_agreement_jacobi;
           Alcotest.test_case "index conditional" `Quick test_agreement_index_cond;
+          Alcotest.test_case "elseif conditions" `Quick test_agreement_elseif;
+          Alcotest.test_case "drops per block" `Quick test_drops_per_block;
         ] );
       qsuite "agreement-props" [ prop_static_matches_dynamic; prop_bin_bound_below_dynamic ];
       ( "profiling",
