@@ -76,9 +76,10 @@ module Sim : sig
     Analysis.loop_ctx list ->
     Ast.stmt list ->
     int * int
-  (** [(messages, bytes)] actually exchanged when every non-local element
-      read is fetched from its owner (owner-computes rule), with per-
-      destination message aggregation per statement instance — the
+  (** [(messages, bytes)] actually exchanged when the nest runs under
+      {!Pperf_lang.Analysis.run_nest} and every non-local element read is
+      fetched from its owner (owner-computes rule), with one message per
+      (source, destination, array) per iteration of a top-level loop — the
       standard compilation model the static formulas approximate.
 
       A subscript or loop bound that does not evaluate to an integer is

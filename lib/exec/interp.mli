@@ -6,12 +6,17 @@
       variables that result from unknown values in the control structures
       (such as the branching probabilities of conditional statements)";
     - {b validation}: a dynamic reference for the symbolic predictions —
-      the interpreter walks the real execution path, charging each
-      straight-line block its Tetris-model cost, each loop entry its bound
-      cost, each executed branch its condition cost. Evaluating the static
-      performance expression at the actual parameter values should agree
-      with this accumulation (exactly, when control flow does not depend
-      on data; through measured probabilities otherwise).
+      the interpreter walks the real execution path and charges each block
+      {!Pperf_core.Aggregate}'s cost for it in its loop context: each
+      straight-line run per execution (its hoisted part once per loop
+      activation), each loop entry its bound evaluation, each iteration no
+      run absorbs its loop control, each executed [if] its conditions and
+      the taken branch's penalty. Each block is costed once per run. What
+      the interpreter checks is the composition: trip counts, the branches
+      taken, hoisting once per entry. Evaluating the static performance
+      expression at the actual parameter values should agree with this
+      accumulation (exactly, when control flow does not depend on data;
+      through measured probabilities otherwise).
 
     Arrays are dense column-major floats/ints; intrinsics are evaluated
     natively; calls resolve to other routines of the same program.

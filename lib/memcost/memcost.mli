@@ -80,8 +80,9 @@ module Sim : sig
     Analysis.loop_ctx list ->
     Ast.stmt list ->
     int * int
-  (** Enumerate the iteration space with concrete bounds, simulate every
-      array access in column-major layout, and return
+  (** Run the nest with {!Pperf_lang.Analysis.run_nest} under concrete
+      bounds, simulate every array access (reads, then the write) in
+      column-major layout at disjoint array bases, and return
       [(misses, accesses)]. Exponential in principle — use small bounds.
 
       A subscript or loop bound that does not evaluate to an integer
