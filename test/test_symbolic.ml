@@ -482,6 +482,24 @@ let qsuite name tests =
   ( name,
     List.map (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |])) tests )
 
+(* past exponent 64 the bounds are enclosed, not raised: under one in
+   magnitude toward zero, beyond it to themselves or infinity *)
+let test_interval_huge_pow () =
+  let s i = Interval.to_string i in
+  let r a b = Interval.of_rats (Rat.of_ints a b) in
+  let n = 100_000_000 in
+  Alcotest.(check string) "even, at least one" "[1, +inf]"
+    (s (Interval.pow (Interval.of_ints 1 10) n));
+  Alcotest.(check string) "even, negative" "[2, +inf]"
+    (s (Interval.pow (Interval.of_ints (-3) (-2)) n));
+  Alcotest.(check string) "even, unit" "[0, 1]" (s (Interval.pow (Interval.of_ints (-1) 1) n));
+  Alcotest.(check string) "odd, under one" "[-1/2, 1/3]"
+    (s (Interval.pow (r (-1) 2 (Rat.of_ints 1 3)) (n + 1)));
+  Alcotest.(check string) "odd, mixed" "[-inf, +inf]"
+    (s (Interval.pow (Interval.of_ints (-3) 2) (n + 1)));
+  Alcotest.(check string) "exact up to 64" "[0, 18446744073709551616]"
+    (s (Interval.pow (Interval.of_ints 0 2) 64))
+
 let () =
   ignore k;
   Alcotest.run "symbolic"
@@ -500,6 +518,7 @@ let () =
           Alcotest.test_case "arith" `Quick test_interval_arith;
           Alcotest.test_case "edges" `Quick test_interval_edges;
           Alcotest.test_case "widen/narrow" `Quick test_interval_widen_narrow;
+          Alcotest.test_case "huge exponent" `Quick test_interval_huge_pow;
         ] );
       qsuite "interval-props" [ prop_interval_sound ];
       ( "roots",
