@@ -66,15 +66,20 @@ val loops : result -> loop_range list
 (** Every reachable [do] loop in source order, with index and trip
     enclosures computed in the stable environment at its entry. *)
 
-val eval_expr : Interval.Env.t -> Ast.expr -> Interval.t
+val eval_expr : ?symtab:Typecheck.symtab -> Interval.Env.t -> Ast.expr -> Interval.t
 (** Sound enclosure of an expression over the box; polynomial expressions
     go through {!Interval.eval_poly}, the rest structurally (division,
-    [min]/[max]/[abs]/[mod] intrinsics); unknown constructs give [full]. *)
+    [min]/[max]/[abs]/[mod]/[nint] intrinsics); unknown constructs give
+    [full]. The symbol table tells which operands the interpreter computes
+    on integers, where division truncates and a remainder stays under its
+    divisor minus one; without it every variable is taken as real. *)
 
-val decide_cond : ?rel:Reldom.t -> Interval.Env.t -> Ast.expr -> bool option
+val decide_cond :
+  ?rel:Reldom.t -> ?symtab:Typecheck.symtab -> Interval.Env.t -> Ast.expr -> bool option
 (** [Some b] when the condition provably evaluates to [b] over the box,
     optionally sharpened by a relational state ([i - n <= -1] decides
-    [i + 1 <= n] even when both boxes are unbounded). *)
+    [i + 1 <= n] even when both boxes are unbounded). Non-polynomial sides
+    are enclosed by {!eval_expr} under [symtab]. *)
 
 val domain_used : result -> domain
 
