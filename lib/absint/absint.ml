@@ -465,6 +465,11 @@ let is_scalar ctx x =
   | Some (s : Typecheck.sym) -> s.dims = []
   | None -> true
 
+let is_int ctx x =
+  match Typecheck.lookup ctx.symtab x with
+  | Some (s : Typecheck.sym) -> s.ty = Ast.Tint
+  | None -> false
+
 let max_iters = 50
 
 let rec exec_stmts ctx ~rec_ st stmts =
@@ -478,12 +483,16 @@ and exec_stmt ctx ~rec_ st (s : Ast.stmt) =
     match s.kind with
     | Ast.Assign (lhs, e) ->
       if lhs.subs = [] && is_scalar ctx lhs.base then (
+        (* the interpreter truncates a real value stored into an integer,
+           which no linear fact describes *)
+        let truncates = is_int ctx lhs.base && not (int_valued (Some ctx.symtab) e) in
         let rel' =
           rtime ctx (fun () ->
               let ivb v = Env.find v env in
-              Reldom.assign ~ivb rel lhs.base (Sym_expr.to_poly e))
+              Reldom.assign ~ivb rel lhs.base (if truncates then None else Sym_expr.to_poly e))
         in
-        Some (Env.add lhs.base (eval (Some ctx.symtab) env e) env, rel'))
+        let v = eval (Some ctx.symtab) env e in
+        Some (Env.add lhs.base (if truncates then round_bounds truncate v else v) env, rel'))
       else Some st
     | Ast.Call_stmt (_, args) ->
       (* scalars passed by reference may be clobbered by the callee *)

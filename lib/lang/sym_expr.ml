@@ -12,7 +12,8 @@ open Pperf_symbolic
     variables: literals, variables, [+], [-], [*], integer [**], and
     division by a nonzero constant (yielding rational coefficients, as in a
     trip count [(n-1)/2]). [None] otherwise (calls, array elements,
-    logicals, symbolic divisors). *)
+    logicals, symbolic divisors, a sum raised past
+    {!Interval.max_exact_pow}). *)
 let rec to_poly (e : Ast.expr) : Poly.t option =
   match e with
   | Ast.Int i -> Some (Poly.of_int i)
@@ -36,7 +37,14 @@ let rec to_poly (e : Ast.expr) : Poly.t option =
       | Ast.Pow -> (
         match Poly.to_const pb with
         | Some c when Rat.is_integer c && Rat.sign c >= 0 -> (
-          match Rat.to_int c with Some k -> Some (Poly.pow pa k) | None -> None)
+          match Rat.to_int c with
+          | Some k when k > Interval.max_exact_pow && Poly.num_terms pa > 1 ->
+            (* the expansion of a sum's power grows with the exponent in
+               terms and in binomial digits; past the cap interval powers
+               use, the expression is left non-polynomial *)
+            None
+          | Some k -> Some (Poly.pow pa k)
+          | None -> None)
         | _ -> None)
       | _ -> None)
     | _ -> None)

@@ -11,8 +11,9 @@ val to_poly : Ast.expr -> Poly.t option
 (** [Some p] when the expression is polynomial over program variables:
     literals, variables, [+], [-], [*], non-negative integer [**], and
     division by a nonzero constant (rational coefficients, as in trip
-    counts). [None] for calls, array elements, logicals, or symbolic
-    divisors. *)
+    counts). [None] for calls, array elements, logicals, symbolic
+    divisors, or a power of a sum past {!Pperf_symbolic.Interval.max_exact_pow},
+    whose expansion would grow without bound. *)
 
 val affine_in : string list -> Ast.expr -> (int list * Poly.t) option
 (** [affine_in vars e] views [e] as [sum coeffs_i * vars_i + rest] with

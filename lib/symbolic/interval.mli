@@ -63,6 +63,9 @@ val neg : t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
+val max_exact_pow : int
+(** 64: the largest exponent whose power is computed exactly. *)
+
 val pow : t -> int -> t
 (** Past an exponent of 64 the bounds are enclosed rather than raised
     exactly (a bound within one of zero gives zero or itself, one beyond

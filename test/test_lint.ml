@@ -352,7 +352,7 @@ let dead_branch_checks src =
    and min on an integer first argument truncate: each condition holds at
    some index (0.6 rounds to 1, x = 1.9, i = 1, min(3, 2.5) = 2), so no
    check calls its branch dead. A huge exponent is enclosed, not computed,
-   so its condition is answered at once. *)
+   and a sum's is not expanded, so its condition is answered at once. *)
 let test_nonpolynomial_taken () =
   List.iter
     (fun cond -> Alcotest.(check (list string)) cond [] (dead_branch_checks (taken_in_loop cond)))
@@ -363,7 +363,20 @@ let test_nonpolynomial_taken () =
       "min(i + 2, 2.5) < 2.2";
       "float(i) ** 100000000 > 0.0";
       "i ** 100000000 > 0";
+      "(i + 1) ** 2000 > 0";
     ]
+
+(* k = x stores 1.5 truncated, as the interpreter does: k == 1 holds *)
+let test_integer_assignment_truncates () =
+  let src =
+    "subroutine s(y)\n  integer k\n  real x, y\n  x = 1.5\n  k = x\n  if (k == 1) then\n    y = 2.0\n  end if\nend\n"
+  in
+  Alcotest.(check (list string))
+    "k == 1 is always true"
+    [ "condition k == 1 is always true over the inferred ranges" ]
+    (List.filter_map
+       (fun (d : Diagnostic.t) -> if d.check = "constant-condition" then Some d.message else None)
+       (lint_ranges src))
 
 let () =
   Alcotest.run "lint"
@@ -384,6 +397,7 @@ let () =
           Alcotest.test_case "known routines" `Quick test_known_routines;
           Alcotest.test_case "unreachable non-polynomial" `Quick test_unreachable_nonpolynomial;
           Alcotest.test_case "non-polynomial taken" `Quick test_nonpolynomial_taken;
+          Alcotest.test_case "integer assignment truncates" `Quick test_integer_assignment_truncates;
         ] );
       ( "diagnostic",
         [
