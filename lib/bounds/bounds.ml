@@ -103,17 +103,8 @@ let carrying_level directions =
 
 (* ------------------------------------------------ iteration-crossing DAG *)
 
-(* store/load DAG nodes of [array], found by the translator's label
-   conventions ("store <a>(...)" / "load <a>[<subs>]") *)
-let nodes_with_prefix dag prefix =
-  let out = ref [] in
-  for i = Dag.length dag - 1 downto 0 do
-    let n = Dag.node dag i in
-    if String.length n.Dag.label >= String.length prefix
-       && String.sub n.Dag.label 0 (String.length prefix) = prefix
-    then out := i :: !out
-  done;
-  !out
+(* the body nodes that load or store an element of [array] *)
+let nodes_of array refs = List.filter_map (fun (a, k) -> if String.equal a array then Some k else None) refs
 
 (* [body] replicated [k] times with carry edges: each (prod, cons, dist)
    adds a dependence from copy t's [cons] back to copy (t - dist)'s
@@ -208,8 +199,8 @@ let analyze_nest ~machine ~include_memory ~bindings ~symtab ~invariants
          its loads, at the dependence distance *)
       let chains = carried_chains ~loops body in
       let carry_edges (a, _, d, _) =
-        let stores = nodes_with_prefix res.Translator.body ("store " ^ a ^ "(") in
-        let loads = nodes_with_prefix res.Translator.body ("load " ^ a ^ "[") in
+        let stores = nodes_of a res.Translator.array_stores in
+        let loads = nodes_of a res.Translator.array_loads in
         List.concat_map (fun s -> List.map (fun l -> (s, l, d)) loads) stores
       in
       let carried =

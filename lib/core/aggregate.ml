@@ -47,15 +47,83 @@ type prob_state = {
    standalone drop resets it instead of re-allocating slot arrays *)
 type scratch = { mutable bins : Bins.t option; mutable declared : SSet.t option }
 
+(* ---- the block table ----
+
+   One request's translations and drops: a block met again in the same
+   loop context (a repeated bound expression, a branch body's leading run
+   under its taken-branch penalty, a block a compared variant shares with
+   its original) is translated and dropped once. A block is keyed by its
+   statements or expressions without their locations, its loop variables
+   and its invariants; the table serves one machine, flag set and symbol
+   table and starts over when one of them changes. A drop keeps the
+   stacked-placement fallbacks it took, so each use reports them at its
+   own location. *)
+
+type drop = { cost : int; fallbacks : int }
+type drop_kind = Whole | Body_alone | Once | Steady | Steady_control
+
+type block = {
+  res : Translator.result;
+  mutable drops : (drop_kind * drop) list;
+  mutable penalties : (block * int) list;  (** the taken-branch penalty under each condition *)
+}
+
+type shape = Run of Ast.stmt list | Cond of Ast.expr | Bound_exprs of Ast.expr list
+type block_key = { shape : shape; lvars : string list; linv : SSet.t }
+
+module Blocks = Hashtbl.Make (struct
+  type t = block_key
+
+  let equal a b =
+    List.equal String.equal a.lvars b.lvars
+    && (match (a.shape, b.shape) with
+       | Run x, Run y -> List.equal Ast.equal_stmt x y
+       | Cond x, Cond y -> Ast.equal_expr x y
+       | Bound_exprs x, Bound_exprs y -> List.equal Ast.equal_expr x y
+       | _ -> false)
+    && SSet.equal a.linv b.linv
+
+  (* a straight-line statement holds no location below its own *)
+  let hash k =
+    let shape =
+      match k.shape with
+      | Run stmts -> List.fold_left (fun h (s : Ast.stmt) -> (h * 65599) + Hashtbl.hash s.kind) 0 stmts
+      | Cond e -> Hashtbl.hash e
+      | Bound_exprs es -> Hashtbl.hash es
+    in
+    Hashtbl.hash (shape, k.lvars)
+end)
+
+type blocks = {
+  mutable owner : (Machine.t * Flags.t * Typecheck.symtab) option;
+  table : block Blocks.t;
+  mutable control : drop option;  (** the loop control alone, per iteration *)
+}
+
+let blocks () = { owner = None; table = Blocks.create 64; control = None }
+
+let adopt blocks ~machine ~flags ~symtab =
+  match blocks.owner with
+  | Some (m, f, s)
+    when m == machine && f = flags
+         && (s == symtab || Typecheck.symbols_list s = Typecheck.symbols_list symtab) ->
+    ()
+  | _ ->
+    Blocks.reset blocks.table;
+    blocks.control <- None;
+    blocks.owner <- Some (machine, flags, symtab)
+
 type ctx = {
   machine : Machine.t;
   options : options;
   symtab : Typecheck.symtab;
   loops : Analysis.loop_ctx list;
+  lvars : string list;  (** the loops' variables, innermost last *)
   invariants : SSet.t;
   probs : prob_state;
   ranges : Pperf_absint.Absint.result option;
   scratch : scratch;
+  blocks : blocks;
 }
 
 let scratch_bins ctx =
@@ -67,8 +135,6 @@ let scratch_bins ctx =
     let bins = Bins.create ctx.machine in
     ctx.scratch.bins <- Some bins;
     bins
-
-let loop_vars ctx = List.map (fun (l : Analysis.loop_ctx) -> l.lvar) ctx.loops
 
 let fresh_prob ctx =
   ctx.probs.counter <- ctx.probs.counter + 1;
@@ -86,40 +152,65 @@ let imprecise ctx ~check ~loc message =
 
 (* a stacked-placement fallback inside a drop means the block's cost is a
    safe overestimate — exactly the kind of precision loss lint reports *)
-let note_fallbacks ctx ~loc bins =
-  let n = Bins.fallbacks bins in
-  if n > 0 then
+let note_fallbacks ctx ~loc d =
+  if d.fallbacks > 0 then
     imprecise ctx ~check:"fit-fallback" ~loc
       (Printf.sprintf
          "%d operation placement(s) did not converge and used conservative stacked \
           placement; the block cost is an overestimate"
-         n)
+         d.fallbacks)
 
-(* drop a dag into the scratch bins and return its standalone cost *)
-let dag_cost ~loc ctx dag =
-  if Dag.length dag = 0 then 0
+(* a dag dropped alone into the scratch bins *)
+let dropped ctx dag =
+  if Dag.length dag = 0 then { cost = 0; fallbacks = 0 }
   else (
     let bins = scratch_bins ctx in
     let cost = (Bins.drop_dag bins dag).cost in
-    note_fallbacks ctx ~loc bins;
-    cost)
+    { cost; fallbacks = Bins.fallbacks bins })
 
-let per_iteration_cost ~loc ctx dag =
+(* a dag's per-iteration cost: its two-drop steady state *)
+let steady ctx dag =
   let bins = scratch_bins ctx in
   let _, per_iter = Bins.steady_state bins dag in
-  note_fallbacks ctx ~loc bins;
-  per_iter
+  { cost = per_iter; fallbacks = Bins.fallbacks bins }
 
-let make_ctx ~machine ~options ~symtab ?ranges ?(prob_offset = 0) () =
+let block_drop blk kind compute =
+  match List.assq_opt kind blk.drops with
+  | Some d -> d
+  | None ->
+    let d = compute () in
+    blk.drops <- (kind, d) :: blk.drops;
+    d
+
+(* a drop of the block, made once, charged at [loc] *)
+let charge ctx ~loc blk kind compute =
+  let d = block_drop blk kind compute in
+  note_fallbacks ctx ~loc d;
+  d.cost
+
+(* the block of [shape] in the context, translated on its first use *)
+let block ctx shape translate =
+  let key = { shape; lvars = ctx.lvars; linv = ctx.invariants } in
+  match Blocks.find_opt ctx.blocks.table key with
+  | Some blk -> blk
+  | None ->
+    let blk = { res = translate (); drops = []; penalties = [] } in
+    Blocks.add ctx.blocks.table key blk;
+    blk
+
+let make_ctx ~machine ~options ~symtab ?ranges ?(prob_offset = 0) ?(blocks = blocks ()) () =
+  adopt blocks ~machine ~flags:options.flags ~symtab;
   {
     machine;
     options;
     symtab;
     loops = [];
+    lvars = [];
     invariants = SSet.empty;
     probs = { counter = prob_offset; vars = []; diags = [] };
     ranges;
     scratch = { bins = None; declared = None };
+    blocks;
   }
 
 (* ---- block costs: each block the walk charges, in its loop context ---- *)
@@ -140,64 +231,87 @@ let enter_loop ctx (d : Ast.do_loop) =
   {
     ctx with
     loops = ctx.loops @ [ Analysis.{ lvar = d.var; llo = d.lo; lhi = d.hi; lstep = d.step } ];
+    lvars = ctx.lvars @ [ d.var ];
     invariants = Analysis.loop_invariants ~declared d;
   }
 
 let translate_run ctx (run : Ast.stmt list) =
-  Translator.translate_block ~machine:ctx.machine ~flags:ctx.options.flags
-    ~symtab:ctx.symtab ~loop_vars:(loop_vars ctx) ~invariants:ctx.invariants run
+  block ctx (Run run) (fun () ->
+      Translator.translate_block ~machine:ctx.machine ~flags:ctx.options.flags
+        ~symtab:ctx.symtab ~loop_vars:ctx.lvars ~invariants:ctx.invariants run)
 
 (* outside a loop body there is no "per entry" distinction *)
-let run_cost ctx ~loc (res : Translator.result) =
-  dag_cost ~loc ctx (Dag.concat res.one_time res.body)
+let run_cost ctx ~loc blk =
+  charge ctx ~loc blk Whole (fun () -> dropped ctx (Dag.concat blk.res.one_time blk.res.body))
 
-let iteration_cost ctx ~loc ~control (res : Translator.result) =
-  per_iteration_cost ~loc ctx
-    (if control then Dag.concat res.body (Translator.loop_overhead_dag ~machine:ctx.machine ())
-     else res.body)
+let iteration_cost ctx ~loc ~control blk =
+  if control then
+    charge ctx ~loc blk Steady_control (fun () ->
+        steady ctx
+          (Dag.concat blk.res.body (Translator.loop_overhead_dag ~machine:ctx.machine ())))
+  else charge ctx ~loc blk Steady (fun () -> steady ctx blk.res.body)
 
-let hoisted_cost ctx ~loc (res : Translator.result) = dag_cost ~loc ctx res.one_time
+let hoisted_cost ctx ~loc blk = charge ctx ~loc blk Once (fun () -> dropped ctx blk.res.one_time)
 
 let bound_cost ctx ~loc (d : Ast.do_loop) =
-  let res =
-    Translator.translate_exprs ~machine:ctx.machine ~flags:ctx.options.flags ~symtab:ctx.symtab
-      ~loop_vars:(loop_vars ctx) ~invariants:ctx.invariants
-      (d.lo :: d.hi :: Option.to_list d.step)
+  let exprs = d.lo :: d.hi :: Option.to_list d.step in
+  let blk =
+    block ctx (Bound_exprs exprs) (fun () ->
+        Translator.translate_exprs ~machine:ctx.machine ~flags:ctx.options.flags
+          ~symtab:ctx.symtab ~loop_vars:ctx.lvars ~invariants:ctx.invariants exprs)
   in
-  dag_cost ~loc ctx (Dag.concat res.one_time res.body)
+  run_cost ctx ~loc blk
 
 let control_cost ctx ~loc =
-  per_iteration_cost ~loc ctx (Translator.loop_overhead_dag ~machine:ctx.machine ())
+  let d =
+    match ctx.blocks.control with
+    | Some d -> d
+    | None ->
+      let d = steady ctx (Translator.loop_overhead_dag ~machine:ctx.machine ()) in
+      ctx.blocks.control <- Some d;
+      d
+  in
+  note_fallbacks ctx ~loc d;
+  d.cost
 
 let translate_cond ctx cond =
-  (Translator.translate_condition ~machine:ctx.machine ~flags:ctx.options.flags
-     ~symtab:ctx.symtab ~loop_vars:(loop_vars ctx) ~invariants:ctx.invariants cond)
-    .body
+  block ctx (Cond cond) (fun () ->
+      Translator.translate_condition ~machine:ctx.machine ~flags:ctx.options.flags
+        ~symtab:ctx.symtab ~loop_vars:ctx.lvars ~invariants:ctx.invariants cond)
 
-let cond_cost ctx ~loc dag = dag_cost ~loc ctx dag
+let body_alone ctx blk = block_drop blk Body_alone (fun () -> dropped ctx blk.res.body)
+let cond_cost ctx ~loc blk = charge ctx ~loc blk Body_alone (fun () -> dropped ctx blk.res.body)
 
 (* §2.2.2 branch optimization: "matching shapes of the cost blocks to
    decide whether the branching cost needs to be included". The taken-
    branch penalty is reduced by however much the branch body's leading
    straight-line block really overlaps the condition's block when both are
    dropped into the same bins. *)
-let branch_penalty ctx (cond_body : Dag.t) (body : Ast.stmt list) =
+let branch_penalty ctx (cond : block) (body : Ast.stmt list) =
   let c_br = ctx.machine.Machine.branch_taken_cycles in
   match fst (Analysis.split_run body) with
   | [] -> c_br
   | run -> (
     match translate_run ctx run with
     | exception _ -> c_br
-    | res ->
-      if Dag.length res.body = 0 || Dag.length cond_body = 0 then c_br
-      else (
-        let bins = scratch_bins ctx in
-        let c_cond = (Bins.drop_dag bins cond_body).cost in
-        let combined = (Bins.drop_dag bins res.body).cost in
-        Bins.reset bins;
-        let alone = (Bins.drop_dag bins res.body).cost in
-        let overlap = max 0 (c_cond + alone - combined) in
-        max 0 (c_br - overlap)))
+    | blk -> (
+      match List.assq_opt cond blk.penalties with
+      | Some penalty -> penalty
+      | None ->
+        let cond_body = cond.res.body and run_body = blk.res.body in
+        let penalty =
+          if Dag.length run_body = 0 || Dag.length cond_body = 0 then c_br
+          else (
+            let bins = scratch_bins ctx in
+            ignore (Bins.drop_dag bins cond_body);
+            let combined = (Bins.drop_dag bins run_body).cost in
+            let overlap =
+              max 0 ((body_alone ctx cond).cost + (body_alone ctx blk).cost - combined)
+            in
+            max 0 (c_br - overlap))
+        in
+        blk.penalties <- (cond, penalty) :: blk.penalties;
+        penalty))
 
 let trip_of ctx ~loc (d : Ast.do_loop) =
   let inferred =
@@ -333,22 +447,22 @@ let rec agg_stmts ctx (stmts : Ast.stmt list) : Perf_expr.t =
 and agg_if ctx (s : Ast.stmt) : Perf_expr.t =
   match s.kind with
   | Ast.If (branches, els) ->
-    let cond_dags = List.map (fun (c, _) -> translate_cond ctx c) branches in
-    let cond_cycles =
-      List.fold_left (fun acc d -> acc + cond_cost ctx ~loc:s.loc d) 0 cond_dags
-    in
-    let first_cond = match cond_dags with d :: _ -> d | [] -> Dag.make [||] in
+    let conds = List.map (fun (c, _) -> translate_cond ctx c) branches in
+    let cond_cycles = List.fold_left (fun acc c -> acc + cond_cost ctx ~loc:s.loc c) 0 conds in
     let branch_costs =
       List.map2
-        (fun d (_, body) ->
+        (fun c (_, body) ->
           Perf_expr.add (agg_stmts ctx body)
-            (Perf_expr.of_cycles (branch_penalty ctx d body)))
-        cond_dags branches
+            (Perf_expr.of_cycles (branch_penalty ctx c body)))
+        conds branches
     in
-    let else_cost =
-      Perf_expr.add (agg_stmts ctx els)
-        (Perf_expr.of_cycles (if els = [] then 0 else branch_penalty ctx first_cond els))
+    let else_penalty =
+      match (els, conds) with
+      | [], _ -> 0
+      | _, first :: _ -> branch_penalty ctx first els
+      | _, [] -> ctx.machine.Machine.branch_taken_cycles
     in
+    let else_cost = Perf_expr.add (agg_stmts ctx els) (Perf_expr.of_cycles else_penalty) in
     let combined =
       match branch_costs with
       | [ bt ] when near_equal ctx.options.near_equal_tol bt else_cost ->
@@ -415,10 +529,10 @@ and agg_do ctx ~loc (d : Ast.do_loop) : Perf_expr.t =
         (* the paper's §3.3.2 pattern: charge iteration counts directly *)
         let ct = agg_stmts inner_ctx then_body in
         let cf = agg_stmts inner_ctx else_body in
-        let cond_dag = translate_cond inner_ctx cond in
-        let pen_t = branch_penalty inner_ctx cond_dag then_body in
-        let pen_f = if else_body = [] then 0 else branch_penalty inner_ctx cond_dag else_body in
-        let cond_cycles = cond_cost inner_ctx ~loc:s.loc cond_dag in
+        let cond_block = translate_cond inner_ctx cond in
+        let pen_t = branch_penalty inner_ctx cond_block then_body in
+        let pen_f = if else_body = [] then 0 else branch_penalty inner_ctx cond_block else_body in
+        let cond_cycles = cond_cost inner_ctx ~loc:s.loc cond_block in
         let ct = Perf_expr.add ct (Perf_expr.of_cycles pen_t) in
         let cf = Perf_expr.add cf (Perf_expr.of_cycles pen_f) in
         let count_false = Poly.sub trip count_true in
@@ -487,10 +601,10 @@ let infer_ranges_of ~options ~symtab body =
 
 let sp_aggregate = Pperf_obs.Obs.span "aggregate"
 
-let stmts ~machine ?(options = default_options) ?(prob_offset = 0) ~symtab body =
+let stmts ~machine ?(options = default_options) ?(prob_offset = 0) ?blocks ~symtab body =
   Pperf_obs.Obs.time sp_aggregate @@ fun () ->
   let ranges = infer_ranges_of ~options ~symtab body in
-  let ctx = make_ctx ~machine ~options ~symtab ?ranges ~prob_offset () in
+  let ctx = make_ctx ~machine ~options ~symtab ?ranges ~prob_offset ?blocks () in
   let cost = agg_stmts ctx body in
   {
     cost;
@@ -498,5 +612,5 @@ let stmts ~machine ?(options = default_options) ?(prob_offset = 0) ~symtab body 
     diagnostics = Pperf_lint.Lint.dedupe ctx.probs.diags;
   }
 
-let routine ~machine ?(options = default_options) (checked : Typecheck.checked) =
-  stmts ~machine ~options ~symtab:checked.symbols checked.routine.body
+let routine ~machine ?(options = default_options) ?blocks (checked : Typecheck.checked) =
+  stmts ~machine ~options ?blocks ~symtab:checked.symbols checked.routine.body

@@ -62,18 +62,34 @@ type prediction = {
           [unknown-call] check, which every diagnostics printer merges in. *)
 }
 
+type blocks
+(** A request's block table: each block's translation and drops, made
+    once per loop context. A block is keyed by its statements (or its
+    condition or bound expressions) without their locations, its loop
+    variables and its invariants. The table serves one machine, flag set
+    and symbol table; used with another it starts over. Create one per
+    request and never keep it longer: it holds every block it met. *)
+
+val blocks : unit -> blocks
+
 val stmts :
   machine:Machine.t ->
   ?options:options ->
   ?prob_offset:int ->
+  ?blocks:blocks ->
   symtab:Typecheck.symtab ->
   Ast.stmt list ->
   prediction
 (** [prob_offset] (default 0) starts the fresh-probability-variable counter
     at [p{offset+1}], so a statement group costed on its own gets the same
-    variable names it would get at position [offset] of a larger body. *)
+    variable names it would get at position [offset] of a larger body.
+    [blocks] (default: a fresh table) shares translations and drops with
+    the other aggregations of the request that use it; the prediction is
+    the same either way, and a stacked-placement fallback is reported at
+    each block's own location. *)
 
-val routine : machine:Machine.t -> ?options:options -> Typecheck.checked -> prediction
+val routine :
+  machine:Machine.t -> ?options:options -> ?blocks:blocks -> Typecheck.checked -> prediction
 
 (** {1 Block costs}
 
@@ -85,27 +101,31 @@ val routine : machine:Machine.t -> ?options:options -> Typecheck.checked -> pred
 
 type block_ctx
 (** The machine, options and symbol table, with the enclosing loops'
-    variables and invariants. *)
+    variables and invariants, and a block table. *)
 
 val block_ctx : machine:Machine.t -> options:options -> symtab:Typecheck.symtab -> block_ctx
-(** A routine's top level: no enclosing loop. *)
+(** A routine's top level: no enclosing loop, a fresh block table. *)
 
 val enter_loop : block_ctx -> Ast.do_loop -> block_ctx
 (** The loop body's context: the index joins the loop variables and the
     loop's {!Analysis.loop_invariants} become the invariants. *)
 
-val translate_run : block_ctx -> Ast.stmt list -> Translator.result
+type block
+(** A straight-line run or a condition, translated in its context; each
+    of its drops is made once. *)
+
+val translate_run : block_ctx -> Ast.stmt list -> block
 (** A straight-line run, translated in the context. *)
 
-val run_cost : block_ctx -> loc:Srcloc.t -> Translator.result -> int
+val run_cost : block_ctx -> loc:Srcloc.t -> block -> int
 (** A run outside a loop body: its hoisted and per-execution parts dropped
     together. *)
 
-val iteration_cost : block_ctx -> loc:Srcloc.t -> control:bool -> Translator.result -> int
+val iteration_cost : block_ctx -> loc:Srcloc.t -> control:bool -> block -> int
 (** A run in a loop body, per iteration: the two-drop steady state, with
     the loop control folded in when [control] (the body's first run). *)
 
-val hoisted_cost : block_ctx -> loc:Srcloc.t -> Translator.result -> int
+val hoisted_cost : block_ctx -> loc:Srcloc.t -> block -> int
 (** A loop-body run's hoisted part, charged once per loop entry. *)
 
 val bound_cost : block_ctx -> loc:Srcloc.t -> Ast.do_loop -> int
@@ -115,13 +135,13 @@ val bound_cost : block_ctx -> loc:Srcloc.t -> Ast.do_loop -> int
 val control_cost : block_ctx -> loc:Srcloc.t -> int
 (** The loop control alone, per iteration of a body no run absorbs it in. *)
 
-val translate_cond : block_ctx -> Ast.expr -> Pperf_sched.Dag.t
+val translate_cond : block_ctx -> Ast.expr -> block
 (** A condition, translated in the context. *)
 
-val cond_cost : block_ctx -> loc:Srcloc.t -> Pperf_sched.Dag.t -> int
+val cond_cost : block_ctx -> loc:Srcloc.t -> block -> int
 (** A condition's drop, per evaluation. *)
 
-val branch_penalty : block_ctx -> Pperf_sched.Dag.t -> Ast.stmt list -> int
+val branch_penalty : block_ctx -> block -> Ast.stmt list -> int
 (** The §2.2.2 shape-matched taken-branch penalty of a branch body under
     its condition: the machine's branch cycles that remain uncovered after
     the body's leading block overlaps the condition's block. *)

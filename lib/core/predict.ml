@@ -11,12 +11,13 @@ type t = {
   prediction : Aggregate.prediction;
 }
 
-let of_checked ?(options = Aggregate.default_options) ~machine (checked : Typecheck.checked) =
+let of_checked ?(options = Aggregate.default_options) ?blocks ~machine
+    (checked : Typecheck.checked) =
   {
     routine = checked.routine;
     symbols = checked.symbols;
     machine;
-    prediction = Aggregate.routine ~machine ~options checked;
+    prediction = Aggregate.routine ~machine ~options ?blocks checked;
   }
 
 let of_source ?options ~machine src =

@@ -11,7 +11,10 @@ type t = {
   prediction : Aggregate.prediction;
 }
 
-val of_checked : ?options:Aggregate.options -> machine:Machine.t -> Typecheck.checked -> t
+val of_checked :
+  ?options:Aggregate.options -> ?blocks:Aggregate.blocks -> machine:Machine.t -> Typecheck.checked -> t
+(** [blocks]: see {!Aggregate.stmts}. *)
+
 val of_source : ?options:Aggregate.options -> machine:Machine.t -> string -> t
 (** Parse, check and predict a single-routine source.
     @raise Parser.Error or Typecheck.Type_error on bad input. *)

@@ -38,7 +38,9 @@ let join_numeric loc a b =
   | Ast.Treal, _ | _, Ast.Treal -> Ast.Treal
   | Ast.Tint, Ast.Tint -> Ast.Tint
 
-let rec expr_type_loc tab loc (e : Ast.expr) : Ast.dtype =
+(* the type of [e] from its direct subexpressions' types, which [sub]
+   gives (raising as this does on an ill-typed one) *)
+let node_type_loc tab loc sub (e : Ast.expr) : Ast.dtype =
   match e with
   | Ast.Int _ -> Ast.Tint
   | Ast.Real (_, ty) -> ty
@@ -57,8 +59,8 @@ let rec expr_type_loc tab loc (e : Ast.expr) : Ast.dtype =
         err loc "array %s has %d dimensions but %d subscripts" a (List.length s.dims)
           (List.length subs);
       List.iter
-        (fun sub ->
-          match expr_type_loc tab loc sub with
+        (fun e ->
+          match sub e with
           | Ast.Tint -> ()
           | _ -> err loc "non-integer subscript of %s" a)
         subs;
@@ -71,7 +73,7 @@ let rec expr_type_loc tab loc (e : Ast.expr) : Ast.dtype =
         err loc "intrinsic %s expects %d arguments" f info.arity;
       if info.arity < 0 && List.length args < 2 then
         err loc "intrinsic %s expects at least 2 arguments" f;
-      let arg_types = List.map (expr_type_loc tab loc) args in
+      let arg_types = List.map sub args in
       if List.exists (fun t -> t = Ast.Tlogical) arg_types then
         err loc "logical argument to intrinsic %s" f;
       (* generic min/max follow their arguments (Fortran 90 semantics) *)
@@ -87,18 +89,18 @@ let rec expr_type_loc tab loc (e : Ast.expr) : Ast.dtype =
         (fun a ->
           match a with
           | Ast.Var x when (match SMap.find_opt x tab with Some s -> s.dims <> [] | None -> false) -> ()
-          | _ -> ignore (expr_type_loc tab loc a))
+          | _ -> ignore (sub a))
         args;
       implicit_type f)
   | Ast.Unop (Ast.Neg, a) ->
-    let t = expr_type_loc tab loc a in
+    let t = sub a in
     if t = Ast.Tlogical then err loc "negation of a logical";
     t
   | Ast.Unop (Ast.Not, a) ->
-    if expr_type_loc tab loc a <> Ast.Tlogical then err loc ".not. of a non-logical";
+    if sub a <> Ast.Tlogical then err loc ".not. of a non-logical";
     Ast.Tlogical
   | Ast.Binop (op, a, b) -> (
-    let ta = expr_type_loc tab loc a and tb = expr_type_loc tab loc b in
+    let ta = sub a and tb = sub b in
     match op with
     | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Pow -> join_numeric loc ta tb
     | Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge ->
@@ -107,6 +109,12 @@ let rec expr_type_loc tab loc (e : Ast.expr) : Ast.dtype =
     | Ast.And | Ast.Or ->
       if ta <> Ast.Tlogical || tb <> Ast.Tlogical then err loc "logical operator on non-logicals";
       Ast.Tlogical)
+
+let expr_type_loc tab loc e =
+  let rec go e = node_type_loc tab loc go e in
+  go e
+
+let node_type tab sub e = node_type_loc tab Srcloc.dummy sub e
 
 let expr_type tab e = expr_type_loc tab Srcloc.dummy e
 

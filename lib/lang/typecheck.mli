@@ -30,6 +30,12 @@ val symbols_list : symtab -> (string * sym) list
 val expr_type : symtab -> Ast.expr -> Ast.dtype
 (** @raise Type_error on ill-typed expressions. *)
 
+val node_type : symtab -> (Ast.expr -> Ast.dtype) -> Ast.expr -> Ast.dtype
+(** One step of {!expr_type}: the type of an expression given the types
+    of its direct subexpressions, which the function returns. A pass that
+    types every node bottom-up calls it once per node.
+    @raise Type_error as {!expr_type} does. *)
+
 val is_float_type : Ast.dtype -> bool
 val type_bytes : Ast.dtype -> int
 

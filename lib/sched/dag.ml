@@ -1,24 +1,25 @@
 open Pperf_machine
 
-type node = { index : int; op : Atomic_op.t; deps : int list; label : string }
+type node = { index : int; op : Atomic_op.t; deps : int list; label : string Lazy.t }
 
 type t = { nodes : node array }
 
-let make arr =
-  let nodes =
-    Array.mapi
-      (fun index (op, deps, label) ->
-        List.iter
-          (fun d ->
-            if d >= index then invalid_arg "Dag.make: forward or self dependence";
-            if d < 0 then invalid_arg "Dag.make: negative dependence")
-          deps;
-        { index; op; deps; label })
-      arr
-  in
+let of_nodes nodes =
+  Array.iteri
+    (fun i n ->
+      if n.index <> i then invalid_arg "Dag.of_nodes: node out of place";
+      List.iter
+        (fun d ->
+          if d >= i then invalid_arg "Dag.make: forward or self dependence";
+          if d < 0 then invalid_arg "Dag.make: negative dependence")
+        n.deps)
+    nodes;
   { nodes }
 
-let of_ops ops = make (Array.of_list (List.map (fun (op, deps) -> (op, deps, "")) ops))
+let make arr = of_nodes (Array.mapi (fun index (op, deps, label) -> { index; op; deps; label }) arr)
+
+let no_label = Lazy.from_val ""
+let of_ops ops = make (Array.of_list (List.map (fun (op, deps) -> (op, deps, no_label)) ops))
 
 let length t = Array.length t.nodes
 let node t i = t.nodes.(i)
@@ -77,8 +78,9 @@ let repeat ?(carry = []) body k =
 let pp fmt t =
   Array.iter
     (fun n ->
+      let label = Lazy.force n.label in
       Format.fprintf fmt "%3d: %a%s deps:[%a]@." n.index Atomic_op.pp n.op
-        (if n.label = "" then "" else " ; " ^ n.label)
+        (if label = "" then "" else " ; " ^ label)
         (Format.pp_print_list
            ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ",")
            Format.pp_print_int)

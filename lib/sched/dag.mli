@@ -12,13 +12,19 @@ type node = {
   index : int;
   op : Atomic_op.t;
   deps : int list;  (** indices of producers this node consumes *)
-  label : string;  (** human-readable provenance, e.g. ["load b(i,j)"] *)
+  label : string Lazy.t;
+      (** human-readable provenance, e.g. ["load b[i,j]"]; forced only
+          when {!pp} prints the node *)
 }
 
 type t = private { nodes : node array }
 
-val make : (Atomic_op.t * int list * string) array -> t
+val make : (Atomic_op.t * int list * string Lazy.t) array -> t
 (** @raise Invalid_argument on a forward or self dependence. *)
+
+val of_nodes : node array -> t
+(** The nodes as given; node [i] must have index [i].
+    @raise Invalid_argument as {!make} does, or on a node out of place. *)
 
 val of_ops : (Atomic_op.t * int list) list -> t
 (** Convenience wrapper with empty labels. *)

@@ -181,8 +181,11 @@ let compare ?(domain = Pperf_absint.Absint.Box) ~machine ~options ~use_ranges ~r
       (* the decision reads only the cost expressions, which the range
          analysis leaves alone: it adds precision events, not printed here *)
       let options = { options with Aggregate.infer_ranges = false } in
-      let p1 = Predict.of_checked ~options ~machine c1 in
-      let p2 = Predict.of_checked ~options ~machine c2 in
+      (* one block table: what the second routine shares with the first is
+         translated and dropped once *)
+      let blocks = Aggregate.blocks () in
+      let p1 = Predict.of_checked ~options ~blocks ~machine c1 in
+      let p2 = Predict.of_checked ~options ~blocks ~machine c2 in
       Format.fprintf fmt "first:  %a@." Predict.pp p1;
       Format.fprintf fmt "second: %a@." Predict.pp p2;
       (match rel with

@@ -72,3 +72,41 @@ let to_string = function
 
 let is_store = function B_store _ -> true | _ -> false
 let is_load = function B_load _ -> true | _ -> false
+
+(* a dense numbering of the operations but intrinsics, for tables indexed
+   by operation; an intrinsic is -1 *)
+let indexed = 31
+
+let index = function
+  | B_iadd -> 0
+  | B_isub -> 1
+  | B_imul { small = true } -> 2
+  | B_imul { small = false } -> 3
+  | B_ishift -> 4
+  | B_ilogic -> 5
+  | B_idiv -> 6
+  | B_ineg -> 7
+  | B_icmp -> 8
+  | B_fadd Single -> 9
+  | B_fadd Double -> 10
+  | B_fsub Single -> 11
+  | B_fsub Double -> 12
+  | B_fmul Single -> 13
+  | B_fmul Double -> 14
+  | B_fma Single -> 15
+  | B_fma Double -> 16
+  | B_fdiv Single -> 17
+  | B_fdiv Double -> 18
+  | B_fneg -> 19
+  | B_fcmp -> 20
+  | B_fselect -> 21
+  | B_cvt_if -> 22
+  | B_cvt_fi -> 23
+  | B_load { float = true } -> 24
+  | B_load { float = false } -> 25
+  | B_store { float = true } -> 26
+  | B_store { float = false } -> 27
+  | B_branch -> 28
+  | B_branch_cond -> 29
+  | B_call -> 30
+  | B_intrinsic _ -> -1

@@ -31,6 +31,10 @@ type result = {
   stores : int;
   flops : int;  (** floating-point operations in [body] (an FMA counts 2) *)
   int_ops : int;
+  array_loads : (string * int) list;
+      (** [(a, k)]: node [k] of [body] loads an element of array [a];
+          ascending in [k] *)
+  array_stores : (string * int) list;  (** the same for element stores *)
 }
 
 exception Not_straight_line of Srcloc.t

@@ -340,6 +340,51 @@ let prop_bin_bound_below_dynamic =
         in
         bound <= res.cycles)
 
+(* ---- property: the block table never changes a prediction ---- *)
+
+(* every condition [c] of the statements made [c .and. c] *)
+let rec recond (s : Ast.stmt) =
+  match s.kind with
+  | Ast.If (branches, els) ->
+    { s with
+      kind =
+        Ast.If
+          ( List.map (fun (c, b) -> (Ast.Binop (Ast.And, c, c), List.map recond b)) branches,
+            List.map recond els ) }
+  | Ast.Do d -> { s with kind = Ast.Do { d with body = List.map recond d.body } }
+  | _ -> s
+
+(* Through one block table: the body inside one more loop, the body twice
+   inside it (a run first in one loop body is not first in the other),
+   the body inside it with [x] assigned there too (so [x] is no longer
+   invariant), the routine with other conditions over the same branch
+   bodies, the routine, and a copy shifted down by blank lines. The copy's
+   blocks are all found in the table, and the others hold the same
+   statements in other contexts, yet each prediction, down to its
+   diagnostics' locations, is what a fresh aggregation gives. *)
+let prop_block_table_transparent =
+  QCheck.Test.make ~name:"block table: predictions of a fresh aggregation" ~count:120
+    (QCheck.make ~print:Pp_ast.routine_to_string gen_routine)
+    (fun r ->
+      let check src = Typecheck.check_routine (Parser.parse_routine src) in
+      let src = Pp_ast.routine_to_string r in
+      let looped extra =
+        Pp_ast.routine_to_string
+          { r with body = [ Ast.do_ "i3" (Ast.int 1) (Ast.Var "n") (r.body @ extra) ] }
+      in
+      let assigns_x = [ Ast.do_ "i4" (Ast.int 1) (Ast.int 1) [ Ast.sassign "x" (Ast.real 0.5) ] ] in
+      let reconditioned = Pp_ast.routine_to_string { r with body = List.map recond r.body } in
+      let blocks = Aggregate.blocks () in
+      List.for_all
+        (fun c ->
+          let shared = Aggregate.routine ~machine:p1 ~blocks c in
+          let fresh = Aggregate.routine ~machine:p1 c in
+          Perf_expr.equal shared.cost fresh.cost
+          && shared.prob_vars = fresh.prob_vars
+          && shared.diagnostics = fresh.diagnostics)
+        [ check (looped []); check (looped r.body); check (looped assigns_x); check reconditioned;
+          check src; check ("\n\n\n" ^ src) ])
+
 (* ---- calibration ---- *)
 
 (* Calibrating the scalar builtin recovers an exactly-equivalent one-port
@@ -414,7 +459,8 @@ let () =
           Alcotest.test_case "elseif conditions" `Quick test_agreement_elseif;
           Alcotest.test_case "drops per block" `Quick test_drops_per_block;
         ] );
-      qsuite "agreement-props" [ prop_static_matches_dynamic; prop_bin_bound_below_dynamic ];
+      qsuite "agreement-props"
+        [ prop_static_matches_dynamic; prop_bin_bound_below_dynamic; prop_block_table_transparent ];
       ( "profiling",
         [
           Alcotest.test_case "branch counts" `Quick test_profile_counts;
