@@ -10,9 +10,9 @@
 open Pperf_machine
 module Memo = Pperf_obs.Memo
 
-(** [map machine b] is the chain of atomic operations implementing [b];
-    element [k+1] consumes the result of element [k]. *)
-let map_uncached (m : Machine.t) (b : Basic_op.t) : Atomic_op.t list =
+(* the chain of atomic operations implementing [b]; element [k+1] consumes
+   the result of element [k] *)
+let lower (m : Machine.t) (b : Basic_op.t) : Atomic_op.t list =
   let a name = [ Machine.atomic m name ] in
   let a2 n1 n2 = [ Machine.atomic m n1; Machine.atomic m n2 ] in
   let prefer name fallback = if Machine.has_atomic m name then a name else fallback () in
@@ -60,15 +60,37 @@ let map_uncached (m : Machine.t) (b : Basic_op.t) : Atomic_op.t list =
     else a "call" (* unknown intrinsic: library call *)
 
 (* the mapping is a pure function of the machine's tables, and every block
-   translation asks for the same handful of basic ops: memoize the chains
-   per worker domain, keyed by (machine, basic op). 512 entries: the 31
-   non-intrinsic basic ops, rounded up, on 16 machines, the bound of the
-   other machine-keyed memos. *)
-let chains =
-  Memo.create
-    ~hash:(fun (m, b) -> Machine.hash m lxor Hashtbl.hash b)
-    ~equal:(fun (m, b) (m', b') -> m == m' && b = b')
-    Memo.Per_domain "translate.atomic_chains" ~capacity:512
+   translation asks for the same handful of basic ops: keep each machine's
+   chains per worker domain, filled on first use, so a builder looks its
+   machine up once. 16 entries: the bound of the other machine-keyed
+   memos. *)
+type table = {
+  machine : Machine.t;
+  chains : Atomic_op.t list array;  (** by {!Basic_op.index}; [[]] not yet mapped *)
+  mutable intrinsics : (string * Atomic_op.t list) list;
+}
 
-let map (m : Machine.t) (b : Basic_op.t) : Atomic_op.t list =
-  Memo.find_or_add chains (m, b) (fun () -> map_uncached m b)
+let tables =
+  Memo.create ~hash:Machine.hash ~equal:( == ) Memo.Per_domain "translate.atomic_chains"
+    ~capacity:16
+
+let table (m : Machine.t) =
+  Memo.find_or_add tables m (fun () ->
+      { machine = m; chains = Array.make Basic_op.indexed []; intrinsics = [] })
+
+let chain t (b : Basic_op.t) =
+  match (Basic_op.index b, b) with
+  | -1, Basic_op.B_intrinsic name -> (
+    match List.assoc_opt name t.intrinsics with
+    | Some c -> c
+    | None ->
+      let c = lower t.machine b in
+      t.intrinsics <- (name, c) :: t.intrinsics;
+      c)
+  | i, _ -> (
+    match t.chains.(i) with
+    | [] ->
+      let c = lower t.machine b in
+      t.chains.(i) <- c;
+      c
+    | c -> c)

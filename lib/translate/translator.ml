@@ -632,36 +632,34 @@ let push side op deps label =
 
 let lazy_label = function Text s -> Lazy.from_val s | l -> lazy (render_label l)
 
+(* [deps] as nodes of the side [invariant] names: a producer on the other
+   side (or dead) is register-resident by the time its consumer runs *)
+let rec remap place instrs invariant = function
+  | [] -> []
+  | d :: rest ->
+    if place.(d) >= 0 && instrs.(d).invariant = invariant then
+      place.(d) :: remap place instrs invariant rest
+    else remap place instrs invariant rest
+
+(* a chain's atoms pushed onto [side], the first consuming [deps] and each
+   later one its predecessor; the last atom's node *)
+let rec push_chain side deps label = function
+  | [] -> -1
+  | [ atom ] -> push side atom deps label
+  | atom :: rest -> push_chain side [ push side atom deps label ] label rest
+
 let build_dags (b : builder) =
   let n = b.count and instrs = b.instrs in
   let live = if b.flags.Flags.dce then dce instrs n else Array.make n true in
-  (* each basic op's atomic chain, looked up once per builder *)
-  let chains = Array.make Basic_op.indexed [] and intrinsics = ref [] in
-  let chain basic =
-    match (Basic_op.index basic, basic) with
-    | -1, Basic_op.B_intrinsic name -> (
-      match List.assoc_opt name !intrinsics with
-      | Some c -> c
-      | None ->
-        let c = Atomic_map.map b.machine basic in
-        intrinsics := (name, c) :: !intrinsics;
-        c)
-    | i, _ -> (
-      match chains.(i) with
-      | [] ->
-        let c = Atomic_map.map b.machine basic in
-        chains.(i) <- c;
-        c
-      | c -> c)
-  in
+  (* the machine's atomic chains, looked up once per builder *)
+  let chains = Atomic_map.table b.machine in
   (* split into (body, one_time); each basic op expands to a chain of
      atomics. [place.(i)] is the last atom of instr [i]'s chain, on the side
-     its [invariant] names, so dependences can be remapped. Cross-side deps
-     are dropped: the value is in a register by the time the body runs. *)
+     its [invariant] names, so dependences can be remapped. *)
   let body_n = ref 0 and once_n = ref 0 in
   for i = 0 to n - 1 do
     if live.(i) then (
-      let atoms = List.length (chain instrs.(i).basic) in
+      let atoms = List.length (Atomic_map.chain chains instrs.(i).basic) in
       if instrs.(i).invariant then once_n := !once_n + atoms else body_n := !body_n + atoms)
   done;
   let body = { nodes = [||]; len = 0; size = !body_n } in
@@ -671,24 +669,18 @@ let build_dags (b : builder) =
   for i = 0 to n - 1 do
     if live.(i) then (
       let ins = instrs.(i) in
-      let target = if ins.invariant then one_time else body in
-      let deps =
-        List.filter_map
-          (fun d -> if place.(d) >= 0 && instrs.(d).invariant = ins.invariant then Some place.(d) else None)
-          ins.deps
+      let k =
+        push_chain
+          (if ins.invariant then one_time else body)
+          (remap place instrs ins.invariant ins.deps)
+          (lazy_label ins.label)
+          (Atomic_map.chain chains ins.basic)
       in
-      let label = lazy_label ins.label in
-      let last =
-        List.fold_left
-          (fun prev atom ->
-            let k = push target atom (if prev < 0 then deps else [ prev ]) label in
-            if ins.array <> "" && not ins.invariant then
-              if Basic_op.is_store ins.basic then stores := (ins.array, k) :: !stores
-              else loads := (ins.array, k) :: !loads;
-            k)
-          (-1) (chain ins.basic)
-      in
-      place.(i) <- last)
+      place.(i) <- k;
+      (* an element load or store lowers to one atom *)
+      if ins.array <> "" && not ins.invariant then
+        if Basic_op.is_store ins.basic then stores := (ins.array, k) :: !stores
+        else loads := (ins.array, k) :: !loads)
   done;
   (Dag.of_nodes body.nodes, Dag.of_nodes one_time.nodes, List.rev !loads, List.rev !stores)
 
