@@ -41,7 +41,7 @@ type label =
   | Store_element of string  (** ["store a(...)"] *)
   | Select of string  (** ["min select"] *)
   | Pow of int  (** ["pow^k"] *)
-  | Expr of prefix * vexpr  (** a prefix, then the expression's rendering *)
+  | Expr of prefix * Ast.expr * int  (** a prefix, then the rendering of an expression of that class *)
 
 type key =
   | K_int of int
@@ -58,7 +58,7 @@ type key =
 
 let same_label a b =
   match (a, b) with
-  | Expr (p, x), Expr (q, y) -> p = q && x.id = y.id
+  | Expr (p, _, x), Expr (q, _, y) -> p = q && x = y
   | Text s, Text t | Select s, Select t | Store_element s, Store_element t -> String.equal s t
   | Named (p, x), Named (q, y) -> String.equal p q && String.equal x y
   | Pow k, Pow l -> k = l
@@ -78,7 +78,9 @@ module Keys = Hashtbl.Make (struct
       String.equal a b && ints xs ys
     | K_binop (o, x, x'), K_binop (p, y, y') -> o = p && x = y && x' = y'
     | K_element (x, g), K_element (y, h) -> x = y && g = h
-    | K_op (o, xs, l), K_op (p, ys, m) -> o = p && ints xs ys && same_label l m
+    | K_op (o, xs, l), K_op (p, ys, m) ->
+      (match Basic_op.index o with -1 -> o = p | i -> i = Basic_op.index p)
+      && ints xs ys && same_label l m
     | _ -> false
 
   let mix h x = (h * 65599) + x
@@ -95,8 +97,8 @@ module Keys = Hashtbl.Make (struct
     | K_binop (o, x, y) -> mix (mix (Hashtbl.hash o) x) y
     | K_scalar x -> mix x 4
     | K_element (x, g) -> mix (mix x 5) g
-    | K_op (o, xs, Expr (_, x)) -> mix (mix_ints (Hashtbl.hash o) xs) x.id
-    | K_op (o, xs, _) -> mix_ints (Hashtbl.hash o) xs
+    | K_op (o, xs, Expr (_, _, x)) -> mix (mix_ints (Basic_op.index o) xs) x
+    | K_op (o, xs, _) -> mix_ints (Basic_op.index o) xs
 end)
 
 let binop_name : Ast.binop -> string = function
@@ -139,9 +141,9 @@ let render_label = function
   | Store_element a -> "store " ^ a ^ "(...)"
   | Select f -> f ^ " select"
   | Pow k -> Printf.sprintf "pow^%d" k
-  | Expr (p, n) ->
+  | Expr (p, e, _) ->
     (match p with Bare -> "" | Load -> "load " | Fma -> "fma " | Addr -> "addr " | Not_of -> ".not. ")
-    ^ render n.e
+    ^ render e
 
 (* ---- builder state ---- *)
 
@@ -333,6 +335,9 @@ let vn_record b ~is_load key id =
         b.resident_n <- b.resident_n - 1;
         b.values.(oldest) <- no_value)))
 
+(* a label rendering [n]; it keeps the source expression, not the node *)
+let expr p n = Expr (p, n.e, n.id)
+
 let is_float n = match n.ty with Some t -> Typecheck.is_float_type t | None -> true
 let prec_of n = match n.ty with Some Ast.Tdouble -> Basic_op.Double | _ -> Basic_op.Single
 
@@ -415,7 +420,7 @@ let rec tr_expr b (n : vexpr) : int =
        in
        let deps = if store_gen >= 0 then store_gen :: addr_deps else addr_deps in
        let id =
-         emit b ~invariant:inv ~array:a (Basic_op.B_load { float = is_float n }) deps (Expr (Load, n))
+         emit b ~invariant:inv ~array:a (Basic_op.B_load { float = is_float n }) deps (expr Load n)
        in
        vn_record b ~is_load:true key id;
        id)
@@ -423,11 +428,11 @@ let rec tr_expr b (n : vexpr) : int =
     let a = n.kids.(0) in
     let va = tr_expr b a in
     let basic = if is_float a then Basic_op.B_fneg else Basic_op.B_ineg in
-    emit_vn b basic [ va ] (Expr (Bare, n))
+    emit_vn b basic [ va ] (expr Bare n)
   | Ast.Unop (Ast.Not, _) ->
     let a = n.kids.(0) in
     let va = tr_expr b a in
-    emit_vn b Basic_op.B_ilogic [ va ] (Expr (Not_of, a))
+    emit_vn b Basic_op.B_ilogic [ va ] (expr Not_of a)
   | Ast.Binop (op, _, _) -> tr_binop b n op
   | Ast.Call (f, _) -> tr_call b n f
 
@@ -455,7 +460,7 @@ and tr_address b subs =
       if not (subscript_is_free b sub) then (
         let v = tr_expr b sub in
         (* index scaling: one integer op to fold into the address *)
-        deps := emit_vn b Basic_op.B_iadd [ v ] (Expr (Addr, sub)) :: !deps))
+        deps := emit_vn b Basic_op.B_iadd [ v ] (expr Addr sub) :: !deps))
     subs;
   List.rev !deps
 
@@ -466,7 +471,7 @@ and tr_binop b whole op =
   let both basic =
     let vx = tr_expr b x in
     let vy = tr_expr b y in
-    emit_vn b basic [ vx; vy ] (Expr (Bare, whole))
+    emit_vn b basic [ vx; vy ] (expr Bare whole)
   in
   match op with
   | Ast.Add | Ast.Sub when float && b.flags.Flags.fma_fusion ->
@@ -475,7 +480,7 @@ and tr_binop b whole op =
       let vx = tr_expr b mul.kids.(0) in
       let vy = tr_expr b mul.kids.(1) in
       let vo = tr_expr b other in
-      emit_vn b (Basic_op.B_fma prec) [ vx; vy; vo ] (Expr (Fma, whole))
+      emit_vn b (Basic_op.B_fma prec) [ vx; vy; vo ] (expr Fma whole)
     in
     (match (op, x.e, y.e) with
      | _, Ast.Binop (Ast.Mul, _, _), _ when is_float x -> fuse x y
@@ -531,7 +536,7 @@ and tr_call b whole f =
   match Intrinsics.find f with
   | Some info -> (
     match info.cost with
-    | Intrinsics.Arith atomic -> emit_vn b (Basic_op.B_intrinsic atomic) vargs (Expr (Bare, whole))
+    | Intrinsics.Arith atomic -> emit_vn b (Basic_op.B_intrinsic atomic) vargs (expr Bare whole)
     | Intrinsics.Minmax ->
       (* n-ary min/max: n-1 compare+select chains *)
       (match vargs with
@@ -540,7 +545,7 @@ and tr_call b whole f =
          List.fold_left (fun acc v -> emit_vn b Basic_op.B_fselect [ acc; v ] (Select f)) first rest)
     | Intrinsics.Conversion ->
       let basic = if info.result_real then Basic_op.B_cvt_if else Basic_op.B_cvt_fi in
-      emit_vn b basic vargs (Expr (Bare, whole))
+      emit_vn b basic vargs (expr Bare whole)
     | Intrinsics.Free -> (match vargs with v :: _ -> v | [] -> free_value))
   | None ->
     (* external call: arguments are passed by reference, so their values
