@@ -61,14 +61,17 @@ type scratch = { mutable bins : Bins.t option; mutable declared : SSet.t option 
 
 type drop = { cost : int; fallbacks : int }
 type drop_kind = Whole | Body_alone | Once | Steady | Steady_control
+type shape = Run of Ast.stmt list | Cond of Ast.expr | Bound_exprs of Ast.expr list
 
 type block = {
-  res : Translator.result;
+  shape : shape;
+  mutable dags : (Dag.t * Dag.t) option;
+      (** the one-time and per-execution parts; let go when a routine's
+          aggregation ends, and translated again if a later use needs them *)
   mutable drops : (drop_kind * drop) list;
   mutable penalties : (block * int) list;  (** the taken-branch penalty under each condition *)
 }
 
-type shape = Run of Ast.stmt list | Cond of Ast.expr | Bound_exprs of Ast.expr list
 type block_key = { shape : shape; lvars : string list; linv : SSet.t }
 
 module Blocks = Hashtbl.Make (struct
@@ -188,13 +191,32 @@ let charge ctx ~loc blk kind compute =
   note_fallbacks ctx ~loc d;
   d.cost
 
-(* the block of [shape] in the context, translated on its first use *)
-let block ctx shape translate =
+let translate ctx shape =
+  let machine = ctx.machine and flags = ctx.options.flags and symtab = ctx.symtab in
+  let loop_vars = ctx.lvars and invariants = ctx.invariants in
+  match shape with
+  | Run run -> Translator.translate_block ~machine ~flags ~symtab ~loop_vars ~invariants run
+  | Cond c -> Translator.translate_condition ~machine ~flags ~symtab ~loop_vars ~invariants c
+  | Bound_exprs es -> Translator.translate_exprs ~machine ~flags ~symtab ~loop_vars ~invariants es
+
+let dags ctx blk =
+  match blk.dags with
+  | Some d -> d
+  | None ->
+    let res = translate ctx blk.shape in
+    let d = (res.one_time, res.body) in
+    blk.dags <- Some d;
+    d
+
+(* the block of [shape] in the context, translated on its first use (a
+   translation that fails raises here, and the table keeps nothing) *)
+let block ctx shape =
   let key = { shape; lvars = ctx.lvars; linv = ctx.invariants } in
   match Blocks.find_opt ctx.blocks.table key with
   | Some blk -> blk
   | None ->
-    let blk = { res = translate (); drops = []; penalties = [] } in
+    let blk = { shape; dags = None; drops = []; penalties = [] } in
+    ignore (dags ctx blk);
     Blocks.add ctx.blocks.table key blk;
     blk
 
@@ -235,32 +257,26 @@ let enter_loop ctx (d : Ast.do_loop) =
     invariants = Analysis.loop_invariants ~declared d;
   }
 
-let translate_run ctx (run : Ast.stmt list) =
-  block ctx (Run run) (fun () ->
-      Translator.translate_block ~machine:ctx.machine ~flags:ctx.options.flags
-        ~symtab:ctx.symtab ~loop_vars:ctx.lvars ~invariants:ctx.invariants run)
+let translate_run ctx (run : Ast.stmt list) = block ctx (Run run)
 
 (* outside a loop body there is no "per entry" distinction *)
 let run_cost ctx ~loc blk =
-  charge ctx ~loc blk Whole (fun () -> dropped ctx (Dag.concat blk.res.one_time blk.res.body))
+  charge ctx ~loc blk Whole (fun () ->
+      let one_time, body = dags ctx blk in
+      dropped ctx (Dag.concat one_time body))
 
 let iteration_cost ctx ~loc ~control blk =
   if control then
     charge ctx ~loc blk Steady_control (fun () ->
         steady ctx
-          (Dag.concat blk.res.body (Translator.loop_overhead_dag ~machine:ctx.machine ())))
-  else charge ctx ~loc blk Steady (fun () -> steady ctx blk.res.body)
+          (Dag.concat (snd (dags ctx blk)) (Translator.loop_overhead_dag ~machine:ctx.machine ())))
+  else charge ctx ~loc blk Steady (fun () -> steady ctx (snd (dags ctx blk)))
 
-let hoisted_cost ctx ~loc blk = charge ctx ~loc blk Once (fun () -> dropped ctx blk.res.one_time)
+let hoisted_cost ctx ~loc blk =
+  charge ctx ~loc blk Once (fun () -> dropped ctx (fst (dags ctx blk)))
 
 let bound_cost ctx ~loc (d : Ast.do_loop) =
-  let exprs = d.lo :: d.hi :: Option.to_list d.step in
-  let blk =
-    block ctx (Bound_exprs exprs) (fun () ->
-        Translator.translate_exprs ~machine:ctx.machine ~flags:ctx.options.flags
-          ~symtab:ctx.symtab ~loop_vars:ctx.lvars ~invariants:ctx.invariants exprs)
-  in
-  run_cost ctx ~loc blk
+  run_cost ctx ~loc (block ctx (Bound_exprs (d.lo :: d.hi :: Option.to_list d.step)))
 
 let control_cost ctx ~loc =
   let d =
@@ -274,13 +290,10 @@ let control_cost ctx ~loc =
   note_fallbacks ctx ~loc d;
   d.cost
 
-let translate_cond ctx cond =
-  block ctx (Cond cond) (fun () ->
-      Translator.translate_condition ~machine:ctx.machine ~flags:ctx.options.flags
-        ~symtab:ctx.symtab ~loop_vars:ctx.lvars ~invariants:ctx.invariants cond)
-
-let body_alone ctx blk = block_drop blk Body_alone (fun () -> dropped ctx blk.res.body)
-let cond_cost ctx ~loc blk = charge ctx ~loc blk Body_alone (fun () -> dropped ctx blk.res.body)
+let translate_cond ctx cond = block ctx (Cond cond)
+let alone ctx blk () = dropped ctx (snd (dags ctx blk))
+let body_alone ctx blk = block_drop blk Body_alone (alone ctx blk)
+let cond_cost ctx ~loc blk = charge ctx ~loc blk Body_alone (alone ctx blk)
 
 (* §2.2.2 branch optimization: "matching shapes of the cost blocks to
    decide whether the branching cost needs to be included". The taken-
@@ -298,7 +311,7 @@ let branch_penalty ctx (cond : block) (body : Ast.stmt list) =
       match List.assq_opt cond blk.penalties with
       | Some penalty -> penalty
       | None ->
-        let cond_body = cond.res.body and run_body = blk.res.body in
+        let cond_body = snd (dags ctx cond) and run_body = snd (dags ctx blk) in
         let penalty =
           if Dag.length run_body = 0 || Dag.length cond_body = 0 then c_br
           else (
@@ -606,6 +619,8 @@ let stmts ~machine ?(options = default_options) ?(prob_offset = 0) ?blocks ~symt
   let ranges = infer_ranges_of ~options ~symtab body in
   let ctx = make_ctx ~machine ~options ~symtab ?ranges ~prob_offset ?blocks () in
   let cost = agg_stmts ctx body in
+  (* the DAGs die with the routine; the drops stay for the table's next one *)
+  Blocks.iter (fun _ blk -> blk.dags <- None) ctx.blocks.table;
   {
     cost;
     prob_vars = List.rev ctx.probs.vars;

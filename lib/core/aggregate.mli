@@ -67,8 +67,10 @@ type blocks
     once per loop context. A block is keyed by its statements (or its
     condition or bound expressions) without their locations, its loop
     variables and its invariants. The table serves one machine, flag set
-    and symbol table; used with another it starts over. Create one per
-    request and never keep it longer: it holds every block it met. *)
+    and symbol table; used with another it starts over. It keeps a
+    block's DAGs only while the routine that met it is aggregated, and
+    its drops until the table dies. Create one per request and never
+    keep it longer: it holds every block it met. *)
 
 val blocks : unit -> blocks
 
