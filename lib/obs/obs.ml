@@ -181,7 +181,9 @@ let close_top st t =
 
 let exit sp =
   let st = Domain.DLS.get dls in
-  if List.exists (fun f -> f.f_sp == sp) st.stack then (
+  match st.stack with
+  | f :: _ when f.f_sp == sp -> close_top st (now_ns ())
+  | stack when List.exists (fun f -> f.f_sp == sp) stack ->
     let t = now_ns () in
     (* frames still open above the match are implicitly closed at [t] *)
     let rec unwind () =
@@ -192,12 +194,19 @@ let exit sp =
         close_top st t;
         if not matched then unwind ()
     in
-    unwind ())
-  else incr_gauge unbalanced_exits
+    unwind ()
+  | _ -> incr_gauge unbalanced_exits
 
 let time sp f =
   enter sp;
-  Fun.protect ~finally:(fun () -> exit sp) f
+  match f () with
+  | v ->
+    exit sp;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    exit sp;
+    Printexc.raise_with_backtrace e bt
 
 (* ------------------------------------------------------------- snapshot *)
 

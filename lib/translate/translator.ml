@@ -25,7 +25,9 @@ exception Not_straight_line of Srcloc.t
    are equal. A real literal is its value alone, a negative literal is the
    negation of its magnitude, and commutative operands are ordered. The
    value table maps the classes of loads and operations to the
-   instruction that computes them. *)
+   instruction that computes them; a load before any store to its array
+   is keyed by the class of the variable or element itself, which no
+   other value shares. *)
 
 (* an expression node with its class and its type ([None] where
    [Typecheck.expr_type] raises); [kids] are the subscripts, arguments or
@@ -52,8 +54,7 @@ type key =
   | K_neg of int
   | K_not of int
   | K_binop of Ast.binop * int * int
-  | K_scalar of int  (** the load of a scalar *)
-  | K_element of int * int  (** the load of an element, after the array's last store *)
+  | K_element of int * int  (** the load of an element, after a store to its array *)
   | K_op of Basic_op.t * int list * label  (** equal labels: equal renderings *)
 
 let same_label a b =
@@ -71,7 +72,7 @@ module Keys = Hashtbl.Make (struct
 
   let equal a b =
     match (a, b) with
-    | K_int x, K_int y | K_neg x, K_neg y | K_not x, K_not y | K_scalar x, K_scalar y -> x = y
+    | K_int x, K_int y | K_neg x, K_neg y | K_not x, K_not y -> x = y
     | K_real x, K_real y -> Int64.equal x y
     | K_name x, K_name y -> String.equal x y
     | K_index (a, xs), K_index (b, ys) | K_call (a, xs), K_call (b, ys) ->
@@ -95,7 +96,6 @@ module Keys = Hashtbl.Make (struct
     | K_neg x -> mix x 2
     | K_not x -> mix x 3
     | K_binop (o, x, y) -> mix (mix (Hashtbl.hash o) x) y
-    | K_scalar x -> mix x 4
     | K_element (x, g) -> mix (mix x 5) g
     | K_op (o, xs, Expr (_, _, x)) -> mix (mix_ints (Basic_op.index o) xs) x
     | K_op (o, xs, _) -> mix_ints (Basic_op.index o) xs
@@ -391,7 +391,7 @@ let rec tr_expr b (n : vexpr) : int =
     | _ ->
       if mem_name x b.loop_vars then loop_value (* induction variable in a register *)
       else (
-        let key = vn_key b (K_scalar n.id) in
+        let key = n.id in
         match vn_lookup b ~is_load:true key with
         | Some id -> id
         | None ->
@@ -403,7 +403,7 @@ let rec tr_expr b (n : vexpr) : int =
           id))
   | Ast.Index (a, subs) ->
     let store_gen = match bound a b.last_store with id when id = unbound -> free_value | id -> id in
-    let key = vn_key b (K_element (n.id, store_gen)) in
+    let key = if store_gen = free_value then n.id else vn_key b (K_element (n.id, store_gen)) in
     (match vn_lookup b ~is_load:true key with
      | Some id -> id
      | None ->
