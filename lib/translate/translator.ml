@@ -65,6 +65,8 @@ let same_label a b =
   | Pow k, Pow l -> k = l
   | _ -> false
 
+(* keys are hashed and compared by hand: the polymorphic primitives are
+   the cost of this table on the translator's hot path *)
 module Keys = Hashtbl.Make (struct
   type t = key
 
@@ -170,7 +172,7 @@ type builder = {
   mutable resident_n : int;
   mutable clock : int;
   mutable typed_kids : vexpr array;  (** the children [typer] reads *)
-  mutable typer : Ast.expr -> Ast.dtype;  (** [child_type] of this builder *)
+  typer : Ast.expr -> Ast.dtype;  (** [child_type] of this builder *)
   mutable free_subs : int array;  (** class -> 1 free subscript, 2 not, 0 not yet known *)
   mutable scalar_env : (string * int) list;  (** block-local scalar values *)
   mutable last_store : (string * int) list;  (** array -> last store instr *)
@@ -244,6 +246,7 @@ let rec real_class b f =
   else if Float.is_finite f then intern b (K_real (Int64.bits_of_float f))
   else intern b (K_name (Printf.sprintf "%h" f))
 
+(* shared constants: typing a node allocates no option *)
 let some_type : Ast.dtype -> Ast.dtype option = function
   | Ast.Tint -> Some Ast.Tint
   | Ast.Treal -> Some Ast.Treal
@@ -690,7 +693,7 @@ let build_dags (b : builder) =
   (Dag.of_nodes body.nodes, Dag.of_nodes one_time.nodes, List.rev !loads, List.rev !stores)
 
 let make_builder ~machine ~flags ~symtab ~loop_vars ~invariants =
-  let b =
+  let rec b =
   {
     machine;
     flags;
@@ -703,7 +706,7 @@ let make_builder ~machine ~flags ~symtab ~loop_vars ~invariants =
     values = [||];
     last_use = [||];
     typed_kids = [||];
-    typer = (fun _ -> raise Exit);
+    typer = (fun c -> child_type b c);
     free_subs = [||];
     resident = [];
     resident_n = 0;
@@ -716,7 +719,6 @@ let make_builder ~machine ~flags ~symtab ~loop_vars ~invariants =
     n_intops = 0;
   }
   in
-  b.typer <- child_type b;
   b
 
 let result_of_builder b =
