@@ -4,6 +4,9 @@ open Pperf_symbolic
 (* lazy so interval-only runs leave the telemetry registry untouched *)
 let c_closures = lazy (Pperf_obs.Obs.counter "absint.octagon.closures")
 
+(* rows a closure relaxes through a pivot: the work the closure does *)
+let c_pivot_rows = lazy (Pperf_obs.Obs.counter "absint.octagon.pivot_rows")
+
 (* ---------- extended upper bounds ---------- *)
 
 type ub = Fin of Rat.t | Inf
@@ -98,6 +101,7 @@ let close ?pivots o =
   let pivots =
     match pivots with Some ks -> ks | None -> List.init (Array.length o.vars) Fun.id
   in
+  let relaxed = ref 0 in
   List.iter
     (fun k ->
       let k1 = 2 * k and k2 = (2 * k) + 1 in
@@ -107,6 +111,7 @@ let close ?pivots o =
         match (row.(k1), row.(k2)) with
         | Inf, Inf -> ()
         | ik1, ik2 ->
+          incr relaxed;
           (* shortest ways from i into v_k1 and v_k2, each possibly via the
              other: the four paths of Miné's step in two additions *)
           let a = ub_min ik1 (ub_add ik2 rk2.(k1))
@@ -116,6 +121,7 @@ let close ?pivots o =
           done
       done)
     pivots;
+  Pperf_obs.Obs.add (Lazy.force c_pivot_rows) !relaxed;
   (* strengthening: m[i][j] <- min m[i][j] ((m[i][ī] + m[j̄][j]) / 2) *)
   let half = Array.init n2 (fun i -> ub_half m.(i).(i lxor 1)) in
   for i = 0 to n2 - 1 do
