@@ -3,15 +3,14 @@ open Pperf_symbolic
 
 type t = { terms : (Rat.t * string) list; const : Rat.t }
 
+(* sorted by variable, each variable's coefficients summed, zeros dropped *)
 let norm terms =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (a, x) ->
-      let cur = match Hashtbl.find_opt tbl x with Some c -> c | None -> Rat.zero in
-      Hashtbl.replace tbl x (Rat.add cur a))
-    terms;
-  Hashtbl.fold (fun x a acc -> if Rat.is_zero a then acc else (a, x) :: acc) tbl []
-  |> List.sort (fun (_, x) (_, y) -> String.compare x y)
+  let rec merge = function
+    | (a, x) :: (b, y) :: rest when String.equal x y -> merge ((Rat.add a b, x) :: rest)
+    | (a, x) :: rest -> if Rat.is_zero a then merge rest else (a, x) :: merge rest
+    | [] -> []
+  in
+  merge (List.stable_sort (fun (_, x) (_, y) -> String.compare x y) terms)
 
 let of_terms terms const = { terms = norm terms; const }
 let zero = { terms = []; const = Rat.zero }

@@ -7,8 +7,21 @@ let c_closures = lazy (Pperf_obs.Obs.counter "absint.octagon.closures")
 (* rows a closure relaxes through a pivot: the work the closure does *)
 let c_pivot_rows = lazy (Pperf_obs.Obs.counter "absint.octagon.pivot_rows")
 
-(* ---------- extended upper bounds ---------- *)
+(* ---------- entries ---------- *)
 
+(* An entry is an int: a finite bound held natively, [inf] for +∞, or [esc]
+   for a finite bound held exactly in the octagon's side table. The split
+   is canonical, like [Bigint]'s small/big one: a bound is native exactly
+   when it is an integer of magnitude under [lim], so equal bounds have
+   equal entries, and a sum of two native bounds (under 2^62 in magnitude)
+   can neither overflow nor collide with [inf] or [esc]. *)
+let inf = max_int
+let esc = min_int
+let lim = 1 lsl 61
+let native v = v > -lim && v < lim
+
+(* The exact view of an entry, for the paths that meet an escaped bound and
+   for inspection. *)
 type ub = Fin of Rat.t | Inf
 
 let ub_add a b =
@@ -27,16 +40,17 @@ let ub_equal a b = ub_le a b && ub_le b a
 
 (* ---------- representation ---------- *)
 
-(* Invariant: the matrix is strongly closed with a zero diagonal. *)
-type oct = { vars : string array; m : ub array array }
+(* Invariant: the matrix is strongly closed with a zero diagonal. [m] is
+   row-major, [m.(i * n2 + j)] bounding [vᵢ - vⱼ]; [q.(p)] is the bound
+   where [m.(p) = esc] (stale elsewhere), and [q] stays empty until an
+   entry escapes. *)
+type oct = { vars : string array; n2 : int; m : int array; mutable q : Rat.t array }
 type t = Bot | Oct of oct
 
 let max_vars = 24
-let top = Oct { vars = [||]; m = [||] }
+let top = Oct { vars = [||]; n2 = 0; m = [||]; q = [||] }
 let bot = Bot
-let is_bot t = t = Bot
-
-let dim o = 2 * Array.length o.vars
+let is_bot = function Bot -> true | Oct _ -> false
 
 let idx o x =
   let n = Array.length o.vars in
@@ -44,20 +58,55 @@ let idx o x =
   go 0
 
 let tracked = function Bot -> [] | Oct o -> Array.to_list o.vars
+let at o i j = (i * o.n2) + j
+
+(* the bound of the finite entry at [p] *)
+let exact o p =
+  let c = o.m.(p) in
+  if c = esc then o.q.(p) else Rat.of_int c
+
+let get o p = if o.m.(p) = inf then Inf else Fin (exact o p)
+
+(* store a finite bound at [p] in its canonical form *)
+let set_exact o p r =
+  match Rat.to_int r with
+  | Some v when native v -> o.m.(p) <- v
+  | _ ->
+    if Array.length o.q = 0 then o.q <- Array.make (Array.length o.m) Rat.zero;
+    o.m.(p) <- esc;
+    o.q.(p) <- r
+
+let set o p = function Inf -> o.m.(p) <- inf | Fin r -> set_exact o p r
+
+(* m[p] <- min m[p] r *)
+let tighten_exact o p r =
+  if o.m.(p) = inf || Rat.compare r (exact o p) < 0 then set_exact o p r
+
+let tighten o p = function Inf -> () | Fin r -> tighten_exact o p r
+
+(* m[p] <- min m[p] s, for [s] a native bound or a sum of two *)
+let tighten_int o p s =
+  let c = o.m.(p) in
+  if c = esc then tighten_exact o p (Rat.of_int s)
+  else if s < c then if native s then o.m.(p) <- s else set_exact o p (Rat.of_int s)
 
 let is_top = function
   | Bot -> false
   | Oct o ->
     let all = ref true in
-    let n2 = dim o in
-    for i = 0 to n2 - 1 do
-      for j = 0 to n2 - 1 do
-        match o.m.(i).(j) with Fin _ when i <> j -> all := false | _ -> ()
+    for i = 0 to o.n2 - 1 do
+      for j = 0 to o.n2 - 1 do
+        if i <> j && o.m.(at o i j) <> inf then all := false
       done
     done;
     !all
 
-let copy_m m = Array.map Array.copy m
+(* a matrix the caller owns: one array copy, two when an entry escaped *)
+let copy o =
+  { o with m = Array.copy o.m; q = (if Array.length o.q = 0 then [||] else Array.copy o.q) }
+
+(* [o'] to tighten in place: the fresh matrix [extend] built, or a copy *)
+let owned ~before o' = if o' == before then copy o' else o'
 
 (* Add missing variables (unconstrained), respecting the cap. *)
 let extend o xs =
@@ -71,33 +120,82 @@ let extend o xs =
   if fresh = [] then o
   else (
     let vars = Array.append o.vars (Array.of_list fresh) in
-    let old_n2 = dim o in
     let n2 = 2 * Array.length vars in
-    let m =
-      Array.init n2 (fun i ->
-          Array.init n2 (fun j ->
-              if i < old_n2 && j < old_n2 then o.m.(i).(j)
-              else if i = j then Fin Rat.zero
-              else Inf))
+    let grow src fill =
+      let dst = Array.make (n2 * n2) fill in
+      for i = 0 to o.n2 - 1 do
+        Array.blit src (i * o.n2) dst (i * n2) o.n2
+      done;
+      dst
     in
-    { vars; m })
+    let m = grow o.m inf in
+    for i = 0 to n2 - 1 do
+      m.((i * n2) + i) <- 0
+    done;
+    { vars; n2; m; q = (if Array.length o.q = 0 then [||] else grow o.q Rat.zero) })
 
 (* ---------- strong closure ---------- *)
+
+(* [min x (y + z)] on entries, or [esc] when an operand escaped; a finite
+   result may lie outside the native range *)
+let via x y z =
+  if x = esc || y = esc || z = esc then esc
+  else (
+    let s = if y = inf || z = inf then inf else y + z in
+    if s < x then s else x)
+
+let ub_of_int v = if v = inf then Inf else Fin (Rat.of_int v)
+
+(* Row [i] (at offset [ri]) relaxed through the rows of v_k1 and v_k2 (at
+   [r1], [r2]): m[i][j] <- min m[i][j] (a + m[k1][j]) (b + m[k2][j]), with
+   [a] and [b] native or +∞. An escaped operand takes the exact path. *)
+let relax_row o ri r1 r2 a b =
+  let m = o.m in
+  for j = 0 to o.n2 - 1 do
+    let x = m.(r1 + j) and y = m.(r2 + j) in
+    if x <> esc && y <> esc then (
+      let ca = if a = inf || x = inf then inf else a + x
+      and cb = if b = inf || y = inf then inf else b + y in
+      let c = if ca < cb then ca else cb in
+      if c <> inf then (
+        let p = ri + j in
+        let cur = m.(p) in
+        if c < cur || cur = esc then tighten_int o p c))
+    else
+      tighten o (ri + j)
+        (ub_min (ub_add (ub_of_int a) (get o (r1 + j))) (ub_add (ub_of_int b) (get o (r2 + j))))
+  done
+
+(* the same step over exact bounds, for rows whose [a] or [b] escapes *)
+let relax_row_exact o ri r1 r2 k1 k2 =
+  let ik1 = get o (ri + k1) and ik2 = get o (ri + k2) in
+  let a = ub_min ik1 (ub_add ik2 (get o (r2 + k1)))
+  and b = ub_min ik2 (ub_add ik1 (get o (r1 + k2))) in
+  for j = 0 to o.n2 - 1 do
+    tighten o (ri + j) (ub_min (ub_add a (get o (r1 + j))) (ub_add b (get o (r2 + j))))
+  done
 
 (* [close ~pivots o] is the strong closure of [o] when [o.m] came from a
    strongly closed matrix by tightening entries whose two endpoints are
    both variables in [pivots]: a shorter path must then run through those
    variables, so the Floyd–Warshall step pivots on them alone, skipping
    rows whose two pivot entries are +∞ (they cannot improve). One
-   strengthening pass over the whole matrix follows; after a shortest-path
-   closure that single pass gives the strong closure over ℚ (Bagnara, Hill
-   & Zaffanella). Without [pivots] it pivots on every variable, which
-   closes any matrix. It works in place: [o.m] must be a matrix the caller
-   owns, such as the fresh copy every transfer tightens. *)
+   strengthening pass follows; after a shortest-path closure that single
+   pass gives the strong closure over ℚ (Bagnara, Hill & Zaffanella). It
+   visits only the entries whose strengthening bound moved: those reading
+   a unary entry of a pivot or one the step tightened, since every other
+   entry already met its bound in the source matrix and has only fallen.
+   Without [pivots] it pivots on every variable and strengthens every
+   entry, which closes any matrix. It works in place: [o] must be a matrix
+   the caller owns, such as the fresh copy every transfer tightens. Native
+   entries are relaxed and compared as ints; only an entry that tightens
+   to a bound outside the native range allocates. *)
 let close ?pivots o =
   Pperf_obs.Obs.incr (Lazy.force c_closures);
-  let n2 = dim o in
-  let m = o.m in
+  let n2 = o.n2 and m = o.m in
+  (* u.(j) = m[j̄][j], the unary entry of split variable j̄ (v_j̄ - v_j) *)
+  let unary j = m.(((j lxor 1) * n2) + j) in
+  let before = match pivots with Some _ -> Array.init n2 unary | None -> [||] in
   let pivots =
     match pivots with Some ks -> ks | None -> List.init (Array.length o.vars) Fun.id
   in
@@ -105,40 +203,57 @@ let close ?pivots o =
   List.iter
     (fun k ->
       let k1 = 2 * k and k2 = (2 * k) + 1 in
-      let rk1 = m.(k1) and rk2 = m.(k2) in
+      let r1 = k1 * n2 and r2 = k2 * n2 in
       for i = 0 to n2 - 1 do
-        let row = m.(i) in
-        match (row.(k1), row.(k2)) with
-        | Inf, Inf -> ()
-        | ik1, ik2 ->
+        let ri = i * n2 in
+        let ik1 = m.(ri + k1) and ik2 = m.(ri + k2) in
+        if ik1 <> inf || ik2 <> inf then (
           incr relaxed;
           (* shortest ways from i into v_k1 and v_k2, each possibly via the
              other: the four paths of Miné's step in two additions *)
-          let a = ub_min ik1 (ub_add ik2 rk2.(k1))
-          and b = ub_min ik2 (ub_add ik1 rk1.(k2)) in
-          for j = 0 to n2 - 1 do
-            row.(j) <- ub_min row.(j) (ub_min (ub_add a rk1.(j)) (ub_add b rk2.(j)))
-          done
+          let a = via ik1 ik2 m.(r2 + k1) and b = via ik2 ik1 m.(r1 + k2) in
+          if (a = inf || native a) && (b = inf || native b) then relax_row o ri r1 r2 a b
+          else relax_row_exact o ri r1 r2 k1 k2)
       done)
     pivots;
   Pperf_obs.Obs.add (Lazy.force c_pivot_rows) !relaxed;
-  (* strengthening: m[i][j] <- min m[i][j] ((m[i][ī] + m[j̄][j]) / 2) *)
-  let half = Array.init n2 (fun i -> ub_half m.(i).(i lxor 1)) in
+  let u = Array.init n2 unary in
+  (* bit j: u.(j) may differ from the source matrix's *)
+  let moved =
+    if Array.length before = 0 then -1
+    else (
+      let bits = ref 0 in
+      Array.iteri (fun j b -> if u.(j) <> b || b = esc then bits := !bits lor (1 lsl j)) before;
+      List.fold_left (fun bits k -> bits lor (3 lsl (2 * k))) !bits pivots)
+  in
+  (* strengthening: m[i][j] <- min m[i][j] ((u.(ī) + u.(j)) / 2); the pass
+     never tightens the entries it reads *)
   for i = 0 to n2 - 1 do
-    match half.(i) with
-    | Inf -> ()
-    | d ->
-      let row = m.(i) in
+    let ri = i * n2 in
+    let ui = u.(i lxor 1) in
+    let row_moved = moved land (1 lsl (i lxor 1)) <> 0 in
+    if ui <> inf then
       for j = 0 to n2 - 1 do
-        row.(j) <- ub_min row.(j) (ub_add d half.(j lxor 1))
+        let uj = u.(j) in
+        if uj <> inf && (row_moved || moved land (1 lsl j) <> 0) then (
+          let p = ri + j in
+          let cur = m.(p) in
+          if ui <> esc && uj <> esc && cur <> esc then (
+            let s = ui + uj in
+            if cur = inf || s < 2 * cur then
+              if s land 1 = 0 then m.(p) <- s asr 1 else set_exact o p (Rat.of_ints s 2))
+          else
+            tighten_exact o p
+              (Rat.mul Rat.half
+                 (Rat.add (exact o (ri + (i lxor 1))) (exact o (((j lxor 1) * n2) + j)))))
       done
   done;
   let empty = ref false in
   for i = 0 to n2 - 1 do
-    (match m.(i).(i) with
-    | Fin c when Rat.sign c < 0 -> empty := true
-    | _ -> ());
-    m.(i).(i) <- Fin Rat.zero
+    let p = (i * n2) + i in
+    let c = m.(p) in
+    if (c = esc && Rat.sign o.q.(p) < 0) || (c <> esc && c < 0) then empty := true;
+    m.(p) <- 0
   done;
   if !empty then Bot else Oct o
 
@@ -149,11 +264,11 @@ let pos_of a s = if s > 0 then 2 * a else (2 * a) + 1
 
 (* Upper bound of [sa·x_a + sb·x_b] straight from the matrix: the column
    holds the split variable equal to [-sb·x_b]. *)
-let pair_ub o a sa b sb = o.m.(pos_of a sa).(pos_of b (-sb))
+let pair_ub o a sa b sb = get o (at o (pos_of a sa) (pos_of b (-sb)))
 
 let unary_ub o a s =
   let i = pos_of a s in
-  ub_half o.m.(i).(i lxor 1)
+  ub_half (get o (at o i (i lxor 1)))
 
 let iv_of_ubs hi_ub neg_lo_ub =
   (* x <= hi_ub and -x <= neg_lo_ub *)
@@ -229,29 +344,124 @@ let bound ?(ivb = full_ivb) t lin =
 
 (* ---------- meets ---------- *)
 
-let tighten m i j v = m.(i).(j) <- ub_min m.(i).(j) v
+let tighten2 o i j v =
+  tighten o (at o i j) v;
+  tighten o (at o (j lxor 1) (i lxor 1)) v
 
-let tighten2 m i j v =
-  tighten m i j v;
-  tighten m (j lxor 1) (i lxor 1) v
+let set_upper o a c = tighten_exact o (at o (2 * a) ((2 * a) + 1)) (Rat.mul Rat.two c)
+let set_lower o a c = tighten_exact o (at o ((2 * a) + 1) (2 * a)) (Rat.neg (Rat.mul Rat.two c))
 
-let set_upper m a c = tighten m (2 * a) ((2 * a) + 1) (Fin (Rat.mul Rat.two c))
-let set_lower m a c = tighten m ((2 * a) + 1) (2 * a) (Fin (Rat.neg (Rat.mul Rat.two c)))
+let set_interval o a iv =
+  (match Interval.hi iv with Interval.Fin h -> set_upper o a h | _ -> ());
+  match Interval.lo iv with Interval.Fin l -> set_lower o a l | _ -> ()
 
-let set_interval m a iv =
-  (match Interval.hi iv with Interval.Fin h -> set_upper m a h | _ -> ());
-  match Interval.lo iv with Interval.Fin l -> set_lower m a l | _ -> ()
+let is_unit a = Rat.equal a Rat.one || Rat.equal a Rat.minus_one
+
+(* ints under 2^59 in magnitude: doubled, plus a native bound, they stay
+   under 2^62 *)
+let small v = v > -(1 lsl 59) && v < 1 lsl 59
+
+(* [2·b] for a finite interval bound [b] that is a small integer, else [esc] *)
+let doubled = function
+  | Interval.Fin r -> ( match Rat.to_int r with Some v when small v -> 2 * v | _ -> esc)
+  | _ -> esc
+
+(* -2·lo(s·v) in int units, for [v] over the general path's interval of it:
+   [ivb v] met with the octagon's projection (or [ivb v] alone when they
+   are disjoint). +∞ is [inf]; [esc] when a bound is not a small integer or
+   native, or the projection is empty. *)
+let neg_lo2 o ivb v slot s =
+  let iv = ivb v in
+  let ah = match Interval.hi iv with Interval.Pos_inf -> inf | b -> doubled b
+  and an =
+    match Interval.lo iv with
+    | Interval.Neg_inf -> inf
+    | b ->
+      let d = doubled b in
+      if d = esc then esc else -d
+  in
+  let bh = match slot with Some b -> o.m.(at o (2 * b) ((2 * b) + 1)) | None -> inf
+  and bn = match slot with Some b -> o.m.(at o ((2 * b) + 1) (2 * b)) | None -> inf in
+  if ah = esc || an = esc || bh = esc || bn = esc || (bh <> inf && bn <> inf && bh + bn < 0) then esc
+  else (
+    let h = if ah < bh then ah else bh and n = if an < bn then an else bn in
+    let meets = h = inf || n = inf || h + n >= 0 in
+    if s > 0 then if meets then n else an else if meets then h else ah)
+
+(* [sa·x + sb·y + c <= 0] with unit coefficients, [y] absent for a unary
+   form. What the general path derives from it, read off directly: each
+   variable's unary bound from the other's interval (the [ivb] bound met
+   with the octagon's projection), and the pair entry from [c]. In int
+   units when [c] and those bounds are small integers, else exactly. *)
+let meet_octagonal ~ivb o0 (sa, x) y (c : Rat.t) =
+  let o =
+    match y with
+    | None -> if idx o0 x = None then extend o0 [ x ] else o0
+    | Some (_, y) -> if idx o0 x = None || idx o0 y = None then extend o0 [ x; y ] else o0
+  in
+  let ia = idx o x and sa = Rat.sign sa in
+  let ib, sb = match y with Some (b, y) -> (idx o y, Rat.sign b) | None -> (None, 0) in
+  let unary_at a s = at o (pos_of a s) (pos_of a (-s)) in
+  let pivots = List.filter_map Fun.id [ ia; ib ] in
+  let ci = match Rat.to_int c with Some v when small v -> v | _ -> esc in
+  (* -2·lo of the other term, for x and for y; [esc] sends both exact *)
+  let rx, ry =
+    match y with
+    | _ when ci = esc -> (esc, esc)
+    | None -> (0, inf)
+    | Some (_, y) -> (neg_lo2 o ivb y ib sb, neg_lo2 o ivb x ia sa)
+  in
+  if rx <> esc && ry <> esc then (
+    (* s·v <= -(c + lo of the rest), doubled on the unary entry *)
+    let o' = owned ~before:o0 o in
+    (match ia with Some a when rx <> inf -> tighten_int o' (unary_at a sa) (rx - (2 * ci)) | _ -> ());
+    (match ib with Some b when ry <> inf -> tighten_int o' (unary_at b sb) (ry - (2 * ci)) | _ -> ());
+    (match (ia, ib) with
+    | Some a, Some b ->
+      let i = pos_of a sa and j = pos_of b (-sb) in
+      tighten_int o' (at o' i j) (-ci);
+      tighten_int o' (at o' (j lxor 1) (i lxor 1)) (-ci)
+    | _ -> ());
+    close ~pivots o')
+  else (
+    (* lower bound of [s·v] *)
+    let lo_of s v =
+      let iv = imeet (ivb v) (proj o v) in
+      if s > 0 then Interval.lo iv
+      else match Interval.hi iv with Interval.Fin h -> Interval.Fin (Rat.neg h) | _ -> Interval.Neg_inf
+    in
+    let unary slot s rest_lo =
+      match (slot, rest_lo) with
+      | Some a, Interval.Fin l -> Some (unary_at a s, Rat.neg (Rat.mul Rat.two (Rat.add c l)))
+      | _ -> None
+    in
+    (* both unary bounds read the pre-state before anything tightens *)
+    let ux, uy =
+      match y with
+      | None -> (unary ia sa (Interval.Fin Rat.zero), None)
+      | Some (_, y) -> (unary ia sa (lo_of sb y), unary ib sb (lo_of sa x))
+    in
+    let o' = owned ~before:o0 o in
+    Option.iter (fun (p, v) -> tighten_exact o' p v) ux;
+    Option.iter (fun (p, v) -> tighten_exact o' p v) uy;
+    (match (ia, ib) with
+    | Some ia, Some ib -> tighten2 o' (pos_of ia sa) (pos_of ib (-sb)) (Fin (Rat.neg c))
+    | _ -> ());
+    close ~pivots o')
 
 let meet_le ?(ivb = full_ivb) t (lin : Lin.t) =
   match t with
   | Bot -> Bot
-  | Oct o -> (
-    match Lin.is_const lin with
-    | Some c -> if Rat.sign c > 0 then Bot else t
-    | None ->
-      let o = extend o (Lin.vars lin) in
+  | Oct o0 -> (
+    match (Lin.is_const lin, lin.terms) with
+    | Some c, _ -> if Rat.sign c > 0 then Bot else t
+    | None, [ ((a, _) as tx) ] when is_unit a -> meet_octagonal ~ivb o0 tx None lin.const
+    | None, [ ((a, _) as tx); ((b, _) as ty) ] when is_unit a && is_unit b ->
+      meet_octagonal ~ivb o0 tx (Some ty) lin.const
+    | None, _ ->
+      let o = extend o0 (Lin.vars lin) in
       let pre = Oct o in
-      let m = copy_m o.m in
+      let o' = copy o in
       (* unary: a·x <= -(rest lower bound) for each linear term *)
       List.iter
         (fun (a, x) ->
@@ -262,7 +472,7 @@ let meet_le ?(ivb = full_ivb) t (lin : Lin.t) =
             match Interval.lo (bound ~ivb pre rest) with
             | Interval.Fin rl ->
               let v = Rat.div (Rat.neg rl) a in
-              if Rat.sign a > 0 then set_upper m ia v else set_lower m ia v
+              if Rat.sign a > 0 then set_upper o' ia v else set_lower o' ia v
             | _ -> ()))
         lin.terms;
       (* binary: λ·(sx·x + sy·y) <= -(residual lower bound) for each pair *)
@@ -287,13 +497,13 @@ let meet_le ?(ivb = full_ivb) t (lin : Lin.t) =
                   match Interval.lo (bound ~ivb pre (Lin.sub lin peeled)) with
                   | Interval.Fin rl ->
                     let c = Rat.div (Rat.neg rl) lam in
-                    tighten2 m (pos_of ia sa) (pos_of ib (-sb)) (Fin c)
+                    tighten2 o' (pos_of ia sa) (pos_of ib (-sb)) (Fin c)
                   | _ -> ()))
               rest);
           pairs rest
       in
       pairs lin.terms;
-      close ~pivots:(List.filter_map (idx o) (Lin.vars lin)) { o with m })
+      close ~pivots:(List.filter_map (idx o) (Lin.vars lin)) o')
 
 let meet_eq ?ivb t lin =
   match meet_le ?ivb t lin with
@@ -302,17 +512,17 @@ let meet_eq ?ivb t lin =
 
 (* ---------- forget / assign ---------- *)
 
-let forget_idx m a =
-  let n2 = Array.length m in
+let forget_idx o a =
+  let n2 = o.n2 and m = o.m in
   let i1 = 2 * a and i2 = (2 * a) + 1 in
   for j = 0 to n2 - 1 do
-    if j <> i1 then m.(i1).(j) <- Inf;
-    if j <> i2 then m.(i2).(j) <- Inf;
-    if j <> i1 then m.(j).(i1) <- Inf;
-    if j <> i2 then m.(j).(i2) <- Inf
+    if j <> i1 then m.((i1 * n2) + j) <- inf;
+    if j <> i2 then m.((i2 * n2) + j) <- inf;
+    if j <> i1 then m.((j * n2) + i1) <- inf;
+    if j <> i2 then m.((j * n2) + i2) <- inf
   done;
-  m.(i1).(i2) <- Inf;
-  m.(i2).(i1) <- Inf
+  m.((i1 * n2) + i2) <- inf;
+  m.((i2 * n2) + i1) <- inf
 
 let forget t x =
   match t with
@@ -321,27 +531,39 @@ let forget t x =
     match idx o x with
     | None -> t
     | Some a ->
-      let m = copy_m o.m in
-      forget_idx m a;
+      let o = copy o in
+      forget_idx o a;
       (* forgetting in a closed matrix preserves closure *)
-      Oct { o with m })
+      Oct o)
 
 let shift o a c =
   (* exact transfer of x := x + c *)
-  let m = copy_m o.m in
+  let o = copy o in
+  let m = o.m in
+  let add =
+    match Rat.to_int c with
+    | Some v when native v && native (2 * v) ->
+      fun p d ->
+        (* d is ±c or ±2c, native *)
+        let e = m.(p) in
+        if e = esc then set_exact o p (Rat.add o.q.(p) (Rat.of_int (d * v)))
+        else if e <> inf then (
+          let s = e + (d * v) in
+          if native s then m.(p) <- s else set_exact o p (Rat.of_int s))
+    | _ ->
+      fun p d -> if m.(p) <> inf then set_exact o p (Rat.add (exact o p) (Rat.mul (Rat.of_int d) c))
+  in
   let i1 = 2 * a and i2 = (2 * a) + 1 in
-  let n2 = Array.length m in
-  for j = 0 to n2 - 1 do
+  for j = 0 to o.n2 - 1 do
     if j <> i1 && j <> i2 then (
-      m.(i1).(j) <- ub_add m.(i1).(j) (Fin c);
-      m.(i2).(j) <- ub_add m.(i2).(j) (Fin (Rat.neg c));
-      m.(j).(i1) <- ub_add m.(j).(i1) (Fin (Rat.neg c));
-      m.(j).(i2) <- ub_add m.(j).(i2) (Fin c))
+      add (at o i1 j) 1;
+      add (at o i2 j) (-1);
+      add (at o j i1) (-1);
+      add (at o j i2) 1)
   done;
-  let c2 = Rat.mul Rat.two c in
-  m.(i1).(i2) <- ub_add m.(i1).(i2) (Fin c2);
-  m.(i2).(i1) <- ub_add m.(i2).(i1) (Fin (Rat.neg c2));
-  Oct { o with m }
+  add (at o i1 i2) 2;
+  add (at o i2 i1) (-2);
+  Oct o
 
 let assign ?(ivb = full_ivb) t x rhs =
   match t with
@@ -355,27 +577,28 @@ let assign ?(ivb = full_ivb) t x rhs =
         shift o ia e.const
       | [ (a, y) ], _ when y <> x && Rat.equal (Rat.abs a) Rat.one ->
         (* x := ±y + c, exact *)
-        let o = extend o [ x; y ] in
+        let o0 = o in
+        let o = extend o0 [ x; y ] in
         (match (idx o x, idx o y) with
         | Some ia, Some ib ->
-          let m = copy_m o.m in
-          forget_idx m ia;
+          let o' = owned ~before:o0 o in
+          forget_idx o' ia;
           let s = Rat.sign a in
           (* x - (±y) <= c and (±y) - x <= -c *)
-          tighten2 m (pos_of ia 1) (pos_of ib s) (Fin e.const);
-          tighten2 m (pos_of ia (-1)) (pos_of ib (-s)) (Fin (Rat.neg e.const));
+          tighten2 o' (pos_of ia 1) (pos_of ib s) (Fin e.const);
+          tighten2 o' (pos_of ia (-1)) (pos_of ib (-s)) (Fin (Rat.neg e.const));
           (* both ends: a path x -> y -> z is new too *)
-          close ~pivots:[ ia; ib ] { o with m }
+          close ~pivots:[ ia; ib ] o'
         | _ ->
           (* y past the cap: fall back to the interval value of e *)
           let iv = bound ~ivb (Oct o) e in
           (match idx o x with
           | None -> Oct o
           | Some ia ->
-            let m = copy_m o.m in
-            forget_idx m ia;
-            set_interval m ia iv;
-            close ~pivots:[ ia ] { o with m }))
+            let o' = copy o in
+            forget_idx o' ia;
+            set_interval o' ia iv;
+            close ~pivots:[ ia ] o'))
       | _, _ ->
         (* general affine (may mention x): bound value and pairwise
            relations against the pre-state, then kill x *)
@@ -389,13 +612,14 @@ let assign ?(ivb = full_ivb) t x rhs =
                    bound ~ivb pre (Lin.sub e (Lin.var y)),
                    bound ~ivb pre (Lin.add e (Lin.var y)) ))
         in
-        let o = extend o [ x ] in
+        let o0 = o in
+        let o = extend o0 [ x ] in
         (match idx o x with
         | None -> Oct o
         | Some ia ->
-          let m = copy_m o.m in
-          forget_idx m ia;
-          set_interval m ia iv;
+          let o' = owned ~before:o0 o in
+          forget_idx o' ia;
+          set_interval o' ia iv;
           List.iter
             (fun (y, diff, sum) ->
               match idx o y with
@@ -403,18 +627,18 @@ let assign ?(ivb = full_ivb) t x rhs =
               | Some ib ->
                 (* x - y ∈ diff, x + y ∈ sum *)
                 (match Interval.hi diff with
-                | Interval.Fin h -> tighten2 m (pos_of ia 1) (pos_of ib 1) (Fin h)
+                | Interval.Fin h -> tighten2 o' (pos_of ia 1) (pos_of ib 1) (Fin h)
                 | _ -> ());
                 (match Interval.lo diff with
                 | Interval.Fin l ->
-                  tighten2 m (pos_of ia (-1)) (pos_of ib (-1)) (Fin (Rat.neg l))
+                  tighten2 o' (pos_of ia (-1)) (pos_of ib (-1)) (Fin (Rat.neg l))
                 | _ -> ());
                 (match Interval.hi sum with
-                | Interval.Fin h -> tighten2 m (pos_of ia 1) (pos_of ib (-1)) (Fin h)
+                | Interval.Fin h -> tighten2 o' (pos_of ia 1) (pos_of ib (-1)) (Fin h)
                 | _ -> ());
                 match Interval.lo sum with
                 | Interval.Fin l ->
-                  tighten2 m (pos_of ia (-1)) (pos_of ib 1) (Fin (Rat.neg l))
+                  tighten2 o' (pos_of ia (-1)) (pos_of ib 1) (Fin (Rat.neg l))
                 | _ -> ())
             rels;
           (* pivots: x and every y given a finite bound against it *)
@@ -424,7 +648,7 @@ let assign ?(ivb = full_ivb) t x rhs =
                 if Interval.is_full diff && Interval.is_full sum then None else idx o y)
               rels
           in
-          close ~pivots:(ia :: linked) { o with m })))
+          close ~pivots:(ia :: linked) o')))
 
 (* ---------- lattice operations ---------- *)
 
@@ -432,13 +656,25 @@ let assign ?(ivb = full_ivb) t x rhs =
 let conform o vars =
   let map = Array.map (fun x -> idx o x) vars in
   let n2 = 2 * Array.length vars in
-  Array.init n2 (fun i ->
-      Array.init n2 (fun j ->
-          if i = j then Fin Rat.zero
-          else
-            match (map.(i / 2), map.(j / 2)) with
-            | Some oi, Some oj -> o.m.((2 * oi) + (i mod 2)).((2 * oj) + (j mod 2))
-            | _ -> Inf))
+  let r = { vars; n2; m = Array.make (n2 * n2) inf; q = [||] } in
+  for i = 0 to n2 - 1 do
+    match map.(i / 2) with
+    | None -> ()
+    | Some oi ->
+      let src = ((2 * oi) + (i land 1)) * o.n2 in
+      for j = 0 to n2 - 1 do
+        match map.(j / 2) with
+        | None -> ()
+        | Some oj ->
+          let sp = src + (2 * oj) + (j land 1) in
+          let c = o.m.(sp) in
+          if c = esc then set_exact r ((i * n2) + j) o.q.(sp) else r.m.((i * n2) + j) <- c
+      done
+  done;
+  for i = 0 to n2 - 1 do
+    r.m.((i * n2) + i) <- 0
+  done;
+  r
 
 let union_vars oa ob =
   let all =
@@ -447,36 +683,80 @@ let union_vars oa ob =
   let rec take n = function [] -> [] | x :: tl -> if n = 0 then [] else x :: take (n - 1) tl in
   Array.of_list (take max_vars all)
 
-(* Both matrices in the order of the union variables; an operand already in
-   that order is used as it is, not copied. *)
+let rec sorted_from vars i =
+  i + 1 >= Array.length vars
+  || (String.compare vars.(i) vars.(i + 1) < 0 && sorted_from vars (i + 1))
+
+(* Both operands in the order of the union variables; an operand already in
+   that order is used as it is, not copied. Operands over the same sorted
+   variables are that order already. *)
 let aligned oa ob =
-  let vars = union_vars oa ob in
-  let in_order o = if o.vars = vars then o.m else conform o vars in
+  let vars =
+    if (oa.vars == ob.vars || oa.vars = ob.vars) && sorted_from oa.vars 0 then oa.vars
+    else union_vars oa ob
+  in
+  let in_order o = if o.vars == vars || o.vars = vars then o else conform o vars in
   (vars, in_order oa, in_order ob)
 
-let pointwise f ma mb = Array.map2 (Array.map2 f) ma mb
+(* a matrix over [vars] the size of [a]'s, every entry +∞ *)
+let fresh_like vars a = { vars; n2 = a.n2; m = Array.make (Array.length a.m) inf; q = [||] }
+
+(* A fresh octagon over [vars] whose entry [p] is [f r p a b]'s write. *)
+let pointwise f vars a b =
+  let r = fresh_like vars a in
+  for p = 0 to Array.length a.m - 1 do
+    f r p a b
+  done;
+  r
 
 let lift2 f a b =
   match (a, b) with
   | Bot, t | t, Bot -> t
   | Oct oa, Oct ob ->
-    let vars, ma, mb = aligned oa ob in
-    Oct { vars; m = pointwise f ma mb }
+    let vars, ca, cb = aligned oa ob in
+    Oct (pointwise f vars ca cb)
 
-let for_all2 p ma mb = Array.for_all2 (Array.for_all2 p) ma mb
+let for_all_entries p a b =
+  let ok = ref true and i = ref 0 and n = Array.length a.m in
+  while !ok && !i < n do
+    ok := p a b !i;
+    incr i
+  done;
+  !ok
 
-(* the entries of [widen] and [narrow] *)
-let widen_entry ths ea eb =
+let copy_entry r p s =
+  let c = s.m.(p) in
+  if c = esc then set_exact r p s.q.(p) else r.m.(p) <- c
+
+let widen_ub ths ea eb =
   if ub_le eb ea then ea
   else
     match List.find_opt (fun th -> ub_le eb (Fin th)) ths with
     | Some th -> Fin th
     | None -> Inf
 
-let narrow_entry ea eb = match ea with Inf -> eb | _ -> ea
+let widen_entry ths r p a b =
+  let x = a.m.(p) and y = b.m.(p) in
+  if x <> esc && y <> esc && y <= x then r.m.(p) <- x
+  else set r p (widen_ub ths (get a p) (get b p))
+
+let entry_equal a b p =
+  let x = a.m.(p) in
+  x = b.m.(p) && (x <> esc || Rat.equal a.q.(p) b.q.(p))
 
 (* pointwise max of strongly closed matrices is strongly closed *)
-let join a b = lift2 ub_max a b
+let join a b =
+  match (a, b) with
+  | Bot, t | t, Bot -> t
+  | Oct oa, Oct ob ->
+    let vars, ca, cb = aligned oa ob in
+    let r = fresh_like vars ca in
+    for p = 0 to Array.length r.m - 1 do
+      let x = ca.m.(p) and y = cb.m.(p) in
+      if x <> esc && y <> esc then r.m.(p) <- (if x < y then y else x)
+      else set r p (ub_max (get ca p) (get cb p))
+    done;
+    Oct r
 
 let widen ?(thresholds = []) a b =
   match (a, b) with
@@ -489,12 +769,17 @@ let narrow a b =
   match (a, b) with
   | Bot, _ | _, Bot -> Bot
   | Oct oa, Oct ob ->
-    let vars, ma, mb = aligned oa ob in
+    let vars, ca, cb = aligned oa ob in
     (* when [a] is in the union order and [b] is finite nowhere [a] is +∞,
        the narrowing is [a] itself, strongly closed already *)
-    let unrefined ea eb = match (ea, eb) with Inf, Fin _ -> false | _ -> true in
-    if ma == oa.m && for_all2 unrefined ma mb then a
-    else close { vars; m = pointwise narrow_entry ma mb }
+    let unrefined a b p = a.m.(p) <> inf || b.m.(p) = inf in
+    if ca == oa && for_all_entries unrefined ca cb then a
+    else (
+      let r = fresh_like vars ca in
+      for p = 0 to Array.length r.m - 1 do
+        copy_entry r p (if ca.m.(p) = inf then cb else ca)
+      done;
+      close r)
 
 let equal a b =
   a == b
@@ -503,12 +788,13 @@ let equal a b =
   | Bot, Bot -> true
   | Bot, _ | _, Bot -> false
   | Oct oa, Oct ob ->
-    let _, ma, mb = aligned oa ob in
-    for_all2 ub_equal ma mb
+    let _, ca, cb = aligned oa ob in
+    let rec go p = p < 0 || (entry_equal ca cb p && go (p - 1)) in
+    go (Array.length ca.m - 1)
 
 (* ---------- inspection ---------- *)
 
-let signs = [ (1, 1); (1, -1); (-1, 1); (-1, -1) ]
+let signs = [| (1, 1); (1, -1); (-1, 1); (-1, -1) |]
 
 let binary_cons o a sa b sb c : Lin.cons =
   {
@@ -525,32 +811,44 @@ let constraints t =
   | Oct o ->
     let nv = Array.length o.vars in
     let out = ref [] in
+    let pair a sa b sb = at o (pos_of a sa) (pos_of b (-sb)) in
+    let unary a s = at o (pos_of a s) (pos_of a (-s)) in
+    (* finite entries with m[p'] = -m[p] *)
+    let opposite p p' =
+      let c = o.m.(p) and c' = o.m.(p') in
+      c <> inf && c' <> inf
+      && if c <> esc && c' <> esc then c' = -c
+         else c = esc && c' = esc && Rat.equal o.q.(p') (Rat.neg o.q.(p))
+    in
+    (* the finite pair entry at [p] is tighter than the unary bounds imply *)
+    let tighter p a sa b sb =
+      let c = o.m.(p) and ua = o.m.(unary a sa) and ub = o.m.(unary b sb) in
+      if c <> esc && ua <> esc && ub <> esc then ua = inf || ub = inf || ua + ub > 2 * c
+      else
+        not
+          (ub_le
+             (ub_add (ub_half (get o (unary a sa))) (ub_half (get o (unary b sb))))
+             (get o p))
+    in
     for a = 0 to nv - 1 do
       for b = a + 1 to nv - 1 do
         (* fuse opposite-sign pairs into equalities where exact *)
-        let entry (sa, sb) = pair_ub o a sa b sb in
-        let emitted_eq = ref [] in
-        List.iter
-          (fun (sa, sb) ->
-            if sa > 0 then (
-              match (entry (sa, sb), entry (-sa, -sb)) with
-              | Fin c, Fin c' when Rat.equal c' (Rat.neg c) ->
-                emitted_eq := (sa, sb) :: (-sa, -sb) :: !emitted_eq;
-                let cons = binary_cons o a sa b sb c in
-                out := { cons with Lin.is_eq = true } :: !out
-              | _ -> ()))
-          signs;
-        List.iter
-          (fun (sa, sb) ->
-            if not (List.mem (sa, sb) !emitted_eq) then
-              match entry (sa, sb) with
-              | Inf -> ()
-              | Fin c ->
-                (* only worth reporting when tighter than the unary bounds *)
-                let implied = ub_add (unary_ub o a sa) (unary_ub o b sb) in
-                if not (ub_le implied (Fin c)) then
-                  out := binary_cons o a sa b sb c :: !out)
-          signs
+        let emitted = ref 0 in
+        for k = 0 to 1 do
+          let sa, sb = signs.(k) in
+          let p = pair a sa b sb in
+          if opposite p (pair a (-sa) b (-sb)) then (
+            emitted := !emitted lor (1 lsl k) lor (1 lsl (3 - k));
+            let cons = binary_cons o a sa b sb (exact o p) in
+            out := { cons with Lin.is_eq = true } :: !out)
+        done;
+        (* only worth reporting when tighter than the unary bounds *)
+        for k = 0 to 3 do
+          let sa, sb = signs.(k) in
+          let p = pair a sa b sb in
+          if !emitted land (1 lsl k) = 0 && o.m.(p) <> inf && tighter p a sa b sb then
+            out := binary_cons o a sa b sb (exact o p) :: !out
+        done
       done
     done;
     List.rev !out
@@ -573,13 +871,12 @@ let unconstrained t x =
     match idx o x with
     | None -> true
     | Some a ->
-      let n2 = dim o in
       let i1 = 2 * a and i2 = (2 * a) + 1 in
       let free = ref true in
-      let fin = function Fin _ -> true | Inf -> false in
-      for j = 0 to n2 - 1 do
-        if j <> i1 && (fin o.m.(i1).(j) || fin o.m.(j).(i1)) then free := false;
-        if j <> i2 && (fin o.m.(i2).(j) || fin o.m.(j).(i2)) then free := false
+      let fin i j = o.m.(at o i j) <> inf in
+      for j = 0 to o.n2 - 1 do
+        if j <> i1 && (fin i1 j || fin j i1) then free := false;
+        if j <> i2 && (fin i2 j || fin j i2) then free := false
       done;
       !free)
 
@@ -587,40 +884,44 @@ let satisfies f t =
   match t with
   | Bot -> false
   | Oct o ->
-    let n2 = dim o in
     let value i =
       let v = f o.vars.(i / 2) in
       if i mod 2 = 0 then v else Rat.neg v
     in
     let ok = ref true in
-    for i = 0 to n2 - 1 do
-      for j = 0 to n2 - 1 do
-        match o.m.(i).(j) with
+    for i = 0 to o.n2 - 1 do
+      for j = 0 to o.n2 - 1 do
+        match get o (at o i j) with
         | Inf -> ()
         | Fin c -> if Rat.compare (Rat.sub (value i) (value j)) c > 0 then ok := false
       done
     done;
     !ok
 
-let reclose = function Bot -> Bot | Oct o -> close { o with m = copy_m o.m }
+let reclose = function Bot -> Bot | Oct o -> close (copy o)
 
+(* Entry by entry on the exact view, both operands re-indexed: no native
+   shortcut shared with the operations it checks. *)
 module Reference = struct
   let lift2 f a b =
     match (a, b) with
     | Bot, t | t, Bot -> t
     | Oct oa, Oct ob ->
       let vars = union_vars oa ob in
-      Oct { vars; m = pointwise f (conform oa vars) (conform ob vars) }
+      Oct
+        (pointwise
+           (fun r p a b -> set r p (f (get a p) (get b p)))
+           vars (conform oa vars) (conform ob vars))
 
   let join a b = reclose (lift2 ub_max a b)
 
   let widen ?(thresholds = []) a b =
-    reclose (lift2 (widen_entry (List.sort_uniq Rat.compare thresholds)) a b)
+    reclose (lift2 (widen_ub (List.sort_uniq Rat.compare thresholds)) a b)
 
   let narrow a b =
     match (a, b) with
     | Bot, _ | _, Bot -> Bot
-    | Oct _, Oct _ -> reclose (lift2 narrow_entry a b)
+    | Oct _, Oct _ -> reclose (lift2 (fun ea eb -> match ea with Inf -> eb | _ -> ea) a b)
 
   let equal a b =
     match (a, b) with
@@ -628,5 +929,7 @@ module Reference = struct
     | Bot, _ | _, Bot -> false
     | Oct oa, Oct ob ->
       let vars = union_vars oa ob in
-      for_all2 ub_equal (conform oa vars) (conform ob vars)
+      for_all_entries
+        (fun a b p -> ub_equal (get a p) (get b p))
+        (conform oa vars) (conform ob vars)
 end

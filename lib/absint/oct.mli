@@ -2,22 +2,35 @@
 
     Conjunctions of constraints [±x ± y <= c] kept as a difference-bound
     matrix over the split variables [v₂ₖ = +xₖ], [v₂ₖ₊₁ = -xₖ]: entry
-    [m.(i).(j)] bounds [vᵢ - vⱼ]. Values are kept strongly closed, so
-    entailment and projection read straight off the matrix. Closure is a
-    Floyd–Warshall shortest-path step followed by one
-    [((x-x̄)+(ȳ-y))/2] strengthening pass over the whole matrix, which
-    over ℚ gives the strong closure (Bagnara, Hill & Zaffanella). It is
+    [(i, j)] bounds [vᵢ - vⱼ].
+
+    The matrix is one flat row-major [int] array, so a copy is one array
+    copy. An entry holds its bound natively when the bound is an integer
+    under 2{^61} in magnitude, so the sum of two never overflows. Any
+    other finite bound escapes to an exact [Rat.t] in a side table, which
+    exists only once an entry has escaped; +∞ has a code of its own. The
+    split is canonical, so equal bounds have equal entries. The closure,
+    the strengthening, the lattice operations, {!forget} and [x := x + c]
+    relax and compare native entries as ints and allocate only when an
+    entry tightens to an escaped bound. Results are exactly those of the
+    all-rational matrix.
+
+    Values are kept strongly closed, so entailment and projection read
+    straight off the matrix. Closure is a Floyd–Warshall shortest-path
+    step followed by one [((x-x̄)+(ȳ-y))/2] strengthening pass, which over
+    ℚ gives the strong closure (Bagnara, Hill & Zaffanella). It is
     incremental: a transfer that tightens entries of a closed matrix
     pivots only on the variables at either end of a tightened entry —
     the constraint's variables for {!meet_le}/{!meet_eq}; [x] and [y] for
     [x := ±y + c]; [x] and every [y] given a finite bound against it for
     other affine assignments — since any new shorter path runs through
-    them. Widening and narrowing pivot on every variable. The strong
-    closure is canonical, so the result does not depend on the pivots;
-    {!reclose} is the test-side check of that contract. Variables enter
-    the matrix lazily as constraints mention them, capped at
-    {!max_vars}; constraints over variables past the cap are silently
-    dropped (sound: fewer facts). *)
+    them, and strengthens only the entries whose bound reads a unary entry
+    that moved. Widening and narrowing pivot on every variable and
+    strengthen every entry. The strong closure is canonical, so the result
+    does not depend on the pivots; {!reclose} is the test-side check of
+    that contract. Variables enter the matrix lazily as constraints
+    mention them, capped at {!max_vars}; constraints over variables past
+    the cap are silently dropped (sound: fewer facts). *)
 
 open Pperf_num
 open Pperf_symbolic
@@ -49,7 +62,9 @@ val narrow : t -> t -> t
 val meet_le : ?ivb:(string -> Interval.t) -> t -> Lin.t -> t
 (** Assume [lin <= 0]. The optional [ivb] supplies outside interval bounds
     (the interval component of the product) used to bound residuals when
-    octagonalizing constraints with more than two variables. *)
+    octagonalizing constraints with more than two variables. An octagonal
+    form (one or two unit-coefficient terms, such as every loop-head guard)
+    tightens its unary and pair entries directly, with the same result. *)
 
 val meet_eq : ?ivb:(string -> Interval.t) -> t -> Lin.t -> t
 (** Assume [lin = 0]. *)
