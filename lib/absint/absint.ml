@@ -750,23 +750,27 @@ let collect_thresholds (r : Ast.routine) =
   List.sort_uniq Rat.compare !acc
 
 (* Relational counterpart of [seed_env]: declared extents give
-   [lo - hi <= 0] octagon facts relating e.g. a bound variable pair. *)
+   [lo - hi <= 0] octagon facts relating e.g. a bound variable pair. Arrays
+   declared alike give the same fact, which is assumed once. *)
 let seed_rel symtab dom entry =
   let top = Reldom.top dom in
   if dom = Box then top
   else (
     let ivb v = Env.find v entry in
-    List.fold_left
-      (fun rel (_, (s : Typecheck.sym)) ->
-        List.fold_left
-          (fun rel (dim : Ast.array_dim) ->
-            let lo_e = Option.value dim.dim_lo ~default:(Ast.Int 1) in
-            match Sym_expr.to_poly (Ast.Binop (Ast.Sub, lo_e, dim.dim_hi)) with
-            | Some diff -> Reldom.assume_le ~ivb rel diff
-            | None -> rel)
-          rel s.dims)
-      top
-      (Typecheck.symbols_list symtab))
+    let facts =
+      List.fold_left
+        (fun acc (_, (s : Typecheck.sym)) ->
+          List.fold_left
+            (fun acc (dim : Ast.array_dim) ->
+              let lo_e = Option.value dim.dim_lo ~default:(Ast.Int 1) in
+              match Sym_expr.to_poly (Ast.Binop (Ast.Sub, lo_e, dim.dim_hi)) with
+              | Some diff when not (List.exists (Poly.equal diff) acc) -> diff :: acc
+              | _ -> acc)
+            acc s.dims)
+        []
+        (Typecheck.symbols_list symtab)
+    in
+    List.fold_left (fun rel diff -> Reldom.assume_le ~ivb rel diff) top (List.rev facts))
 
 let analyze ?(domain = Box) (checked : Typecheck.checked) =
   Pperf_obs.Obs.time sp_fixpoint @@ fun () ->
