@@ -291,17 +291,35 @@ let test_product_decides_compare () =
 
 let pool = [ "a"; "b"; "c"; "d" ]
 
+(* Constraint constants: mostly small integers, which the octagon holds as
+   native ints, and now and then one it must hold exactly: a non-integral
+   rational, or an integer beyond ±2^60 (either side of the 2^61 native
+   limit, and past the native int range), whose sums overflow native
+   arithmetic. *)
+let gen_const =
+  let open QCheck.Gen in
+  let big e k = Rat.add (Rat.pow Rat.two e) (Rat.of_int k) in
+  frequency
+    [
+      (8, map Rat.of_int (int_range (-8) 8));
+      (1, map2 Rat.of_ints (int_range (-17) 17) (oneofl [ 2; 3; 4 ]));
+      ( 1,
+        map3
+          (fun s e k -> if s then big e k else Rat.neg (big e k))
+          bool (oneofl [ 60; 61; 62; 63 ]) (int_range (-2) 2) );
+    ]
+
 (* a random octagonal constraint [±x ± y + c <= 0] over the pool *)
 let gen_lin =
   let open QCheck.Gen in
   let signed = map2 (fun s v -> (s, v)) (oneofl [ 1; -1 ]) (oneofl pool) in
   map3
     (fun (sa, x) (sb, y) c ->
-      Lin.add_const (Rat.of_int c)
+      Lin.add_const c
         (Lin.add
            (Lin.scale (Rat.of_int sa) (Lin.var x))
            (Lin.scale (Rat.of_int sb) (Lin.var y))))
-    signed signed (int_range (-8) 8)
+    signed signed gen_const
 
 let gen_lins = QCheck.Gen.list_size (QCheck.Gen.int_range 0 6) gen_lin
 
@@ -363,7 +381,7 @@ let transfer_to_string = function
 
 let gen_transfer =
   let open QCheck.Gen in
-  let var = oneofl wide_pool and const = map Rat.of_int (int_range (-8) 8) in
+  let var = oneofl wide_pool and const = gen_const in
   let unit_term = pair (oneofl [ Rat.one; Rat.minus_one ]) var in
   let term = pair (map Rat.of_int (oneofl [ -2; -1; 1; 2; 3 ])) var in
   let sum ts c = Lin.add_const c (Lin.of_terms ts Rat.zero) in
@@ -415,7 +433,7 @@ let prop_transfers_strongly_closed =
 let prop_lattice_fast_paths =
   let open QCheck.Gen in
   let seq = list_size (int_range 1 10) gen_transfer in
-  let gen = triple seq seq (list_size (int_range 0 3) (map Rat.of_int (int_range (-8) 8))) in
+  let gen = triple seq seq (list_size (int_range 0 3) gen_const) in
   let print (ta, tb, ths) =
     Printf.sprintf "a: %s\nb: %s\nthresholds: %s"
       (String.concat "; " (List.map transfer_to_string ta))
