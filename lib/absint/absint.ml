@@ -124,6 +124,19 @@ let rec int_valued symtab (e : Ast.expr) =
     | Some tab -> ( try Typecheck.expr_type tab e = Ast.Tint with Typecheck.Type_error _ -> false)
     | None -> false)
 
+(* Whether [e] divides two integer operands: the interpreter truncates that
+   quotient, which no polynomial describes. *)
+let rec int_div symtab (e : Ast.expr) =
+  match e with
+  | Ast.Binop (Ast.Div, a, b) when int_valued symtab a && int_valued symtab b -> true
+  | Ast.Binop (_, a, b) -> int_div symtab a || int_div symtab b
+  | Ast.Unop (_, a) -> int_div symtab a
+  | Ast.Int _ | Ast.Real _ | Ast.Logical _ | Ast.Var _ | Ast.Index _ | Ast.Call _ -> false
+
+(* [Sym_expr.to_poly], but an integer division takes the non-polynomial
+   rules, which truncate *)
+let to_poly symtab e = if int_div symtab e then None else Sym_expr.to_poly e
+
 (* a monotone rounding of both bounds to integers *)
 let round_bounds f iv =
   let b = function Interval.Fin x -> Interval.Fin (Rat.of_bigint (f x)) | b -> b in
@@ -137,7 +150,7 @@ let int_first symtab args iv =
   match args with a :: _ when int_valued symtab a -> round_bounds truncate iv | _ -> iv
 
 let rec eval symtab env (e : Ast.expr) : Interval.t =
-  match Sym_expr.to_poly e with
+  match to_poly symtab e with
   | Some p -> Interval.eval_poly env p
   | None -> eval_raw symtab env e
 
@@ -311,7 +324,7 @@ let rec assume symtab env cond =
     | None, r | r, None -> r
     | Some x, Some y -> Some (join_env x y))
   | Ast.Binop ((Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op, a, b) -> (
-    match Sym_expr.to_poly (Ast.Binop (Ast.Sub, a, b)) with
+    match to_poly (Some symtab) (Ast.Binop (Ast.Sub, a, b)) with
     | None -> Some env
     | Some d ->
       if surely_false op (Interval.eval_poly env d) then None
@@ -349,7 +362,7 @@ let rec rel_assume symtab env rel cond =
     | Ast.Binop (Ast.Or, a, b) ->
       Reldom.join (rel_assume symtab env rel a) (rel_assume symtab env rel b)
     | Ast.Binop ((Ast.Le | Ast.Lt | Ast.Ge | Ast.Gt | Ast.Eq) as op, a, b) -> (
-      match Sym_expr.to_poly (Ast.Binop (Ast.Sub, a, b)) with
+      match to_poly (Some symtab) (Ast.Binop (Ast.Sub, a, b)) with
       | None -> rel
       | Some d ->
         (* strict comparisons tighten by one on all-integer forms *)
@@ -392,7 +405,7 @@ and decide_cond ?rel ?symtab env cond =
     | _ -> None)
   | Ast.Binop ((Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op, a, b) ->
     let di =
-      match Sym_expr.to_poly (Ast.Binop (Ast.Sub, a, b)) with
+      match to_poly symtab (Ast.Binop (Ast.Sub, a, b)) with
       | Some d -> (
         let iv = Interval.eval_poly env d in
         match rel with
@@ -489,7 +502,8 @@ and exec_stmt ctx ~rec_ st (s : Ast.stmt) =
         let rel' =
           rtime ctx (fun () ->
               let ivb v = Env.find v env in
-              Reldom.assign ~ivb rel lhs.base (if truncates then None else Sym_expr.to_poly e))
+              Reldom.assign ~ivb rel lhs.base
+                (if truncates then None else to_poly (Some ctx.symtab) e))
         in
         let v = eval (Some ctx.symtab) env e in
         Some (Env.add lhs.base (if truncates then round_bounds truncate v else v) env, rel'))
@@ -584,7 +598,7 @@ and exec_do ctx ~rec_ (env, rel) loc (d : Ast.do_loop) =
     let rel' =
       rtime ctx (fun () ->
           let ivb v = Env.find v env in
-          Reldom.assign ~ivb rel d.var (Sym_expr.to_poly d.lo))
+          Reldom.assign ~ivb rel d.var (to_poly (Some ctx.symtab) d.lo))
     in
     Some (Env.add d.var lo_iv env, rel')
   | Some idx ->
@@ -600,7 +614,7 @@ and exec_do ctx ~rec_ (env, rel) loc (d : Ast.do_loop) =
            (Analysis.loop_indices d.body))
     in
     let inv_poly e =
-      match Sym_expr.to_poly e with
+      match to_poly (Some ctx.symtab) e with
       | Some p when List.for_all (fun x -> not (Analysis.SSet.mem x mutated)) (Poly.vars p)
         ->
         Some p
@@ -700,7 +714,7 @@ let seed_env symtab =
       List.fold_left
         (fun env (dim : Ast.array_dim) ->
           let lo_e = Option.value dim.dim_lo ~default:(Ast.Int 1) in
-          match Sym_expr.to_poly (Ast.Binop (Ast.Sub, dim.dim_hi, lo_e)) with
+          match to_poly (Some symtab) (Ast.Binop (Ast.Sub, dim.dim_hi, lo_e)) with
           | Some diff -> ( try refine_cmp symtab env Cge diff with Infeasible -> env)
           | None -> env)
         env s.dims)
@@ -763,7 +777,7 @@ let seed_rel symtab dom entry =
           List.fold_left
             (fun acc (dim : Ast.array_dim) ->
               let lo_e = Option.value dim.dim_lo ~default:(Ast.Int 1) in
-              match Sym_expr.to_poly (Ast.Binop (Ast.Sub, lo_e, dim.dim_hi)) with
+              match to_poly (Some symtab) (Ast.Binop (Ast.Sub, lo_e, dim.dim_hi)) with
               | Some diff when not (List.exists (Poly.equal diff) acc) -> diff :: acc
               | _ -> acc)
             acc s.dims)

@@ -151,6 +151,31 @@ let test_eval_expr () =
   Alcotest.(check string) "abs intrinsic" "[0, 4]"
     (s (A.eval_expr (Interval.Env.of_list [ ("m", iv (-3) 4) ]) (Ast.Call ("abs", [ Ast.Var "m" ]))))
 
+(* k = i / 2 over integers: the interpreter truncates, so k reaches 0 (at
+   i = 1), and neither domain may state the rational i = 2*k *)
+let test_integer_quotient () =
+  let src =
+    "subroutine s(a)\n  integer i, k\n  real a(10)\n  do i = 1, 10\n    k = i / 2\n    a(i) = 0.0\n  end do\nend\n"
+  in
+  List.iter
+    (fun domain ->
+      let res = A.analyze ~domain (checked src) in
+      let name = A.domain_to_string domain in
+      Alcotest.(check string) (name ^ ": k") "[0, 5]" (s (find_summary res "k"));
+      let of_k =
+        List.concat_map
+          (fun (_, cs) ->
+            List.filter_map
+              (fun (c : Pperf_absint.Lin.cons) ->
+                if List.mem "k" (Pperf_absint.Lin.vars c.lhs) then
+                  Some (Pperf_absint.Lin.cons_to_string c)
+                else None)
+              cs)
+          (A.relation_points res)
+      in
+      Alcotest.(check (list string)) (name ^ ": relations of k") [] of_k)
+    A.[ Box; Product ]
+
 let test_decide_cond () =
   let env = Interval.Env.of_list [ ("n", iv 1 10) ] in
   Alcotest.(check (option bool)) "n > 0 true" (Some true)
@@ -679,6 +704,7 @@ let () =
       ( "refine",
         [
           Alcotest.test_case "eval expr" `Quick test_eval_expr;
+          Alcotest.test_case "integer quotient" `Quick test_integer_quotient;
           Alcotest.test_case "decide cond" `Quick test_decide_cond;
           Alcotest.test_case "assume" `Quick test_assume_refines;
           Alcotest.test_case "branch join" `Quick test_branch_refinement_flows;

@@ -348,11 +348,19 @@ let dead_branch_checks src =
     (fun c -> c = "unreachable-branch" || c = "constant-condition")
     (ids (lint src) @ ids (lint_ranges src))
 
+(* the integer k holds i / 2, truncated *)
+let divided_in_loop cond =
+  Printf.sprintf
+    "subroutine s(a)\n  integer i, k\n  real a(10)\n  do i = 1, 10\n    k = i / 2\n    if (%s) then\n      a(i) = 0.0\n    end if\n  end do\nend\n"
+    cond
+
 (* nint rounds, a real remainder stays under its divisor, integer division
    and min on an integer first argument truncate: each condition holds at
    some index (0.6 rounds to 1, x = 1.9, i = 1, min(3, 2.5) = 2), so no
    check calls its branch dead. A huge exponent is enclosed, not computed,
-   and a sum's is not expanded, so its condition is answered at once. *)
+   and a sum's is not expanded, so its condition is answered at once. An
+   integer quotient stored in k truncates too, for the relational domains
+   as well: k == 0 holds at i = 1 and 2 * k == i - 1 at every odd i. *)
 let test_nonpolynomial_taken () =
   List.iter
     (fun cond -> Alcotest.(check (list string)) cond [] (dead_branch_checks (taken_in_loop cond)))
@@ -360,11 +368,25 @@ let test_nonpolynomial_taken () =
       "nint(0.6) == 1";
       "mod(x, 2.0) > 1.5";
       "min(i, 5) / 2 == 0";
+      "i / 2 == 0";
       "min(i + 2, 2.5) < 2.2";
       "float(i) ** 100000000 > 0.0";
       "i ** 100000000 > 0";
       "(i + 1) ** 2000 > 0";
-    ]
+    ];
+  List.iter
+    (fun cond ->
+      let src = divided_in_loop cond in
+      let c = Typecheck.check_routine (Parser.parse_routine src) in
+      let relational =
+        List.concat_map
+          (fun domain -> ids (Lint.run_checked ~ranges:true ~domain c))
+          Pperf_absint.Absint.[ Octagon; Product ]
+      in
+      Alcotest.(check (list string)) cond []
+        (dead_branch_checks src
+        @ List.filter (fun c -> c = "unreachable-branch" || c = "constant-condition") relational))
+    [ "k == 0"; "2 * k == (i - 1)" ]
 
 (* k = x stores 1.5 truncated, as the interpreter does: k == 1 holds *)
 let test_integer_assignment_truncates () =
