@@ -11,7 +11,7 @@ type options = {
   flags : Flags.t;
   include_memory : bool;
   layouts : Commcost.layouts option;
-  branch_prob : Srcloc.t -> Poly.t option;
+  branch_prob : Srcloc.t -> int -> Poly.t option;
   near_equal_tol : float;
   library : Libtable.t option;
   infer_ranges : bool;
@@ -23,7 +23,7 @@ let default_options =
     flags = Flags.default;
     include_memory = false;
     layouts = None;
-    branch_prob = (fun _ -> None);
+    branch_prob = (fun _ _ -> None);
     near_equal_tol = 0.05;
     library = None;
     infer_ranges = false;
@@ -484,9 +484,9 @@ and agg_if ctx (s : Ast.stmt) : Perf_expr.t =
       | _ ->
         (* fresh probability per branch, complement to the else *)
         let probs =
-          List.map
-            (fun (c, _) ->
-              match ctx.options.branch_prob s.loc with
+          List.mapi
+            (fun k (c, _) ->
+              match ctx.options.branch_prob s.loc k with
               | Some p -> p
               | None ->
                 ignore c;

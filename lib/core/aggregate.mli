@@ -33,8 +33,11 @@ type options = {
   flags : Flags.t;
   include_memory : bool;  (** add the §2.3 cache model's cycles *)
   layouts : Commcost.layouts option;  (** when set, add communication cost *)
-  branch_prob : Srcloc.t -> Poly.t option;
-      (** profile-derived probabilities (§3.4); overrides the heuristics *)
+  branch_prob : Srcloc.t -> int -> Poly.t option;
+      (** profile-derived probabilities (§3.4): [branch_prob loc k] is the
+          probability that the [if] at [loc] takes its branch [k] (0 for
+          the first condition, counting down an [elseif] chain; the [else]
+          gets the rest); overrides the heuristics *)
   near_equal_tol : float;
       (** §3.3.2: treat branch costs within this relative tolerance as
           equal and skip the probability variable *)

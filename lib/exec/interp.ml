@@ -37,15 +37,13 @@ module Profile = struct
     in
     Hashtbl.replace t.loops loc (entries + 1, total + iterations)
 
-  let branch_prob t loc =
+  let branch_prob t loc k =
     match Hashtbl.find_opt t.branches loc with
     | None -> None
     | Some counts ->
       let total = Array.fold_left ( + ) 0 counts in
-      if total = 0 then None
-      else
-        Some
-          (Pperf_symbolic.Poly.of_rat (Pperf_num.Rat.of_ints counts.(0) total))
+      if total = 0 || k < 0 || k >= Array.length counts then None
+      else Some (Pperf_symbolic.Poly.of_rat (Pperf_num.Rat.of_ints counts.(k) total))
 
   let branch_counts t = Hashtbl.fold (fun loc c acc -> (loc, c) :: acc) t.branches []
   let trip_counts t = Hashtbl.fold (fun loc (e, n) acc -> (loc, e, n) :: acc) t.loops []

@@ -38,10 +38,11 @@ module Profile : sig
 
   val empty : unit -> t
 
-  val branch_prob : t -> Srcloc.t -> Pperf_symbolic.Poly.t option
-  (** Measured probability of the first branch of the [if] at this
-      location, as a constant polynomial — plugs directly into
-      {!Pperf_core.Aggregate.options.branch_prob}. *)
+  val branch_prob : t -> Srcloc.t -> int -> Pperf_symbolic.Poly.t option
+  (** [branch_prob t loc k]: measured probability that the [if] at this
+      location takes its branch [k] (0 for the first condition, counting
+      down an [elseif] chain), as a constant polynomial — plugs directly
+      into {!Pperf_core.Aggregate.options.branch_prob}. *)
 
   val branch_counts : t -> (Srcloc.t * int array) list
   (** Per [if]: how often each branch (else last) was taken. *)

@@ -83,7 +83,7 @@ let test_index_cond_paper_example () =
 let test_profile_override () =
   let options =
     { Aggregate.default_options with
-      branch_prob = (fun _ -> Some (Poly.of_rat (Rat.of_ints 9 10))) }
+      branch_prob = (fun _ _ -> Some (Poly.of_rat (Rat.of_ints 9 10))) }
   in
   let p = predict ~options "subroutine s(x, y)\n  real x, y\n  if (x > 0.0) then\n    y = sqrt(x) + exp(x) + sqrt(y)\n  else\n    y = 0.0\n  end if\nend\n" in
   Alcotest.(check (list string)) "no fresh vars with profile" [] (Predict.prob_vars p)

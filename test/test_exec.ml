@@ -204,6 +204,26 @@ let test_profile_eliminates_variable () =
     true
     (close_to ~tol:0.12 static res.cycles)
 
+(* An elseif chain whose middle arm is never taken: the profile reads
+   [32; 0; 32], and each arm must get its own measured probability (the
+   else the rest), not the first arm's, for the profiled prediction to
+   equal the interpreter's count. *)
+let test_profile_elseif_arms () =
+  let src =
+    "subroutine s(a, b, n)\n  integer n, i\n  real a(100), b(100)\n  do i = 1, n\n    a(i) = float(mod(i, 2))\n    if (a(i) > 0.5) then\n      b(i) = 1.0\n    elseif (a(i) > 2.0) then\n      b(i) = sqrt(a(i)) + exp(a(i))\n    else\n      b(i) = sqrt(a(i) + 1.0) * exp(a(i) + 2.0) + sqrt(b(i))\n    end if\n  end do\nend\n"
+  in
+  let res = run ~args:[ ("n", Interp.VInt 64) ] src in
+  (match Interp.Profile.branch_counts res.profile with
+   | [ (_, counts) ] -> Alcotest.(check (array int)) "profile" [| 32; 0; 32 |] counts
+   | l -> Alcotest.failf "expected 1 branch site, got %d" (List.length l));
+  let options =
+    { Aggregate.default_options with
+      branch_prob = Interp.Profile.branch_prob res.profile;
+      near_equal_tol = 0.0 }
+  in
+  let static = Predict.eval (Predict.of_source ~options ~machine:p1 src) [ ("n", 64.0) ] in
+  Alcotest.(check (float 1e-9)) "profiled static = dynamic" res.cycles static
+
 let test_trip_profile () =
   let res = run ~args:[ ("n", Interp.VInt 50) ]
       "subroutine s(x, n)\n  integer n, i\n  real x(1000)\n  do i = 1, n\n    x(i) = 1.0\n  end do\nend\n" in
@@ -465,6 +485,7 @@ let () =
         [
           Alcotest.test_case "branch counts" `Quick test_profile_counts;
           Alcotest.test_case "eliminates variables" `Quick test_profile_eliminates_variable;
+          Alcotest.test_case "elseif arms" `Quick test_profile_elseif_arms;
           Alcotest.test_case "trip counts" `Quick test_trip_profile;
         ] );
       ( "calibrate",
