@@ -110,15 +110,11 @@ let owned ~before o' = if o' == before then copy o' else o'
 
 (* Add missing variables (unconstrained), respecting the cap. *)
 let extend o xs =
-  let fresh =
-    List.sort_uniq String.compare xs
-    |> List.filter (fun x -> idx o x = None)
-  in
   let room = max 0 (max_vars - Array.length o.vars) in
   let rec take n = function [] -> [] | x :: tl -> if n = 0 then [] else x :: take (n - 1) tl in
-  let fresh = take room fresh in
-  if fresh = [] then o
-  else (
+  match take room (List.sort_uniq String.compare (List.filter (fun x -> idx o x = None) xs)) with
+  | [] -> o
+  | fresh -> (
     let vars = Array.append o.vars (Array.of_list fresh) in
     let n2 = 2 * Array.length vars in
     let grow src fill =
@@ -194,8 +190,14 @@ let close ?pivots o =
   Pperf_obs.Obs.incr (Lazy.force c_closures);
   let n2 = o.n2 and m = o.m in
   (* u.(j) = m[j̄][j], the unary entry of split variable j̄ (v_j̄ - v_j) *)
-  let unary j = m.(((j lxor 1) * n2) + j) in
-  let before = match pivots with Some _ -> Array.init n2 unary | None -> [||] in
+  let unaries () =
+    let u = Array.make n2 inf in
+    for j = 0 to n2 - 1 do
+      u.(j) <- m.(((j lxor 1) * n2) + j)
+    done;
+    u
+  in
+  let before = match pivots with Some _ -> unaries () | None -> [||] in
   let pivots =
     match pivots with Some ks -> ks | None -> List.init (Array.length o.vars) Fun.id
   in
@@ -217,13 +219,16 @@ let close ?pivots o =
       done)
     pivots;
   Pperf_obs.Obs.add (Lazy.force c_pivot_rows) !relaxed;
-  let u = Array.init n2 unary in
+  let u = unaries () in
   (* bit j: u.(j) may differ from the source matrix's *)
   let moved =
     if Array.length before = 0 then -1
     else (
       let bits = ref 0 in
-      Array.iteri (fun j b -> if u.(j) <> b || b = esc then bits := !bits lor (1 lsl j)) before;
+      for j = 0 to n2 - 1 do
+        let b = before.(j) in
+        if u.(j) <> b || b = esc then bits := !bits lor (1 lsl j)
+      done;
       List.fold_left (fun bits k -> bits lor (3 lsl (2 * k))) !bits pivots)
   in
   (* strengthening: m[i][j] <- min m[i][j] ((u.(ī) + u.(j)) / 2); the pass
@@ -355,8 +360,6 @@ let set_interval o a iv =
   (match Interval.hi iv with Interval.Fin h -> set_upper o a h | _ -> ());
   match Interval.lo iv with Interval.Fin l -> set_lower o a l | _ -> ()
 
-let is_unit a = Rat.equal a Rat.one || Rat.equal a Rat.minus_one
-
 (* ints under 2^59 in magnitude: doubled, plus a native bound, they stay
    under 2^62 *)
 let small v = v > -(1 lsl 59) && v < 1 lsl 59
@@ -388,122 +391,100 @@ let neg_lo2 o ivb v slot s =
     let meets = h = inf || n = inf || h + n >= 0 in
     if s > 0 then if meets then n else an else if meets then h else ah)
 
-(* [sa·x + sb·y + c <= 0] with unit coefficients, [y] absent for a unary
-   form. What the general path derives from it, read off directly: each
-   variable's unary bound from the other's interval (the [ivb] bound met
-   with the octagon's projection), and the pair entry from [c]. In int
-   units when [c] and those bounds are small integers, else exactly. *)
-let meet_octagonal ~ivb o0 (sa, x) y (c : Rat.t) =
-  let o =
-    match y with
-    | None -> if idx o0 x = None then extend o0 [ x ] else o0
-    | Some (_, y) -> if idx o0 x = None || idx o0 y = None then extend o0 [ x; y ] else o0
+(* Any other form: each term's unary bound from the lower bound of the
+   rest, each pair's entry from that of the residual, both bounded against
+   the pre-state. *)
+let meet_general ~ivb o0 (lin : Lin.t) =
+  let o = extend o0 (Lin.vars lin) in
+  let pre = Oct o in
+  let o' = copy o in
+  (* unary: a·x <= -(rest lower bound) for each linear term *)
+  List.iter
+    (fun (a, x) ->
+      match idx o x with
+      | None -> ()
+      | Some ia -> (
+        let rest = Lin.drop_var x lin in
+        match Interval.lo (bound ~ivb pre rest) with
+        | Interval.Fin rl ->
+          let v = Rat.div (Rat.neg rl) a in
+          if Rat.sign a > 0 then set_upper o' ia v else set_lower o' ia v
+        | _ -> ()))
+    lin.terms;
+  (* binary: λ·(sx·x + sy·y) <= -(residual lower bound) for each pair *)
+  let rec pairs = function
+    | [] -> ()
+    | (a, x) :: rest ->
+      (match idx o x with
+      | None -> ()
+      | Some ia ->
+        List.iter
+          (fun (b, y) ->
+            match idx o y with
+            | None -> ()
+            | Some ib -> (
+              let sa = Rat.sign a and sb = Rat.sign b in
+              let lam = Rat.min (Rat.abs a) (Rat.abs b) in
+              let peeled =
+                Lin.of_terms
+                  [ (Rat.mul (Rat.of_int sa) lam, x); (Rat.mul (Rat.of_int sb) lam, y) ]
+                  Rat.zero
+              in
+              match Interval.lo (bound ~ivb pre (Lin.sub lin peeled)) with
+              | Interval.Fin rl ->
+                let c = Rat.div (Rat.neg rl) lam in
+                tighten2 o' (pos_of ia sa) (pos_of ib (-sb)) (Fin c)
+              | _ -> ()))
+          rest);
+      pairs rest
   in
-  let ia = idx o x and sa = Rat.sign sa in
-  let ib, sb = match y with Some (b, y) -> (idx o y, Rat.sign b) | None -> (None, 0) in
-  let unary_at a s = at o (pos_of a s) (pos_of a (-s)) in
-  let pivots = List.filter_map Fun.id [ ia; ib ] in
-  let ci = match Rat.to_int c with Some v when small v -> v | _ -> esc in
-  (* -2·lo of the other term, for x and for y; [esc] sends both exact *)
-  let rx, ry =
-    match y with
-    | _ when ci = esc -> (esc, esc)
-    | None -> (0, inf)
-    | Some (_, y) -> (neg_lo2 o ivb y ib sb, neg_lo2 o ivb x ia sa)
-  in
-  if rx <> esc && ry <> esc then (
-    (* s·v <= -(c + lo of the rest), doubled on the unary entry *)
-    let o' = owned ~before:o0 o in
-    (match ia with Some a when rx <> inf -> tighten_int o' (unary_at a sa) (rx - (2 * ci)) | _ -> ());
-    (match ib with Some b when ry <> inf -> tighten_int o' (unary_at b sb) (ry - (2 * ci)) | _ -> ());
-    (match (ia, ib) with
-    | Some a, Some b ->
-      let i = pos_of a sa and j = pos_of b (-sb) in
-      tighten_int o' (at o' i j) (-ci);
-      tighten_int o' (at o' (j lxor 1) (i lxor 1)) (-ci)
-    | _ -> ());
-    close ~pivots o')
-  else (
-    (* lower bound of [s·v] *)
-    let lo_of s v =
-      let iv = imeet (ivb v) (proj o v) in
-      if s > 0 then Interval.lo iv
-      else match Interval.hi iv with Interval.Fin h -> Interval.Fin (Rat.neg h) | _ -> Interval.Neg_inf
-    in
-    let unary slot s rest_lo =
-      match (slot, rest_lo) with
-      | Some a, Interval.Fin l -> Some (unary_at a s, Rat.neg (Rat.mul Rat.two (Rat.add c l)))
-      | _ -> None
-    in
-    (* both unary bounds read the pre-state before anything tightens *)
-    let ux, uy =
+  pairs lin.terms;
+  close ~pivots:(List.filter_map (idx o) (Lin.vars lin)) o'
+
+(* [sa·x + sb·y + c <= 0] with unit coefficients and [y] absent for a
+   unary form, read off in int units: what the general path derives from
+   it, each variable's unary bound from the other's interval (the [ivb]
+   bound met with the octagon's projection) and the pair entry from [c].
+   [None] when [c] or those bounds are not small integers. *)
+let meet_octagonal ~ivb o0 (lin : Lin.t) =
+  let unit (a, _) = Rat.equal a Rat.one || Rat.equal a Rat.minus_one in
+  let ci = match Rat.to_int lin.const with Some v when small v -> v | _ -> esc in
+  match lin.terms with
+  | (sa, x) :: ([] | [ _ ]) when ci <> esc && List.for_all unit lin.terms -> (
+    let o = extend o0 (Lin.vars lin) in
+    let y = match lin.terms with [ _; (b, y) ] -> Some (Rat.sign b, y) | _ -> None in
+    let ia = idx o x and sa = Rat.sign sa in
+    let ib = Option.bind y (fun (_, y) -> idx o y) and sb = Option.fold ~none:0 ~some:fst y in
+    (* -2·lo of the rest, for x and for y *)
+    let rx, ry =
       match y with
-      | None -> (unary ia sa (Interval.Fin Rat.zero), None)
-      | Some (_, y) -> (unary ia sa (lo_of sb y), unary ib sb (lo_of sa x))
+      | Some (sb, y) -> (neg_lo2 o ivb y ib sb, neg_lo2 o ivb x ia sa)
+      | None -> (0, inf)
     in
-    let o' = owned ~before:o0 o in
-    Option.iter (fun (p, v) -> tighten_exact o' p v) ux;
-    Option.iter (fun (p, v) -> tighten_exact o' p v) uy;
-    (match (ia, ib) with
-    | Some ia, Some ib -> tighten2 o' (pos_of ia sa) (pos_of ib (-sb)) (Fin (Rat.neg c))
-    | _ -> ());
-    close ~pivots o')
+    if rx = esc || ry = esc then None
+    else (
+      (* s·v <= -(c + lo of the rest), doubled on the unary entry *)
+      let o' = owned ~before:o0 o in
+      let unary_at a s = at o (pos_of a s) (pos_of a (-s)) in
+      (match ia with Some a when rx <> inf -> tighten_int o' (unary_at a sa) (rx - (2 * ci)) | _ -> ());
+      (match ib with Some b when ry <> inf -> tighten_int o' (unary_at b sb) (ry - (2 * ci)) | _ -> ());
+      (match (ia, ib) with
+      | Some a, Some b ->
+        let i = pos_of a sa and j = pos_of b (-sb) in
+        tighten_int o' (at o' i j) (-ci);
+        tighten_int o' (at o' (j lxor 1) (i lxor 1)) (-ci)
+      | _ -> ());
+      Some (close ~pivots:(List.filter_map Fun.id [ ia; ib ]) o')))
+  | _ -> None
 
 let meet_le ?(ivb = full_ivb) t (lin : Lin.t) =
   match t with
   | Bot -> Bot
   | Oct o0 -> (
-    match (Lin.is_const lin, lin.terms) with
-    | Some c, _ -> if Rat.sign c > 0 then Bot else t
-    | None, [ ((a, _) as tx) ] when is_unit a -> meet_octagonal ~ivb o0 tx None lin.const
-    | None, [ ((a, _) as tx); ((b, _) as ty) ] when is_unit a && is_unit b ->
-      meet_octagonal ~ivb o0 tx (Some ty) lin.const
-    | None, _ ->
-      let o = extend o0 (Lin.vars lin) in
-      let pre = Oct o in
-      let o' = copy o in
-      (* unary: a·x <= -(rest lower bound) for each linear term *)
-      List.iter
-        (fun (a, x) ->
-          match idx o x with
-          | None -> ()
-          | Some ia -> (
-            let rest = Lin.drop_var x lin in
-            match Interval.lo (bound ~ivb pre rest) with
-            | Interval.Fin rl ->
-              let v = Rat.div (Rat.neg rl) a in
-              if Rat.sign a > 0 then set_upper o' ia v else set_lower o' ia v
-            | _ -> ()))
-        lin.terms;
-      (* binary: λ·(sx·x + sy·y) <= -(residual lower bound) for each pair *)
-      let rec pairs = function
-        | [] -> ()
-        | (a, x) :: rest ->
-          (match idx o x with
-          | None -> ()
-          | Some ia ->
-            List.iter
-              (fun (b, y) ->
-                match idx o y with
-                | None -> ()
-                | Some ib -> (
-                  let sa = Rat.sign a and sb = Rat.sign b in
-                  let lam = Rat.min (Rat.abs a) (Rat.abs b) in
-                  let peeled =
-                    Lin.of_terms
-                      [ (Rat.mul (Rat.of_int sa) lam, x); (Rat.mul (Rat.of_int sb) lam, y) ]
-                      Rat.zero
-                  in
-                  match Interval.lo (bound ~ivb pre (Lin.sub lin peeled)) with
-                  | Interval.Fin rl ->
-                    let c = Rat.div (Rat.neg rl) lam in
-                    tighten2 o' (pos_of ia sa) (pos_of ib (-sb)) (Fin c)
-                  | _ -> ()))
-              rest);
-          pairs rest
-      in
-      pairs lin.terms;
-      close ~pivots:(List.filter_map (idx o) (Lin.vars lin)) o')
+    match Lin.is_const lin with
+    | Some c -> if Rat.sign c > 0 then Bot else t
+    | None -> (
+      match meet_octagonal ~ivb o0 lin with Some t' -> t' | None -> meet_general ~ivb o0 lin))
 
 let meet_eq ?ivb t lin =
   match meet_le ?ivb t lin with
@@ -789,8 +770,7 @@ let equal a b =
   | Bot, _ | _, Bot -> false
   | Oct oa, Oct ob ->
     let _, ca, cb = aligned oa ob in
-    let rec go p = p < 0 || (entry_equal ca cb p && go (p - 1)) in
-    go (Array.length ca.m - 1)
+    for_all_entries entry_equal ca cb
 
 (* ---------- inspection ---------- *)
 
