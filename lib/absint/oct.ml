@@ -176,28 +176,16 @@ let relax_row_exact o ri r1 r2 k1 k2 =
    both variables in [pivots]: a shorter path must then run through those
    variables, so the Floyd–Warshall step pivots on them alone, skipping
    rows whose two pivot entries are +∞ (they cannot improve). One
-   strengthening pass follows; after a shortest-path closure that single
-   pass gives the strong closure over ℚ (Bagnara, Hill & Zaffanella). It
-   visits only the entries whose strengthening bound moved: those reading
-   a unary entry of a pivot or one the step tightened, since every other
-   entry already met its bound in the source matrix and has only fallen.
-   Without [pivots] it pivots on every variable and strengthens every
-   entry, which closes any matrix. It works in place: [o] must be a matrix
-   the caller owns, such as the fresh copy every transfer tightens. Native
-   entries are relaxed and compared as ints; only an entry that tightens
-   to a bound outside the native range allocates. *)
+   strengthening pass over the whole matrix follows; after a shortest-path
+   closure that single pass gives the strong closure over ℚ (Bagnara, Hill
+   & Zaffanella). Without [pivots] it pivots on every variable, which
+   closes any matrix. It works in place: [o] must be a matrix the caller
+   owns, such as the fresh copy every transfer tightens. Native entries
+   are relaxed and compared as ints; only an entry that tightens to a
+   bound outside the native range allocates. *)
 let close ?pivots o =
   Pperf_obs.Obs.incr (Lazy.force c_closures);
   let n2 = o.n2 and m = o.m in
-  (* u.(j) = m[j̄][j], the unary entry of split variable j̄ (v_j̄ - v_j) *)
-  let unaries () =
-    let u = Array.make n2 inf in
-    for j = 0 to n2 - 1 do
-      u.(j) <- m.(((j lxor 1) * n2) + j)
-    done;
-    u
-  in
-  let before = match pivots with Some _ -> unaries () | None -> [||] in
   let pivots =
     match pivots with Some ks -> ks | None -> List.init (Array.length o.vars) Fun.id
   in
@@ -219,28 +207,20 @@ let close ?pivots o =
       done)
     pivots;
   Pperf_obs.Obs.add (Lazy.force c_pivot_rows) !relaxed;
-  let u = unaries () in
-  (* bit j: u.(j) may differ from the source matrix's *)
-  let moved =
-    if Array.length before = 0 then -1
-    else (
-      let bits = ref 0 in
-      for j = 0 to n2 - 1 do
-        let b = before.(j) in
-        if u.(j) <> b || b = esc then bits := !bits lor (1 lsl j)
-      done;
-      List.fold_left (fun bits k -> bits lor (3 lsl (2 * k))) !bits pivots)
-  in
+  (* u.(j) = m[j̄][j], the unary entry of split variable j̄ (v_j̄ - v_j) *)
+  let u = Array.make n2 inf in
+  for j = 0 to n2 - 1 do
+    u.(j) <- m.(((j lxor 1) * n2) + j)
+  done;
   (* strengthening: m[i][j] <- min m[i][j] ((u.(ī) + u.(j)) / 2); the pass
      never tightens the entries it reads *)
   for i = 0 to n2 - 1 do
     let ri = i * n2 in
     let ui = u.(i lxor 1) in
-    let row_moved = moved land (1 lsl (i lxor 1)) <> 0 in
     if ui <> inf then
       for j = 0 to n2 - 1 do
         let uj = u.(j) in
-        if uj <> inf && (row_moved || moved land (1 lsl j) <> 0) then (
+        if uj <> inf then (
           let p = ri + j in
           let cur = m.(p) in
           if ui <> esc && uj <> esc && cur <> esc then (
@@ -391,9 +371,9 @@ let neg_lo2 o ivb v slot s =
     let meets = h = inf || n = inf || h + n >= 0 in
     if s > 0 then if meets then n else an else if meets then h else ah)
 
-(* Any other form: each term's unary bound from the lower bound of the
-   rest, each pair's entry from that of the residual, both bounded against
-   the pre-state. *)
+(* Any form: each term's unary bound from the lower bound of the rest, each
+   pair's entry from that of the residual, both bounded against the
+   pre-state. *)
 let meet_general ~ivb o0 (lin : Lin.t) =
   let o = extend o0 (Lin.vars lin) in
   let pre = Oct o in
