@@ -74,6 +74,11 @@ val eval_expr : ?symtab:Typecheck.symtab -> Interval.Env.t -> Ast.expr -> Interv
     on integers, where division truncates and a remainder stays under its
     divisor minus one; without it every variable is taken as real. *)
 
+val int_div : Typecheck.symtab option -> Ast.expr -> bool
+(** Whether the expression divides two operands that the interpreter
+    computes on integers (under the symbol table, as {!eval_expr} decides
+    them): it truncates that quotient, which no polynomial describes. *)
+
 val decide_cond :
   ?rel:Reldom.t -> ?symtab:Typecheck.symtab -> Interval.Env.t -> Ast.expr -> bool option
 (** [Some b] when the condition provably evaluates to [b] over the box,

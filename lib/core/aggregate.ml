@@ -337,20 +337,34 @@ let trip_of ctx ~loc (d : Ast.do_loop) =
   in
   match Sym_expr.trip_count ~lo:d.lo ~hi:d.hi ~step:d.step with
   | Some p ->
-    (match ctx.ranges with
-    | Some r
-      when (not (Poly.is_const p))
-           && Interval.sign
-                (Interval.eval_poly (Pperf_absint.Absint.summary r) p)
-              = Interval.Mixed ->
-      (* the closed form assumes a non-empty loop; report when the inferred
-         ranges cannot confirm that *)
+    (* the closed form takes an integer quotient in a bound as exact, and
+       assumes a non-empty loop: report the first, and the second when the
+       inferred ranges cannot confirm it, in one event per loop *)
+    let truncated =
+      List.exists
+        (Pperf_absint.Absint.int_div (Some ctx.symtab))
+        (d.lo :: d.hi :: Option.to_list d.step)
+    in
+    let unconfirmed =
+      match ctx.ranges with
+      | Some r ->
+        (not (Poly.is_const p))
+        && Interval.sign (Interval.eval_poly (Pperf_absint.Absint.summary r) p)
+           = Interval.Mixed
+      | None -> false
+    in
+    let reasons =
+      List.filter_map
+        (fun (holds, reason) -> if holds then Some reason else None)
+        [ (truncated, "treats an integer quotient in its bounds as exact while the loop truncates it");
+          ( unconfirmed,
+            "is not provably non-negative over the inferred ranges; the closed form assumes a \
+             non-empty loop" ) ]
+    in
+    if reasons <> [] then
       imprecise ctx ~check:"symbolic-trip" ~loc
-        (Printf.sprintf
-           "trip count %s of the loop over '%s' is not provably non-negative over the \
-            inferred ranges; the closed form assumes a non-empty loop"
-           (Poly.to_string p) d.var)
-    | _ -> ());
+        (Printf.sprintf "trip count %s of the loop over '%s' %s" (Poly.to_string p) d.var
+           (String.concat ", and " reasons));
     p
   | None ->
     let v = Analysis.trip_var d.var in

@@ -70,12 +70,13 @@ type t = {
 let units_memo = "incremental.units"
 
 (* 4,096 units keep a long-lived predictor's memory flat while holding
-   the units of every sample and search variant several times over *)
+   the units of every sample and search variant several times over. The
+   table is shared, so the server's worker domains can use one predictor. *)
 let create ?(options = Aggregate.default_options) machine =
   {
     machine;
     options;
-    units = Memo.create ~hash:key_hash ~equal:key_equal Memo.Local units_memo ~capacity:4096;
+    units = Memo.create ~hash:key_hash ~equal:key_equal Memo.Shared units_memo ~capacity:4096;
   }
 
 let stats t =

@@ -3,16 +3,13 @@
     Unix-socket or TCP listener ([serve --socket] / [serve --tcp]), and an
     in-memory session for tests and benchmarks.
 
-    All of them feed request lines to one {!Core}: N worker-domain shards
-    sharing one {!Pperf_server.Engine}. Requests are routed by
-    {e cache-key affinity}: the hash of (machine ‖ source digest) picks
-    the shard, so repeat queries for the same kernel land on the same
-    domain and hit its warm per-domain incremental predictor. Requests
-    with no source (ping/stats/metrics, or with [affinity = false]) are
-    {e affinity-free}: they go to the least-loaded shard. A shard runs
-    only its own queue, in the order its {!Sched} policy picks. Admission
-    is bounded at [max_queue] queued requests; what happens beyond it is
-    the transport's {!admission} choice.
+    All of them feed request lines to one {!Core}: one run queue that N
+    worker domains take from, in the order its {!Sched} policy picks, all
+    sharing one {!Pperf_server.Engine}. The engine's result cache and
+    incremental predictors are shared by every worker, so a request meets
+    the same warm state whichever worker runs it. Admission is bounded at
+    [max_queue] queued requests; what happens beyond it is the transport's
+    {!admission} choice.
 
     Responses leave each session in request order (one {!Sequencer} per
     session) and every request is answered exactly once. Deadlines are
@@ -21,12 +18,11 @@
     late. *)
 
 type config = private {
-  jobs : int;  (** shard (worker domain) count, >= 1 *)
+  jobs : int;  (** worker domain count, >= 1 *)
   sched : Sched.policy;
   max_queue : int;  (** global admission bound, >= 1 *)
   cache_capacity : int option;  (** result-cache entries (engine default) *)
   max_request_bytes : int;
-  affinity : bool;  (** [false]: route everything least-loaded (baseline) *)
 }
 
 val default_max_queue : int
@@ -43,7 +39,6 @@ val config :
   ?max_queue:int ->
   ?cache_capacity:int ->
   ?max_request_bytes:int ->
-  ?affinity:bool ->
   jobs:int ->
   unit ->
   config
@@ -59,16 +54,16 @@ type admission =
       (** wait for room — single-reader transports, which must answer
           every line up to EOF *)
 
-(** The engine-side core, independent of any transport: shards, queues,
+(** The engine-side core, independent of any transport: the run queue,
     admission control, dispatch. *)
 module Core : sig
   type t
 
   val create : ?start:bool -> config -> t
-  (** One shared {!Pperf_server.Engine} (shared result cache; per-domain
-      incremental predictors) and [jobs] shard queues. [start] (default
-      [true]) spawns the worker domains; [start:false] leaves the queues
-      frozen so tests can fill them deterministically, then {!start}. *)
+  (** One {!Pperf_server.Engine} and one run queue for [jobs] worker
+      domains. [start] (default [true]) spawns the workers; [start:false]
+      leaves the queue frozen so tests can fill it deterministically, then
+      {!start}. *)
 
   val start : t -> unit
   (** Spawn the worker domains (idempotent). *)
@@ -78,10 +73,10 @@ module Core : sig
   (** Handle one request line for slot [i] of the session's sequencer:
       parse errors and oversized lines are emitted immediately;
       [shutdown] is answered inline and reported as [`Shutdown]; anything
-      else is enqueued on its shard and will emit exactly once when
-      evaluated. A full queue sheds under [Shed]; under [Backpressure] it
-      blocks until a worker makes room, so never pass [Backpressure] on a
-      frozen core. A stopped core sheds under either. *)
+      else is enqueued and will emit exactly once when evaluated. A full
+      queue sheds under [Shed]; under [Backpressure] it blocks until a
+      worker makes room, so never pass [Backpressure] on a frozen core. A
+      stopped core sheds under either. *)
 
   val drain : t -> unit
   (** Block until no request is queued or in flight. *)

@@ -1,7 +1,7 @@
-(* Shard-local run queues plus the scheduling policies that pick from
-   them. Policies are first-class modules so `--sched {fifo,lifo}` is a
-   table lookup and a new discipline is one more module, not a new match
-   arm in the core.
+(* The fleet's run queue plus the scheduling policies that pick from it.
+   Policies are first-class modules so `--sched {fifo,lifo}` is a table
+   lookup and a new discipline is one more module, not a new match arm in
+   the core.
 
    No locking here: the fleet core owns synchronisation. *)
 

@@ -1,12 +1,8 @@
-(** Per-shard run queues and pluggable scheduling policies for the fleet.
+(** The fleet's run queue and pluggable scheduling policies.
 
-    Each shard owns one {!t} and runs only what is queued on it: a
-    request whose cache key hashes to the shard (so it meets the shard
-    domain's warm incremental predictor), or, with no key to follow, one
-    the core placed on the least-loaded shard.
-
-    A policy is a first-class module ({!POLICY}) whose [take] picks the
-    owning shard's next item.
+    The core keeps one {!t}, and every worker domain takes its next
+    request from it through a policy: a first-class module ({!POLICY})
+    whose [take] picks the next item.
 
     Queues are not internally synchronised; the fleet core serialises all
     access under its scheduler lock. *)
@@ -21,12 +17,12 @@ val length : 'a t -> int
 val push : 'a t -> 'a -> unit
 (** Queue an item behind every item already queued. *)
 
-(** A scheduling discipline over one shard's queue. *)
+(** A scheduling discipline over the run queue. *)
 module type POLICY = sig
   val name : string
 
   val take : 'a t -> 'a option
-  (** Next item for the shard that owns this queue. *)
+  (** Next item for a free worker. *)
 end
 
 module Fifo : POLICY

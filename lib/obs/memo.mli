@@ -7,10 +7,10 @@
     no key stream can pin it. It is [Shared] behind a mutex (values are
     computed outside the lock; the first value stored wins), [Per_domain]
     (one table per domain, dropped when the domain exits), or [Local] to
-    an owner that lives in one domain. A [Local] table leaves the family's
-    entries and capacity only through {!clear} (or [on_drop] of a memo
-    holding its owner): an owner that no memo holds must be cleared when
-    its caller is done with it.
+    an owner that lives in one domain. A [Shared] or [Local] table leaves
+    the family's entries and capacity only through {!clear} (or [on_drop]
+    of a memo holding its owner): an owner that no memo holds must be
+    cleared when its caller is done with it.
 
     Each family of memos, named at creation, registers once counters
     [<name>.hits], [<name>.misses] and [<name>.evictions], and gauge

@@ -9,17 +9,16 @@
     shared memo ["server.cache"]) keyed by (machine hash if the row takes
     a machine, source hash, verb, canonical flags) — file sources are
     digested by content, so editing the file invalidates the entry — and,
-    on a miss, run through {!Query.run} (predict without ranges through a
-    per-domain {!Pperf_core.Incremental} predictor, looked up on its first
-    routine), the same run the one-shot CLI subcommand makes. *)
+    on a miss, run through {!Query.run} (predict without ranges through an
+    {!Pperf_core.Incremental} predictor shared by every worker domain,
+    looked up on its first routine), the same run the one-shot CLI
+    subcommand makes. *)
 
 type t
 
 val create : ?cache_capacity:int -> jobs:int -> unit -> t
 (** [jobs] is reported by the [stats] verb.
     @raise Invalid_argument when [jobs < 1]. *)
-
-val jobs : t -> int
 
 val mean_eval_ns : t -> int
 (** Mean evaluation wall time per answered request so far (0 before any
@@ -29,15 +28,3 @@ val mean_eval_ns : t -> int
 val handle : t -> received:float -> Protocol.request -> Protocol.response
 (** [received] is [Unix.gettimeofday ()] at the moment the request line
     was read; deadlines and queue time are measured from it. *)
-
-val stats_json : t -> Json.t
-(** The [stats] verb payload: request/outcome counts, result-cache and
-    incremental-cache hit rates, loaded machines, each memo's entries and
-    capacity, jobs, cumulative queue/eval time, p50/p90/p99 request
-    latency plus per-stage (queue/cache/eval/write) histogram summaries,
-    span aggregates, and the {!Pperf_obs.Obs} counter snapshot. *)
-
-val metrics_text : t -> string
-(** The [metrics] verb payload: the full telemetry snapshot (counters,
-    gauges, latency histograms, span aggregates) as Prometheus text
-    exposition, with the engine's own state published as gauges. *)

@@ -13,24 +13,20 @@
     stdout. Control verbs: [ping], [stats], [metrics], [shutdown].
 
     {b Versioning.} Requests may carry an optional top-level [{"v": 1}]
-    field; absent means version {!protocol_version}. Any other value is a
-    [bad_request]. Unknown top-level fields are a [bad_request] under
-    [flags.strict] and a response warning otherwise, so old servers fail
-    loudly (or at least visibly) on newer clients. *)
+    field; absent means version 1. Any other value is a [bad_request].
+    Unknown top-level fields are a [bad_request] under [flags.strict] and
+    a response warning otherwise, so old servers fail loudly (or at least
+    visibly) on newer clients. *)
 
 type verb =
   | Predict | Compare | Ranges | Lint | Bounds | Machines | Calibrate
   | Schedule | Report | Deps | Run | Machine
   | Ping | Stats | Metrics | Shutdown
 
-val protocol_version : int
-(** The wire version this server speaks (1). *)
-
 val all_verbs : verb list
 (** Every verb of the protocol, query verbs first. *)
 
 val verb_string : verb -> string
-val verb_of_string : string -> verb option
 
 type source = File of string | Text of string
 
@@ -128,5 +124,4 @@ val ok :
   response
 
 val err : ?retry_after_ms:int -> id:Json.t -> error_code -> string -> response
-val response_to_json : response -> Json.t
 val response_line : response -> string

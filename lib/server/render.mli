@@ -24,17 +24,6 @@ val range_env : string list -> Pperf_symbolic.Interval.Env.t
 (** ["VAR=LO:HI"] specs to an interval environment.
     @raise Bad_flag on malformed specs. *)
 
-val check_bindings :
-  strict:bool ->
-  warn:(string -> unit) ->
-  expr_vars:string list ->
-  prob_vars:string list ->
-  (string * float) list ->
-  unit
-(** Diagnose bindings that name no variable of the expression and
-    expression variables left unbound. [strict] turns the diagnoses into
-    [Failure]; otherwise each message goes to [warn]. *)
-
 val predict :
   ?predictor:(Typecheck.checked -> Aggregate.prediction) ->
   machine:Machine.t ->
@@ -87,9 +76,6 @@ val lint :
 val trace_json : Pperf_obs.Obs.Trace.node -> Json.t
 (** A span tree as [{"name":..,"total_ns":..,"self_ns":..,"children":[..]}]:
     the CLI's [--trace] line and the server's [trace] field. *)
-
-val builtin_machine_names : string list
-(** The builtin machine specs, in listing order. *)
 
 val machines : dir:string -> unit -> string
 (** One table of every known machine: the builtins plus each [.pmach]

@@ -1,4 +1,4 @@
-(* Tests for lib/fleet: the shard deques and scheduling policies,
+(* Tests for lib/fleet: the run queue and scheduling policies,
    admission control (bounded queue, structured overloaded rejection
    with a retry hint), and the exactly-once / in-order delivery contract
    of the core — including QCheck properties driving random request
@@ -164,9 +164,9 @@ let test_shutdown_inline () =
 
 let request_id i = Printf.sprintf "r%d" i
 
-(* Verbs chosen to mix affinity-bound (source-carrying) and
-   affinity-free (ping/stats) traffic, plus malformed lines that are
-   answered inline with structured errors. *)
+(* Verbs chosen to mix source-carrying queries and control traffic
+   (ping/stats), plus malformed lines that are answered inline with
+   structured errors. *)
 let line_of_case i = function
   | `Predict -> Printf.sprintf {|{"id":%S,"verb":"predict","source":%s}|}
                   (request_id i) (escape daxpy)
@@ -209,14 +209,6 @@ let test_exactly_once_per_policy () =
       check_session_output ~label:pname lines out;
       Fleet.Core.stop core)
     Sched.all
-
-let test_no_affinity_baseline () =
-  let cfg = Fleet.config ~affinity:false ~jobs:2 () in
-  let core = Fleet.Core.create cfg in
-  let lines = List.mapi line_of_case (List.init 20 (fun _ -> `Predict)) in
-  let out = Fleet.run_lines ~admission:Fleet.Shed core lines in
-  check_session_output ~label:"no-affinity" lines out;
-  Fleet.Core.stop core
 
 (* A single-reader session waits for room instead of shedding: a queue
    of two still answers every one of 50 lines, in order. *)
@@ -325,8 +317,6 @@ let () =
           Alcotest.test_case "shutdown inline" `Quick test_shutdown_inline;
           Alcotest.test_case "exactly once per policy" `Quick
             test_exactly_once_per_policy;
-          Alcotest.test_case "no-affinity baseline" `Quick
-            test_no_affinity_baseline;
           Alcotest.test_case "backpressure answers all" `Quick test_backpressure;
         ] );
       qsuite "props" [ prop_exactly_once_in_order; prop_disconnect_harmless ];

@@ -292,6 +292,30 @@ let test_aggregate_symbolic_trip () =
   Alcotest.(check bool) "symbolic-trip recorded" true
     (has "symbolic-trip" (Pperf_core.Predict.precision_diagnostics p))
 
+(* [do i = 1, n / 2] with integer n runs 2 iterations at n = 5, while its
+   closed-form trip 1/2*n reads 2.5: the prediction says why, with and
+   without ranges. A bound without a quotient is exact and says nothing. *)
+let test_aggregate_integer_quotient_trip () =
+  let trip_events ?(ranges = false) hi =
+    let options = { Pperf_core.Aggregate.default_options with infer_ranges = ranges } in
+    Pperf_core.Predict.precision_diagnostics
+      (Pperf_core.Predict.of_source ~options ~machine
+         (Printf.sprintf
+            "subroutine s(x, n)\n  integer n, i\n  real x(100)\n  do i = 1, %s\n    x(i) = x(i) + 1.0\n  end do\nend\n"
+            hi))
+    |> List.filter_map (fun (d : Diagnostic.t) ->
+           if d.check = "symbolic-trip" then Some d.message else None)
+  in
+  let truncates ms =
+    List.exists (Astring.String.is_infix ~affix:"integer quotient") ms
+  in
+  Alcotest.(check bool) "n / 2 reported" true (truncates (trip_events "n / 2"));
+  Alcotest.(check bool) "n / 2 reported under ranges" true
+    (truncates (trip_events ~ranges:true "n / 2"));
+  Alcotest.(check bool) "(n + 1) / 2 reported" true (truncates (trip_events "(n + 1) / 2"));
+  Alcotest.(check (list string)) "2 * n exact" [] (trip_events "2 * n");
+  Alcotest.(check (list string)) "n exact" [] (trip_events "n")
+
 let test_aggregate_branch_prob () =
   let p =
     predict
@@ -434,6 +458,8 @@ let () =
       ( "pipeline",
         [
           Alcotest.test_case "symbolic trip event" `Quick test_aggregate_symbolic_trip;
+          Alcotest.test_case "integer quotient trip event" `Quick
+            test_aggregate_integer_quotient_trip;
           Alcotest.test_case "branch prob event" `Quick test_aggregate_branch_prob;
           Alcotest.test_case "report merges lint" `Quick test_report_merges_lint;
           Alcotest.test_case "search blocked" `Quick test_search_blocked;
