@@ -655,8 +655,8 @@ let check baseline_file current_file =
        "FAIL: serve/session-warm (%.1f ns) is not faster than serve/batch-cold (%.1f ns)\n"
        warm cold
    | _ -> ());
-  (* a warm fleet session rides its resident caches; paying a fresh core
-     per session must cost more, or affinity sharding buys nothing *)
+  (* a warm fleet session rides its resident result cache; paying a fresh
+     core per session must cost more, or that cache buys nothing *)
   (match
      (List.assoc_opt "pperf/fleet/session-warm" cur, List.assoc_opt "pperf/fleet/session-cold" cur)
    with
@@ -838,10 +838,12 @@ let timing ?json () =
       Workloads.fig7_kernels
   in
   (* cold: a fresh core (empty result cache, fresh worker domains) every
-     iteration; jobs variants measure the worker-shard overhead/speedup on
-     this machine. Named batch-cold, not session-cold: the session-cold
-     benches of earlier BENCH files ran jobs 1 inline on the main domain,
-     whose per-domain predictors stayed warm across iterations. *)
+     iteration; jobs variants measure the worker-domain overhead/speedup on
+     this machine. The incremental predictors are process-wide, so after
+     the first iteration they are warm, as in a daemon; a new batch
+     process starts them empty. Named batch-cold, not session-cold: the
+     session-cold benches of earlier BENCH files ran jobs 1 inline on the
+     main domain. *)
   let serve_cold name ~admission jobs =
     let module Fleet = Pperf_fleet.Fleet in
     let cfg = Fleet.config ~jobs () in
@@ -878,8 +880,8 @@ let timing ?json () =
     Test.make ~name:"serve/session-warm" (Staged.stage run)
   in
   (* fleet-mode throughput over the same session: cold pays a fresh core
-     (shard spawn + empty caches) per run, warm reuses a resident core
-     whose result cache and shard-affine incremental predictors are hot,
+     (worker spawn + empty result cache) per run, warm reuses a resident
+     core whose result cache is hot,
      overload drives a core admitting one request at a time so most of
      the session is answered by the load-shedding path *)
   let fleet_cold_test = serve_cold "fleet/session-cold" ~admission:Pperf_fleet.Fleet.Shed 2 in

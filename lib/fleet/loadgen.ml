@@ -224,7 +224,7 @@ let draw rng ~hot ~files ~id =
     case c.fields c.expect
   else if r < 80 then
     (* cold: same kernel, fresh eval binding — misses the result cache,
-       hits the home shard's warm incremental predictor *)
+       hits the shared warm incremental predictor *)
     let f = pick files in
     let k = Random.State.int rng 1_000_000 in
     case
@@ -232,7 +232,7 @@ let draw rng ~hot ~files ~id =
         flags [ ("eval", Json.List [ Json.String (Printf.sprintf "N=%d" k) ]) ] ]
       Eok
   else if r < 88 then
-    (* control-plane: affinity-free traffic, placed on the least-loaded shard *)
+    (* control-plane: requests with no source *)
     case [ ("verb", Json.String (if r land 1 = 0 then "ping" else "stats")) ] Eok
   else if r < 94 then
     (* deadline churn: near-zero budgets race the queue; rejected-late and
