@@ -7,44 +7,20 @@ exception Livelock of { cycle : int; unissued : int }
 
 let default_max_cycles = 10_000_000
 
-(* per-unit busy state: the cycle at which the unit becomes free *)
-type state = {
-  machine : Machine.t;
-  free_at : int array;
-  kind_candidates : int array array;
-}
-
-let make_state (m : Machine.t) =
-  let n = Machine.num_units m in
-  let kind_candidates =
-    Array.init n (fun u ->
-        let kind = (Machine.unit_at m u).Funit.kind in
-        Array.of_list
-          (Machine.units_list m
-          |> List.filter_map (fun (v : Funit.t) -> if v.kind = kind then Some v.id else None)))
-  in
-  { machine = m; free_at = Array.make n 0; kind_candidates }
-
-(* can all components of [op] issue at [cycle]? if so return the chosen
-   units (one per component needing occupancy) *)
-let units_available st cycle (op : Atomic_op.t) =
-  (* greedy per-component choice; components of one op are on distinct
-     kinds in practice, so greedy is exact *)
+(* [free_at.(u)] is the cycle at which unit [u] becomes free. Can all
+   components of [op] issue at [cycle]? if so return the chosen units (one
+   per component needing occupancy): each component takes the first free
+   unit of its eligible set that no earlier component of the op took *)
+let units_available free_at cycle (op : Atomic_op.t) =
   let taken = Hashtbl.create 4 in
   let rec choose = function
     | [] -> Some []
     | (c : Atomic_op.component) :: rest ->
       if c.noncoverable = 0 then Option.map (fun l -> (c, -1) :: l) (choose rest)
       else (
-        let candidates =
-          (* ports components carry their own eligible set; [taken] already
-             keeps two µops of one op off the same port in one cycle *)
-          if Array.length c.eligible = 0 then st.kind_candidates.(c.unit_id)
-          else c.eligible
-        in
         let cand =
-          Array.to_list candidates
-          |> List.find_opt (fun u -> st.free_at.(u) <= cycle && not (Hashtbl.mem taken u))
+          Array.to_list c.eligible
+          |> List.find_opt (fun u -> free_at.(u) <= cycle && not (Hashtbl.mem taken u))
         in
         match cand with
         | None -> None
@@ -56,10 +32,10 @@ let units_available st cycle (op : Atomic_op.t) =
   in
   choose op.components
 
-let do_issue st cycle (op : Atomic_op.t) chosen =
+let do_issue free_at cycle (op : Atomic_op.t) chosen =
   List.iter
     (fun ((c : Atomic_op.component), u) ->
-      if u >= 0 then st.free_at.(u) <- cycle + c.noncoverable)
+      if u >= 0 then free_at.(u) <- cycle + c.noncoverable)
     chosen;
   cycle + Atomic_op.result_latency op
 
@@ -67,7 +43,7 @@ let do_issue st cycle (op : Atomic_op.t) chosen =
    ready ones (indices into the dag) *)
 let run ?(max_cycles = default_max_cycles) ~pick (m : Machine.t) (dag : Dag.t) =
   let n = Dag.length dag in
-  let st = make_state m in
+  let free_at = Array.make (Machine.num_units m) 0 in
   let issue = Array.make n (-1) in
   let result_at = Array.make n max_int in
   let remaining = ref n in
@@ -95,9 +71,9 @@ let run ?(max_cycles = default_max_cycles) ~pick (m : Machine.t) (dag : Dag.t) =
       | [] -> continue_issuing := false
       | i :: rest -> (
         let op = (Dag.node dag i).Dag.op in
-        match units_available st !cycle op with
+        match units_available free_at !cycle op with
         | Some chosen ->
-          let res = do_issue st !cycle op chosen in
+          let res = do_issue free_at !cycle op chosen in
           issue.(i) <- !cycle;
           result_at.(i) <- res;
           makespan := max !makespan res;
@@ -118,7 +94,7 @@ let run_in_order ?(max_cycles = default_max_cycles) m dag =
   (* strict program order with head-of-line blocking: an op may not issue
      before all earlier ops have issued *)
   let n = Dag.length dag in
-  let st = make_state m in
+  let free_at = Array.make (Machine.num_units m) 0 in
   let issue = Array.make n (-1) in
   let result_at = Array.make n max_int in
   let cycle = ref 0 in
@@ -136,9 +112,9 @@ let run_in_order ?(max_cycles = default_max_cycles) m dag =
       let deps_ready = List.for_all (fun d -> result_at.(d) <= !cycle) nd.Dag.deps in
       if not deps_ready then blocked := true
       else (
-        match units_available st !cycle nd.Dag.op with
+        match units_available free_at !cycle nd.Dag.op with
         | Some chosen ->
-          let res = do_issue st !cycle nd.Dag.op chosen in
+          let res = do_issue free_at !cycle nd.Dag.op chosen in
           issue.(i) <- !cycle;
           result_at.(i) <- res;
           makespan := max !makespan res;

@@ -7,35 +7,12 @@ type component = {
 
 type t = { name : string; components : component list }
 
-let make name comps =
-  if comps = [] then invalid_arg "Atomic_op.make: no components";
-  let seen = Hashtbl.create 4 in
-  let components =
-    List.map
-      (fun (unit_id, noncoverable, coverable) ->
-        if noncoverable < 0 || coverable < 0 then
-          invalid_arg "Atomic_op.make: negative cost";
-        if Hashtbl.mem seen unit_id then
-          invalid_arg "Atomic_op.make: duplicate unit component";
-        Hashtbl.add seen unit_id ();
-        { unit_id; noncoverable; coverable; eligible = [||] })
-      comps
-  in
-  { name; components }
-
-let of_components name components =
-  if components = [] then invalid_arg "Atomic_op.of_components: no components";
-  let seen = Hashtbl.create 4 in
+let make name components =
+  if components = [] then invalid_arg "Atomic_op.make: no components";
   List.iter
     (fun c ->
-      if c.noncoverable < 0 || c.coverable < 0 then
-        invalid_arg "Atomic_op.of_components: negative cost";
-      (* a unit may appear more than once only for port-eligible
-         components (two µop groups sharing a primary port) *)
-      if Array.length c.eligible = 0 then (
-        if Hashtbl.mem seen c.unit_id then
-          invalid_arg "Atomic_op.of_components: duplicate unit component";
-        Hashtbl.add seen c.unit_id ()))
+      if c.noncoverable < 0 || c.coverable < 0 then invalid_arg "Atomic_op.make: negative cost";
+      if Array.length c.eligible = 0 then invalid_arg "Atomic_op.make: empty eligible set")
     components;
   { name; components }
 

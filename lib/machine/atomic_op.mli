@@ -15,33 +15,27 @@
     unit one cycle. *)
 
 type component = {
-  unit_id : int;
+  unit_id : int;  (** the unit the cost table names *)
   noncoverable : int;  (** >= 0 *)
   coverable : int;  (** >= 0 *)
   eligible : int array;
-      (** issue ports this component's cycles may be placed on; empty
-          means classic semantics (any unit of [unit_id]'s kind). Ports
-          machines lower every µop group to a component carrying its
-          eligible set — see {!Costmodel}. *)
+      (** the units this component's cycles may be placed on, in the order
+          placement tries them; never empty. A classic machine lists
+          [unit_id] first, then the other units of its kind in id order
+          (§2.1's replicated units); a ports machine lists the µop group's
+          issue ports (see {!Costmodel}). *)
 }
 
 type t = {
   name : string;
   components : component list;
-      (** at most one component per unit for classic ops; ports ops may
-          repeat a primary unit across eligible components *)
+      (** a classic op names each unit at most once; two µop groups of a
+          ports op may share a primary port *)
 }
 
-val make : string -> (int * int * int) list -> t
-(** [make name [(unit, noncoverable, coverable); ...]] — classic
-    components (empty [eligible]).
-    @raise Invalid_argument on negative costs, an empty component list, or
-    duplicate units. *)
-
-val of_components : string -> component list -> t
-(** Build from explicit components (the ports-model lowering path).
-    Duplicate units are allowed only on port-eligible components.
-    @raise Invalid_argument on negative costs or an empty list. *)
+val make : string -> component list -> t
+(** @raise Invalid_argument on negative costs, an empty component list, or
+    an empty eligible set. *)
 
 val result_latency : t -> int
 (** Cycles from issue until a dependent may start:

@@ -1,23 +1,22 @@
-(* The cost-model abstraction behind Machine.t: the same bins/scheduler
-   machinery speaks to two families of machines through one component
-   representation.
+(* The two cost-model dialects and the one throughput rule.
 
    Classic — the paper's two-component coverable/noncoverable model: each
    atomic op names the functional units it occupies; replication is
-   expressed by unit *kinds* (a component may be placed on any unit of
-   the named unit's kind).
+   expressed by unit *kinds*, so Machine.make gives each component the
+   units of its kind as its eligible set.
 
    Ports — a PALMED/OSACA-style issue-port model: each atomic op is a
    multiset of µops, each µop eligible to a *set* of issue ports and
-   consuming one port-cycle. Eligibility is per-µop (carried on the
-   lowered component), not per-kind. The steady-state reciprocal
-   throughput of an op is the optimal fractional assignment of its µops
-   to eligible ports; by LP duality this equals
+   consuming one port-cycle; [lower] gives each component its µop group's
+   ports as its eligible set.
 
-     max over port subsets S of  #{µops whose eligible set ⊆ S} / |S|
+   Either way the scheduler sees components with eligible sets, and the
+   steady-state reciprocal throughput of an op is the optimal fractional
+   assignment of its cycles to eligible units; by LP duality this equals
 
-   which we compute exactly by enumerating subsets of the ports the op
-   actually mentions. *)
+     max over unit subsets S of  #{cycles whose eligible set ⊆ S} / |S|
+
+   which on a classic op is the busiest kind's cycles over its units. *)
 
 type kind = Classic | Ports
 
@@ -85,87 +84,35 @@ let lower ~latency groups =
            { Atomic_op.unit_id = u; noncoverable = nc; coverable = 0; eligible = elig })
          rest
 
-(* Recover the µop groups of a lowered ports op (inverse of [lower] up to
-   canonicalization). Components with no eligibility annotation (classic
-   ops) count as pinned to their own unit. *)
+(* Recover the µop groups of a lowered op (inverse of [lower] up to
+   canonicalization); a classic op has one group per unit kind it names. *)
 let groups_of_op (op : Atomic_op.t) =
   canonical_groups
     (List.map
        (fun (c : Atomic_op.component) ->
-         let eligible =
-           if Array.length c.eligible = 0 then [ c.unit_id ] else Array.to_list c.eligible
-         in
-         { eligible; count = c.noncoverable })
+         { eligible = Array.to_list c.eligible; count = c.noncoverable })
        op.components)
 
-module type S = sig
-  val kind : kind
-
-  val reciprocal_throughput : units:Funit.t array -> Atomic_op.t -> float
-  (** Steady-state cycles per instance of the op when issued back to back
-      with no other contenders. *)
-end
-
-module Classic_model : S = struct
-  let kind = Classic
-
-  (* a component may run on any unit of its kind, so the op's rate on
-     kind k is (total noncoverable cycles on k-units) / (#k-units) *)
-  let reciprocal_throughput ~(units : Funit.t array) (op : Atomic_op.t) =
-    let kinds = Hashtbl.create 4 in
-    List.iter
-      (fun (c : Atomic_op.component) ->
-        let k = units.(c.unit_id).Funit.kind in
-        let prev = Option.value (Hashtbl.find_opt kinds k) ~default:0 in
-        Hashtbl.replace kinds k (prev + c.noncoverable))
-      op.components;
-    Hashtbl.fold
-      (fun k total acc ->
-        let replicas =
-          Array.fold_left
-            (fun n (u : Funit.t) -> if u.kind = k then n + 1 else n)
-            0 units
-        in
-        if replicas = 0 then acc else Stdlib.max acc (float_of_int total /. float_of_int replicas))
-      kinds 0.0
-end
-
-module Ports_model : S = struct
-  let kind = Ports
-
-  let reciprocal_throughput ~units:_ (op : Atomic_op.t) =
-    let groups = groups_of_op op in
-    let ports = List.sort_uniq compare (List.concat_map (fun g -> g.eligible) groups) in
-    let ports = Array.of_list ports in
-    let np = Array.length ports in
-    if np = 0 then 0.0
-    else (
-      (* bitmask of each group's eligible set over the op's own ports *)
-      let index id =
-        let rec go i = if ports.(i) = id then i else go (i + 1) in
-        go 0
-      in
-      let group_masks =
-        List.map
-          (fun g ->
-            (List.fold_left (fun m id -> m lor (1 lsl index id)) 0 g.eligible, g.count))
-          groups
-      in
-      let rec popcount m = if m = 0 then 0 else (m land 1) + popcount (m lsr 1) in
-      let best = ref 0.0 in
-      (* subsets of the ports this op mentions; np is small (µop sets) *)
-      for mask = 1 to (1 lsl np) - 1 do
-        let load =
-          List.fold_left
-            (fun acc (gm, count) -> if gm land lnot mask = 0 then acc + count else acc)
-            0 group_masks
-        in
-        let rate = float_of_int load /. float_of_int (popcount mask) in
-        if rate > !best then best := rate
-      done;
-      !best)
-end
-
-let model = function
-  | Classic -> (module Classic_model : S)
-  | Ports -> (module Ports_model : S)
+(* the maximum is attained on a union of eligible sets (shrinking any S to
+   the union of the sets it contains keeps its load and drops units), so
+   only the unions of the op's few groups are enumerated, however many
+   units the machine replicates *)
+let reciprocal_throughput (op : Atomic_op.t) =
+  let groups = groups_of_op op in
+  let best = ref 0.0 in
+  for mask = 1 to (1 lsl List.length groups) - 1 do
+    let union =
+      List.filteri (fun i _ -> mask land (1 lsl i) <> 0) groups
+      |> List.concat_map (fun g -> g.eligible)
+      |> List.sort_uniq compare
+    in
+    let load =
+      List.fold_left
+        (fun acc g ->
+          if List.for_all (fun u -> List.mem u union) g.eligible then acc + g.count else acc)
+        0 groups
+    in
+    let rate = float_of_int load /. float_of_int (List.length union) in
+    if rate > !best then best := rate
+  done;
+  !best

@@ -1,21 +1,21 @@
-(** The cost-model abstraction behind {!Machine.t}.
+(** The two cost-model dialects of {!Machine.t} and the one throughput
+    rule they share.
 
-    Two implementations share the scheduler-facing component
-    representation of {!Atomic_op}:
+    Both dialects lower to the component representation of {!Atomic_op},
+    where every component carries the units it may be placed on:
 
     - {b Classic} — the paper's two-component coverable/noncoverable
-      model (§2.1): components name functional units, replication is by
-      unit kind.
+      model (§2.1): components name functional units, and replication is
+      by unit kind, so a component's eligible set is the units of its
+      kind.
     - {b Ports} — a PALMED/OSACA-style issue-port model: an atomic op is
       a multiset of µops, each eligible to a set of issue ports and
-      consuming one port-cycle; eligibility travels on the lowered
-      component ({!Atomic_op.component.eligible}), so the Tetris bins and
-      the reference pipeline honour it directly.
+      consuming one port-cycle; a lowered component carries its group's
+      ports.
 
-    An op's steady-state reciprocal throughput under the ports model is
-    the optimal fractional assignment of its µops to eligible ports —
-    computed exactly as [max over port subsets S of #{µops with eligible
-    ⊆ S} / |S|] (the LP dual of the assignment problem). *)
+    The dialect lives only in the description format ({!Descr}) and the
+    two {!Machine} constructors: the Tetris bins, the reference pipeline
+    and {!reciprocal_throughput} read eligible sets alone. *)
 
 type kind = Classic | Ports
 
@@ -39,18 +39,13 @@ val lower : latency:int -> uop_group list -> Atomic_op.component list
 
 val groups_of_op : Atomic_op.t -> uop_group list
 (** Recover the canonical µop groups of a lowered op (inverse of
-    {!lower} up to canonicalization). Classic components count as pinned
-    to their own unit. *)
+    {!lower} up to canonicalization). A classic op has one group per unit
+    kind it names, counting that kind's noncoverable cycles. *)
 
-module type S = sig
-  val kind : kind
-
-  val reciprocal_throughput : units:Funit.t array -> Atomic_op.t -> float
-  (** Steady-state cycles per instance of the op issued back to back with
-      no other contenders. *)
-end
-
-module Classic_model : S
-module Ports_model : S
-
-val model : kind -> (module S)
+val reciprocal_throughput : Atomic_op.t -> float
+(** Steady-state cycles per instance of the op issued back to back with
+    no other contenders: the optimal fractional assignment of its cycles
+    to their eligible units, computed exactly as [max over unit sets S of
+    #{cycles whose eligible set ⊆ S} / |S|] (the LP dual of the
+    assignment problem). On a classic op this is the noncoverable cycles
+    on its busiest kind over that kind's units. *)

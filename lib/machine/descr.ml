@@ -131,10 +131,21 @@ let classic_of_fields ~line ~name ~cache ~comm ~has_fma fields =
     List.map
       (function
         | List (Atom (opname, l) :: comps, _) ->
+          let cost sx =
+            let c = as_int sx in
+            if c < 0 then err (sexp_line sx) ("negative cost in op " ^ opname);
+            c
+          in
+          let seen = Hashtbl.create 4 in
           ( (opname, l),
             List.map
               (function
-                | List ([ u; nc; cv ], _) -> (resolve_unit u, as_int nc, as_int cv)
+                | List ([ u; nc; cv ], _) ->
+                  let i = resolve_unit u in
+                  if Hashtbl.mem seen i then
+                    err (sexp_line u) (Printf.sprintf "op %s names unit %s twice" opname (as_atom u));
+                  Hashtbl.add seen i ();
+                  (i, cost nc, cost cv)
                 | sx -> err (sexp_line sx) ("bad component in op " ^ opname))
               comps )
         | sx -> err (sexp_line sx) "atomic entries must be (name (UNIT nc cv) ...)")

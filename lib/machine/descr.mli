@@ -40,8 +40,8 @@
 
 exception Parse_error of string
 (** Raised with a line-annotated message on malformed input — including
-    duplicate unit, port or atomic-op names, unknown units/ports, negative
-    costs and malformed fields. *)
+    duplicate unit, port or atomic-op names, a classic op naming one unit
+    twice, unknown units/ports, negative costs and malformed fields. *)
 
 val of_string : string -> Machine.t
 val to_string : Machine.t -> string

@@ -52,18 +52,39 @@ let make ~name ?(description = "") ~units ~atomics ?(issue_width = 4)
       if Hashtbl.mem names u.name then invalid_arg ("Machine.make: duplicate unit " ^ u.name);
       Hashtbl.add names u.name ())
     unit_arr;
+  (* a component may take any unit of its kind: the named unit first, then
+     its twins in id order *)
+  let eligible =
+    Array.map
+      (fun (u : Funit.t) ->
+        Array.of_list
+          (u.id
+          :: List.filter_map
+               (fun (v : Funit.t) -> if v.kind = u.kind && v.id <> u.id then Some v.id else None)
+               (Array.to_list unit_arr)))
+      unit_arr
+  in
   let tbl = Hashtbl.create 64 in
   List.iter
     (fun (opname, comps) ->
+      let seen = Hashtbl.create 4 in
       List.iter
         (fun (uid, _, _) ->
           if uid < 0 || uid >= Array.length unit_arr then
             invalid_arg
-              (Printf.sprintf "Machine.make: op %s references missing unit %d" opname uid))
+              (Printf.sprintf "Machine.make: op %s references missing unit %d" opname uid);
+          if Hashtbl.mem seen uid then
+            invalid_arg (Printf.sprintf "Machine.make: op %s names unit %d twice" opname uid);
+          Hashtbl.add seen uid ())
         comps;
       if Hashtbl.mem tbl opname then
         invalid_arg ("Machine.make: duplicate atomic op " ^ opname);
-      Hashtbl.add tbl opname (Atomic_op.make opname comps))
+      Hashtbl.add tbl opname
+        (Atomic_op.make opname
+           (List.map
+              (fun (unit_id, noncoverable, coverable) ->
+                { Atomic_op.unit_id; noncoverable; coverable; eligible = eligible.(unit_id) })
+              comps)))
     atomics;
   {
     name;
@@ -115,7 +136,7 @@ let make_ports ~name ?(description = "") ~ports ~atomics ?(issue_width = 4)
       in
       let groups = Costmodel.canonical_groups groups in
       let components = Costmodel.lower ~latency groups in
-      Hashtbl.add tbl opname (Atomic_op.of_components opname components))
+      Hashtbl.add tbl opname (Atomic_op.make opname components))
     atomics;
   {
     name;
@@ -159,9 +180,7 @@ let num_atomics t = Hashtbl.length t.table.atomics
 let iter_atomics f t = Hashtbl.iter f t.table.atomics
 let fold_atomics f t init = Hashtbl.fold f t.table.atomics init
 
-let reciprocal_throughput t op =
-  let (module M : Costmodel.S) = Costmodel.model t.model in
-  M.reciprocal_throughput ~units:t.table.units op
+let reciprocal_throughput _ = Costmodel.reciprocal_throughput
 
 (* ---- built-in machines ---- *)
 
@@ -232,8 +251,7 @@ let power1 =
 
 let power1_wide =
   (* duplicated FXU/FPU/LSU; atomic components still name the first unit of
-     each kind — the scheduler may place a component on any unit of the same
-     kind *)
+     each kind, and [make] makes its twin eligible too *)
   let units =
     [ ("FXU0", Funit.Fixed_point); ("FPU0", Funit.Float_point); ("BR", Funit.Branch);
       ("CR", Funit.Cr_logic); ("LSU0", Funit.Load_store); ("FXU1", Funit.Fixed_point);

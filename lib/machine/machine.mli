@@ -34,7 +34,7 @@ type t = {
   name : string;
   description : string;
   table : table;
-  model : Costmodel.kind;  (** which cost model interprets the table *)
+  model : Costmodel.kind;  (** the dialect the cost table was described in *)
   issue_width : int;
   branch_taken_cycles : int;
       (** extra cycles charged for a taken branch that the schedule cannot
@@ -60,8 +60,12 @@ val make :
   ?comm:comm_params ->
   unit ->
   t
-(** Build a {!Costmodel.Classic} machine.
-    @raise Invalid_argument on dangling unit ids or duplicate names. *)
+(** Build a {!Costmodel.Classic} machine. Each component of an atomic op
+    [(unit, noncoverable, coverable)] may be placed on any unit of its
+    unit's kind: its eligible set is that unit, then the other units of
+    the kind in id order.
+    @raise Invalid_argument on dangling unit ids, duplicate names, or an
+    op naming one unit twice. *)
 
 val make_ports :
   name:string ->
@@ -118,8 +122,8 @@ val iter_atomics : (string -> Atomic_op.t -> unit) -> t -> unit
 val fold_atomics : (string -> Atomic_op.t -> 'a -> 'a) -> t -> 'a -> 'a
 
 val reciprocal_throughput : t -> Atomic_op.t -> float
-(** Steady-state cycles per back-to-back instance of the op, under the
-    machine's cost model (see {!Costmodel.S.reciprocal_throughput}). *)
+(** Steady-state cycles per back-to-back instance of the op, read from
+    its components' eligible sets (see {!Costmodel.reciprocal_throughput}). *)
 
 (** {1 Built-in machines} *)
 

@@ -1,6 +1,5 @@
 open Pperf_machine
 module Obs = Pperf_obs.Obs
-module Memo = Pperf_obs.Memo
 
 let c_placements = Obs.counter "bins.placements"
 let c_scan = Obs.counter "bins.scan_cells"
@@ -10,29 +9,11 @@ type t = {
   machine : Machine.t;
   slots : Slots.t array;
   focus_span : int;
-  kind_candidates : int array array;  (** unit id -> ids of same-kind units *)
   mutable makespan : int;
   cover_tops : int array;
   mutable slots_hwm : int;  (** cached max of the slots' high-water marks *)
   mutable fallbacks : int;  (** coordinated fits resolved by stacked placement *)
 }
-
-(* the candidate table depends only on the machine's unit mix; bins are
-   created per dropped dag, so share it across all bins of one machine,
-   per worker domain, for the 16 machines every machine-keyed memo keeps *)
-let kind_candidates =
-  Memo.create ~hash:Machine.hash ~equal:( == ) Memo.Per_domain "bins.kinds" ~capacity:16
-
-let kind_candidates_of machine =
-  Memo.find_or_add kind_candidates machine (fun () ->
-      Array.init (Machine.num_units machine) (fun u ->
-          let kind = (Machine.unit_at machine u).Funit.kind in
-          let same =
-            Machine.units_list machine
-            |> List.filter_map (fun (v : Funit.t) -> if v.kind = kind then Some v.id else None)
-          in
-          (* prefer the named unit itself, then its twins *)
-          Array.of_list (u :: List.filter (fun v -> v <> u) same)))
 
 let create ?(focus_span = 64) machine =
   let n = Machine.num_units machine in
@@ -40,7 +21,6 @@ let create ?(focus_span = 64) machine =
     machine;
     slots = Array.init n (fun _ -> Slots.create ~capacity:16 ());
     focus_span;
-    kind_candidates = kind_candidates_of machine;
     makespan = 0;
     cover_tops = Array.make n 0;
     slots_hwm = 0;
@@ -89,63 +69,57 @@ let stacked_placement t ~floor (op : Atomic_op.t) =
   in
   (base, choices)
 
+(* the end of the latest range in [claims] on unit [u] that [s, s + len)
+   overlaps, or -1 *)
+let rec claimed_end claims u s len =
+  match claims with
+  | [] -> -1
+  | (cu, cs, cl) :: rest ->
+    let e = claimed_end rest u s len in
+    if cu = u && s < cs + cl && cs < s + len then Stdlib.max e (cs + cl) else e
+
+(* the first fit of [len] cycles on unit [u] at or after [floor] that no
+   range in [claims] overlaps *)
+let rec fit_avoiding t claims u ~floor ~len =
+  let s = Slots.first_fit t.slots.(u) ~floor ~len in
+  match claims with
+  | [] -> s
+  | _ ->
+    let e = claimed_end claims u s len in
+    if e < 0 then s else fit_avoiding t claims u ~floor:e ~len
+
 (* find the lowest start >= floor where every component fits simultaneously;
    returns (start, chosen unit per component).
 
-   Ports-model components carry their own eligible port set instead of
-   deferring to the kind table, and two components of one op may share a
-   primary port — [claimed] tracks ranges already chosen by earlier
-   components of the same attempt so the later fill cannot collide (the
-   classic path never consults it: components there occupy distinct units). *)
+   Each component tries its eligible units in order and takes the lowest
+   fit. Two components of one op may share an eligible unit (two µop groups
+   of a ports op), so each component avoids the ranges the earlier ones of
+   the same attempt claimed; with nothing claimed, a unit's first fit
+   stands. *)
 let coordinated_fit t ~floor (op : Atomic_op.t) =
   let rec attempt start guard =
     if guard > 1_000 then raise Exit;
     let worst = ref start in
-    let claimed = ref [] in
-    let fit_avoiding u ~floor ~len =
-      let rec go floor =
-        let s = Slots.first_fit t.slots.(u) ~floor ~len in
-        let bump =
-          List.fold_left
-            (fun acc (cu, cs, cl) ->
-              if cu = u && s < cs + cl && cs < s + len then Stdlib.max acc (cs + cl) else acc)
-            (-1) !claimed
+    let rec place claims = function
+      | [] -> []
+      | (c : Atomic_op.component) :: rest when c.noncoverable = 0 ->
+        (c, c.unit_id, start) :: place claims rest
+      | (c : Atomic_op.component) :: rest ->
+        let best = ref max_int and best_u = ref c.unit_id in
+        for i = 0 to Array.length c.eligible - 1 do
+          let u = c.eligible.(i) in
+          let s = fit_avoiding t claims u ~floor:start ~len:c.noncoverable in
+          if s < !best then (
+            best := s;
+            best_u := u)
+        done;
+        if !best > !worst then worst := !best;
+        let claims =
+          match rest with [] -> claims | _ -> (!best_u, !best, c.noncoverable) :: claims
         in
-        if bump < 0 then s else go bump
-      in
-      go floor
+        (c, !best_u, !best) :: place claims rest
     in
-    let choices =
-      List.map
-        (fun (c : Atomic_op.component) ->
-          if Array.length c.eligible = 0 then
-            if c.noncoverable = 0 then (c, c.unit_id, start)
-            else (
-              let best = ref max_int and best_u = ref c.unit_id in
-              Array.iter
-                (fun u ->
-                  let s = Slots.first_fit t.slots.(u) ~floor:start ~len:c.noncoverable in
-                  if s < !best then (
-                    best := s;
-                    best_u := u))
-                t.kind_candidates.(c.unit_id);
-              if !best > !worst then worst := !best;
-              (c, !best_u, !best))
-          else if c.noncoverable = 0 then (c, c.unit_id, start)
-          else (
-            let best = ref max_int and best_u = ref c.unit_id in
-            Array.iter
-              (fun u ->
-                let s = fit_avoiding u ~floor:start ~len:c.noncoverable in
-                if s < !best then (
-                  best := s;
-                  best_u := u))
-              c.eligible;
-            claimed := (!best_u, !best, c.noncoverable) :: !claimed;
-            if !best > !worst then worst := !best;
-            (c, !best_u, !best)))
-        op.components
-    in
+    let choices = place [] op.components in
     if !worst = start then (start, choices) else attempt !worst (guard + 1)
   in
   try attempt floor 0 with Exit -> stacked_placement t ~floor op

@@ -56,6 +56,28 @@ let test_stall_accounting () =
   Alcotest.(check bool) "stalls counted" true (r.stalls > 0);
   Alcotest.(check int) "issue cycle of dependent" 2 r.issue.(1)
 
+(* a classic description may name the second of two FPUs: the named unit
+   heads the component's eligible set, so the bins and the pipeline both
+   try it before its twin *)
+let test_named_twin_first () =
+  let m =
+    Descr.of_string
+      "(machine (name twin)\n  (units (FXU fxu) (FPU0 fpu) (FPU1 fpu))\n  (atomics (fadd (FPU1 1 1))))"
+  in
+  let fadd = Machine.atomic m "fadd" in
+  Alcotest.(check (array int)) "named unit, then its twin" [| 2; 1 |]
+    (List.hd fadd.components).eligible;
+  let s = Bins.drop_dag (Bins.create m) (Dag.of_ops [ (fadd, []) ]) in
+  Alcotest.(check (list (triple int int int))) "bins fill FPU1" [ (2, 0, 1) ]
+    s.placements.(0).filled;
+  (* an op only FPU1 may take waits a cycle behind an fadd that took FPU1 *)
+  let only_fpu1 =
+    Atomic_op.make "only_fpu1"
+      [ { Atomic_op.unit_id = 2; noncoverable = 1; coverable = 0; eligible = [| 2 |] } ]
+  in
+  let r = Pipeline.run_in_order m (Dag.of_ops [ (fadd, []); (only_fpu1, []) ]) in
+  Alcotest.(check (array int)) "pipeline issues fadd on FPU1" [| 0; 1 |] r.issue
+
 (* random dags: oracle sits between critical path and serial cost; the
    Tetris prediction tracks it closely *)
 let random_dag_gen =
@@ -127,6 +149,7 @@ let () =
           Alcotest.test_case "list vs in-order" `Quick test_list_beats_inorder;
           Alcotest.test_case "stalls" `Quick test_stall_accounting;
           Alcotest.test_case "livelock typed" `Quick test_livelock_typed;
+          Alcotest.test_case "named twin tried first" `Quick test_named_twin_first;
         ] );
       qsuite "props"
         [

@@ -3,18 +3,34 @@
 open Pperf_machine
 
 let test_atomic_op () =
-  let op = Atomic_op.make "fadd" [ (1, 1, 1) ] in
+  let make name comps =
+    Atomic_op.make name
+      (List.map
+         (fun (u, nc, cv) ->
+           { Atomic_op.unit_id = u; noncoverable = nc; coverable = cv; eligible = [| u |] })
+         comps)
+  in
+  let op = make "fadd" [ (1, 1, 1) ] in
   Alcotest.(check int) "latency" 2 (Atomic_op.result_latency op);
   Alcotest.(check int) "busy" 1 (Atomic_op.busy_cycles op);
-  let st = Atomic_op.make "store_fp" [ (1, 1, 1); (0, 1, 0); (4, 1, 0) ] in
+  let st = make "store_fp" [ (1, 1, 1); (0, 1, 0); (4, 1, 0) ] in
   Alcotest.(check int) "multi-unit busy" 3 (Atomic_op.busy_cycles st);
   Alcotest.(check int) "multi-unit latency" 2 (Atomic_op.result_latency st);
   Alcotest.(check bool) "component lookup" true (Atomic_op.component_on st 0 <> None);
   Alcotest.(check bool) "component missing" true (Atomic_op.component_on st 2 = None);
   Alcotest.check_raises "negative cost" (Invalid_argument "Atomic_op.make: negative cost")
-    (fun () -> ignore (Atomic_op.make "x" [ (0, -1, 0) ]));
-  Alcotest.check_raises "duplicate unit" (Invalid_argument "Atomic_op.make: duplicate unit component")
-    (fun () -> ignore (Atomic_op.make "x" [ (0, 1, 0); (0, 1, 0) ]))
+    (fun () -> ignore (make "x" [ (0, -1, 0) ]));
+  Alcotest.check_raises "empty eligible set" (Invalid_argument "Atomic_op.make: empty eligible set")
+    (fun () ->
+      ignore
+        (Atomic_op.make "x"
+           [ { Atomic_op.unit_id = 0; noncoverable = 1; coverable = 0; eligible = [||] } ]));
+  (* a classic op names each unit once *)
+  Alcotest.check_raises "duplicate unit" (Invalid_argument "Machine.make: op x names unit 0 twice")
+    (fun () ->
+      ignore
+        (Machine.make ~name:"m" ~units:[ ("U", Funit.Fixed_point) ]
+           ~atomics:[ ("x", [ (0, 1, 0); (0, 1, 0) ]) ] ()))
 
 let test_power1 () =
   let m = Machine.power1 in
@@ -128,7 +144,7 @@ let test_costmodel_groups () =
   let comps =
     Costmodel.lower ~latency:3 [ { Costmodel.eligible = [ 0; 1 ]; count = 3 } ]
   in
-  let op = Atomic_op.of_components "x" comps in
+  let op = Atomic_op.make "x" comps in
   Alcotest.(check int) "latency realised" 3 (Atomic_op.result_latency op);
   Alcotest.(check int) "busy = µop count" 3 (Atomic_op.busy_cycles op);
   (match Costmodel.groups_of_op op with
@@ -162,7 +178,7 @@ let test_ports_throughput () =
   (* the pinned µop saturates p0, but the flexible one escapes to p1 *)
   Alcotest.(check (float 1e-9)) "pinned + flexible" 1.0 (rt "mixed");
   Alcotest.(check (float 1e-9)) "2 µops / 3 ports" (2. /. 3.) (rt "wide");
-  (* classic machines answer through the kind-replication bound *)
+  (* classic ops answer through their kinds' units *)
   let rt_classic mach name =
     Machine.reciprocal_throughput mach (Machine.atomic mach name)
   in
@@ -171,6 +187,46 @@ let test_ports_throughput () =
   Alcotest.(check (float 1e-9)) "power1 fadd" 1.0 (rt_classic Machine.power1 "fadd");
   Alcotest.(check (float 1e-9)) "power1x2 fadd (2 FPUs)" 0.5
     (rt_classic Machine.power1_wide "fadd")
+
+(* the per-kind rule the classic dialect was written for, kept here as the
+   reference: an op's noncoverable cycles on a kind spread over that kind's
+   units, and the busiest kind binds *)
+let per_kind_rate m (op : Atomic_op.t) =
+  let kind (c : Atomic_op.component) = (Machine.unit_at m c.unit_id).Funit.kind in
+  List.fold_left
+    (fun acc c ->
+      let on_kind =
+        List.fold_left
+          (fun n d -> if kind d = kind c then n + d.Atomic_op.noncoverable else n)
+          0 op.components
+      in
+      let units = List.length (Machine.units_of_kind m (kind c)) in
+      Float.max acc (float_of_int on_kind /. float_of_int units))
+    0.0 op.components
+
+(* the eligible-set bound equals the per-kind rule on every op of every
+   shipped classic machine, builtin and file *)
+let test_classic_throughput_per_kind () =
+  let dir = if Sys.file_exists "../machines" then "../machines" else "machines" in
+  let files =
+    List.map
+      (fun f ->
+        let ic = open_in (Filename.concat dir f) in
+        let src = really_input_string ic (in_channel_length ic) in
+        close_in ic;
+        Descr.of_string src)
+      [ "power1.pmach"; "power1x2.pmach"; "alpha21064.pmach"; "scalar.pmach" ]
+  in
+  List.iter
+    (fun m ->
+      Alcotest.(check bool) (m.Machine.name ^ " classic") true (Machine.model m = Costmodel.Classic);
+      Machine.iter_atomics
+        (fun name op ->
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "%s %s" m.Machine.name name)
+            (per_kind_rate m op) (Machine.reciprocal_throughput m op))
+        m)
+    ([ Machine.power1; Machine.power1_wide; Machine.alpha21064; Machine.scalar ] @ files)
 
 (* ---- v2 (ports) descriptions ---- *)
 
@@ -223,6 +279,11 @@ let test_descr_positions () =
     [ "duplicate"; "iadd"; "first defined at line 4" ];
   (* duplicate unit and duplicate port *)
   expect "(machine (name x)\n  (units (A fxu) (A fpu))\n  (atomics))" [ "duplicate"; "A" ];
+  (* a classic op naming one unit twice, or a negative cost *)
+  expect "(machine (name x)\n  (units (A fxu))\n  (atomics\n    (iadd (A 1 0) (A 1 0))))"
+    [ "line 4"; "iadd"; "unit A twice" ];
+  expect "(machine (name x)\n  (units (A fxu))\n  (atomics\n    (iadd (A 1 -1))))"
+    [ "line 4"; "negative cost"; "iadd" ];
   expect
     "(machine (name x) (model ports)\n  (ports p0 p0)\n  (atomics))"
     [ "duplicate"; "p0" ];
@@ -347,6 +408,8 @@ let () =
         [
           Alcotest.test_case "groups" `Quick test_costmodel_groups;
           Alcotest.test_case "ports throughput" `Quick test_ports_throughput;
+          Alcotest.test_case "classic throughput per kind" `Quick
+            test_classic_throughput_per_kind;
         ] );
       ( "descr-v2",
         [
