@@ -337,13 +337,21 @@ let trip_of ctx ~loc (d : Ast.do_loop) =
   in
   match Sym_expr.trip_count ~lo:d.lo ~hi:d.hi ~step:d.step with
   | Some p ->
-    (* the closed form takes an integer quotient in a bound as exact, and
-       assumes a non-empty loop: report the first, and the second when the
-       inferred ranges cannot confirm it, in one event per loop *)
+    (* the closed form takes an integer quotient in a bound as exact,
+       divides by a non-unit step without the floor the loop applies, and
+       assumes a non-empty loop: report the first two, and the third when
+       the inferred ranges cannot confirm it, in one event per loop *)
     let truncated =
       List.exists
         (Pperf_absint.Absint.int_div (Some ctx.symtab))
         (d.lo :: d.hi :: Option.to_list d.step)
+    in
+    let const e = Option.bind (Sym_expr.to_poly e) Poly.to_const in
+    let floored =
+      (match Option.bind d.step const with
+       | Some s -> not (Rat.equal (Rat.abs s) Rat.one)
+       | None -> false)
+      && not (match Poly.to_const p with Some c -> Rat.is_integer c | None -> false)
     in
     let unconfirmed =
       match ctx.ranges with
@@ -357,6 +365,7 @@ let trip_of ctx ~loc (d : Ast.do_loop) =
       List.filter_map
         (fun (holds, reason) -> if holds then Some reason else None)
         [ (truncated, "treats an integer quotient in its bounds as exact while the loop truncates it");
+          (floored, "takes (hi - lo + step) / step as exact while the loop runs its floor");
           ( unconfirmed,
             "is not provably non-negative over the inferred ranges; the closed form assumes a \
              non-empty loop" ) ]

@@ -316,6 +316,27 @@ let test_aggregate_integer_quotient_trip () =
   Alcotest.(check (list string)) "2 * n exact" [] (trip_events "2 * n");
   Alcotest.(check (list string)) "n exact" [] (trip_events "n")
 
+(* [do i = 1, n, 2] runs 2 iterations at n = 4, while its closed-form trip
+   1/2*n + 1/2 reads 2.5: the loop floors (hi - lo + step) / step and the
+   prediction says so. A step that divides the span exactly, or a unit
+   step, is exact and says nothing. *)
+let test_aggregate_non_unit_step_trip () =
+  let trip_events bounds =
+    Pperf_core.Predict.precision_diagnostics
+      (Pperf_core.Predict.of_source ~machine
+         (Printf.sprintf
+            "subroutine s(x, n)\n  integer n, i\n  real x(100)\n  do i = %s\n    x(i) = x(i) + 1.0\n  end do\nend\n"
+            bounds))
+    |> List.filter_map (fun (d : Diagnostic.t) ->
+           if d.check = "symbolic-trip" then Some d.message else None)
+  in
+  Alcotest.(check (list string)) "1, n, 2 reported"
+    [ "trip count 1/2*n + 1/2 of the loop over 'i' takes (hi - lo + step) / step as exact while \
+       the loop runs its floor" ]
+    (trip_events "1, n, 2");
+  Alcotest.(check (list string)) "1, 10, 3 exact" [] (trip_events "1, 10, 3");
+  Alcotest.(check (list string)) "1, n exact" [] (trip_events "1, n")
+
 let test_aggregate_branch_prob () =
   let p =
     predict
@@ -460,6 +481,7 @@ let () =
           Alcotest.test_case "symbolic trip event" `Quick test_aggregate_symbolic_trip;
           Alcotest.test_case "integer quotient trip event" `Quick
             test_aggregate_integer_quotient_trip;
+          Alcotest.test_case "non-unit step trip event" `Quick test_aggregate_non_unit_step_trip;
           Alcotest.test_case "branch prob event" `Quick test_aggregate_branch_prob;
           Alcotest.test_case "report merges lint" `Quick test_report_merges_lint;
           Alcotest.test_case "search blocked" `Quick test_search_blocked;
