@@ -885,6 +885,8 @@ let exit_env r = r.exit_env
 let loops r = r.loop_ranges
 let domain_used (r : result) = r.dom
 
+(* the relational state holding immediately before the statement (top for
+   unknown locations or the [Box] domain) *)
 let rel_at r loc =
   match Hashtbl.find_opt r.rel_stmt loc with Some rel -> rel | None -> Reldom.top r.dom
 

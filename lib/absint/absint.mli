@@ -88,10 +88,6 @@ val decide_cond :
 
 val domain_used : result -> domain
 
-val rel_at : result -> Srcloc.t -> Reldom.t
-(** Relational state holding immediately before the statement (top for
-    unknown locations or the [Box] domain). *)
-
 val bound_at : result -> Srcloc.t -> Poly.t -> Interval.t
 (** Enclosure of the polynomial at the location: interval evaluation met
     with the relational bound. *)

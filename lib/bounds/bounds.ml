@@ -294,6 +294,8 @@ let analyze_nest ~machine ~include_memory ~bindings ~symtab ~invariants
           disagreement;
         })
 
+(* every innermost nest of the fragment; [bindings] supply concrete values
+   for the classification comparison, unbound unknowns default to 256 *)
 let analyze_stmts ~machine ?(include_memory = false) ?(bindings = []) ~symtab body =
   Obs.time sp_bounds @@ fun () ->
   let declared = Analysis.declared_names symtab in

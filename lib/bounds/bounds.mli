@@ -63,17 +63,6 @@ type routine = {
       (** every [bound-disagreement] event, in nest order *)
 }
 
-val analyze_stmts :
-  machine:Machine.t ->
-  ?include_memory:bool ->
-  ?bindings:(string * float) list ->
-  symtab:Typecheck.symtab ->
-  Ast.stmt list ->
-  nest list * Pperf_lint.Diagnostic.t list
-(** Analyze every innermost loop nest of the fragment. [bindings] supply
-    concrete values for the classification comparison; unbound unknowns
-    default to 256. *)
-
 val analyze :
   machine:Machine.t ->
   ?include_memory:bool ->

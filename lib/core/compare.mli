@@ -65,5 +65,4 @@ val decide :
     skip the sign analysis entirely ([compare.memo.hits] /
     [compare.memo.misses] counters). *)
 
-val pp_choice : Format.formatter -> choice -> unit
 val pp_decision : Format.formatter -> decision -> unit

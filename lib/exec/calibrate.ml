@@ -271,6 +271,8 @@ type t = {
   ok : bool;
 }
 
+(* generous enough for bin-packing edge effects on small kernels while
+   still rejecting structurally wrong fits *)
 let default_tolerance = 0.25
 
 let run ~machine:om ?(tolerance = default_tolerance) () =

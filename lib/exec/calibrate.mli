@@ -34,9 +34,6 @@ type t = {
   ok : bool;  (** [max_rel_err <= tolerance] *)
 }
 
-val default_tolerance : float
-(** 0.25 — generous enough for bin-packing edge effects on small kernels
-    while still rejecting structurally wrong fits. *)
 
 val run : machine:Machine.t -> ?tolerance:float -> unit -> t
 (** Calibrate against [machine]. Runs a few hundred interpreter

@@ -125,12 +125,5 @@ let pp_routine fmt (r : Ast.routine) =
   List.iter (pp_stmt 2 fmt) r.body;
   Format.fprintf fmt "end@."
 
-let pp_program fmt (p : Ast.program) =
-  List.iteri
-    (fun i r ->
-      if i > 0 then Format.pp_print_newline fmt ();
-      pp_routine fmt r)
-    p
-
 let routine_to_string r = Format.asprintf "%a" pp_routine r
 let stmts_to_string ss = Format.asprintf "%a" (fun fmt -> List.iter (pp_stmt 0 fmt)) ss

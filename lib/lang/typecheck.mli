@@ -37,7 +37,6 @@ val node_type : symtab -> (Ast.expr -> Ast.dtype) -> Ast.expr -> Ast.dtype
     @raise Type_error as {!expr_type} does. *)
 
 val is_float_type : Ast.dtype -> bool
-val type_bytes : Ast.dtype -> int
 
 val array_extent : sym -> Pperf_symbolic.Poly.t list
 (** Per-dimension element counts as symbolic polynomials (bounds may

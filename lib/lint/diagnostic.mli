@@ -27,9 +27,6 @@ val make : ?fix:string -> severity -> check:string -> loc:Srcloc.t -> string -> 
 
 val severity_to_string : severity -> string
 
-val severity_rank : severity -> int
-(** [Error] > [Warning] > [Precision] > [Hint]. *)
-
 val max_severity : t list -> severity option
 
 val exit_code : t list -> int

@@ -174,7 +174,6 @@ let units_of_kind t kind =
 
 let model t = t.model
 let unit_at t id = t.table.units.(id)
-let units_list t = Array.to_list t.table.units
 let iter_units f t = Array.iter f t.table.units
 let num_atomics t = Hashtbl.length t.table.atomics
 let iter_atomics f t = Hashtbl.iter f t.table.atomics

@@ -115,7 +115,6 @@ val default_cache : cache_params
 
 val model : t -> Costmodel.kind
 val unit_at : t -> int -> Funit.t
-val units_list : t -> Funit.t list
 val iter_units : (Funit.t -> unit) -> t -> unit
 val num_atomics : t -> int
 val iter_atomics : (string -> Atomic_op.t -> unit) -> t -> unit

@@ -393,8 +393,6 @@ let num_bits t =
     let la = Array.length mag in
     ((la - 1) * base_bits) + bits mag.(la - 1) 0
 
-let is_even = function S v -> v land 1 = 0 | B { mag; _ } -> mag.(0) land 1 = 0
-
 let to_int = function
   | S v -> Some v
   | B { sign; mag } as t ->

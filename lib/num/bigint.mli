@@ -95,8 +95,6 @@ val mul_int : t -> int -> t
 val num_bits : t -> int
 (** Bits in the magnitude; [num_bits zero = 0]. *)
 
-val is_even : t -> bool
-
 (** {1 Infix operators} *)
 
 module Infix : sig

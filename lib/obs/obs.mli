@@ -51,7 +51,6 @@ type gauge
 
 val gauge : string -> gauge
 val set_gauge : gauge -> int -> unit
-val incr_gauge : gauge -> unit
 
 val add_gauge : gauge -> int -> unit
 (** Atomic delta on a gauge — the shape live-level instruments need

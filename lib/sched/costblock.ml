@@ -36,6 +36,7 @@ let lead t u =
   | None -> cost t
   | Some f -> max 0 (f - t.start)
 
+(* free slots on a unit between its last occupied slot and the block finish *)
 let trail t u =
   match t.per_unit.(u).last with
   | None -> cost t

@@ -36,10 +36,6 @@ val lead : t -> int -> int
 (** Free slots on a unit between the block start and that unit's first
     occupied slot (the whole block height if the unit is untouched). *)
 
-val trail : t -> int -> int
-(** Free slots on a unit between its last occupied slot and the block
-    finish. *)
-
 val overlap_estimate : ?min_gap:int -> t -> t -> int
 (** Fig. 9: how many cycles the second block can slide up into the first,
     estimated by matching the first block's tail profile against the second

@@ -20,9 +20,6 @@ val stmt_at : Ast.routine -> path -> Ast.stmt option
 val replace_at : Ast.routine -> path -> Ast.stmt list -> Ast.routine option
 (** Replace the statement at [path] by a list of statements. *)
 
-val subst_var_expr : string -> Ast.expr -> Ast.expr -> Ast.expr
-val subst_var_stmts : string -> Ast.expr -> Ast.stmt list -> Ast.stmt list
-
 (** {1 Transformations} *)
 
 val unroll : factor:int -> Ast.do_loop -> Ast.stmt list option
