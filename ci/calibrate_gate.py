@@ -2,9 +2,10 @@
 """CI gate for machine calibration and the machines listing.
 
 Asserts:
-  1. `ppredict calibrate` on the scalar builtin and on the ooo4 ports
-     machine exits 0 with a report ending in "-> ok", and the reported
-     max relative error is within the default tolerance;
+  1. `ppredict calibrate` on the scalar builtin, on the power1x2
+     builtin (a classic machine with twin FXU, FPU and LSU units) and on
+     the ooo4 ports machine exits 0 with a report ending in "-> ok", and
+     the reported max relative error is within the default tolerance;
   2. the fitted description written by --out is the canonical fixpoint
      (`ppredict machine FITTED` re-emits the identical bytes) and is a
      usable machine (it drives `ppredict predict` cleanly).
@@ -37,10 +38,11 @@ def cli(args):
     return subprocess.run([PP] + args, capture_output=True, text=True)
 
 
-# ---- 1 + 2: calibrate two machines, check the reports and fitted files ----
+# ---- 1 + 2: calibrate three machines, check the reports and fitted files ----
 
+SPECS = ["scalar", "power1x2", "machines/ooo4.pmach"]
 tmpdir = tempfile.mkdtemp(prefix="ppredict-calibrate-")
-for spec in ["scalar", "machines/ooo4.pmach"]:
+for spec in SPECS:
     tag = os.path.splitext(os.path.basename(spec))[0]
     fitted = os.path.join(tmpdir, tag + "-fit.pmach")
     r = cli(["calibrate", "-m", spec, "--out", fitted])
@@ -75,7 +77,7 @@ for spec in ["scalar", "machines/ooo4.pmach"]:
         err(f"predict with fitted {tag}: exit {pred.returncode}: {pred.stderr.strip()}")
 
 print(
-    f"calibrate gate: 2 machines fitted within tolerance {TOLERANCE}, "
+    f"calibrate gate: {len(SPECS)} machines fitted within tolerance {TOLERANCE}, "
     f"fitted descriptions round-trip and predict"
 )
 sys.exit(1 if fail else 0)
