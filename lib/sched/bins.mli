@@ -12,8 +12,9 @@
     {!Slots} lists this makes each drop effectively constant-time and the
     whole block linear in the number of operations.
 
-    On machines with replicated units, a component may be placed on any
-    unit of the same kind as the one named by the cost table. *)
+    A component may be placed on any unit of its eligible set
+    ({!Atomic_op.component.eligible}), tried in order: on a classic
+    machine the unit the cost table names, then its same-kind twins. *)
 
 open Pperf_machine
 

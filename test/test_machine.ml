@@ -377,6 +377,33 @@ let prop_descr_roundtrip =
       if String.equal s s2 then true
       else QCheck.Test.fail_reportf "reparse drifted:@.%s@.vs@.%s" s s2)
 
+(* the LP bound by its definition, over every subset of the machine's
+   units: the reference for the enumeration over unions of µop groups *)
+let prop_throughput_over_unit_subsets =
+  let gen = QCheck.Gen.oneof [ gen_classic_machine; gen_ports_machine ] in
+  QCheck.Test.make ~name:"throughput: group unions = every unit subset" ~count:200
+    (QCheck.make ~print:Descr.to_string gen)
+    (fun m ->
+      let n = Machine.num_units m in
+      let brute (op : Atomic_op.t) =
+        let best = ref 0.0 in
+        for mask = 1 to (1 lsl n) - 1 do
+          let inside u = mask land (1 lsl u) <> 0 in
+          let load =
+            List.fold_left
+              (fun acc (c : Atomic_op.component) ->
+                if Array.for_all inside c.eligible then acc + c.noncoverable else acc)
+              0 op.components
+          in
+          let size = List.length (List.filter inside (List.init n Fun.id)) in
+          best := Float.max !best (float_of_int load /. float_of_int size)
+        done;
+        !best
+      in
+      Machine.fold_atomics
+        (fun _ op ok -> ok && Machine.reciprocal_throughput m op = brute op)
+        m true)
+
 let test_descr_errors () =
   List.iter
     (fun src ->
@@ -422,4 +449,9 @@ let () =
           (QCheck_alcotest.to_alcotest
              ~rand:(Random.State.make [| 0x5eed |]))
           [ prop_descr_roundtrip ] );
+      ( "costmodel-qcheck",
+        List.map
+          (QCheck_alcotest.to_alcotest
+             ~rand:(Random.State.make [| 0x5eed |]))
+          [ prop_throughput_over_unit_subsets ] );
     ]
