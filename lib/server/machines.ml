@@ -2,9 +2,9 @@
    resolves its machine spec through here. A builtin is one value; a
    .pmach file is parsed once per content digest while it stays in the
    shared memo, so a daemon does not re-parse it on every request. Tables
-   derived from a machine (atomic-op chains, bin kind-candidates, its
-   digest) are memoized by the modules that build them, per worker
-   domain, keyed by the machine's physical identity. *)
+   derived from a machine (atomic-op chains, its digest) are memoized by
+   the modules that build them, per worker domain, keyed by the machine's
+   physical identity. *)
 
 open Pperf_machine
 module Memo = Pperf_obs.Memo
