@@ -449,7 +449,7 @@ let () =
           (QCheck_alcotest.to_alcotest
              ~rand:(Random.State.make [| 0x5eed |]))
           [ prop_descr_roundtrip ] );
-      ( "costmodel-qcheck",
+      ( "cost-qcheck",
         List.map
           (QCheck_alcotest.to_alcotest
              ~rand:(Random.State.make [| 0x5eed |]))
