@@ -51,7 +51,7 @@ let classification_string = function
 (* ---------------------------------------------------- carried distances *)
 
 (* distances farther out than this contribute < 1 cycle/iter for any
-   realistic latency and would blow up the lifted DAG *)
+   realistic latency and would blow up the iteration-crossing DAG *)
 let max_distance = 16
 
 (* the coefficient of [v]^1 when [p] is affine in [v] and the coefficient
@@ -66,15 +66,16 @@ let coeff1 v p =
 (* The iteration distance of a carried dependence at loop [lvar]: the
    source writes a*i + c_s, the destination reads a*i + c_d, so the read
    at iteration i touches what was written d = (c_s - c_d)/a iterations
-   earlier. Solved per subscript; all subscripts that vary in [lvar] must
-   agree, else the distance is unknown. *)
-let distance_of ~lvar (dep : Depend.dependence) =
-  if List.length dep.src.Analysis.subs <> List.length dep.dst.Analysis.subs then None
+   earlier. Solved per subscript from the two references' subscript
+   polynomials; all subscripts that vary in [lvar] must agree, else the
+   distance is unknown. *)
+let distance_of ~lvar src dst =
+  if List.length src <> List.length dst then None
   else (
     let candidates =
       List.filter_map
-        (fun (es, ed) ->
-          match (Sym_expr.to_poly es, Sym_expr.to_poly ed) with
+        (fun (ps, pd) ->
+          match (ps, pd) with
           | Some ps, Some pd
             when Poly.degree_in lvar ps = 1 || Poly.degree_in lvar pd = 1 -> (
             match (coeff1 lvar ps, coeff1 lvar pd) with
@@ -86,7 +87,7 @@ let distance_of ~lvar (dep : Depend.dependence) =
               else None
             | _ -> None)
           | _ -> None)
-        (List.combine dep.src.Analysis.subs dep.dst.Analysis.subs)
+        (List.combine src dst)
     in
     match candidates with
     | d :: rest when List.for_all (fun x -> x = d) rest -> Some d
@@ -106,44 +107,51 @@ let carrying_level directions =
 (* the body nodes that load or store an element of [array] *)
 let nodes_of array refs = List.filter_map (fun (a, k) -> if String.equal a array then Some k else None) refs
 
-(* [body] replicated [k] times with carry edges: each (prod, cons, dist)
-   adds a dependence from copy t's [cons] back to copy (t - dist)'s
-   [prod] — Dag.repeat generalized to distances > 1 *)
-let lift body carries k =
-  let nb = Dag.length body in
-  let arr =
-    Array.init (k * nb) (fun idx ->
-        let t = idx / nb and i = idx mod nb in
-        let n = Dag.node body i in
-        let deps = List.map (fun d -> d + (t * nb)) n.Dag.deps in
-        let deps =
-          List.fold_left
-            (fun acc (prod, cons, dist) ->
-              if cons = i && t >= dist then (prod + ((t - dist) * nb)) :: acc else acc)
-            deps carries
-        in
-        (n.Dag.op, deps, n.Dag.label))
-  in
-  Dag.make arr
-
-(* critical-path slope of the lifted DAG: cycles per iteration once the
-   transient has died out. Warm up past the longest distance, then measure
-   over a window that is a multiple of every distance <= max_distance. *)
+(* Critical-path slope of [body] replicated with carry edges: each (prod,
+   cons, dist) makes copy t's [cons] wait for copy (t - dist)'s [prod].
+   The slope is cycles per iteration once the transient has died out:
+   warm up past the longest distance, then measure over a window that is a
+   multiple of every distance <= max_distance. One pass of finish times
+   over 8 * dmax copies reads both critical paths, since the first
+   4 * dmax copies never wait on later ones. *)
 let chain_ratio body carries =
   match carries with
   | [] -> Rat.zero
   | _ ->
     let dmax = List.fold_left (fun acc (_, _, d) -> max acc d) 1 carries in
     let k1 = 4 * dmax and k2 = 8 * dmax in
-    let cp1 = Dag.critical_path (lift body carries k1) in
-    let cp2 = Dag.critical_path (lift body carries k2) in
-    Rat.max Rat.zero (Rat.of_ints (cp2 - cp1) (k2 - k1))
+    let nb = Dag.length body in
+    let finish = Array.make (k2 * nb) 0 in
+    let cp = ref 0 and cp1 = ref 0 in
+    for t = 0 to k2 - 1 do
+      if t = k1 then cp1 := !cp;
+      for i = 0 to nb - 1 do
+        let n = Dag.node body i in
+        let base = t * nb in
+        let ready = List.fold_left (fun acc d -> max acc finish.(base + d)) 0 n.Dag.deps in
+        let ready =
+          List.fold_left
+            (fun acc (prod, cons, dist) ->
+              if cons = i && t >= dist then max acc finish.(((t - dist) * nb) + prod) else acc)
+            ready carries
+        in
+        let f = ready + Pperf_machine.Atomic_op.result_latency n.Dag.op in
+        finish.(base + i) <- f;
+        cp := max !cp f
+      done
+    done;
+    Rat.max Rat.zero (Rat.of_ints (!cp - !cp1) (k2 - k1))
 
 (* ------------------------------------------------------------- per nest *)
 
 (* the carried flow dependences of the nest, with resolved distances *)
-let carried_chains ~(loops : Analysis.loop_ctx list) body =
-  let deps = Depend.dependences_in (Analysis.wrap_nest loops body) in
+let carried_chains ~nests ~(loops : Analysis.loop_ctx list) body =
+  let refs = Analysis.refs_in nests (Analysis.wrap_nest loops body) in
+  let polys (r : Analysis.array_ref) =
+    match Array.find_opt (fun (e, _) -> Analysis.entry_ref e == r) refs with
+    | Some (e, _) -> Analysis.subscript_polys e
+    | None -> List.map Sym_expr.to_poly r.subs
+  in
   List.filter_map
     (fun (dep : Depend.dependence) ->
       if dep.kind <> Depend.Flow then None
@@ -154,7 +162,7 @@ let carried_chains ~(loops : Analysis.loop_ctx list) body =
           match List.nth_opt loops lvl with
           | None -> None
           | Some l -> (
-            let solved = distance_of ~lvar:l.Analysis.lvar dep in
+            let solved = distance_of ~lvar:l.Analysis.lvar (polys dep.src) (polys dep.dst) in
             match solved with
             | Some d when d <= 0 || d > max_distance -> None
             | Some d -> Some (dep.src.Analysis.array, l.Analysis.lvar, d, true)
@@ -162,7 +170,7 @@ let carried_chains ~(loops : Analysis.loop_ctx list) body =
               (* conservative: an unresolved carried flow chain is
                  assumed to serialize consecutive iterations *)
               Some (dep.src.Analysis.array, l.Analysis.lvar, 1, false))))
-    deps
+    (Depend.dependences_among ~flow_only:true refs)
   (* one chain per (array, level, distance): uniformly generated pairs
      produce duplicate dependences *)
   |> List.sort_uniq compare
@@ -176,28 +184,40 @@ let pp_rat fmt r =
 
 let rat_string r = Format.asprintf "%a" pp_rat r
 
-let analyze_nest ~machine ~include_memory ~bindings ~symtab ~invariants
+type translated = {
+  res : Translator.result;
+  once : int;  (** the body plus loop control dropped alone *)
+  per_iter : int;  (** its two-drop steady state *)
+}
+
+(* the body translated as the aggregation translates it, and dropped
+   with the loop control into fresh bins twice *)
+let translate_nest ~machine ~symtab ~loop_vars ~invariants body =
+  let res = Translator.translate_block ~machine ~symtab ~loop_vars ~invariants body in
+  let once, per_iter =
+    Bins.steady_state (Bins.create machine)
+      (Dag.concat res.Translator.body (Translator.loop_overhead_dag ~machine ()))
+  in
+  { res; once; per_iter }
+
+let analyze_nest ~machine ~include_memory ~bindings ~symtab ~nests ~translated ~invariants
     (loops, body) =
   match body with
   | [] -> None
   | (first : Ast.stmt) :: _ -> (
     let loop_vars = List.map (fun (l : Analysis.loop_ctx) -> l.lvar) loops in
     match
-      Translator.translate_block ~machine ~symtab ~loop_vars ~invariants body
+      match translated ~loop_vars ~invariants body with
+      | Some t -> t
+      | None -> translate_nest ~machine ~symtab ~loop_vars ~invariants body
     with
     | exception _ -> None
-    | res ->
+    | { res; once = bin_once; per_iter = bin_per_iter } ->
       Obs.incr c_nests;
-      (* bin-packing: the aggregate's steady state of the body plus loop
-         control, and the standalone one-iteration cost *)
-      let bin_once, bin_per_iter =
-        Bins.steady_state (Bins.create machine)
-          (Dag.concat res.Translator.body (Translator.loop_overhead_dag ~machine ()))
-      in
       let critical_path = Dag.critical_path res.Translator.body in
       (* LCD: carry edges from each store of the carried array to each of
          its loads, at the dependence distance *)
-      let chains = carried_chains ~loops body in
+      let chains = carried_chains ~nests ~loops body in
       let carry_edges (a, _, d, _) =
         let stores = nodes_of a res.Translator.array_stores in
         let loads = nodes_of a res.Translator.array_loads in
@@ -227,7 +247,7 @@ let analyze_nest ~machine ~include_memory ~bindings ~symtab ~invariants
       let lcd_bound = Poly.scale lcd_per_iter trips in
       let mem_bound =
         if include_memory then
-          Some (Memcost.nest_cost ~machine ~symtab loops body)
+          Some (Memcost.nest_cost ~nests ~machine ~symtab loops body)
         else None
       in
       (* classify at a concrete point: the bound expressions are
@@ -294,10 +314,15 @@ let analyze_nest ~machine ~include_memory ~bindings ~symtab ~invariants
           disagreement;
         })
 
-(* every innermost nest of the fragment; [bindings] supply concrete values
+let no_translation ~loop_vars:_ ~invariants:_ _ = None
+
+(* every innermost nest of the routine; [bindings] supply concrete values
    for the classification comparison, unbound unknowns default to 256 *)
-let analyze_stmts ~machine ?(include_memory = false) ?(bindings = []) ~symtab body =
+let analyze ~machine ?(include_memory = false) ?(bindings = []) ?nests
+    ?(translated = no_translation) (checked : Typecheck.checked) =
   Obs.time sp_bounds @@ fun () ->
+  let symtab = checked.symbols and body = checked.routine.Ast.body in
+  let table = match nests with Some t -> t | None -> Analysis.nests body in
   let declared = Analysis.declared_names symtab in
   let nests =
     List.filter_map
@@ -305,17 +330,15 @@ let analyze_stmts ~machine ?(include_memory = false) ?(bindings = []) ~symtab bo
         (* the body translates as the aggregation translates it: with the
            invariants of its innermost enclosing loop *)
         let invariants = Analysis.loop_invariants ~declared d in
-        analyze_nest ~machine ~include_memory ~bindings ~symtab ~invariants (loops, body))
+        analyze_nest ~machine ~include_memory ~bindings ~symtab ~nests:table ~translated
+          ~invariants (loops, body))
       (Analysis.innermost_nests body)
   in
-  (nests, List.filter_map (fun n -> n.disagreement) nests)
-
-let analyze ~machine ?include_memory ?bindings (checked : Typecheck.checked) =
-  let nests, diagnostics =
-    analyze_stmts ~machine ?include_memory ?bindings ~symtab:checked.symbols
-      checked.routine.Ast.body
-  in
-  { rname = checked.routine.Ast.rname; nests; diagnostics }
+  {
+    rname = checked.routine.Ast.rname;
+    nests;
+    diagnostics = List.filter_map (fun n -> n.disagreement) nests;
+  }
 
 let steady_total r =
   List.fold_left

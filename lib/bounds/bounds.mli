@@ -63,12 +63,35 @@ type routine = {
       (** every [bound-disagreement] event, in nest order *)
 }
 
+type translated = {
+  res : Pperf_translate.Translator.result;
+  once : int;  (** the body plus loop control dropped alone into fresh bins *)
+  per_iter : int;  (** its two-drop steady state *)
+}
+(** An innermost body as the bound analysis costs it: translated with its
+    loop variables and invariants under the default back-end flags. *)
+
 val analyze :
   machine:Machine.t ->
   ?include_memory:bool ->
   ?bindings:(string * float) list ->
+  ?nests:Analysis.nests ->
+  ?translated:(loop_vars:string list -> invariants:Analysis.SSet.t -> Ast.stmt list -> translated option) ->
   Typecheck.checked ->
   routine
+(** Every innermost nest of the routine. [nests] is the routine's
+    loop-nest table (made here when absent); the carried chains, their
+    distances and the memory model read its references. [translated]
+    supplies a body the request has already translated and dropped (the
+    aggregation's block table does); a body it answers [None] for is
+    translated and dropped here. *)
+
+val chain_ratio : Pperf_sched.Dag.t -> (int * int * int) list -> Rat.t
+(** [chain_ratio body carries]: the body's cycles per iteration at steady
+    state when each [(prod, cons, dist)] makes node [cons] of an iteration
+    wait for node [prod] of the iteration [dist] (>= 1) before it: the
+    critical-path slope between 4 and 8 times the longest distance
+    iterations of the unrolled body, and zero without carries. *)
 
 val steady_total : routine -> Poly.t
 (** The routine's steady-state performance expression under the

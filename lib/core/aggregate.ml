@@ -53,32 +53,39 @@ type scratch = { mutable bins : Bins.t option; mutable declared : SSet.t option 
    loop context (a repeated bound expression, a branch body's leading run
    under its taken-branch penalty, a block a compared variant shares with
    its original) is translated and dropped once. A block is keyed by its
-   statements or expressions without their locations, its loop variables
-   and its invariants; the table serves one machine, flag set and symbol
-   table and starts over when one of them changes. A drop keeps the
+   statements or expressions without their locations, its loop variables,
+   its invariants and its symbol table; the table serves one machine and
+   flag set and starts over when one of them changes. A drop keeps the
    stacked-placement fallbacks it took, so each use reports them at its
    own location. *)
 
-type drop = { cost : int; fallbacks : int }
+type drop = {
+  cost : int;
+  fallbacks : int;
+  first : int;  (** the first of a steady state's two drops; [cost] otherwise *)
+}
+
 type drop_kind = Whole | Body_alone | Once | Steady | Steady_control
 type shape = Run of Ast.stmt list | Cond of Ast.expr | Bound_exprs of Ast.expr list
 
 type block = {
   shape : shape;
-  mutable dags : (Dag.t * Dag.t) option;
-      (** the one-time and per-execution parts; let go when a routine's
-          aggregation ends, and translated again if a later use needs them *)
+  mutable res : Translator.result option;
+      (** let go when a routine's aggregation ends, unless the block is a
+          loop body charged with its loop control, and translated again if
+          a later use needs it *)
   mutable drops : (drop_kind * drop) list;
   mutable penalties : (block * int) list;  (** the taken-branch penalty under each condition *)
 }
 
-type block_key = { shape : shape; lvars : string list; linv : SSet.t }
+type block_key = { shape : shape; lvars : string list; linv : SSet.t; syms : int }
 
 module Blocks = Hashtbl.Make (struct
   type t = block_key
 
   let equal a b =
-    List.equal String.equal a.lvars b.lvars
+    a.syms = b.syms
+    && List.equal String.equal a.lvars b.lvars
     && (match (a.shape, b.shape) with
        | Run x, Run y -> List.equal Ast.equal_stmt x y
        | Cond x, Cond y -> Ast.equal_expr x y
@@ -94,27 +101,42 @@ module Blocks = Hashtbl.Make (struct
       | Cond e -> Hashtbl.hash e
       | Bound_exprs es -> Hashtbl.hash es
     in
-    Hashtbl.hash (shape, k.lvars)
+    Hashtbl.hash (shape, k.lvars, k.syms)
 end)
 
 type blocks = {
-  mutable owner : (Machine.t * Flags.t * Typecheck.symtab) option;
+  mutable owner : (Machine.t * Flags.t) option;
+  mutable symtabs : Typecheck.symtab list;  (** each key's [syms] indexes this, newest first *)
   table : block Blocks.t;
   mutable control : drop option;  (** the loop control alone, per iteration *)
 }
 
-let blocks () = { owner = None; table = Blocks.create 64; control = None }
+let blocks () = { owner = None; symtabs = []; table = Blocks.create 64; control = None }
+
+(* the index of the symbol table among those the table has met: two
+   tables declaring the same symbols share their blocks *)
+let find_symtab blocks symtab =
+  let rec go i = function
+    | [] -> None
+    | s :: rest ->
+      if s == symtab || Typecheck.symbols_list s = Typecheck.symbols_list symtab then Some i
+      else go (i - 1) rest
+  in
+  go (List.length blocks.symtabs - 1) blocks.symtabs
 
 let adopt blocks ~machine ~flags ~symtab =
-  match blocks.owner with
-  | Some (m, f, s)
-    when m == machine && f = flags
-         && (s == symtab || Typecheck.symbols_list s = Typecheck.symbols_list symtab) ->
-    ()
-  | _ ->
-    Blocks.reset blocks.table;
-    blocks.control <- None;
-    blocks.owner <- Some (machine, flags, symtab)
+  (match blocks.owner with
+   | Some (m, f) when m == machine && f = flags -> ()
+   | _ ->
+     Blocks.reset blocks.table;
+     blocks.control <- None;
+     blocks.symtabs <- [];
+     blocks.owner <- Some (machine, flags));
+  match find_symtab blocks symtab with
+  | Some i -> i
+  | None ->
+    blocks.symtabs <- symtab :: blocks.symtabs;
+    List.length blocks.symtabs - 1
 
 type ctx = {
   machine : Machine.t;
@@ -127,6 +149,7 @@ type ctx = {
   ranges : Pperf_absint.Absint.result option;
   scratch : scratch;
   blocks : blocks;
+  syms : int;  (** the symbol table's index in [blocks] *)
 }
 
 let scratch_bins ctx =
@@ -165,17 +188,17 @@ let note_fallbacks ctx ~loc d =
 
 (* a dag dropped alone into the scratch bins *)
 let dropped ctx dag =
-  if Dag.length dag = 0 then { cost = 0; fallbacks = 0 }
+  if Dag.length dag = 0 then { cost = 0; fallbacks = 0; first = 0 }
   else (
     let bins = scratch_bins ctx in
     let cost = (Bins.drop_dag bins dag).cost in
-    { cost; fallbacks = Bins.fallbacks bins })
+    { cost; fallbacks = Bins.fallbacks bins; first = cost })
 
 (* a dag's per-iteration cost: its two-drop steady state *)
 let steady ctx dag =
   let bins = scratch_bins ctx in
-  let _, per_iter = Bins.steady_state bins dag in
-  { cost = per_iter; fallbacks = Bins.fallbacks bins }
+  let once, per_iter = Bins.steady_state bins dag in
+  { cost = per_iter; fallbacks = Bins.fallbacks bins; first = once }
 
 let block_drop blk kind compute =
   match List.assq_opt kind blk.drops with
@@ -199,29 +222,32 @@ let translate ctx shape =
   | Cond c -> Translator.translate_condition ~machine ~flags ~symtab ~loop_vars ~invariants c
   | Bound_exprs es -> Translator.translate_exprs ~machine ~flags ~symtab ~loop_vars ~invariants es
 
-let dags ctx blk =
-  match blk.dags with
-  | Some d -> d
+let translation ctx blk =
+  match blk.res with
+  | Some res -> res
   | None ->
     let res = translate ctx blk.shape in
-    let d = (res.one_time, res.body) in
-    blk.dags <- Some d;
-    d
+    blk.res <- Some res;
+    res
+
+let dags ctx blk =
+  let res = translation ctx blk in
+  (res.one_time, res.body)
 
 (* the block of [shape] in the context, translated on its first use (a
    translation that fails raises here, and the table keeps nothing) *)
 let block ctx shape =
-  let key = { shape; lvars = ctx.lvars; linv = ctx.invariants } in
+  let key = { shape; lvars = ctx.lvars; linv = ctx.invariants; syms = ctx.syms } in
   match Blocks.find_opt ctx.blocks.table key with
   | Some blk -> blk
   | None ->
-    let blk = { shape; dags = None; drops = []; penalties = [] } in
-    ignore (dags ctx blk);
+    let blk = { shape; res = None; drops = []; penalties = [] } in
+    ignore (translation ctx blk);
     Blocks.add ctx.blocks.table key blk;
     blk
 
 let make_ctx ~machine ~options ~symtab ?ranges ?(prob_offset = 0) ?(blocks = blocks ()) () =
-  adopt blocks ~machine ~flags:options.flags ~symtab;
+  let syms = adopt blocks ~machine ~flags:options.flags ~symtab in
   {
     machine;
     options;
@@ -233,6 +259,7 @@ let make_ctx ~machine ~options ~symtab ?ranges ?(prob_offset = 0) ?(blocks = blo
     ranges;
     scratch = { bins = None; declared = None };
     blocks;
+    syms;
   }
 
 (* ---- block costs: each block the walk charges, in its loop context ---- *)
@@ -642,8 +669,12 @@ let stmts ~machine ?(options = default_options) ?(prob_offset = 0) ?blocks ~symt
   let ranges = infer_ranges_of ~options ~symtab body in
   let ctx = make_ctx ~machine ~options ~symtab ?ranges ~prob_offset ?blocks () in
   let cost = agg_stmts ctx body in
-  (* the DAGs die with the routine; the drops stay for the table's next one *)
-  Blocks.iter (fun _ blk -> blk.dags <- None) ctx.blocks.table;
+  (* the translations die with the routine, but for the loop bodies a
+     bound analysis of the same request reads; the drops stay for the
+     table's next routine *)
+  Blocks.iter
+    (fun _ blk -> if not (List.mem_assq Steady_control blk.drops) then blk.res <- None)
+    ctx.blocks.table;
   {
     cost;
     prob_vars = List.rev ctx.probs.vars;
@@ -652,3 +683,14 @@ let stmts ~machine ?(options = default_options) ?(prob_offset = 0) ?blocks ~symt
 
 let routine ~machine ?(options = default_options) ?blocks (checked : Typecheck.checked) =
   stmts ~machine ~options ?blocks ~symtab:checked.symbols checked.routine.body
+
+let loop_body blocks ~machine ~symtab ~loop_vars ~invariants body =
+  match (blocks.owner, find_symtab blocks symtab) with
+  | Some (m, flags), Some syms when m == machine && flags = Flags.default -> (
+    match Blocks.find_opt blocks.table { shape = Run body; lvars = loop_vars; linv = invariants; syms } with
+    | Some { res = Some res; drops; _ } -> (
+      match List.assq_opt Steady_control drops with
+      | Some d -> Some { Pperf_bounds.Bounds.res; once = d.first; per_iter = d.cost }
+      | None -> None)
+    | _ -> None)
+  | _ -> None

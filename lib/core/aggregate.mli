@@ -69,11 +69,13 @@ type blocks
 (** A request's block table: each block's translation and drops, made
     once per loop context. A block is keyed by its statements (or its
     condition or bound expressions) without their locations, its loop
-    variables and its invariants. The table serves one machine, flag set
-    and symbol table; used with another it starts over. It keeps a
-    block's DAGs only while the routine that met it is aggregated, and
-    its drops until the table dies. Create one per request and never
-    keep it longer: it holds every block it met. *)
+    variables, its invariants and its symbol table (two that declare the
+    same symbols count as one). The table serves one machine and flag
+    set; used with another it starts over. It keeps a block's translation
+    only while the routine that met it is aggregated, but for a loop body
+    charged with its loop control, and its drops until the table dies.
+    Create one per request and never keep it longer: it holds every block
+    it met. *)
 
 val blocks : unit -> blocks
 
@@ -95,6 +97,21 @@ val stmts :
 
 val routine :
   machine:Machine.t -> ?options:options -> ?blocks:blocks -> Typecheck.checked -> prediction
+
+val loop_body :
+  blocks ->
+  machine:Machine.t ->
+  symtab:Typecheck.symtab ->
+  loop_vars:string list ->
+  invariants:Analysis.SSet.t ->
+  Ast.stmt list ->
+  Pperf_bounds.Bounds.translated option
+(** A loop body an aggregation with this table charged as one block with
+    its loop control (the loop's variables and invariants as given): its
+    translation, and the first and the per-iteration cost of the body
+    plus loop control dropped twice, as {!Pperf_bounds.Bounds.analyze}
+    reads them. [None] when no aggregation met it, or the table serves
+    another machine or flags other than the default. *)
 
 (** {1 Block costs}
 

@@ -31,9 +31,14 @@ type t = {
 
 let generate ?(options = Aggregate.default_options) ?(env = Interval.Env.empty) ~machine
     (checked : Typecheck.checked) : t =
-  let prediction = Aggregate.routine ~machine ~options checked in
+  (* the bound analysis reads the bodies the aggregation translated and
+     dropped, and shares one loop-nest table with the precision checks *)
+  let blocks = Aggregate.blocks () and nests = Analysis.nests checked.routine.body in
+  let prediction = Aggregate.routine ~machine ~options ~blocks checked in
   let bound_summary =
-    Pperf_bounds.Bounds.analyze ~machine ~include_memory:options.include_memory checked
+    Pperf_bounds.Bounds.analyze ~machine ~include_memory:options.include_memory ~nests
+      ~translated:(Aggregate.loop_body blocks ~machine ~symtab:checked.symbols)
+      checked
   in
   let total = Perf_expr.total prediction.cost in
   let unknowns = List.map (fun v -> (v, Interval.Env.find v env)) (Poly.vars total) in
@@ -70,7 +75,7 @@ let generate ?(options = Aggregate.default_options) ?(env = Interval.Env.empty) 
          of conservatism (and optimism) once *)
       Pperf_lint.Lint.dedupe
         (prediction.diagnostics @ bound_summary.diagnostics
-        @ Pperf_lint.Lint.run_precision checked);
+        @ Pperf_lint.Lint.run_precision ~nests checked);
   }
 
 let pp fmt (t : t) =

@@ -1,4 +1,5 @@
 module SSet = Set.Make (String)
+module Poly = Pperf_symbolic.Poly
 
 type loop_ctx = {
   lvar : string;
@@ -17,54 +18,71 @@ type array_ref = {
 
 let ctx_of_do (d : Ast.do_loop) = { lvar = d.var; llo = d.lo; lhi = d.hi; lstep = d.step }
 
-let rec expr_array_refs loops at acc (e : Ast.expr) =
-  match e with
-  | Ast.Int _ | Ast.Real _ | Ast.Logical _ | Ast.Var _ -> acc
-  | Ast.Index (a, subs) ->
-    let acc = { array = a; subs; is_write = false; loops; at } :: acc in
-    List.fold_left (expr_array_refs loops at) acc subs
-  | Ast.Call (_, args) -> List.fold_left (expr_array_refs loops at) acc args
-  | Ast.Unop (_, a) -> expr_array_refs loops at acc a
-  | Ast.Binop (_, a, b) -> expr_array_refs loops at (expr_array_refs loops at acc a) b
-
-let array_refs stmts =
-  let rec go loops acc stmts =
-    List.fold_left
-      (fun acc (s : Ast.stmt) ->
+(* [visit scope at ~is_write array subs] on every array reference of
+   [stmts] in textual order, [scope] being what [enter] made of the
+   enclosing loops (outermost first); [around scope d refs] runs [refs],
+   the visits of the loop's bound expressions and body: the walk
+   {!array_refs} and the nest table share *)
+let iter_refs ?(around = fun _ _ refs -> refs ()) ~enter ~visit scope stmts =
+  let rec expr scope at (e : Ast.expr) =
+    match e with
+    | Ast.Int _ | Ast.Real _ | Ast.Logical _ | Ast.Var _ -> ()
+    | Ast.Index (a, subs) ->
+      visit scope at ~is_write:false a subs;
+      List.iter (expr scope at) subs
+    | Ast.Call (_, args) -> List.iter (expr scope at) args
+    | Ast.Unop (_, a) -> expr scope at a
+    | Ast.Binop (_, a, b) ->
+      expr scope at a;
+      expr scope at b
+  in
+  let rec go scope stmts =
+    List.iter
+      (fun (s : Ast.stmt) ->
         let at = s.loc in
         match s.kind with
         | Ast.Assign (lhs, e) ->
-          let acc =
-            if lhs.subs = [] then acc
-            else (
-              let acc = { array = lhs.base; subs = lhs.subs; is_write = true; loops; at } :: acc in
-              List.fold_left (expr_array_refs loops at) acc lhs.subs)
-          in
-          expr_array_refs loops at acc e
+          if lhs.subs <> [] then (
+            visit scope at ~is_write:true lhs.base lhs.subs;
+            List.iter (expr scope at) lhs.subs);
+          expr scope at e
         | Ast.If (branches, els) ->
-          let acc =
-            List.fold_left
-              (fun acc (c, body) -> go loops (expr_array_refs loops at acc c) body)
-              acc branches
-          in
-          go loops acc els
+          List.iter
+            (fun (c, body) ->
+              expr scope at c;
+              go scope body)
+            branches;
+          go scope els
         | Ast.Do d ->
-          let acc = List.fold_left (expr_array_refs loops at) acc (d.lo :: d.hi :: Option.to_list d.step) in
-          go (loops @ [ ctx_of_do d ]) acc d.body
-        | Ast.Call_stmt (_, args) -> List.fold_left (expr_array_refs loops at) acc args
-        | Ast.Return -> acc)
-      acc stmts
+          around scope d (fun () ->
+              List.iter (expr scope at) (d.lo :: d.hi :: Option.to_list d.step);
+              go (enter scope d) d.body)
+        | Ast.Call_stmt (_, args) -> List.iter (expr scope at) args
+        | Ast.Return -> ())
+      stmts
   in
-  List.rev (go [] [] stmts)
+  go scope stmts
 
-let expr_reads e =
+let array_refs stmts =
+  let acc = ref [] in
+  iter_refs
+    ~enter:(fun loops d -> loops @ [ ctx_of_do d ])
+    ~visit:(fun loops at ~is_write array subs ->
+      acc := { array; subs; is_write; loops; at } :: !acc)
+    [] stmts;
+  List.rev !acc
+
+(* [acc] with the names the expression reads *)
+let add_reads acc e =
   Ast.fold_expr
     (fun acc e ->
       match e with
       | Ast.Var x -> SSet.add x acc
       | Ast.Index (a, _) -> SSet.add a acc
       | _ -> acc)
-    SSet.empty e
+    acc e
+
+let expr_reads e = add_reads SSet.empty e
 
 let assigned_vars stmts =
   let acc = ref SSet.empty in
@@ -87,7 +105,7 @@ let assigned_vars stmts =
 
 let used_vars stmts =
   let acc = ref SSet.empty in
-  let add_expr e = acc := SSet.union (expr_reads e) !acc in
+  let add_expr e = acc := add_reads !acc e in
   Ast.iter_stmts
     (fun s ->
       match s.Ast.kind with
@@ -152,6 +170,208 @@ let innermost_nests stmts =
 let innermost_bodies stmts =
   List.map (fun (loops, _, body) -> (loops, body)) (innermost_nests stmts)
 
+(* ---- the loop-nest table ---- *)
+
+let c_views = Pperf_obs.Obs.counter "analysis.affine_views"
+
+type nest_loop = { lctx : loop_ctx; lbounds : (Poly.t option * Poly.t option) Lazy.t }
+
+let nest_loop l = { lctx = l; lbounds = lazy (Sym_expr.to_poly l.llo, Sym_expr.to_poly l.lhi) }
+
+(* one subscript expression: its polynomial, and its affine view over each
+   list of index variables it has been viewed over; a table keeps one per
+   distinct expression, so every reference that spells it shares them *)
+type form = {
+  poly : Poly.t option Lazy.t;
+  mutable forms_views : (string list * (int list * Poly.t) option) list;
+}
+
+let form e = { poly = lazy (Sym_expr.to_poly e); forms_views = [] }
+
+(* the loops around a reference: their entries, their variables, and
+   whether a name repeats; shared by every reference under the same loop *)
+type scope = { nloops : nest_loop list; vars : string array; distinct : bool }
+
+let no_loops = { nloops = []; vars = [||]; distinct = true }
+
+(* the scope inside one more loop *)
+let inside sc l =
+  {
+    nloops = sc.nloops @ [ l ];
+    vars = Array.append sc.vars [| l.lctx.lvar |];
+    distinct = sc.distinct && not (Array.mem l.lctx.lvar sc.vars);
+  }
+
+type nest_ref = {
+  aref : array_ref;
+  scope : scope;
+  forms : form list;  (** one per subscript *)
+  mutable views : (int * int * (int list * Poly.t) option list) list;
+      (** by window: its first loop and its length *)
+}
+
+let make_entry scope forms r = { aref = r; scope; forms; views = [] }
+let entry nloops (r : array_ref) =
+  make_entry (List.fold_left inside no_loops nloops) (List.map form r.subs) r
+let entry_ref e = e.aref
+let entry_loops e = e.scope.nloops
+let subscript_polys e = List.map (fun f -> Lazy.force f.poly) e.forms
+
+let window_vars e ~from ~len = Array.to_list (Array.sub e.scope.vars from len)
+
+(* the full view with the terms of the loops outside the window moved
+   into the residue *)
+let fold_window e ~from ~len (coeffs, rest) =
+  let inside = ref [] and rest = ref rest in
+  List.iteri
+    (fun k c ->
+      if k >= from && k < from + len then inside := c :: !inside
+      else if c <> 0 then rest := Poly.add !rest (Poly.scale_int c (Poly.var e.scope.vars.(k))))
+    coeffs;
+  (List.rev !inside, !rest)
+
+(* the subscript's view over [vars], computed once per form by [compute] *)
+let form_view f vars compute =
+  match List.find_opt (fun (vs, _) -> List.equal String.equal vs vars) f.forms_views with
+  | Some (_, v) -> v
+  | None ->
+    let v = compute () in
+    Pperf_obs.Obs.incr c_views;
+    f.forms_views <- (vars, v) :: f.forms_views;
+    v
+
+let view_over f vars =
+  form_view f vars (fun () -> Option.bind (Lazy.force f.poly) (Sym_expr.affine_of_poly vars))
+
+let affine_view e ~from ~len =
+  match List.find_opt (fun (f, l, _) -> f = from && l = len) e.views with
+  | Some (_, _, v) -> v
+  | None ->
+    let wvars = window_vars e ~from ~len in
+    let v =
+      if (from = 0 && len = Array.length e.scope.vars) || not e.scope.distinct then
+        List.map (fun f -> view_over f wvars) e.forms
+      else (
+        let all = Array.to_list e.scope.vars in
+        List.map
+          (fun f ->
+            form_view f wvars (fun () ->
+                match view_over f all with
+                | Some view -> Some (fold_window e ~from ~len view)
+                | None ->
+                  (* outside the affine domain over every loop, maybe
+                     not over the window's *)
+                  Option.bind (Lazy.force f.poly) (Sym_expr.affine_of_poly wvars)))
+          e.forms)
+    in
+    e.views <- (from, len, v) :: e.views;
+    v
+
+(* a loop of the table: its references are the entries from [first] to
+   [last] (exclusive), its body's from [body] *)
+type table_loop = {
+  tdo : Ast.do_loop;
+  depth : int;  (** enclosing loops *)
+  first : int;
+  mutable body : int;
+  mutable last : int;
+  parent : table_loop option;
+}
+
+type nests = { entries : nest_ref array; loops : table_loop list }
+
+module Forms = Hashtbl.Make (struct
+  type t = Ast.expr
+
+  let equal = Ast.equal_expr
+  let hash = Hashtbl.hash
+end)
+
+let nests stmts =
+  let acc = ref [] and count = ref 0 and table_loops = ref [] and entered = ref None in
+  let forms = Forms.create 16 in
+  let form_of e =
+    match Forms.find_opt forms e with
+    | Some f -> f
+    | None ->
+      let f = form e in
+      Forms.add forms e f;
+      f
+  in
+  iter_refs
+    ~around:(fun (loops, _, parent) d refs ->
+      let tl = { tdo = d; depth = List.length loops; first = !count; body = 0; last = 0; parent } in
+      entered := Some tl;
+      refs ();
+      tl.last <- !count;
+      table_loops := tl :: !table_loops)
+    ~enter:(fun (loops, sc, _) d ->
+      (* the bound expressions are visited: the body starts here *)
+      let tl = Option.get !entered in
+      tl.body <- !count;
+      let l = ctx_of_do d in
+      (loops @ [ l ], inside sc (nest_loop l), Some tl))
+    ~visit:(fun (loops, sc, _) at ~is_write array subs ->
+      incr count;
+      acc := make_entry sc (List.map form_of subs) { array; subs; is_write; loops; at } :: !acc)
+    ([], no_loops, None) stmts;
+  { entries = Array.of_list (List.rev !acc); loops = !table_loops }
+
+let nest_refs t = t.entries
+
+(* the loops of a perfect nest, outermost first, and its innermost body *)
+let rec perfect_chain = function
+  | [ { Ast.kind = Ast.Do d; _ } ] ->
+    let ds, body = perfect_chain d.body in
+    (d :: ds, body)
+  | body -> ([], body)
+
+(* The table's ranges for a fragment that is one of its loops, the body of
+   one of its loops, or a perfect nest around such a body whose loops are
+   that loop and its enclosing ones (as [wrap_nest] rebuilds an innermost
+   nest); with how many table loops enclose the fragment. *)
+let fragment_ranges t stmts =
+  match stmts with
+  | [ { Ast.kind = Ast.Do d; _ } ] when List.exists (fun tl -> tl.tdo == d) t.loops ->
+    let tl = List.find (fun tl -> tl.tdo == d) t.loops in
+    Some ([ (tl.first, tl.last) ], tl.depth)
+  | _ -> (
+    let ws, body = perfect_chain stmts in
+    (* the fragment's loops, innermost first, against the table loop and
+       its parents: each loop's bound expressions' range *)
+    let rec chain (tl : table_loop) ws acc =
+      match ws with
+      | [] -> Some acc
+      | (w : Ast.do_loop) :: ws -> (
+        let same =
+          String.equal w.var tl.tdo.var && w.lo == tl.tdo.lo && w.hi == tl.tdo.hi
+          && w.step == tl.tdo.step
+        in
+        match (same, ws, tl.parent) with
+        | false, _, _ -> None
+        | true, [], _ -> Some (((tl.first, tl.body), tl.depth) :: acc)
+        | true, _, Some p -> chain p ws (((tl.first, tl.body), tl.depth) :: acc)
+        | true, _, None -> None)
+    in
+    match List.find_opt (fun tl -> body <> [] && tl.tdo.body == body) t.loops with
+    | None -> None
+    | Some tl -> (
+      match (ws, chain tl (List.rev ws) []) with
+      | [], _ -> Some ([ (tl.body, tl.last) ], tl.depth + 1)
+      | _, Some ((((_, _), outer) :: _) as bounds) ->
+        Some (List.map fst bounds @ [ (tl.body, tl.last) ], outer)
+      | _ -> None))
+
+let refs_in t stmts =
+  match fragment_ranges t stmts with
+  | Some (ranges, outer) ->
+    Array.concat
+      (List.map
+         (fun (first, last) ->
+           Array.map (fun e -> (e, outer)) (Array.sub t.entries first (last - first)))
+         ranges)
+  | None -> Array.map (fun e -> (e, 0)) (nests stmts).entries
+
 (* ---- the loop-costing rules ---- *)
 
 let is_straight (s : Ast.stmt) =
@@ -188,7 +408,7 @@ let is_trip_var v = String.starts_with ~prefix:trip_prefix v
 let trip (l : loop_ctx) =
   match Sym_expr.trip_count ~lo:l.llo ~hi:l.lhi ~step:l.lstep with
   | Some p -> p
-  | None -> Pperf_symbolic.Poly.var (trip_var l.lvar)
+  | None -> Poly.var (trip_var l.lvar)
 
 let wrap_nest loops body =
   List.fold_right

@@ -52,6 +52,68 @@ val innermost_nests : Ast.stmt list -> (loop_ctx list * Ast.do_loop * Ast.stmt l
 val innermost_bodies : Ast.stmt list -> (loop_ctx list * Ast.stmt list) list
 (** {!innermost_nests} without the enclosing loops. *)
 
+(** {1 The loop-nest table}
+
+    One table per analysed routine: its loops and its array references
+    (in {!array_refs} order), each reference with its subscript
+    polynomials and its affine views, every derived form computed on first
+    use and kept. The dependence tests, lint's subscript and
+    carried-dependence checks, the bound analysis and the memory model
+    read a routine's references from one table instead of converting the
+    subscripts again for every pair, check or nest. A table holds no
+    global state: make one per routine per request. *)
+
+type nest_loop = private {
+  lctx : loop_ctx;
+  lbounds : (Pperf_symbolic.Poly.t option * Pperf_symbolic.Poly.t option) Lazy.t;
+      (** {!Sym_expr.to_poly} of the lower and upper bound *)
+}
+
+val nest_loop : loop_ctx -> nest_loop
+
+type nest_ref
+(** One reference with its derived forms. *)
+
+val entry : nest_loop list -> array_ref -> nest_ref
+(** A stand-alone entry for a reference under the given loops (outermost
+    first), for a reference no table holds. *)
+
+val entry_ref : nest_ref -> array_ref
+(** The reference, its [loops] every loop of the table's statements that
+    encloses it. *)
+
+val entry_loops : nest_ref -> nest_loop list
+(** The table's entries of {!entry_ref}'s loops; references under one
+    loop share its entry. *)
+
+val subscript_polys : nest_ref -> Pperf_symbolic.Poly.t option list
+(** {!Sym_expr.to_poly} of each subscript. *)
+
+val affine_view : nest_ref -> from:int -> len:int -> (int list * Pperf_symbolic.Poly.t) option list
+(** Each subscript's {!Sym_expr.affine_of_poly} over the variables of the
+    window of [len] loops starting at loop [from] (0 = outermost). A
+    window short of every loop is the full view with the other loops'
+    terms folded into the residue, which is exact when the full view is
+    affine and no loop name repeats; otherwise the window's view is
+    computed from the polynomial. Each view counts once in
+    [analysis.affine_views]. *)
+
+type nests
+
+val nests : Ast.stmt list -> nests
+(** The table of the statements' loops and references. *)
+
+val nest_refs : nests -> nest_ref array
+(** Every reference's entry, in {!array_refs} order. *)
+
+val refs_in : nests -> Ast.stmt list -> (nest_ref * int) array
+(** The references of a fragment of the table's statements, in
+    {!array_refs} order, each with how many of its entry's loops enclose
+    the fragment. A fragment that is one of the table's loops, the body of
+    one, or a nest {!wrap_nest} rebuilds around such a body from its loops
+    (found by physical identity) reads the table's entries; any other
+    fragment gets a table of its own. *)
+
 (** {1 Loop-costing rules}
 
     The one copy of each rule the aggregation (§2.4) applies to a loop,

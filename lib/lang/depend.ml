@@ -20,10 +20,10 @@ let direction_to_string = function Lt -> "<" | Eq -> "=" | Gt -> ">"
 (* constant loop bounds when available; with a range environment, symbolic
    bounds collapse to sound integer enclosures (floor the lower end, ceil
    the upper), e.g. [do i = 1, m] with m in [2,2] gives (1, 2) *)
-let const_bounds ?env ?oracle (l : Analysis.loop_ctx) =
-  let poly_of e = Sym_expr.to_poly e in
-  let const e =
-    match poly_of e with
+let const_bounds ?env ?oracle (nl : Analysis.nest_loop) =
+  let l = nl.lctx in
+  let plo, phi = Lazy.force nl.lbounds in
+  let const = function
     | Some p -> (match Poly.to_const p with Some c -> Rat.to_int c | None -> None)
     | None -> None
   in
@@ -36,8 +36,7 @@ let const_bounds ?env ?oracle (l : Analysis.loop_ctx) =
       match Interval.intersect base (f p) with Some m -> m | None -> base)
     | None -> base
   in
-  let iv_bound round pick e =
-    match poly_of e with
+  let iv_bound round pick = function
     | Some p -> (
       match pick (enclose p) with
       | Interval.Fin r -> Bigint.to_int (round r)
@@ -48,29 +47,32 @@ let const_bounds ?env ?oracle (l : Analysis.loop_ctx) =
   if not step_ok then None
   else (
     let lo =
-      match const l.llo with
+      match const plo with
       | Some lo -> Some lo
-      | None -> iv_bound Rat.floor Interval.lo l.llo
+      | None -> iv_bound Rat.floor Interval.lo plo
     in
     let hi =
-      match const l.lhi with
+      match const phi with
       | Some hi -> Some hi
-      | None -> iv_bound Rat.ceil Interval.hi l.lhi
+      | None -> iv_bound Rat.ceil Interval.hi phi
     in
     match (lo, hi) with Some lo, Some hi when lo <= hi -> Some (lo, hi) | _ -> None)
 
-(* one subscript pair viewed affinely in the common loop indices:
-   (a_coeffs, b_coeffs, diff) with  sum a_j x_j - sum b_j y_j = diff
-   (diff constant); None = not analyzable -> assume dependent *)
-let subscript_pair ?env ?oracle common (f : Ast.expr) (g : Ast.expr) =
-  let vars = List.map (fun (l : Analysis.loop_ctx) -> l.lvar) common in
-  match (Sym_expr.affine_in vars f, Sym_expr.affine_in vars g) with
+(* one subscript pair from the two references' affine views in the common
+   loop indices: (a_coeffs, b_coeffs, diff) with
+   sum a_j x_j - sum b_j y_j = diff (diff constant); None = not analyzable
+   -> assume dependent *)
+let subscript_pair ?env ?oracle f g =
+  match (f, g) with
   | Some (fa, frest), Some (ga, grest) ->
-    let diff = Poly.sub grest frest in
     let diff_const =
-      match Poly.to_const diff with
-      | Some c -> Some c
-      | None -> (
+      match (Poly.to_const frest, Poly.to_const grest) with
+      | Some f, Some g -> Some (Rat.sub g f)
+      | _ -> (
+        let diff = Poly.sub grest frest in
+        match Poly.to_const diff with
+        | Some c -> Some c
+        | None -> (
         (* a range environment may pin the symbolic difference to a point,
            e.g. a(i) vs a(i+m) with m in [2,2]; a relational oracle can do
            the same for symbolic couplings, e.g. a(i+m) vs a(i+2*n) under
@@ -86,7 +88,7 @@ let subscript_pair ?env ?oracle common (f : Ast.expr) (g : Ast.expr) =
             match Interval.intersect base (f diff) with Some m -> m | None -> base)
           | None -> base
         in
-        Interval.is_point iv)
+        Interval.is_point iv))
     in
     (match diff_const with
      | Some c when Rat.is_integer c -> (
@@ -155,65 +157,60 @@ let banerjee_disproves bounds dirs (fa, ga, diff) =
   in
   go bounds dirs fa ga (0, 0)
 
-(* test a full direction vector against all subscript pairs; true = the
-   tests disproved a dependence with this direction vector *)
+(* test a direction vector against all subscript pairs; true = the Banerjee
+   test disproved a dependence with this direction vector *)
 let vector_disproved bounds dirs pairs =
   List.exists
     (fun pair ->
       match pair with
       | None -> false (* unanalyzable dimension: cannot disprove *)
-      | Some p -> gcd_disproves p || banerjee_disproves bounds dirs p)
+      | Some p -> banerjee_disproves bounds dirs p)
     pairs
 
 (* strong-SIV sharpening: when a dim is a*x - a*y = diff with a <> 0, the
    dependence distance is fixed: diff/a. Directions inconsistent with the
-   distance sign are disproved. *)
-let siv_direction common pairs =
-  (* returns, per loop level, the direction forced by some subscript, if any *)
-  List.mapi
-    (fun j (l : Analysis.loop_ctx) ->
-      ignore l;
-      List.fold_left
-        (fun forced pair ->
-          match (forced, pair) with
-          | Some _, _ -> forced
-          | None, Some (fa, ga, diff) ->
-            let a = List.nth fa j and b = List.nth ga j in
-            let others_zero =
-              List.for_all2 (fun i (x, y) -> i = j || (x = 0 && y = 0))
-                (List.mapi (fun i _ -> i) fa)
-                (List.combine fa ga)
-            in
-            if a = b && a <> 0 && others_zero then
-              if diff mod a <> 0 then Some `Impossible
-              else (
-                (* x - y = dist: a positive distance means the first
-                   reference's iteration is later (direction >) *)
-                let dist = diff / a in
-                if dist = 0 then Some (`Dir Eq)
-                else if dist > 0 then Some (`Dir Gt)
-                else Some (`Dir Lt))
-            else None
-          | None, None -> None)
-        None pairs)
-    common
+   distance sign are disproved. Per loop level, the direction the first
+   such subscript forces, if any. *)
+let siv_direction n pairs =
+  let forced = Array.make n None in
+  List.iter
+    (function
+      | None -> ()
+      | Some (fa, ga, diff) -> (
+        (* the levels whose coefficients are not both zero *)
+        let levels =
+          List.concat
+            (List.mapi
+               (fun j (a, b) -> if a <> 0 || b <> 0 then [ (j, a, b) ] else [])
+               (List.combine fa ga))
+        in
+        match levels with
+        | [ (j, a, b) ] when a = b && forced.(j) = None ->
+          forced.(j) <-
+            (if diff mod a <> 0 then Some `Impossible
+             else (
+               (* x - y = dist: a positive distance means the first
+                  reference's iteration is later (direction >) *)
+               let dist = diff / a in
+               if dist = 0 then Some (`Dir Eq)
+               else if dist > 0 then Some (`Dir Gt)
+               else Some (`Dir Lt)))
+        | _ -> ()))
+    pairs;
+  forced
 
-(* intervals of a reference's subscripts over a range environment extended
-   with the enclosing loops' index ranges (outermost first, so triangular
-   bounds see the outer index); each is computed on first use *)
-let subscript_intervals env (r : Analysis.array_ref) =
-  let index_interval env (l : Analysis.loop_ctx) =
-    let eval e =
-      match Sym_expr.to_poly e with
-      | Some p -> Interval.eval_poly env p
-      | None -> Interval.full
-    in
-    let lo_iv = eval l.llo and hi_iv = eval l.lhi in
+(* a range environment extended with the loops' index ranges (outermost
+   first, so triangular bounds see the outer index), computed on first use *)
+let index_env env (loops : Analysis.nest_loop list) =
+  let index_interval env (nl : Analysis.nest_loop) =
+    let eval = function Some p -> Interval.eval_poly env p | None -> Interval.full in
+    let plo, phi = Lazy.force nl.lbounds in
+    let lo_iv = eval plo and hi_iv = eval phi in
     let step_sign =
-      match l.lstep with
+      match nl.lctx.lstep with
       | None -> 1
       | Some s -> (
-        match eval s with iv -> ( match Interval.sign iv with Pos -> 1 | Neg -> -1 | _ -> 0))
+        match Interval.sign (eval (Sym_expr.to_poly s)) with Pos -> 1 | Neg -> -1 | _ -> 0)
     in
     try
       if step_sign > 0 then Interval.make (Interval.lo lo_iv) (Interval.hi hi_iv)
@@ -221,19 +218,19 @@ let subscript_intervals env (r : Analysis.array_ref) =
       else Interval.union lo_iv hi_iv
     with Invalid_argument _ -> Interval.union lo_iv hi_iv
   in
-  let env =
-    lazy
-      (List.fold_left
-         (fun env (l : Analysis.loop_ctx) -> Interval.Env.add l.lvar (index_interval env l) env)
-         env r.loops)
-  in
+  lazy
+    (List.fold_left
+       (fun env (nl : Analysis.nest_loop) -> Interval.Env.add nl.lctx.lvar (index_interval env nl) env)
+       env loops)
+
+(* the interval of a subscript polynomial over an index environment,
+   computed on first use *)
+let subscript_interval env p = lazy (Interval.eval_poly (Lazy.force env) p)
+
+let subscript_intervals env polys =
   List.map
-    (fun sub ->
-      lazy
-        (match Sym_expr.to_poly sub with
-         | Some p -> Interval.eval_poly (Lazy.force env) p
-         | None -> Interval.full))
-    r.subs
+    (function Some p -> subscript_interval env p | None -> Lazy.from_val Interval.full)
+    polys
 
 (* range disproof: the two references touch provably disjoint index sets in
    some dimension, so no element is shared at all *)
@@ -244,21 +241,23 @@ let ranges_disjoint ivs1 ivs2 =
        ivs1 ivs2
 
 (* the direction vectors of two references to one array that the range
-   disproof left standing and the subscript tests cannot disprove *)
-let direction_vectors ~common ?env ?oracle (r1 : Analysis.array_ref) (r2 : Analysis.array_ref) =
-  if List.length r1.subs <> List.length r2.subs then
+   disproof left standing and the subscript tests cannot disprove, from
+   their affine views over the [n] common loops; [bounds] holds each common
+   loop's [const_bounds], forced only at the levels reached *)
+let direction_vectors ~n ~bounds ?env ?oracle views1 views2 =
+  if List.length views1 <> List.length views2 then
     (* inconsistent shapes: be conservative, all-any *)
-    [ List.map (fun _ -> Eq) common ]
+    [ List.init n (fun _ -> Eq) ]
   else (
-    let pairs =
-      List.map2 (fun f g -> subscript_pair ?env ?oracle common f g) r1.subs r2.subs
-    in
-    let forced = siv_direction common pairs in
-    if List.exists (fun f -> f = Some `Impossible) forced then []
+    let pairs = List.map2 (fun f g -> subscript_pair ?env ?oracle f g) views1 views2 in
+    let forced = siv_direction n pairs in
+    (* a subscript the GCD test separates disproves every direction *)
+    if
+      Array.exists (fun f -> f = Some `Impossible) forced
+      || List.exists (function Some p -> gcd_disproves p | None -> false) pairs
+    then []
     else (
-      let bounds = List.map (fun l -> lazy (const_bounds ?env ?oracle l)) common in
       (* hierarchical refinement of direction vectors *)
-      let n = List.length common in
       let results = ref [] in
       let rec refine prefix j =
         if j = n then (
@@ -267,7 +266,7 @@ let direction_vectors ~common ?env ?oracle (r1 : Analysis.array_ref) (r2 : Analy
             results := dirs :: !results)
         else (
           let candidates =
-            match List.nth forced j with
+            match forced.(j) with
             | Some (`Dir d) -> [ d ]
             | _ -> [ Lt; Eq; Gt ]
           in
@@ -286,22 +285,27 @@ let direction_vectors ~common ?env ?oracle (r1 : Analysis.array_ref) (r2 : Analy
 
 let directions ~common ?env ?oracle (r1 : Analysis.array_ref) (r2 : Analysis.array_ref) =
   if not (String.equal r1.array r2.array) then []
-  else if
-    match env with
-    | Some env -> ranges_disjoint (subscript_intervals env r1) (subscript_intervals env r2)
-    | None -> false
-  then []
-  else direction_vectors ~common ?env ?oracle r1 r2
-
-let common_loops (r1 : Analysis.array_ref) (r2 : Analysis.array_ref) =
-  let rec go l1 l2 =
-    match (l1, l2) with
-    | (a : Analysis.loop_ctx) :: t1, (b : Analysis.loop_ctx) :: t2
-      when String.equal a.lvar b.lvar ->
-      a :: go t1 t2
-    | _ -> []
-  in
-  go r1.loops r2.loops
+  else (
+    let own (r : Analysis.array_ref) = Analysis.entry (List.map Analysis.nest_loop r.loops) r in
+    let e1 = own r1 and e2 = own r2 in
+    if
+      match env with
+      | Some env ->
+        let ivs e =
+          subscript_intervals (index_env env (Analysis.entry_loops e)) (Analysis.subscript_polys e)
+        in
+        ranges_disjoint (ivs e1) (ivs e2)
+      | None -> false
+    then []
+    else (
+      let nls = List.map Analysis.nest_loop common in
+      let over (r : Analysis.array_ref) = Analysis.entry nls r in
+      let n = List.length common in
+      direction_vectors ~n
+        ~bounds:(List.map (fun l -> lazy (const_bounds ?env ?oracle l)) nls)
+        ?env ?oracle
+        (Analysis.affine_view (over r1) ~from:0 ~len:n)
+        (Analysis.affine_view (over r2) ~from:0 ~len:n)))
 
 let classify (src : Analysis.array_ref) (dst : Analysis.array_ref) =
   match (src.is_write, dst.is_write) with
@@ -311,25 +315,85 @@ let classify (src : Analysis.array_ref) (dst : Analysis.array_ref) =
   | false, false -> Input
 
 let sp_depend = Pperf_obs.Obs.span "depend"
+let c_pairs = Pperf_obs.Obs.counter "depend.pairs"
 
-let dependences_in ?env ?oracle stmts =
-  Pperf_obs.Obs.time sp_depend @@ fun () ->
-  let refs = Analysis.array_refs stmts in
+let rec drop k l = if k <= 0 then l else match l with [] -> [] | _ :: tl -> drop (k - 1) tl
+
+(* the common loops of two references: the longest prefix of their loops
+   inside the fragment whose names agree, taken from the first *)
+let rec common_prefix (l1 : Analysis.nest_loop list) (l2 : Analysis.nest_loop list) =
+  match (l1, l2) with
+  | a :: t1, b :: t2 when String.equal a.lctx.lvar b.lctx.lvar -> a :: common_prefix t1 t2
+  | _ -> []
+
+(* the pairwise dependences among a fragment's references (see
+   [Analysis.refs_in]): each pair is tested on its entries' views over the
+   common loops, and each loop's constant bounds are computed once *)
+let among ?env ?oracle ?(flow_only = false) (refs : (Analysis.nest_ref * int) array) =
   let deps = ref [] in
-  let arr = Array.of_list refs in
-  let n = Array.length arr in
-  (* each reference's subscript intervals, shared by all its pairs *)
-  let ivs = Option.map (fun env -> Array.map (subscript_intervals env) arr) env in
+  let n = Array.length refs in
+  (* the entry's loops inside the fragment *)
+  let inner = Array.map (fun (e, outer) -> drop outer (Analysis.entry_loops e)) refs in
+  let memo = ref [] in
+  let bounds_of l =
+    match List.assq_opt l !memo with
+    | Some b -> b
+    | None ->
+      let b = lazy (const_bounds ?env ?oracle l) in
+      memo := (l, b) :: !memo;
+      b
+  in
+  (* each reference's subscript intervals, shared by all its pairs; the
+     references under one loop share the loops' index ranges, and the
+     interval of each subscript polynomial over them *)
+  let ivs =
+    Option.map
+      (fun env ->
+        let envs = ref [] in
+        let intervals loops =
+          match List.assq_opt loops !envs with
+          | Some f -> f
+          | None ->
+            let ienv = index_env env loops and seen = ref [] in
+            let f p =
+              match List.assq_opt p !seen with
+              | Some iv -> iv
+              | None ->
+                let iv = subscript_interval ienv p in
+                seen := (p, iv) :: !seen;
+                iv
+            in
+            envs := (loops, f) :: !envs;
+            f
+        in
+        Array.mapi
+          (fun k (e, _) ->
+            let f = intervals inner.(k) in
+            List.map
+              (function Some p -> f p | None -> Lazy.from_val Interval.full)
+              (Analysis.subscript_polys e))
+          refs)
+      env
+  in
   for i = 0 to n - 1 do
     for j = i to n - 1 do
-      let r1 = arr.(i) and r2 = arr.(j) in
-      if String.equal r1.array r2.array && (r1.is_write || r2.is_write) && not (i = j && not r1.is_write)
+      let e1, outer1 = refs.(i) and e2, outer2 = refs.(j) in
+      let r1 = Analysis.entry_ref e1 and r2 = Analysis.entry_ref e2 in
+      if
+        String.equal r1.array r2.array
+        && (if flow_only then r1.is_write <> r2.is_write else r1.is_write || r2.is_write)
+        && not (i = j && not r1.is_write)
       then (
-        let common = common_loops r1 r2 in
+        Pperf_obs.Obs.incr c_pairs;
+        let common = common_prefix inner.(i) inner.(j) in
+        let k = List.length common in
         let dirs =
           match ivs with
           | Some ivs when ranges_disjoint ivs.(i) ivs.(j) -> []
-          | _ -> direction_vectors ~common ?env ?oracle r1 r2
+          | _ ->
+            direction_vectors ~n:k ~bounds:(List.map bounds_of common) ?env ?oracle
+              (Analysis.affine_view e1 ~from:outer1 ~len:k)
+              (Analysis.affine_view e2 ~from:outer2 ~len:k)
         in
         List.iter
           (fun dvec ->
@@ -350,14 +414,26 @@ let dependences_in ?env ?oracle stmts =
   done;
   List.rev !deps
 
-let carried_dependences ?env ?oracle (d : Ast.do_loop) =
-  let deps = dependences_in ?env ?oracle [ Ast.mk (Ast.Do d) ] in
+let dependences_among ?env ?oracle ?flow_only refs =
+  Pperf_obs.Obs.time sp_depend @@ fun () -> among ?env ?oracle ?flow_only refs
+
+let dependences_in ?env ?oracle ?nests stmts =
+  Pperf_obs.Obs.time sp_depend @@ fun () ->
+  let refs =
+    match nests with
+    | Some t -> Analysis.refs_in t stmts
+    | None -> Array.map (fun e -> (e, 0)) (Analysis.nest_refs (Analysis.nests stmts))
+  in
+  among ?env ?oracle refs
+
+let carried_dependences ?env ?oracle ?nests (d : Ast.do_loop) =
+  let deps = dependences_in ?env ?oracle ?nests [ Ast.mk (Ast.Do d) ] in
   List.filter
     (fun dep -> match dep.directions with (Lt | Gt) :: _ -> true | _ -> false)
     deps
 
-let interchange_legal ?env ?oracle (d : Ast.do_loop) =
-  let deps = dependences_in ?env ?oracle [ Ast.mk (Ast.Do d) ] in
+let interchange_legal ?env ?oracle ?nests (d : Ast.do_loop) =
+  let deps = dependences_in ?env ?oracle ?nests [ Ast.mk (Ast.Do d) ] in
   not
     (List.exists
        (fun dep ->

@@ -53,24 +53,44 @@ val directions :
 val dependences_in :
   ?env:Pperf_symbolic.Interval.Env.t ->
   ?oracle:(Pperf_symbolic.Poly.t -> Pperf_symbolic.Interval.t) ->
+  ?nests:Analysis.nests ->
   Ast.stmt list ->
   dependence list
 (** All pairwise dependences among array references of the fragment that
     share an array and include a write ({!Input} pairs are filtered here),
     classified by kind. Scalars are ignored here (handled by the
-    translator's renaming/reduction logic). *)
+    translator's renaming/reduction logic). [nests] is the table of the
+    statements the fragment belongs to (see {!Analysis.refs_in}); when the
+    fragment is one of its ranges, the dependences name the table's
+    references. Without it the fragment gets a table of its own. Either way each reference's
+    subscripts are converted once per table, not once per pair, and each
+    loop's constant bounds once per call. Each pair tested counts once in
+    [depend.pairs]. *)
+
+val dependences_among :
+  ?env:Pperf_symbolic.Interval.Env.t ->
+  ?oracle:(Pperf_symbolic.Poly.t -> Pperf_symbolic.Interval.t) ->
+  ?flow_only:bool ->
+  (Analysis.nest_ref * int) array ->
+  dependence list
+(** {!dependences_in} of the fragment whose {!Analysis.refs_in} are given.
+    [flow_only] (default false) tests only the pairs of a write and a
+    read, so the result holds exactly the {!Flow} and {!Anti}
+    dependences: the {!Output} ones between two writes are not sought. *)
 
 val carried_dependences :
   ?env:Pperf_symbolic.Interval.Env.t ->
   ?oracle:(Pperf_symbolic.Poly.t -> Pperf_symbolic.Interval.t) ->
+  ?nests:Analysis.nests ->
   Ast.do_loop ->
   dependence list
 (** Dependences carried by this loop (direction [Lt] or [Gt] at its
-    level). *)
+    level). [nests] as for {!dependences_in}. *)
 
 val interchange_legal :
   ?env:Pperf_symbolic.Interval.Env.t ->
   ?oracle:(Pperf_symbolic.Poly.t -> Pperf_symbolic.Interval.t) ->
+  ?nests:Analysis.nests ->
   Ast.do_loop ->
   bool
 (** True when the outer two loops of the (perfect) nest can be swapped:

@@ -49,38 +49,50 @@ let rec to_poly (e : Ast.expr) : Poly.t option =
       | _ -> None)
     | _ -> None)
 
-(** Affine view of a subscript w.r.t. given index variables:
-    [Some (coeffs, rest)] where the subscript equals
+(** Affine view of a polynomial w.r.t. given index variables:
+    [Some (coeffs, rest)] where the polynomial equals
     [sum_i coeffs_i * var_i + rest] and [rest] does not mention the index
     variables. Coefficients must be integer constants. *)
+let affine_of_poly (vars : string list) (p : Poly.t) : (int list * Poly.t) option =
+  let vars = Array.of_list vars in
+  let n = Array.length vars in
+  (* a repeated variable takes its coefficient at its first position and
+     0 at the later ones *)
+  let first = Array.init n (fun k -> not (Array.exists (String.equal vars.(k)) (Array.sub vars 0 k))) in
+  let coeffs = Array.make n 0 in
+  let exception Not_affine in
+  (* the term's index variable, when it is one to the first power alone;
+     -1 when it holds none *)
+  let index_of m =
+    let found = ref (-1) in
+    for k = 0 to n - 1 do
+      if first.(k) then (
+        let e = Monomial.exponent vars.(k) m in
+        if e <> 0 then
+          if e <> 1 || !found >= 0 || Monomial.num_vars m <> 1 then raise Not_affine
+          else found := k)
+    done;
+    !found
+  in
+  match
+    Poly.filter
+      (fun c m ->
+        match index_of m with
+        | -1 -> true
+        | k -> (
+          match if Rat.is_integer c then Rat.to_int c else None with
+          | Some ci ->
+            coeffs.(k) <- ci;
+            false
+          | None -> raise Not_affine))
+      p
+  with
+  | rest -> Some (Array.to_list coeffs, rest)
+  | exception Not_affine -> None
+
+(** [affine_of_poly] of the subscript's polynomial. *)
 let affine_in (vars : string list) (e : Ast.expr) : (int list * Poly.t) option =
-  match to_poly e with
-  | None -> None
-  | Some p ->
-    let rec extract coeffs rest = function
-      | [] -> Some (List.rev coeffs, rest)
-      | v :: more ->
-        let cpolys = Poly.coeffs_in v rest in
-        let ok =
-          List.for_all
-            (fun (k, _) -> k = 0 || k = 1)
-            cpolys
-        in
-        if not ok then None
-        else (
-          let c1 = match List.assoc_opt 1 cpolys with Some c -> c | None -> Poly.zero in
-          match Poly.to_const c1 with
-          | Some c when Rat.is_integer c -> (
-            match Rat.to_int c with
-            | Some ci ->
-              (* ensure the coefficient itself does not mention other index vars *)
-              let rest' = Poly.sub rest (Poly.mul (Poly.of_rat c) (Poly.var v)) in
-              extract (ci :: coeffs) rest' more
-            | None -> None)
-          | Some _ -> None
-          | None -> None)
-    in
-    extract [] p vars
+  match to_poly e with None -> None | Some p -> affine_of_poly vars p
 
 (* Cheap affine screen used by the translator's subscript test, which
    runs for every array reference of every block translation. The walk

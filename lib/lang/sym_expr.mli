@@ -15,10 +15,14 @@ val to_poly : Ast.expr -> Poly.t option
     divisors, or a power of a sum past {!Pperf_symbolic.Interval.max_exact_pow},
     whose expansion would grow without bound. *)
 
+val affine_of_poly : string list -> Poly.t -> (int list * Poly.t) option
+(** [affine_of_poly vars p] views [p] as [sum coeffs_i * vars_i + rest]
+    with integer-constant coefficients and [rest] free of [vars]; the
+    subscript form the dependence tests and the cache model need. *)
+
 val affine_in : string list -> Ast.expr -> (int list * Poly.t) option
-(** [affine_in vars e] views [e] as [sum coeffs_i * vars_i + rest] with
-    integer-constant coefficients and [rest] free of [vars]; the subscript
-    form the dependence tests and the cache model need. *)
+(** {!affine_of_poly} of the expression's {!to_poly}; [None] when it is not
+    polynomial. *)
 
 val affine_hint : string list -> Ast.expr -> [ `Affine | `Not | `Unknown ]
 (** Polynomial-free screen for [affine_in <> None]: a single AST walk

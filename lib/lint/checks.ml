@@ -10,9 +10,13 @@ type ctx = {
       (** interval abstract interpretation of the routine; when present the
           checks consult flow-sensitive ranges to avoid false positives and
           decide more conditions *)
+  nests : Analysis.nests option;  (** the routine's loop-nest table *)
 }
 
-let default_ctx = { known = (fun _ -> false); ranges = None }
+let default_ctx = { known = (fun _ -> false); ranges = None; nests = None }
+
+let nests_of ctx (c : Typecheck.checked) =
+  match ctx.nests with Some t -> t | None -> Analysis.nests c.routine.body
 
 type check = {
   id : string;
@@ -205,17 +209,21 @@ let dead_store _ctx (c : Typecheck.checked) =
 
 (* iteration range of one loop as [min; max] bound polynomials, oriented by
    the (constant) step sign; [None] when the bounds are not polynomial *)
-let loop_range (l : Analysis.loop_ctx) =
+let loop_range (nl : Analysis.nest_loop) =
   let step =
-    match l.lstep with
+    match nl.lctx.lstep with
     | None -> Some 1
     | Some e -> (
       match const_of e with Some c -> Rat.to_int c | None -> None)
   in
-  match (Sym_expr.to_poly l.llo, Sym_expr.to_poly l.lhi, step) with
-  | Some lo, Some hi, Some s when s > 0 -> Some (lo, hi)
-  | Some lo, Some hi, Some s when s < 0 -> Some (hi, lo)
+  match (Lazy.force nl.lbounds, step) with
+  | (Some lo, Some hi), Some s when s > 0 -> Some (lo, hi)
+  | (Some lo, Some hi), Some s when s < 0 -> Some (hi, lo)
   | _ -> None
+
+(* each subscript's affine view over all of the reference's loops *)
+let full_view e =
+  Analysis.affine_view e ~from:0 ~len:(List.length (Analysis.entry_loops e))
 
 let oob_subscript ctx (c : Typecheck.checked) =
   let diags = ref [] in
@@ -228,84 +236,110 @@ let oob_subscript ctx (c : Typecheck.checked) =
     | None -> false
     | Some res -> bound_ge0 (Interval.lo (Absint.bound_at res at margin))
   in
-  List.iter
-    (fun (r : Analysis.array_ref) ->
+  (* each array's per-dimension bounds [lo, hi] *)
+  let dim_bounds = Hashtbl.create 8 in
+  let dim_bounds_of array (sym : Typecheck.sym) =
+    match Hashtbl.find_opt dim_bounds array with
+    | Some b -> b
+    | None ->
+      let b =
+        List.map2
+          (fun (dim : Ast.array_dim) extent ->
+            let lo_b =
+              match dim.dim_lo with
+              | None -> Poly.one
+              | Some e -> ( match Sym_expr.to_poly e with Some p -> p | None -> Poly.var "?dim")
+            in
+            (lo_b, Poly.sub (Poly.add lo_b extent) Poly.one))
+          sym.dims (Typecheck.array_extent sym)
+      in
+      Hashtbl.add dim_bounds array b;
+      b
+  in
+  (* how far a subscript reaches over its loops, in dimension [k] of its
+     array: the extremes when every loop it varies in has polynomial
+     bounds, and whether they provably pass the dimension's bounds. One
+     per subscript and loop list of the table: references spelling the
+     same subscript under the same loops share it. *)
+  let reaches = Hashtbl.create 16 in
+  let reach e (sym : Typecheck.sym) k (coeffs, rest) sub_poly =
+    let r = Analysis.entry_ref e and loops = Analysis.entry_loops e in
+    let known = Option.value ~default:[] (Hashtbl.find_opt reaches (r.array, k)) in
+    match List.find_opt (fun (p, l, _) -> p == sub_poly && l == loops) known with
+    | Some (_, _, v) -> v
+    | None ->
+      let ranges = List.map loop_range loops in
+      let v =
+        if not (List.for_all2 (fun cf rg -> cf = 0 || rg <> None) coeffs ranges) then None
+        else (
+          let extreme pick_max =
+            List.fold_left2
+              (fun acc cf rg ->
+                match rg with
+                | Some (mn, mx) when cf <> 0 ->
+                  let b = if (cf > 0) = pick_max then mx else mn in
+                  Poly.add acc (Poly.scale_int cf b)
+                | _ -> acc)
+              rest coeffs ranges
+          in
+          let max_sub = extreme true and min_sub = extreme false in
+          let lo_b, hi_b = List.nth (dim_bounds_of r.array sym) k in
+          let below p = Interval.sign_of_poly Interval.Env.empty p = Interval.Neg in
+          Some (max_sub, below (Poly.sub hi_b max_sub), min_sub, below (Poly.sub min_sub lo_b)))
+      in
+      Hashtbl.replace reaches (r.array, k) ((sub_poly, loops, v) :: known);
+      v
+  in
+  Array.iter
+    (fun e ->
+      let r = Analysis.entry_ref e in
       match Typecheck.lookup c.symbols r.array with
       | Some sym when sym.Typecheck.dims <> [] && List.length sym.dims = List.length r.subs ->
-        let extents = Typecheck.array_extent sym in
-        let vars = List.map (fun (l : Analysis.loop_ctx) -> l.lvar) r.loops in
-        let ranges = List.map loop_range r.loops in
         List.iteri
-          (fun k sub ->
-            match Sym_expr.affine_in vars sub with
-            | None -> () (* the non-affine check owns this case *)
-            | Some (coeffs, rest) ->
-              let sub_poly =
-                List.fold_left2
-                  (fun acc cf v -> Poly.add acc (Poly.scale_int cf (Poly.var v)))
-                  rest coeffs vars
-              in
-              let analyzable =
-                List.for_all2 (fun cf rg -> cf = 0 || rg <> None) coeffs ranges
-              in
-              if analyzable then (
-                let extreme pick_max =
-                  List.fold_left2
-                    (fun acc cf rg ->
-                      match rg with
-                      | Some (mn, mx) when cf <> 0 ->
-                        let b = if (cf > 0) = pick_max then mx else mn in
-                        Poly.add acc (Poly.scale_int cf b)
-                      | _ -> acc)
-                    rest coeffs ranges
-                in
-                let max_sub = extreme true and min_sub = extreme false in
-                let dim = List.nth sym.dims k in
-                let lo_b =
-                  match dim.Ast.dim_lo with
-                  | None -> Poly.one
-                  | Some e -> (
-                    match Sym_expr.to_poly e with Some p -> p | None -> Poly.var "?dim")
-                in
-                let hi_b = Poly.sub (Poly.add lo_b (List.nth extents k)) Poly.one in
+          (fun k (view, poly) ->
+            match (view, poly) with
+            | None, _ | _, None -> () (* the non-affine check owns this case *)
+            | Some view, Some sub_poly -> (
+              match reach e sym k view sub_poly with
+              | None -> ()
+              | Some (max_sub, past_hi, min_sub, past_lo) ->
+                let lo_b, hi_b = List.nth (dim_bounds_of r.array sym) k in
                 let dim_str =
                   if List.length r.subs > 1 then Printf.sprintf " (dimension %d)" (k + 1) else ""
                 in
-                if
-                  Interval.sign_of_poly Interval.Env.empty (Poly.sub hi_b max_sub) = Interval.Neg
-                  && not (ranges_refute r.at (Poly.sub hi_b sub_poly))
-                then
+                if past_hi && not (ranges_refute r.at (Poly.sub hi_b sub_poly)) then
                   flag Diagnostic.Error r.at
                     (Printf.sprintf "subscript of %s%s reaches %s, past its upper bound %s"
                        r.array dim_str (Poly.to_string max_sub) (Poly.to_string hi_b))
                     "shrink the loop bounds or enlarge the array";
-                if
-                  Interval.sign_of_poly Interval.Env.empty (Poly.sub min_sub lo_b) = Interval.Neg
-                  && not (ranges_refute r.at (Poly.sub sub_poly lo_b))
-                then
+                if past_lo && not (ranges_refute r.at (Poly.sub sub_poly lo_b)) then
                   flag Diagnostic.Error r.at
                     (Printf.sprintf "subscript of %s%s reaches %s, below its lower bound %s"
                        r.array dim_str (Poly.to_string min_sub) (Poly.to_string lo_b))
                     "shift the loop bounds or the array's lower bound"))
-          r.subs
+          (List.combine (full_view e) (Analysis.subscript_polys e))
       | _ -> ())
-    (Analysis.array_refs c.routine.body);
+    (Analysis.nest_refs (nests_of ctx c));
   List.sort_uniq Diagnostic.compare !diags
 
 (* ---- 4. loop-carried dependences ---- *)
 
 let dep_kind_str = Depend.kind_to_string
 
-let loop_carried ?env ?oracle ~loc (d : Ast.do_loop) =
+let loop_carried ?env ?oracle ?nests ~loc (d : Ast.do_loop) =
+  (* one diagnostic per distinct message *)
   List.map
-    (fun (dep : Depend.dependence) ->
+    (fun (kind, array, directions) ->
       Diagnostic.make Diagnostic.Hint ~check:"carried-dep" ~loc
         (Printf.sprintf
            "loop over %s carries a %s dependence on %s (%s): iterations are not independent"
-           d.var (dep_kind_str dep.kind) dep.src.Analysis.array
-           (String.concat "," (List.map Depend.direction_to_string dep.directions)))
+           d.var (dep_kind_str kind) array
+           (String.concat "," (List.map Depend.direction_to_string directions)))
         ~fix:"do not parallelize or reorder this loop's iterations")
-    (Depend.carried_dependences ?env ?oracle d)
+    (List.sort_uniq compare
+       (List.map
+          (fun (dep : Depend.dependence) -> (dep.kind, dep.src.Analysis.array, dep.directions))
+          (Depend.carried_dependences ?env ?oracle ?nests d)))
   |> List.sort_uniq Diagnostic.compare
 
 (* ranges holding before the statement, restricted to variables the
@@ -339,6 +373,7 @@ let invariant_oracle ctx loc (body : Ast.stmt list) index =
           else Absint.bound_at res loc p))
 
 let carried_dep ctx (c : Typecheck.checked) =
+  let nests = nests_of ctx c in
   let diags = ref [] in
   Ast.iter_stmts
     (fun s ->
@@ -346,19 +381,18 @@ let carried_dep ctx (c : Typecheck.checked) =
       | Ast.Do d ->
         let env = invariant_env_at ctx s.Ast.loc d.body d.var in
         let oracle = invariant_oracle ctx s.Ast.loc d.body d.var in
-        diags := loop_carried ?env ?oracle ~loc:s.Ast.loc d @ !diags
+        diags := loop_carried ?env ?oracle ~nests ~loc:s.Ast.loc d @ !diags
       | _ -> ())
     c.routine.body;
   List.sort_uniq Diagnostic.compare !diags
 
 (* ---- 5. non-affine subscripts ---- *)
 
-let non_affine _ctx (c : Typecheck.checked) =
+let non_affine ctx (c : Typecheck.checked) =
   List.filter_map
-    (fun (r : Analysis.array_ref) ->
-      let vars = List.map (fun (l : Analysis.loop_ctx) -> l.lvar) r.loops in
-      let bad sub = match Sym_expr.affine_in vars sub with None -> true | Some _ -> false in
-      if List.exists bad r.subs then
+    (fun e ->
+      let r = Analysis.entry_ref e in
+      if List.exists Option.is_none (full_view e) then
         Some
           (Diagnostic.make Diagnostic.Precision ~check:"non-affine-subscript" ~loc:r.at
              (Printf.sprintf
@@ -366,7 +400,7 @@ let non_affine _ctx (c : Typecheck.checked) =
                 r.array)
              ~fix:"rewrite the subscript as an affine function of the loop indices")
       else None)
-    (Analysis.array_refs c.routine.body)
+    (Array.to_list (Analysis.nest_refs (nests_of ctx c)))
   |> List.sort_uniq Diagnostic.compare
 
 (* ---- 6. degenerate do steps ---- *)

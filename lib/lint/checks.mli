@@ -19,10 +19,13 @@ type ctx = {
           out-of-bounds and division-by-zero verdicts are rebutted by the
           flow-sensitive ranges, the dependence tests receive invariant
           variable ranges, and [constant-condition] activates *)
+  nests : Analysis.nests option;
+      (** the routine's loop-nest table, shared by the subscript and
+          dependence checks; [None] gives each check a table of its own *)
 }
 
 val default_ctx : ctx
-(** Nothing known beyond the intrinsics; no ranges. *)
+(** Nothing known beyond the intrinsics; no ranges; no table. *)
 
 type check = {
   id : string;  (** stable identifier, shown as [severity[id]] *)
@@ -39,10 +42,12 @@ val ids : string list
 val loop_carried :
   ?env:Pperf_symbolic.Interval.Env.t ->
   ?oracle:(Pperf_symbolic.Poly.t -> Pperf_symbolic.Interval.t) ->
+  ?nests:Analysis.nests ->
   loc:Srcloc.t ->
   Ast.do_loop ->
   Diagnostic.t list
 (** The carried-dependence diagnostics of one loop — exposed so the
     transformation search can cite the diagnostic that blocked an action.
     [env] passes loop-invariant variable ranges to the dependence tests;
-    [oracle] passes relational facts over unreassigned variables. *)
+    [oracle] passes relational facts over unreassigned variables; [nests]
+    is the routine's table (see {!Depend.dependences_in}). *)

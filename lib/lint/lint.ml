@@ -7,6 +7,7 @@ let run_checked ?known ?(ranges = false) ?domain (c : Typecheck.checked) =
     {
       Checks.known = (match known with None -> (fun _ -> false) | Some f -> f);
       ranges = (if ranges then Some (Pperf_absint.Absint.analyze ?domain c) else None);
+      nests = Some (Analysis.nests c.routine.body);
     }
   in
   List.concat_map (fun (check : Checks.check) -> check.run ctx c) Checks.registry
@@ -33,8 +34,10 @@ let precision_checks =
 (* None of the precision checks reads [ranges], so the default context gives
    what the whole registry would, with or without the abstract
    interpretation. *)
-let run_precision (c : Typecheck.checked) =
-  List.concat_map (fun (check : Checks.check) -> check.run Checks.default_ctx c) precision_checks
+let run_precision ?nests (c : Typecheck.checked) =
+  let nests = match nests with Some t -> t | None -> Analysis.nests c.routine.body in
+  let ctx = { Checks.default_ctx with nests = Some nests } in
+  List.concat_map (fun (check : Checks.check) -> check.run ctx c) precision_checks
   |> precision
   |> List.sort Diagnostic.compare
 

@@ -12,10 +12,10 @@ type ref_group = {
   min_stride_bytes : int option;
 }
 
-(* linearized element address of a reference (column-major), as a
-   polynomial over loop indices and symbolic extents; None when a
-   subscript is not polynomial *)
-let linearize ~symtab (r : Analysis.array_ref) : Poly.t option =
+(* linearized element address of a reference (column-major) from its
+   subscript polynomials, as a polynomial over loop indices and symbolic
+   extents; None when a subscript is not polynomial *)
+let linearize ~symtab (r : Analysis.array_ref) subs : Poly.t option =
   match Typecheck.lookup symtab r.array with
   | None -> None
   | Some sym ->
@@ -29,26 +29,18 @@ let linearize ~symtab (r : Analysis.array_ref) : Poly.t option =
       match (subs, dims, exts) with
       | [], [], _ -> Some acc
       | sub :: subs', dim :: dims', ext :: exts' -> (
-        match (Sym_expr.to_poly sub, lower dim) with
+        match (sub, lower dim) with
         | Some sp, Some lp ->
           let term = Poly.mul (Poly.sub sp lp) scale in
           go subs' dims' exts' (Poly.mul scale ext) (Poly.add acc term)
         | _ -> None)
       | _ -> None
     in
-    go r.subs sym.dims extents Poly.one Poly.zero
+    go subs sym.dims extents Poly.one Poly.zero
 
 (* constant integer coefficient of a degree-1 variable, if any *)
 let const_coeff var poly =
-  let cs = Poly.coeffs_in var poly in
-  if List.exists (fun (k, _) -> k < 0 || k > 1) cs then None
-  else
-    match List.assoc_opt 1 cs with
-    | None -> Some 0
-    | Some c -> (
-      match Poly.to_const c with
-      | Some r when Rat.is_integer r -> Rat.to_int r
-      | _ -> None)
+  match Sym_expr.affine_of_poly [ var ] poly with Some ([ c ], _) -> Some c | _ -> None
 
 (* Can lines touched by the loops inside [outer_idx] survive in the cache
    so that the next outer iteration reuses them? Needs concrete trip counts;
@@ -77,34 +69,39 @@ let reuse_fits ~machine ~bounds inner_lines stride_bytes =
     in
     lines * cache.line_bytes <= effective_sets * assoc * cache.line_bytes
 
-let analyze_nest ?bounds ~machine ~symtab loops stmts =
+let analyze_nest ?bounds ?nests ~machine ~symtab loops stmts =
   let cache = machine.Machine.cache in
-  let refs = Analysis.array_refs stmts in
-  (* group by (array, linear part); the constant offset is dropped *)
-  let tbl : (string, Analysis.array_ref * Poly.t option * int ref) Hashtbl.t =
-    Hashtbl.create 16
+  let refs =
+    match nests with
+    | Some t -> Array.map fst (Analysis.refs_in t stmts)
+    | None -> Analysis.nest_refs (Analysis.nests stmts)
   in
-  let order = ref [] in
-  List.iter
-    (fun (r : Analysis.array_ref) ->
-      let lin = linearize ~symtab r in
-      let key =
-        match lin with
-        | Some p ->
-          let linear_part = Poly.sub p (Poly.const (Poly.constant_term p)) in
-          r.array ^ "|" ^ Poly.to_string linear_part
-        | None -> r.array ^ "|?" ^ string_of_int (Hashtbl.length tbl)
+  (* group by (array, linear part); the constant offset is dropped, and a
+     reference without a linear address is a group of its own *)
+  let groups = ref [] in
+  Array.iter
+    (fun e ->
+      let r = Analysis.entry_ref e in
+      let lin = linearize ~symtab r (Analysis.subscript_polys e) in
+      let linear_part =
+        Option.map (fun p -> Poly.sub p (Poly.const (Poly.constant_term p))) lin
       in
-      match Hashtbl.find_opt tbl key with
-      | Some (_, _, count) -> incr count
-      | None ->
-        Hashtbl.add tbl key (r, lin, ref 1);
-        order := key :: !order)
+      match
+        List.find_opt
+          (fun ((r' : Analysis.array_ref), part, _, _) ->
+            String.equal r'.array r.array
+            && match (part, linear_part) with Some a, Some b -> Poly.equal a b | _ -> false)
+          !groups
+      with
+      | Some (_, _, _, count) -> incr count
+      | None -> groups := (r, linear_part, lin, ref 1) :: !groups)
     refs;
   let loop_vars = List.map (fun (l : Analysis.loop_ctx) -> l.lvar) loops in
-  List.rev !order
-  |> List.map (fun key ->
-         let r, lin, count = Hashtbl.find tbl key in
+  (* each loop's trip count, computed once for all the groups *)
+  let trips = List.map (fun l -> (l, lazy (Analysis.trip l))) loops in
+  let trip l = Lazy.force (List.assq l trips) in
+  List.rev !groups
+  |> List.map (fun ((r : Analysis.array_ref), _, lin, count) ->
          let elem_bytes =
            match Typecheck.lookup symtab r.array with
            | Some s -> s.element_bytes
@@ -114,7 +111,7 @@ let analyze_nest ?bounds ~machine ~symtab loops stmts =
          | None ->
            (* unanalyzable: every iteration may touch a new line *)
            let all_trips =
-             List.fold_left (fun acc l -> Poly.mul acc (Analysis.trip l)) Poly.one loops
+             List.fold_left (fun acc l -> Poly.mul acc (trip l)) Poly.one loops
            in
            {
              array = r.array;
@@ -130,7 +127,7 @@ let analyze_nest ?bounds ~machine ~symtab loops stmts =
              List.filter (fun (l : Analysis.loop_ctx) -> Poly.mem_var l.lvar addr) loops
            in
            let elements =
-             List.fold_left (fun acc l -> Poly.mul acc (Analysis.trip l)) Poly.one varying
+             List.fold_left (fun acc l -> Poly.mul acc (trip l)) Poly.one varying
            in
            (* per-loop constant strides, innermost first *)
            let stride_of (l : Analysis.loop_ctx) =
@@ -160,7 +157,7 @@ let analyze_nest ?bounds ~machine ~symtab loops stmts =
            let lines, _ =
              List.fold_left
                (fun (cum, is_innermost) (l : Analysis.loop_ctx) ->
-                 let trip = Analysis.trip l in
+                 let trip = trip l in
                  let s = stride_of l in
                  let shares =
                    match s with
@@ -191,9 +188,9 @@ let analyze_nest ?bounds ~machine ~symtab loops stmts =
            })
   |> List.filter (fun g -> ignore loop_vars; not (Poly.is_zero g.lines))
 
-let nest_cost ?bounds ~machine ~symtab loops stmts =
+let nest_cost ?bounds ?nests ~machine ~symtab loops stmts =
   let cache = machine.Machine.cache in
-  let groups = analyze_nest ?bounds ~machine ~symtab loops stmts in
+  let groups = analyze_nest ?bounds ?nests ~machine ~symtab loops stmts in
   List.fold_left
     (fun acc g ->
       let miss_cost = Poly.scale_int cache.miss_cycles g.lines in

@@ -28,6 +28,7 @@ type ref_group = {
 
 val analyze_nest :
   ?bounds:(string -> int) ->
+  ?nests:Analysis.nests ->
   machine:Machine.t ->
   symtab:Typecheck.symtab ->
   Analysis.loop_ctx list ->
@@ -38,10 +39,14 @@ val analyze_nest :
     loops is credited whenever the inner sub-nest's lines provably survive
     in the cache (capacity and set-conflict checked); without [bounds]
     only the innermost streak shares lines — conservative but fully
-    symbolic. *)
+    symbolic. References group by array and the linear part of their
+    address (polynomial equality). [nests] is the table of the routine the
+    statements belong to, whose subscript polynomials the addresses are
+    built from; without it the statements get a table of their own. *)
 
 val nest_cost :
   ?bounds:(string -> int) ->
+  ?nests:Analysis.nests ->
   machine:Machine.t ->
   symtab:Typecheck.symtab ->
   Analysis.loop_ctx list ->

@@ -202,8 +202,15 @@ let compare ?(domain = Pperf_absint.Absint.Box) ~machine ~options ~use_ranges ~r
            steady state: the tighter of the bin/LCD rates (plus the memory
            bound) can separate variants whose bin expressions cannot *)
         let include_memory = options.Aggregate.include_memory in
-        let b1 = Bounds.steady_total (Bounds.analyze ~machine ~include_memory c1) in
-        let b2 = Bounds.steady_total (Bounds.analyze ~machine ~include_memory c2) in
+        (* the aggregations above translated and dropped every body *)
+        let analyze (c : Typecheck.checked) =
+          Bounds.steady_total
+            (Bounds.analyze ~machine ~include_memory
+               ~translated:(Aggregate.loop_body blocks ~machine ~symtab:c.symbols)
+               c)
+        in
+        let b1 = analyze c1 in
+        let b2 = analyze c2 in
         let module Poly = Pperf_symbolic.Poly in
         let consulted =
           if Poly.equal b1 (Predict.total p1) && Poly.equal b2 (Predict.total p2) then

@@ -77,6 +77,8 @@ let pow m n =
 
 let div a b = mul a (pow b (-1))
 
+let num_vars m = Array.length m.exps
+
 let exponent x m =
   (* binary search: variables are strictly sorted *)
   let e = m.exps in

@@ -30,6 +30,9 @@ val div : t -> t -> t
 
 val pow : t -> int -> t
 
+val num_vars : t -> int
+(** How many variables have a nonzero exponent. *)
+
 val exponent : string -> t -> int
 (** 0 when the variable does not occur. *)
 

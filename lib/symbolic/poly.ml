@@ -142,6 +142,23 @@ let sum = List.fold_left add zero
 let is_zero p = Array.length p.ms = 0
 let num_terms p = Array.length p.ms
 
+let filter f p =
+  let keep = Array.mapi (fun i m -> f p.cs.(i) m) p.ms in
+  let n = Array.fold_left (fun n k -> if k then n + 1 else n) 0 keep in
+  if n = Array.length keep then p
+  else if n = 0 then zero
+  else (
+    let ms = Array.make n Monomial.unit and cs = Array.make n Rat.zero in
+    let j = ref 0 in
+    Array.iteri
+      (fun i k ->
+        if k then (
+          ms.(!j) <- p.ms.(i);
+          cs.(!j) <- p.cs.(i);
+          incr j))
+      keep;
+    { ms; cs })
+
 let terms p =
   let acc = ref [] in
   for i = Array.length p.ms - 1 downto 0 do

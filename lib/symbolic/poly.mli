@@ -50,6 +50,9 @@ val is_const : t -> bool
 val to_const : t -> Rat.t option
 (** [Some c] when the polynomial is the constant [c]. *)
 
+val filter : (Rat.t -> Monomial.t -> bool) -> t -> t
+(** The terms [f coefficient monomial] keeps, each visited once in order. *)
+
 val terms : t -> (Rat.t * Monomial.t) list
 (** In increasing monomial order. *)
 

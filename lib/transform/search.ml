@@ -21,8 +21,10 @@ type outcome = {
 }
 
 (* reordering transformations the dependence tests refuse on the original
-   routine, each citing the lint diagnostic that states the reason *)
+   routine, each citing the lint diagnostic that states the reason; every
+   test reads the routine's one loop-nest table *)
 let blocked_actions (r : Ast.routine) =
+  let nests = Analysis.nests r.body in
   List.concat_map
     (fun (p, (d : Ast.do_loop)) ->
       let loc =
@@ -32,7 +34,7 @@ let blocked_actions (r : Ast.routine) =
       in
       let cite action =
         let why =
-          match Pperf_lint.Checks.loop_carried ~loc d with
+          match Pperf_lint.Checks.loop_carried ~nests ~loc d with
           | diag :: _ -> diag
           | [] ->
             Pperf_lint.Diagnostic.make Pperf_lint.Diagnostic.Hint ~check:"carried-dep"
@@ -46,12 +48,12 @@ let blocked_actions (r : Ast.routine) =
         match d.body with [ { Ast.kind = Ast.Do _; _ } ] -> true | _ -> false
       in
       let on_interchange =
-        if perfect2 && not (Depend.interchange_legal d) then
+        if perfect2 && not (Depend.interchange_legal ~nests d) then
           [ cite "interchange"; cite "tile" ]
         else []
       in
       let on_reverse =
-        if Depend.carried_dependences d <> [] then [ cite "reverse" ] else []
+        if Depend.carried_dependences ~nests d <> [] then [ cite "reverse" ] else []
       in
       on_interchange @ on_reverse)
     (Transformations.loops_in r)

@@ -114,6 +114,63 @@ let test_rate_hoists_outer_index () =
     "subroutine matvec(a, x, y, n)\n  integer n, i, j\n  real a(100,100), x(100), y(100)\n\
     \  do i = 1, n\n    do j = 1, n\n      y(j) = y(j) + a(j,i) * x(i)\n    end do\n  end do\nend\n"
 
+(* The chain ratio's one recurrence pass over flat finish times equals the
+   construction it replaced, kept here as the reference: the body lifted
+   into 4 * dmax and 8 * dmax copies joined by the carry edges, and the
+   slope between the two critical paths. *)
+let lift body carries k =
+  let nb = Pperf_sched.Dag.length body in
+  Pperf_sched.Dag.make
+    (Array.init (k * nb) (fun idx ->
+         let t = idx / nb and i = idx mod nb in
+         let n = Pperf_sched.Dag.node body i in
+         let deps = List.map (fun d -> d + (t * nb)) n.deps in
+         let deps =
+           List.fold_left
+             (fun acc (prod, cons, dist) ->
+               if cons = i && t >= dist then (prod + ((t - dist) * nb)) :: acc else acc)
+             deps carries
+         in
+         (n.op, deps, n.label)))
+
+let lifted_ratio body carries =
+  match carries with
+  | [] -> Rat.zero
+  | _ ->
+    let dmax = List.fold_left (fun acc (_, _, d) -> max acc d) 1 carries in
+    let k1 = 4 * dmax and k2 = 8 * dmax in
+    let cp k = Pperf_sched.Dag.critical_path (lift body carries k) in
+    Rat.max Rat.zero (Rat.of_ints (cp k2 - cp k1) (k2 - k1))
+
+let gen_carried_body =
+  let open QCheck.Gen in
+  let op =
+    map2
+      (fun nc cov ->
+        Atomic_op.make "op"
+          [ { Atomic_op.unit_id = 0; noncoverable = nc; coverable = cov; eligible = [| 0 |] } ])
+      (int_range 0 3) (int_range 0 4)
+  in
+  int_range 1 6 >>= fun nb ->
+  let node i = pair op (if i = 0 then return [] else list_size (int_range 0 2) (int_range 0 (i - 1))) in
+  let rec nodes i = if i = nb then return [] else map2 List.cons (node i) (nodes (i + 1)) in
+  pair (nodes 0)
+    (list_size (int_range 0 3) (triple (int_range 0 (nb - 1)) (int_range 0 (nb - 1)) (int_range 1 16)))
+
+let prop_chain_ratio =
+  QCheck.Test.make ~name:"chain ratio = lifted DAG slope" ~count:300
+    (QCheck.make
+       ~print:(fun (nodes, carries) ->
+         Printf.sprintf "%d nodes, deps %s, carries %s" (List.length nodes)
+           (String.concat ";"
+              (List.map (fun (_, ds) -> String.concat "," (List.map string_of_int ds)) nodes))
+           (String.concat ";"
+              (List.map (fun (p, c, d) -> Printf.sprintf "%d->%d@%d" p c d) carries)))
+       gen_carried_body)
+    (fun (nodes, carries) ->
+      let body = Pperf_sched.Dag.of_ops nodes in
+      Rat.equal (Bounds.chain_ratio body carries) (lifted_ratio body carries))
+
 let () =
   Alcotest.run "bounds"
     [
@@ -127,5 +184,6 @@ let () =
           Alcotest.test_case "aggregate events" `Quick test_aggregate_bound_events;
           Alcotest.test_case "hoisted scalar rate" `Quick test_rate_hoists_prior_scalar;
           Alcotest.test_case "hoisted outer index rate" `Quick test_rate_hoists_outer_index;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) prop_chain_ratio;
         ] );
     ]

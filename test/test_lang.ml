@@ -517,6 +517,128 @@ let prop_dependence_sound =
       (* soundness: real dependence must be reported *)
       (not really_dependent) || deps <> [])
 
+(* The nest table's views are exact: every view it derives for a window of
+   a reference's loops, whether folded from the full view or computed over
+   the window, equals Sym_expr.affine_in over the window's variables; and
+   Sym_expr.affine_in agrees with the reference extraction below, one
+   variable at a time through Poly.coeffs_in. Subscripts mix affine,
+   nonlinear, symbolic-coefficient, power and real-constant terms, and
+   loops may shadow an enclosing index (do i inside do i), where folding
+   the outer terms into the residue would be wrong. *)
+let reference_affine_in vars e =
+  let module Poly = Pperf_symbolic.Poly in
+  let module Rat = Pperf_num.Rat in
+  match Sym_expr.to_poly e with
+  | None -> None
+  | Some p ->
+    let rec extract coeffs rest = function
+      | [] -> Some (List.rev coeffs, rest)
+      | v :: more -> (
+        let cpolys = Poly.coeffs_in v rest in
+        if not (List.for_all (fun (k, _) -> k = 0 || k = 1) cpolys) then None
+        else
+          let c1 = Option.value ~default:Poly.zero (List.assoc_opt 1 cpolys) in
+          match Poly.to_const c1 with
+          | Some c when Rat.is_integer c -> (
+            match Rat.to_int c with
+            | Some ci -> extract (ci :: coeffs) (Poly.sub rest (Poly.scale c (Poly.var v))) more
+            | None -> None)
+          | _ -> None)
+    in
+    extract [] p vars
+
+let gen_nest_source =
+  let open QCheck.Gen in
+  let index = oneofl [ "i"; "j"; "k" ] in
+  let atom = oneof [ index; oneofl [ "n"; "m"; "1"; "2"; "3"; "4.0"; "2.5" ] ] in
+  let rec sub depth =
+    if depth = 0 then atom
+    else
+      frequency
+        [ (3, atom);
+          (2, map2 (Printf.sprintf "%s + %s") (sub (depth - 1)) (sub (depth - 1)));
+          (1, map2 (Printf.sprintf "%s - %s") (sub (depth - 1)) (sub (depth - 1)));
+          (2, map2 (Printf.sprintf "%s*%s") (sub (depth - 1)) (sub (depth - 1)));
+          (1, map (Printf.sprintf "(%s)**2") (sub (depth - 1)));
+          (1, map (Printf.sprintf "(%s)/2") (sub (depth - 1))) ]
+  in
+  let reference =
+    map2
+      (fun a subs -> Printf.sprintf "%s(%s)" a (String.concat ", " subs))
+      (oneofl [ "a"; "b" ])
+      (list_size (int_range 1 2) (sub 2))
+  in
+  let assign = map2 (Printf.sprintf "%s = %s + 1.0") reference reference in
+  let rec stmts depth =
+    list_size (int_range 1 2)
+      (if depth = 0 then assign
+       else
+         frequency
+           [ (1, assign);
+             ( 2,
+               map3
+                 (fun v hi body -> Printf.sprintf "do %s = 1, %s\n%s\nend do" v hi body)
+                 index
+                 (oneofl [ "n"; "n"; "a(1)"; "b(i + 1)" ])
+                 (stmts (depth - 1)) ) ])
+    |> map (String.concat "\n")
+  in
+  map (fun body -> body ^ "\n") (stmts 3)
+
+let prop_table_views_exact =
+  QCheck.Test.make ~name:"table views = affine_in over each window" ~count:300
+    (QCheck.make ~print:Fun.id gen_nest_source)
+    (fun src ->
+      let same =
+        List.equal
+          (Option.equal (fun (c1, r1) (c2, r2) ->
+               List.equal Int.equal c1 c2 && Pperf_symbolic.Poly.equal r1 r2))
+      in
+      let table = Analysis.nests (Parser.parse_stmts src) in
+      Array.to_list (Analysis.nest_refs table)
+      |> List.mapi (fun n e ->
+             let r = Analysis.entry_ref e in
+             let vars = List.map (fun (l : Analysis.loop_ctx) -> l.lvar) r.loops in
+             let depth = List.length vars in
+             let windows =
+               List.concat_map
+                 (fun from -> List.init (depth - from + 1) (fun len -> (from, len)))
+                 (List.init (depth + 1) Fun.id)
+             in
+             (* alternate the order the windows are asked in, so folded and
+                direct views each come first somewhere *)
+             List.for_all
+               (fun (from, len) ->
+                 let wvars = List.filteri (fun k _ -> k >= from && k < from + len) vars in
+                 let expected = List.map (Sym_expr.affine_in wvars) r.subs in
+                 same (Analysis.affine_view e ~from ~len) expected
+                 && same expected (List.map (reference_affine_in wvars) r.subs))
+               (if n mod 2 = 0 then windows else List.rev windows))
+      |> List.for_all Fun.id)
+
+(* Reading a routine's table gives every fragment the dependences the
+   fragment's own table gives: each loop (the lint and search fragments)
+   and each innermost nest rebuilt around its body (the bound analysis's
+   fragment), on the random nests above. *)
+let prop_table_fragments =
+  QCheck.Test.make ~name:"table dependences = own-table dependences" ~count:300
+    (QCheck.make ~print:Fun.id gen_nest_source)
+    (fun src ->
+      let stmts = Parser.parse_stmts src in
+      let nests = Analysis.nests stmts in
+      let key (d : Depend.dependence) =
+        (d.kind, d.directions, d.src.array, d.src.subs, d.dst.array, d.dst.subs)
+      in
+      let same frag =
+        List.map key (Depend.dependences_in ~nests frag) = List.map key (Depend.dependences_in frag)
+      in
+      let loops = ref [] in
+      Ast.iter_stmts (fun s -> match s.Ast.kind with Ast.Do _ -> loops := [ s ] :: !loops | _ -> ()) stmts;
+      List.for_all same !loops
+      && List.for_all
+           (fun (loops, _, body) -> same (Analysis.wrap_nest loops body))
+           (Analysis.innermost_nests stmts))
+
 (* Front-end totality: a sample a few bytes away from its committed text
    (one to four replacements, insertions or deletions, drawn from PF's
    character set) parses and type-checks, or fails with Parser.Error or
@@ -597,7 +719,7 @@ let () =
           Alcotest.test_case "perfect nest" `Quick test_perfect_nest;
         ] );
       qsuite "random-props" [ prop_roundtrip_random; prop_prediction_total_random ];
-      qsuite "depend-props" [ prop_dependence_sound ];
+      qsuite "depend-props" [ prop_dependence_sound; prop_table_views_exact; prop_table_fragments ];
       qsuite "fuzz-props" [ prop_front_end_total ];
       ( "depend",
         [
