@@ -326,6 +326,17 @@ let rec common_prefix (l1 : Analysis.nest_loop list) (l2 : Analysis.nest_loop li
   | a :: t1, b :: t2 when String.equal a.lctx.lvar b.lctx.lvar -> a :: common_prefix t1 t2
   | _ -> []
 
+(* [f] computed once per argument, arguments compared physically *)
+let once f =
+  let seen = ref [] in
+  fun x ->
+    match List.assq_opt x !seen with
+    | Some v -> v
+    | None ->
+      let v = f x in
+      seen := (x, v) :: !seen;
+      v
+
 (* the pairwise dependences among a fragment's references (see
    [Analysis.refs_in]): each pair is tested on its entries' views over the
    common loops, and each loop's constant bounds are computed once *)
@@ -334,43 +345,18 @@ let among ?env ?oracle ?(flow_only = false) (refs : (Analysis.nest_ref * int) ar
   let n = Array.length refs in
   (* the entry's loops inside the fragment *)
   let inner = Array.map (fun (e, outer) -> drop outer (Analysis.entry_loops e)) refs in
-  let memo = ref [] in
-  let bounds_of l =
-    match List.assq_opt l !memo with
-    | Some b -> b
-    | None ->
-      let b = lazy (const_bounds ?env ?oracle l) in
-      memo := (l, b) :: !memo;
-      b
-  in
+  let bounds_of = once (fun l -> lazy (const_bounds ?env ?oracle l)) in
   (* each reference's subscript intervals, shared by all its pairs; the
      references under one loop share the loops' index ranges, and the
      interval of each subscript polynomial over them *)
   let ivs =
     Option.map
       (fun env ->
-        let envs = ref [] in
-        let intervals loops =
-          match List.assq_opt loops !envs with
-          | Some f -> f
-          | None ->
-            let ienv = index_env env loops and seen = ref [] in
-            let f p =
-              match List.assq_opt p !seen with
-              | Some iv -> iv
-              | None ->
-                let iv = subscript_interval ienv p in
-                seen := (p, iv) :: !seen;
-                iv
-            in
-            envs := (loops, f) :: !envs;
-            f
-        in
+        let intervals = once (fun loops -> once (subscript_interval (index_env env loops))) in
         Array.mapi
           (fun k (e, _) ->
-            let f = intervals inner.(k) in
             List.map
-              (function Some p -> f p | None -> Lazy.from_val Interval.full)
+              (function Some p -> intervals inner.(k) p | None -> Lazy.from_val Interval.full)
               (Analysis.subscript_polys e))
           refs)
       env
