@@ -34,12 +34,11 @@ def parse_counts(stdout):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--workload", required=True, choices=["cold-corpus", "search"])
-    ap.add_argument("--seconds", type=int, default=5)
     ap.add_argument("--print", action="store_true", help="print the counts as JSON and exit")
     args = ap.parse_args()
     run = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", "1",
-         "--seconds", str(args.seconds), "--trace", "1"],
+         "--seconds", "5", "--trace", "1"],
         capture_output=True, text=True)
     counts = parse_counts(run.stdout)
     if run.returncode != 0 or counts is None:

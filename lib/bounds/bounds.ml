@@ -145,12 +145,14 @@ let chain_ratio body carries =
 (* ------------------------------------------------------------- per nest *)
 
 (* the carried flow dependences of the nest, with resolved distances *)
-let carried_chains ~nests ~(loops : Analysis.loop_ctx list) body =
-  let refs = Analysis.refs_in nests (Analysis.wrap_nest loops body) in
-  let polys (r : Analysis.array_ref) =
-    match Array.find_opt (fun (e, _) -> Analysis.entry_ref e == r) refs with
-    | Some (e, _) -> Analysis.subscript_polys e
-    | None -> List.map Sym_expr.to_poly r.subs
+let carried_chains ~nests ~(loops : Analysis.loop_ctx list) d body =
+  let refs = Analysis.innermost_refs nests d body in
+  (* the dependences name the entries' references *)
+  let polys r =
+    Option.get
+      (Array.find_map
+         (fun (e, _) -> if Analysis.entry_ref e == r then Some (Analysis.subscript_polys e) else None)
+         refs)
   in
   List.filter_map
     (fun (dep : Depend.dependence) ->
@@ -201,7 +203,7 @@ let translate_nest ~machine ~symtab ~loop_vars ~invariants body =
   { res; once; per_iter }
 
 let analyze_nest ~machine ~include_memory ~bindings ~symtab ~nests ~translated ~invariants
-    (loops, body) =
+    (loops, d, body) =
   match body with
   | [] -> None
   | (first : Ast.stmt) :: _ -> (
@@ -217,7 +219,7 @@ let analyze_nest ~machine ~include_memory ~bindings ~symtab ~nests ~translated ~
       let critical_path = Dag.critical_path res.Translator.body in
       (* LCD: carry edges from each store of the carried array to each of
          its loads, at the dependence distance *)
-      let chains = carried_chains ~nests ~loops body in
+      let chains = carried_chains ~nests ~loops d body in
       let carry_edges (a, _, d, _) =
         let stores = nodes_of a res.Translator.array_stores in
         let loads = nodes_of a res.Translator.array_loads in
@@ -331,7 +333,7 @@ let analyze ~machine ?(include_memory = false) ?(bindings = []) ?nests
            invariants of its innermost enclosing loop *)
         let invariants = Analysis.loop_invariants ~declared d in
         analyze_nest ~machine ~include_memory ~bindings ~symtab ~nests:table ~translated
-          ~invariants (loops, body))
+          ~invariants (loops, d, body))
       (Analysis.innermost_nests body)
   in
   {

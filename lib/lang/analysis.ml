@@ -21,9 +21,11 @@ let ctx_of_do (d : Ast.do_loop) = { lvar = d.var; llo = d.lo; lhi = d.hi; lstep 
 (* [visit scope at ~is_write array subs] on every array reference of
    [stmts] in textual order, [scope] being what [enter] made of the
    enclosing loops (outermost first); [around scope d refs] runs [refs],
-   the visits of the loop's bound expressions and body: the walk
-   {!array_refs} and the nest table share *)
-let iter_refs ?(around = fun _ _ refs -> refs ()) ~enter ~visit scope stmts =
+   the visits of the loop's bound expressions and body, and [block stmts
+   refs] the visits of each statement list: the walk {!array_refs} and
+   the nest table share *)
+let iter_refs ?(around = fun _ _ refs -> refs ()) ?(block = fun _ refs -> refs ()) ~enter ~visit
+    scope stmts =
   let rec expr scope at (e : Ast.expr) =
     match e with
     | Ast.Int _ | Ast.Real _ | Ast.Logical _ | Ast.Var _ -> ()
@@ -37,6 +39,7 @@ let iter_refs ?(around = fun _ _ refs -> refs ()) ~enter ~visit scope stmts =
       expr scope at b
   in
   let rec go scope stmts =
+    block stmts @@ fun () ->
     List.iter
       (fun (s : Ast.stmt) ->
         let at = s.loc in
@@ -210,9 +213,6 @@ type nest_ref = {
       (** by window: its first loop and its length *)
 }
 
-let make_entry scope forms r = { aref = r; scope; forms; views = [] }
-let entry nloops (r : array_ref) =
-  make_entry (List.fold_left inside no_loops nloops) (List.map form r.subs) r
 let entry_ref e = e.aref
 let entry_loops e = e.scope.nloops
 let subscript_polys e = List.map (fun f -> Lazy.force f.poly) e.forms
@@ -278,7 +278,12 @@ type table_loop = {
   parent : table_loop option;
 }
 
-type nests = { entries : nest_ref array; loops : table_loop list }
+type nests = {
+  entries : nest_ref array;
+  loops : table_loop list;
+  blocks : (Ast.stmt list * int * int) list;
+      (** each non-empty statement list with its references' range *)
+}
 
 module Forms = Hashtbl.Make (struct
   type t = Ast.expr
@@ -288,7 +293,8 @@ module Forms = Hashtbl.Make (struct
 end)
 
 let nests stmts =
-  let acc = ref [] and count = ref 0 and table_loops = ref [] and entered = ref None in
+  let acc = ref [] and count = ref 0 and table_loops = ref [] and entered = ref None
+  and blocks = ref [] in
   let forms = Forms.create 16 in
   let form_of e =
     match Forms.find_opt forms e with
@@ -305,6 +311,10 @@ let nests stmts =
       refs ();
       tl.last <- !count;
       table_loops := tl :: !table_loops)
+    ~block:(fun stmts refs ->
+      let first = !count in
+      refs ();
+      if stmts <> [] then blocks := (stmts, first, !count) :: !blocks)
     ~enter:(fun (loops, sc, _) d ->
       (* the bound expressions are visited: the body starts here *)
       let tl = Option.get !entered in
@@ -313,64 +323,36 @@ let nests stmts =
       (loops @ [ l ], inside sc (nest_loop l), Some tl))
     ~visit:(fun (loops, sc, _) at ~is_write array subs ->
       incr count;
-      acc := make_entry sc (List.map form_of subs) { array; subs; is_write; loops; at } :: !acc)
+      let r = { array; subs; is_write; loops; at } in
+      acc := { aref = r; scope = sc; forms = List.map form_of subs; views = [] } :: !acc)
     ([], no_loops, None) stmts;
-  { entries = Array.of_list (List.rev !acc); loops = !table_loops }
+  { entries = Array.of_list (List.rev !acc); loops = !table_loops; blocks = !blocks }
 
 let nest_refs t = t.entries
 
-(* the loops of a perfect nest, outermost first, and its innermost body *)
-let rec perfect_chain = function
-  | [ { Ast.kind = Ast.Do d; _ } ] ->
-    let ds, body = perfect_chain d.body in
-    (d :: ds, body)
-  | body -> ([], body)
+let slice t (first, last) = Array.sub t.entries first (last - first)
+let table_loop t d = List.find (fun tl -> tl.tdo == d) t.loops
 
-(* The table's ranges for a fragment that is one of its loops, the body of
-   one of its loops, or a perfect nest around such a body whose loops are
-   that loop and its enclosing ones (as [wrap_nest] rebuilds an innermost
-   nest); with how many table loops enclose the fragment. *)
-let fragment_ranges t stmts =
-  match stmts with
-  | [ { Ast.kind = Ast.Do d; _ } ] when List.exists (fun tl -> tl.tdo == d) t.loops ->
-    let tl = List.find (fun tl -> tl.tdo == d) t.loops in
-    Some ([ (tl.first, tl.last) ], tl.depth)
-  | _ -> (
-    let ws, body = perfect_chain stmts in
-    (* the fragment's loops, innermost first, against the table loop and
-       its parents: each loop's bound expressions' range *)
-    let rec chain (tl : table_loop) ws acc =
-      match ws with
-      | [] -> Some acc
-      | (w : Ast.do_loop) :: ws -> (
-        let same =
-          String.equal w.var tl.tdo.var && w.lo == tl.tdo.lo && w.hi == tl.tdo.hi
-          && w.step == tl.tdo.step
-        in
-        match (same, ws, tl.parent) with
-        | false, _, _ -> None
-        | true, [], _ -> Some (((tl.first, tl.body), tl.depth) :: acc)
-        | true, _, Some p -> chain p ws (((tl.first, tl.body), tl.depth) :: acc)
-        | true, _, None -> None)
-    in
-    match List.find_opt (fun tl -> body <> [] && tl.tdo.body == body) t.loops with
-    | None -> None
-    | Some tl -> (
-      match (ws, chain tl (List.rev ws) []) with
-      | [], _ -> Some ([ (tl.body, tl.last) ], tl.depth + 1)
-      | _, Some ((((_, _), outer) :: _) as bounds) ->
-        Some (List.map fst bounds @ [ (tl.body, tl.last) ], outer)
-      | _ -> None))
+let loop_refs t d =
+  let tl = table_loop t d in
+  Array.map (fun e -> (e, tl.depth)) (slice t (tl.first, tl.last))
 
-let refs_in t stmts =
-  match fragment_ranges t stmts with
-  | Some (ranges, outer) ->
-    Array.concat
-      (List.map
-         (fun (first, last) ->
-           Array.map (fun e -> (e, outer)) (Array.sub t.entries first (last - first)))
-         ranges)
-  | None -> Array.map (fun e -> (e, 0)) (nests stmts).entries
+let block_range t = function
+  | [] -> (0, 0)
+  | stmts ->
+    let _, first, last = List.find (fun (b, _, _) -> b == stmts) t.blocks in
+    (first, last)
+
+let body_refs t stmts = slice t (block_range t stmts)
+
+let innermost_refs t d body =
+  (* the bound expressions' ranges of [d] and its enclosing loops,
+     outermost first *)
+  let rec bounds tl acc =
+    let acc = slice t (tl.first, tl.body) :: acc in
+    match tl.parent with Some p -> bounds p acc | None -> acc
+  in
+  Array.map (fun e -> (e, 0)) (Array.concat (bounds (table_loop t d) [ body_refs t body ]))
 
 (* ---- the loop-costing rules ---- *)
 

@@ -74,10 +74,6 @@ val nest_loop : loop_ctx -> nest_loop
 type nest_ref
 (** One reference with its derived forms. *)
 
-val entry : nest_loop list -> array_ref -> nest_ref
-(** A stand-alone entry for a reference under the given loops (outermost
-    first), for a reference no table holds. *)
-
 val entry_ref : nest_ref -> array_ref
 (** The reference, its [loops] every loop of the table's statements that
     encloses it. *)
@@ -106,13 +102,26 @@ val nests : Ast.stmt list -> nests
 val nest_refs : nests -> nest_ref array
 (** Every reference's entry, in {!array_refs} order. *)
 
-val refs_in : nests -> Ast.stmt list -> (nest_ref * int) array
-(** The references of a fragment of the table's statements, in
-    {!array_refs} order, each with how many of its entry's loops enclose
-    the fragment. A fragment that is one of the table's loops, the body of
-    one, or a nest {!wrap_nest} rebuilds around such a body from its loops
-    (found by physical identity) reads the table's entries; any other
-    fragment gets a table of its own. *)
+val loop_refs : nests -> Ast.do_loop -> (nest_ref * int) array
+(** The references of one of the table's loops, its bound expressions'
+    and its body's in {!array_refs} order, each with how many of its
+    entry's loops enclose the loop.
+    @raise Not_found when the loop (found by physical identity) is not
+    one of the table's. *)
+
+val body_refs : nests -> Ast.stmt list -> nest_ref array
+(** The references of one of the table's statement lists (a loop's body,
+    an [if]'s branch or the statements themselves, found by physical
+    identity), in {!array_refs} order.
+    @raise Not_found when a non-empty list is not one of the table's. *)
+
+val innermost_refs : nests -> Ast.do_loop -> Ast.stmt list -> (nest_ref * int) array
+(** The references of an innermost nest as {!innermost_nests} gives it,
+    [d] its innermost loop and [body] its body: the bound expressions' of
+    every loop from the outermost one in to [d], then [body]'s — the
+    references of {!wrap_nest} of the nest — each with 0, as no loop
+    encloses the nest.
+    @raise Not_found as {!loop_refs} and {!body_refs}. *)
 
 (** {1 Loop-costing rules}
 

@@ -227,11 +227,6 @@ let index_env env (loops : Analysis.nest_loop list) =
    computed on first use *)
 let subscript_interval env p = lazy (Interval.eval_poly (Lazy.force env) p)
 
-let subscript_intervals env polys =
-  List.map
-    (function Some p -> subscript_interval env p | None -> Lazy.from_val Interval.full)
-    polys
-
 (* range disproof: the two references touch provably disjoint index sets in
    some dimension, so no element is shared at all *)
 let ranges_disjoint ivs1 ivs2 =
@@ -283,30 +278,6 @@ let direction_vectors ~n ~bounds ?env ?oracle views1 views2 =
       refine [] 0;
       List.rev !results))
 
-let directions ~common ?env ?oracle (r1 : Analysis.array_ref) (r2 : Analysis.array_ref) =
-  if not (String.equal r1.array r2.array) then []
-  else (
-    let own (r : Analysis.array_ref) = Analysis.entry (List.map Analysis.nest_loop r.loops) r in
-    let e1 = own r1 and e2 = own r2 in
-    if
-      match env with
-      | Some env ->
-        let ivs e =
-          subscript_intervals (index_env env (Analysis.entry_loops e)) (Analysis.subscript_polys e)
-        in
-        ranges_disjoint (ivs e1) (ivs e2)
-      | None -> false
-    then []
-    else (
-      let nls = List.map Analysis.nest_loop common in
-      let over (r : Analysis.array_ref) = Analysis.entry nls r in
-      let n = List.length common in
-      direction_vectors ~n
-        ~bounds:(List.map (fun l -> lazy (const_bounds ?env ?oracle l)) nls)
-        ?env ?oracle
-        (Analysis.affine_view (over r1) ~from:0 ~len:n)
-        (Analysis.affine_view (over r2) ~from:0 ~len:n)))
-
 let classify (src : Analysis.array_ref) (dst : Analysis.array_ref) =
   match (src.is_write, dst.is_write) with
   | true, false -> Flow
@@ -337,12 +308,12 @@ let once f =
       seen := (x, v) :: !seen;
       v
 
-(* the pairwise dependences among a fragment's references (see
-   [Analysis.refs_in]): each pair is tested on its entries' views over the
-   common loops, and each loop's constant bounds are computed once *)
-let among ?env ?oracle ?(flow_only = false) (refs : (Analysis.nest_ref * int) array) =
-  let deps = ref [] in
-  let n = Array.length refs in
+(* [test i j]: the direction vectors of a fragment's references [i] and
+   [j] (entries, each with how many of its loops enclose the fragment)
+   that the tests cannot disprove, from their entries' views over their
+   common loops inside the fragment; each loop's constant bounds and each
+   reference's subscript intervals are computed once for all pairs *)
+let pair_tester ?env ?oracle (refs : (Analysis.nest_ref * int) array) =
   (* the entry's loops inside the fragment *)
   let inner = Array.map (fun (e, outer) -> drop outer (Analysis.entry_loops e)) refs in
   let bounds_of = once (fun l -> lazy (const_bounds ?env ?oracle l)) in
@@ -361,26 +332,37 @@ let among ?env ?oracle ?(flow_only = false) (refs : (Analysis.nest_ref * int) ar
           refs)
       env
   in
+  fun i j ->
+    match ivs with
+    | Some ivs when ranges_disjoint ivs.(i) ivs.(j) -> []
+    | _ ->
+      let e1, outer1 = refs.(i) and e2, outer2 = refs.(j) in
+      let common = common_prefix inner.(i) inner.(j) in
+      let k = List.length common in
+      direction_vectors ~n:k ~bounds:(List.map bounds_of common) ?env ?oracle
+        (Analysis.affine_view e1 ~from:outer1 ~len:k)
+        (Analysis.affine_view e2 ~from:outer2 ~len:k)
+
+let directions ?env ?oracle e1 e2 =
+  if String.equal (Analysis.entry_ref e1).array (Analysis.entry_ref e2).array then
+    pair_tester ?env ?oracle [| (e1, 0); (e2, 0) |] 0 1
+  else []
+
+(* the pairwise dependences among a fragment's references, each pair
+   tested by [pair_tester] *)
+let among ?env ?oracle ?(flow_only = false) (refs : (Analysis.nest_ref * int) array) =
+  let deps = ref [] in
+  let n = Array.length refs in
+  let test = pair_tester ?env ?oracle refs in
   for i = 0 to n - 1 do
     for j = i to n - 1 do
-      let e1, outer1 = refs.(i) and e2, outer2 = refs.(j) in
-      let r1 = Analysis.entry_ref e1 and r2 = Analysis.entry_ref e2 in
+      let r1 = Analysis.entry_ref (fst refs.(i)) and r2 = Analysis.entry_ref (fst refs.(j)) in
       if
         String.equal r1.array r2.array
         && (if flow_only then r1.is_write <> r2.is_write else r1.is_write || r2.is_write)
         && not (i = j && not r1.is_write)
       then (
         Pperf_obs.Obs.incr c_pairs;
-        let common = common_prefix inner.(i) inner.(j) in
-        let k = List.length common in
-        let dirs =
-          match ivs with
-          | Some ivs when ranges_disjoint ivs.(i) ivs.(j) -> []
-          | _ ->
-            direction_vectors ~n:k ~bounds:(List.map bounds_of common) ?env ?oracle
-              (Analysis.affine_view e1 ~from:outer1 ~len:k)
-              (Analysis.affine_view e2 ~from:outer2 ~len:k)
-        in
         List.iter
           (fun dvec ->
             (* orient the dependence source-before-destination *)
@@ -395,7 +377,7 @@ let among ?env ?oracle ?(flow_only = false) (refs : (Analysis.nest_ref * int) ar
               in
               if src.is_write || dst.is_write then
                 deps := { kind = classify src dst; directions = dvec; src; dst } :: !deps))
-          dirs)
+          (test i j))
     done
   done;
   List.rev !deps
@@ -403,23 +385,24 @@ let among ?env ?oracle ?(flow_only = false) (refs : (Analysis.nest_ref * int) ar
 let dependences_among ?env ?oracle ?flow_only refs =
   Pperf_obs.Obs.time sp_depend @@ fun () -> among ?env ?oracle ?flow_only refs
 
-let dependences_in ?env ?oracle ?nests stmts =
+let dependences_in ?env ?oracle stmts =
   Pperf_obs.Obs.time sp_depend @@ fun () ->
-  let refs =
-    match nests with
-    | Some t -> Analysis.refs_in t stmts
-    | None -> Array.map (fun e -> (e, 0)) (Analysis.nest_refs (Analysis.nests stmts))
-  in
-  among ?env ?oracle refs
+  among ?env ?oracle (Array.map (fun e -> (e, 0)) (Analysis.nest_refs (Analysis.nests stmts)))
 
-let carried_dependences ?env ?oracle ?nests (d : Ast.do_loop) =
-  let deps = dependences_in ?env ?oracle ?nests [ Ast.mk (Ast.Do d) ] in
+(* the dependences among the loop's references, read from the table when
+   one is given *)
+let loop_dependences ?env ?oracle ?nests (d : Ast.do_loop) =
+  match nests with
+  | Some t -> dependences_among ?env ?oracle (Analysis.loop_refs t d)
+  | None -> dependences_in ?env ?oracle [ Ast.mk (Ast.Do d) ]
+
+let carried_dependences ?env ?oracle ?nests d =
   List.filter
     (fun dep -> match dep.directions with (Lt | Gt) :: _ -> true | _ -> false)
-    deps
+    (loop_dependences ?env ?oracle ?nests d)
 
-let interchange_legal ?env ?oracle ?nests (d : Ast.do_loop) =
-  let deps = dependences_in ?env ?oracle ?nests [ Ast.mk (Ast.Do d) ] in
+let interchange_legal ?env ?oracle ?nests d =
+  let deps = loop_dependences ?env ?oracle ?nests d in
   not
     (List.exists
        (fun dep ->

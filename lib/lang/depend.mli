@@ -29,14 +29,14 @@ val classify : Analysis.array_ref -> Analysis.array_ref -> dep_kind
 (** Subscript-by-subscript GCD + Banerjee disproof attempt, any direction. *)
 
 val directions :
-  common:Analysis.loop_ctx list ->
   ?env:Pperf_symbolic.Interval.Env.t ->
   ?oracle:(Pperf_symbolic.Poly.t -> Pperf_symbolic.Interval.t) ->
-  Analysis.array_ref ->
-  Analysis.array_ref ->
+  Analysis.nest_ref ->
+  Analysis.nest_ref ->
   direction list list
-(** All direction vectors (outermost first) that the tests could not
-    disprove; empty = independent.
+(** All direction vectors (outermost first) of two entries of one table
+    over their common loops (the longest prefix of their loops whose
+    names agree) that the tests could not disprove; empty = independent.
 
     The optional [env] supplies variable ranges (from the interval abstract
     interpretation) and must only bind variables that are invariant over
@@ -53,19 +53,15 @@ val directions :
 val dependences_in :
   ?env:Pperf_symbolic.Interval.Env.t ->
   ?oracle:(Pperf_symbolic.Poly.t -> Pperf_symbolic.Interval.t) ->
-  ?nests:Analysis.nests ->
   Ast.stmt list ->
   dependence list
 (** All pairwise dependences among array references of the fragment that
     share an array and include a write ({!Input} pairs are filtered here),
     classified by kind. Scalars are ignored here (handled by the
-    translator's renaming/reduction logic). [nests] is the table of the
-    statements the fragment belongs to (see {!Analysis.refs_in}); when the
-    fragment is one of its ranges, the dependences name the table's
-    references. Without it the fragment gets a table of its own. Either way each reference's
-    subscripts are converted once per table, not once per pair, and each
-    loop's constant bounds once per call. Each pair tested counts once in
-    [depend.pairs]. *)
+    translator's renaming/reduction logic). The fragment gets a table of
+    its own ({!Analysis.nests}), so each reference's subscripts are
+    converted once, not once per pair, and each loop's constant bounds
+    once per call. Each pair tested counts once in [depend.pairs]. *)
 
 val dependences_among :
   ?env:Pperf_symbolic.Interval.Env.t ->
@@ -73,10 +69,13 @@ val dependences_among :
   ?flow_only:bool ->
   (Analysis.nest_ref * int) array ->
   dependence list
-(** {!dependences_in} of the fragment whose {!Analysis.refs_in} are given.
-    [flow_only] (default false) tests only the pairs of a write and a
-    read, so the result holds exactly the {!Flow} and {!Anti}
-    dependences: the {!Output} ones between two writes are not sought. *)
+(** {!dependences_in} of a fragment of a table's statements, given by its
+    references, each with how many of its entry's loops enclose the
+    fragment ({!Analysis.loop_refs}, {!Analysis.innermost_refs}); the
+    dependences name the table's references. [flow_only] (default false)
+    tests only the pairs of a write and a read, so the result holds
+    exactly the {!Flow} and {!Anti} dependences: the {!Output} ones
+    between two writes are not sought. *)
 
 val carried_dependences :
   ?env:Pperf_symbolic.Interval.Env.t ->
@@ -85,7 +84,9 @@ val carried_dependences :
   Ast.do_loop ->
   dependence list
 (** Dependences carried by this loop (direction [Lt] or [Gt] at its
-    level). [nests] as for {!dependences_in}. *)
+    level). [nests] is the table of the statements holding the loop
+    ({!Analysis.loop_refs}); without it the loop gets a table of its
+    own. *)
 
 val interchange_legal :
   ?env:Pperf_symbolic.Interval.Env.t ->
@@ -94,7 +95,8 @@ val interchange_legal :
   Ast.do_loop ->
   bool
 (** True when the outer two loops of the (perfect) nest can be swapped:
-    no dependence with direction (<, >). *)
+    no dependence with direction (<, >). [nests] as for
+    {!carried_dependences}. *)
 
 val pp_dependence : Format.formatter -> dependence -> unit
 val direction_to_string : direction -> string

@@ -236,83 +236,56 @@ let oob_subscript ctx (c : Typecheck.checked) =
     | None -> false
     | Some res -> bound_ge0 (Interval.lo (Absint.bound_at res at margin))
   in
-  (* each array's per-dimension bounds [lo, hi] *)
-  let dim_bounds = Hashtbl.create 8 in
-  let dim_bounds_of array (sym : Typecheck.sym) =
-    match Hashtbl.find_opt dim_bounds array with
-    | Some b -> b
-    | None ->
-      let b =
-        List.map2
-          (fun (dim : Ast.array_dim) extent ->
-            let lo_b =
-              match dim.dim_lo with
-              | None -> Poly.one
-              | Some e -> ( match Sym_expr.to_poly e with Some p -> p | None -> Poly.var "?dim")
-            in
-            (lo_b, Poly.sub (Poly.add lo_b extent) Poly.one))
-          sym.dims (Typecheck.array_extent sym)
-      in
-      Hashtbl.add dim_bounds array b;
-      b
-  in
-  (* how far a subscript reaches over its loops, in dimension [k] of its
-     array: the extremes when every loop it varies in has polynomial
-     bounds, and whether they provably pass the dimension's bounds. One
-     per subscript and loop list of the table: references spelling the
-     same subscript under the same loops share it. *)
-  let reaches = Hashtbl.create 16 in
-  let reach e (sym : Typecheck.sym) k (coeffs, rest) sub_poly =
-    let r = Analysis.entry_ref e and loops = Analysis.entry_loops e in
-    let known = Option.value ~default:[] (Hashtbl.find_opt reaches (r.array, k)) in
-    match List.find_opt (fun (p, l, _) -> p == sub_poly && l == loops) known with
-    | Some (_, _, v) -> v
-    | None ->
-      let ranges = List.map loop_range loops in
-      let v =
-        if not (List.for_all2 (fun cf rg -> cf = 0 || rg <> None) coeffs ranges) then None
-        else (
-          let extreme pick_max =
-            List.fold_left2
-              (fun acc cf rg ->
-                match rg with
-                | Some (mn, mx) when cf <> 0 ->
-                  let b = if (cf > 0) = pick_max then mx else mn in
-                  Poly.add acc (Poly.scale_int cf b)
-                | _ -> acc)
-              rest coeffs ranges
-          in
-          let max_sub = extreme true and min_sub = extreme false in
-          let lo_b, hi_b = List.nth (dim_bounds_of r.array sym) k in
-          let below p = Interval.sign_of_poly Interval.Env.empty p = Interval.Neg in
-          Some (max_sub, below (Poly.sub hi_b max_sub), min_sub, below (Poly.sub min_sub lo_b)))
-      in
-      Hashtbl.replace reaches (r.array, k) ((sub_poly, loops, v) :: known);
-      v
-  in
   Array.iter
     (fun e ->
       let r = Analysis.entry_ref e in
       match Typecheck.lookup c.symbols r.array with
       | Some sym when sym.Typecheck.dims <> [] && List.length sym.dims = List.length r.subs ->
+        let extents = Typecheck.array_extent sym in
+        let ranges = List.map loop_range (Analysis.entry_loops e) in
         List.iteri
           (fun k (view, poly) ->
             match (view, poly) with
             | None, _ | _, None -> () (* the non-affine check owns this case *)
-            | Some view, Some sub_poly -> (
-              match reach e sym k view sub_poly with
-              | None -> ()
-              | Some (max_sub, past_hi, min_sub, past_lo) ->
-                let lo_b, hi_b = List.nth (dim_bounds_of r.array sym) k in
+            | Some (coeffs, rest), Some sub_poly ->
+              let analyzable =
+                List.for_all2 (fun cf rg -> cf = 0 || rg <> None) coeffs ranges
+              in
+              if analyzable then (
+                let extreme pick_max =
+                  List.fold_left2
+                    (fun acc cf rg ->
+                      match rg with
+                      | Some (mn, mx) when cf <> 0 ->
+                        let b = if (cf > 0) = pick_max then mx else mn in
+                        Poly.add acc (Poly.scale_int cf b)
+                      | _ -> acc)
+                    rest coeffs ranges
+                in
+                let max_sub = extreme true and min_sub = extreme false in
+                let dim = List.nth sym.dims k in
+                let lo_b =
+                  match dim.Ast.dim_lo with
+                  | None -> Poly.one
+                  | Some e -> (
+                    match Sym_expr.to_poly e with Some p -> p | None -> Poly.var "?dim")
+                in
+                let hi_b = Poly.sub (Poly.add lo_b (List.nth extents k)) Poly.one in
                 let dim_str =
                   if List.length r.subs > 1 then Printf.sprintf " (dimension %d)" (k + 1) else ""
                 in
-                if past_hi && not (ranges_refute r.at (Poly.sub hi_b sub_poly)) then
+                if
+                  Interval.sign_of_poly Interval.Env.empty (Poly.sub hi_b max_sub) = Interval.Neg
+                  && not (ranges_refute r.at (Poly.sub hi_b sub_poly))
+                then
                   flag Diagnostic.Error r.at
                     (Printf.sprintf "subscript of %s%s reaches %s, past its upper bound %s"
                        r.array dim_str (Poly.to_string max_sub) (Poly.to_string hi_b))
                     "shrink the loop bounds or enlarge the array";
-                if past_lo && not (ranges_refute r.at (Poly.sub sub_poly lo_b)) then
+                if
+                  Interval.sign_of_poly Interval.Env.empty (Poly.sub min_sub lo_b) = Interval.Neg
+                  && not (ranges_refute r.at (Poly.sub sub_poly lo_b))
+                then
                   flag Diagnostic.Error r.at
                     (Printf.sprintf "subscript of %s%s reaches %s, below its lower bound %s"
                        r.array dim_str (Poly.to_string min_sub) (Poly.to_string lo_b))
@@ -327,19 +300,15 @@ let oob_subscript ctx (c : Typecheck.checked) =
 let dep_kind_str = Depend.kind_to_string
 
 let loop_carried ?env ?oracle ?nests ~loc (d : Ast.do_loop) =
-  (* one diagnostic per distinct message *)
   List.map
-    (fun (kind, array, directions) ->
+    (fun (dep : Depend.dependence) ->
       Diagnostic.make Diagnostic.Hint ~check:"carried-dep" ~loc
         (Printf.sprintf
            "loop over %s carries a %s dependence on %s (%s): iterations are not independent"
-           d.var (dep_kind_str kind) array
-           (String.concat "," (List.map Depend.direction_to_string directions)))
+           d.var (dep_kind_str dep.kind) dep.src.Analysis.array
+           (String.concat "," (List.map Depend.direction_to_string dep.directions)))
         ~fix:"do not parallelize or reorder this loop's iterations")
-    (List.sort_uniq compare
-       (List.map
-          (fun (dep : Depend.dependence) -> (dep.kind, dep.src.Analysis.array, dep.directions))
-          (Depend.carried_dependences ?env ?oracle ?nests d)))
+    (Depend.carried_dependences ?env ?oracle ?nests d)
   |> List.sort_uniq Diagnostic.compare
 
 (* ranges holding before the statement, restricted to variables the

@@ -73,7 +73,7 @@ let analyze_nest ?bounds ?nests ~machine ~symtab loops stmts =
   let cache = machine.Machine.cache in
   let refs =
     match nests with
-    | Some t -> Array.map fst (Analysis.refs_in t stmts)
+    | Some t -> Analysis.body_refs t stmts
     | None -> Analysis.nest_refs (Analysis.nests stmts)
   in
   (* group by (array, linear part); the constant offset is dropped, and a

@@ -40,9 +40,10 @@ val analyze_nest :
     in the cache (capacity and set-conflict checked); without [bounds]
     only the innermost streak shares lines — conservative but fully
     symbolic. References group by array and the linear part of their
-    address (polynomial equality). [nests] is the table of the routine the
-    statements belong to, whose subscript polynomials the addresses are
-    built from; without it the statements get a table of their own. *)
+    address (polynomial equality). [nests] is a table holding the
+    statements as one of its statement lists ({!Analysis.body_refs}),
+    whose subscript polynomials the addresses are built from; without it
+    the statements get a table of their own. *)
 
 val nest_cost :
   ?bounds:(string -> int) ->

@@ -353,10 +353,10 @@ let test_env_disjoint_ranges () =
 (* conservative fallbacks of the direction-vector refinement *)
 
 let dirs_of src =
-  let refs = Analysis.array_refs (Parser.parse_stmts src) in
-  let w = List.find (fun (r : Analysis.array_ref) -> r.is_write) refs in
-  let r = List.find (fun (r : Analysis.array_ref) -> not r.is_write) refs in
-  Depend.directions ~common:w.loops w r
+  let refs = Array.to_list (Analysis.nest_refs (Analysis.nests (Parser.parse_stmts src))) in
+  let w = List.find (fun e -> (Analysis.entry_ref e).is_write) refs in
+  let r = List.find (fun e -> not (Analysis.entry_ref e).is_write) refs in
+  Depend.directions w r
 
 let test_dirs_non_affine () =
   (* quadratic subscripts defeat GCD/Banerjee: every vector must survive *)
@@ -575,6 +575,10 @@ let gen_nest_source =
        else
          frequency
            [ (1, assign);
+             ( 1,
+               map3
+                 (fun c t e -> Printf.sprintf "if (%s > 0.0) then\n%s\nelse\n%s\nend if" c t e)
+                 reference (stmts (depth - 1)) (stmts (depth - 1)) );
              ( 2,
                map3
                  (fun v hi body -> Printf.sprintf "do %s = 1, %s\n%s\nend do" v hi body)
@@ -619,7 +623,9 @@ let prop_table_views_exact =
 (* Reading a routine's table gives every fragment the dependences the
    fragment's own table gives: each loop (the lint and search fragments)
    and each innermost nest rebuilt around its body (the bound analysis's
-   fragment), on the random nests above. *)
+   fragment, an [if]'s branch when its loop's body holds a [do] beside
+   the [if]); and an innermost body's references are its own (the memory
+   model's), on the random nests above. *)
 let prop_table_fragments =
   QCheck.Test.make ~name:"table dependences = own-table dependences" ~count:300
     (QCheck.make ~print:Fun.id gen_nest_source)
@@ -629,14 +635,18 @@ let prop_table_fragments =
       let key (d : Depend.dependence) =
         (d.kind, d.directions, d.src.array, d.src.subs, d.dst.array, d.dst.subs)
       in
-      let same frag =
-        List.map key (Depend.dependences_in ~nests frag) = List.map key (Depend.dependences_in frag)
+      let same refs frag =
+        List.map key (Depend.dependences_among refs) = List.map key (Depend.dependences_in frag)
       in
+      let spelled (r : Analysis.array_ref) = (r.array, r.subs, r.is_write, r.at) in
       let loops = ref [] in
-      Ast.iter_stmts (fun s -> match s.Ast.kind with Ast.Do _ -> loops := [ s ] :: !loops | _ -> ()) stmts;
-      List.for_all same !loops
+      Ast.iter_stmts (fun s -> match s.Ast.kind with Ast.Do d -> loops := d :: !loops | _ -> ()) stmts;
+      List.for_all (fun d -> same (Analysis.loop_refs nests d) [ Ast.mk (Ast.Do d) ]) !loops
       && List.for_all
-           (fun (loops, _, body) -> same (Analysis.wrap_nest loops body))
+           (fun (loops, d, body) ->
+             same (Analysis.innermost_refs nests d body) (Analysis.wrap_nest loops body)
+             && List.map (fun e -> spelled (Analysis.entry_ref e)) (Array.to_list (Analysis.body_refs nests body))
+                = List.map spelled (Analysis.array_refs body))
            (Analysis.innermost_nests stmts))
 
 (* Front-end totality: a sample a few bytes away from its committed text
