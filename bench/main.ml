@@ -1,16 +1,11 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (see DESIGN.md §6 for the experiment index) and runs the
-   Bechamel timing benches backing the efficiency claims.
+(* Reproduction harness: regenerates every table and figure of the paper's
+   evaluation (see DESIGN.md §6 for the experiment index). Wall-clock
+   claims come from perfbench/; work claims are counter checks under
+   dune runtest.
 
    Usage:
-     bench/main.exe                    -- everything
-     bench/main.exe tables             -- reproduction tables only
-     bench/main.exe timing             -- Bechamel timing only
-     bench/main.exe timing --json FILE -- timing, plus machine-readable dump
-     bench/main.exe check BASE.json NEW.json
-                                       -- regression gate between two dumps
-     bench/main.exe fig7|fig7x|fig9|fig10|agg|simplify|unroll|compare|sens|mem|comm|
-     astar|order|xmach|flags|dyn
+     bench/main.exe [tables]    -- every table
+     bench/main.exe NAME        -- one table, NAME a key of [tables] below
 *)
 
 open Pperf_num
@@ -592,413 +587,43 @@ let dyn () =
     \ block costs - the symbolic aggregation must reproduce that sum exactly\n\
     \ when control flow is input-independent)\n"
 
-(* --------------------------------------------------------------- timing *)
+(* --------------------------------------------------------------- FOCUS *)
 
-(* Machine-readable dump of the timing results, so BENCH_<rev>.json files
-   accumulate a performance trajectory (kerncraft/OSACA ship their models
-   with the same kind of result dumps). Flat name -> ns/run map plus the
-   PERF-LIN growth ratios; parsed back by [check] below. *)
-let write_json file rows ratios =
-  let module Json = Pperf_server.Json in
-  let floats =
-    List.map (fun (name, v) -> (name, if Float.is_finite v then Json.Float v else Json.Null))
-  in
-  Out_channel.with_open_text file (fun oc ->
-      output_string oc
-        (Json.to_string
-           (Json.Obj
-              [ ("schema", Json.Int 1); ("unit", Json.String "ns/run");
-                ("benches", Json.Obj (floats rows)); ("perf_lin", Json.Obj (floats ratios)) ]));
-      output_char oc '\n');
-  Printf.printf "\nwrote %s\n" file
+(* a block of [n] ops on power1: every third op a load, the others fadd
+   or fmul reading the op two back *)
+let block_of_size n =
+  let fadd = Machine.atomic p1 "fadd" and load = Machine.atomic p1 "load_fp" in
+  let fmul = Machine.atomic p1 "fmul" in
+  Dag.of_ops
+    (List.init n (fun i ->
+         if i mod 3 = 0 then (load, [])
+         else ((if i mod 3 = 1 then fadd else fmul), if i >= 2 then [ i - 2 ] else [])))
 
-(* the "benches" name -> ns/run pairs of a dump *)
-let read_json file =
-  let module Json = Pperf_server.Json in
-  match Json.member "benches" (Json.of_string (In_channel.with_open_bin file In_channel.input_all)) with
-  | Some (Json.Obj rows) ->
-    List.filter_map (fun (name, v) -> Option.map (fun f -> (name, f)) (Json.to_number_opt v)) rows
-  | _ -> failwith (file ^ ": no \"benches\" object")
-
-(* the benches whose trajectory is gated in CI *)
-let gated_prefixes =
-  [ "pperf/slots/"; "pperf/drop/"; "pperf/predict/"; "pperf/repredict/"; "pperf/serve/";
-    "pperf/roots/"; "pperf/compare/"; "pperf/fleet/" ]
-
-let check baseline_file current_file =
-  let base = read_json baseline_file and cur = read_json current_file in
-  let tol = 1.20 in
-  let failures = ref 0 in
-  Printf.printf "%-32s %12s %12s %8s\n" "bench" "baseline" "current" "ratio";
-  print_endline line;
-  List.iter
-    (fun (name, ns) ->
-      match List.assoc_opt name base with
-      | Some base_ns when List.exists (fun p -> String.starts_with ~prefix:p name) gated_prefixes ->
-        let ratio = ns /. base_ns in
-        let flag = if ratio > tol then (incr failures; "REGRESSED") else "" in
-        Printf.printf "%-32s %12.1f %12.1f %7.2fx %s\n" name base_ns ns ratio flag
-      | _ -> ())
-    cur;
-  (match (List.assoc_opt "pperf/slots/run-encoded" cur, List.assoc_opt "pperf/slots/naive" cur) with
-   | Some enc, Some naive when enc >= naive ->
-     incr failures;
-     Printf.printf "FAIL: slots/run-encoded (%.1f ns) is not faster than slots/naive (%.1f ns)\n"
-       enc naive
-   | _ -> ());
-  (match
-     (List.assoc_opt "pperf/serve/session-warm" cur, List.assoc_opt "pperf/serve/batch-cold" cur)
-   with
-   | Some warm, Some cold when warm >= cold ->
-     incr failures;
-     Printf.printf
-       "FAIL: serve/session-warm (%.1f ns) is not faster than serve/batch-cold (%.1f ns)\n"
-       warm cold
-   | _ -> ());
-  (* a warm fleet session rides its resident result cache; paying a fresh
-     core per session must cost more, or that cache buys nothing *)
-  (match
-     (List.assoc_opt "pperf/fleet/session-warm" cur, List.assoc_opt "pperf/fleet/session-cold" cur)
-   with
-   | Some warm, Some cold when warm >= cold ->
-     incr failures;
-     Printf.printf
-       "FAIL: fleet/session-warm (%.1f ns) is not faster than fleet/session-cold (%.1f ns)\n"
-       warm cold
-   | _ -> ());
-  (* the decision memo must make repeated identical compares cheaper than
-     fresh ones, same shape of gate as serve warm-vs-cold above *)
-  (match
-     (List.assoc_opt "pperf/compare/decide-warm" cur, List.assoc_opt "pperf/compare/decide-cold" cur)
-   with
-   | Some warm, Some cold when warm >= cold ->
-     incr failures;
-     Printf.printf
-       "FAIL: compare/decide-warm (%.1f ns) is not faster than compare/decide-cold (%.1f ns)\n"
-       warm cold
-   | _ -> ());
-  if !failures > 0 then (
-    Printf.printf "\n%d gate failure(s) vs %s\n" !failures baseline_file;
-    exit 1)
-  else Printf.printf "\nall gates pass vs %s\n" baseline_file
-
-let timing ?json () =
-  header "Bechamel timing benches (one per efficiency claim)";
-  let open Bechamel in
-  let open Toolkit in
-  let block_of_size n =
-    let fadd = Machine.atomic p1 "fadd" and load = Machine.atomic p1 "load_fp" in
-    let fmul = Machine.atomic p1 "fmul" in
-    Dag.of_ops
-      (List.init n (fun i ->
-           if i mod 3 = 0 then (load, [])
-           else ((if i mod 3 = 1 then fadd else fmul), if i >= 2 then [ i - 2 ] else [])))
-  in
-  let drop_test n =
-    let dag = block_of_size n in
-    Test.make ~name:(Printf.sprintf "drop/%d" n)
-      (Staged.stage (fun () ->
-           let b = Bins.create p1 in
-           ignore (Bins.drop_dag b dag)))
-  in
-  let oracle_test n =
-    let dag = block_of_size n in
-    Test.make ~name:(Printf.sprintf "oracle/%d" n)
-      (Staged.stage (fun () -> ignore (Pipeline.run_list_scheduled p1 dag)))
-  in
-  let slots_test =
-    Test.make ~name:"slots/run-encoded"
-      (Staged.stage (fun () ->
-           let s = Slots.create () in
-           for i = 0 to 199 do
-             let f = Slots.first_fit s ~floor:(i mod 7) ~len:2 in
-             Slots.fill s ~start:f ~len:2
-           done))
-  in
-  let slots_naive_test =
-    Test.make ~name:"slots/naive"
-      (Staged.stage (fun () ->
-           let s = Slots.Naive.create () in
-           for i = 0 to 199 do
-             let f = Slots.Naive.first_fit s ~floor:(i mod 7) ~len:2 in
-             Slots.Naive.fill s ~start:f ~len:2
-           done))
-  in
-  let predict_test =
-    let src = Workloads.jacobi.Workloads.source in
-    Test.make ~name:"predict/jacobi-e2e"
-      (Staged.stage (fun () -> ignore (Predict.of_source ~machine:p1 src)))
-  in
-  (* the same prediction under --trace: span-tree capture must stay
-     within the telemetry overhead budget (DESIGN.md SS2.4) of the
-     untraced run above *)
-  let predict_traced_test =
-    let src = Workloads.jacobi.Workloads.source in
-    Test.make ~name:"predict/jacobi-e2e-traced"
-      (Staged.stage (fun () ->
-           ignore (Pperf_obs.Obs.Trace.collect (fun () ->
-               Predict.of_source ~machine:p1 src))))
-  in
-  (* telemetry primitive costs: one counter bump, one histogram record,
-     one span enter/exit round trip (the per-event cost every
-     instrumented phase pays) *)
-  let obs_counter = Pperf_obs.Obs.counter "bench.obs.counter" in
-  let obs_counter_test =
-    Test.make ~name:"obs/counter-incr"
-      (Staged.stage (fun () ->
-           for _ = 1 to 100 do Pperf_obs.Obs.incr obs_counter done))
-  in
-  let obs_hist = Pperf_obs.Obs.histogram "bench.obs.hist" in
-  let obs_hist_test =
-    Test.make ~name:"obs/hist-record"
-      (Staged.stage (fun () ->
-           for v = 1 to 100 do Pperf_obs.Obs.record obs_hist (v * 977) done))
-  in
-  let obs_span = Pperf_obs.Obs.span "bench.obs.span" in
-  let obs_span_test =
-    Test.make ~name:"obs/span-roundtrip"
-      (Staged.stage (fun () ->
-           for _ = 1 to 100 do Pperf_obs.Obs.time obs_span (fun () -> ()) done))
-  in
-  let big_src =
-    "subroutine big(x, n)\n  integer n, i\n  real x(100000)\n"
-    ^ String.concat ""
-        (List.init 12 (fun k ->
-             Printf.sprintf "  do i = 1, n\n    x(i) = x(i) * %d.0 + %d.0\n  end do\n" (k + 1) k))
-    ^ "end\n"
-  in
-  let big_checked = Typecheck.check_routine (Parser.parse_routine big_src) in
-  let full_test =
-    Test.make ~name:"repredict/full"
-      (Staged.stage (fun () -> ignore (Aggregate.routine ~machine:p1 big_checked)))
-  in
-  let inc = Incremental.create p1 in
-  ignore (Incremental.predict inc big_checked);
-  let inc_test =
-    Test.make ~name:"repredict/incremental"
-      (Staged.stage (fun () -> ignore (Incremental.predict inc big_checked)))
-  in
-  (* the exact comparison path: Sturm-chain root isolation and symbolic
-     compare decisions. Wilkinson-style products of linear factors give
-     the remainder sequence its classic coefficient growth; the warm
-     variants repeat one query (chain cache + decision memo), the cold
-     variants cycle distinct inputs so every iteration pays the full
-     analytical cost. *)
-  let wilkinson8 =
-    List.fold_left
-      (fun acc k -> Poly.mul acc (Poly.Infix.(Poly.var "x" - Poly.of_int k)))
-      Poly.one
-      [ 1; 2; 3; 4; 5; 6; 7; 8 ]
-  in
-  let roots_iv = Interval.of_ints (-1) 20 in
-  let roots_warm_test =
-    Test.make ~name:"roots/isolate-warm"
-      (Staged.stage (fun () -> ignore (Roots.isolate wilkinson8 "x" roots_iv)))
-  in
-  let roots_cold_test =
-    (* 512 distinct constant shifts cycled: far beyond the chain cache
-       cap, so every count pays a full Sturm-chain construction (the
-       per-iteration add_const is noise next to the chain build) *)
-    let i = ref 0 in
-    Test.make ~name:"roots/chain-cold"
-      (Staged.stage (fun () ->
-           i := (!i + 1) land 511;
-           ignore
-             (Roots.count_in (Poly.add_const (Rat.of_int (!i + 1)) wilkinson8) "x" roots_iv)))
-  in
-  let cmp_env = Interval.Env.of_list [ ("n", Interval.of_ints 8 512) ] in
-  let cmp_f = Perf_expr.of_cpu (Poly.add_const (Rat.of_int 200) (Poly.scale_int 6 (Poly.var "n"))) in
-  let cmp_g = Perf_expr.of_cpu (Poly.scale_int 8 (Poly.var "n")) in
-  let compare_warm_test =
-    Test.make ~name:"compare/decide-warm"
-      (Staged.stage (fun () -> ignore (Compare.decide cmp_env cmp_f cmp_g)))
-  in
-  let compare_cold_test =
-    (* distinct difference polynomials every iteration: the decision memo
-       can never hit, so this measures the underlying exact machinery *)
-    let i = ref 0 in
-    Test.make ~name:"compare/decide-cold"
-      (Staged.stage (fun () ->
-           i := (!i + 1) land 511;
-           let f =
-             Perf_expr.of_cpu
-               (Poly.add_const (Rat.of_int (200 + !i)) (Poly.scale_int 6 (Poly.var "n")))
-           in
-           ignore (Compare.decide cmp_env f cmp_g)))
-  in
-  (* serve-mode throughput: a mixed JSON-lines session over the fig7
-     kernels, one predict + one lint per kernel *)
-  let serve_lines =
-    List.concat_map
-      (fun (k : Workloads.kernel) ->
-        let src = Pperf_server.Json.to_string (Pperf_server.Json.String k.source) in
-        [ Printf.sprintf {|{"id":"p-%s","verb":"predict","source":%s}|} k.name src;
-          Printf.sprintf {|{"id":"l-%s","verb":"lint","source":%s,"flags":{"json":true}}|}
-            k.name src ])
-      Workloads.fig7_kernels
-  in
-  (* cold: a fresh core (empty result cache, fresh worker domains) every
-     iteration; jobs variants measure the worker-domain overhead/speedup on
-     this machine. The incremental predictors are process-wide, so after
-     the first iteration they are warm, as in a daemon; a new batch
-     process starts them empty. Named batch-cold, not session-cold: the
-     session-cold benches of earlier BENCH files ran jobs 1 inline on the
-     main domain. *)
-  let serve_cold name ~admission jobs =
-    let module Fleet = Pperf_fleet.Fleet in
-    let cfg = Fleet.config ~jobs () in
-    Test.make ~name
-      (Staged.stage (fun () ->
-           let core = Fleet.Core.create cfg in
-           ignore (Fleet.run_lines ~admission core serve_lines);
-           Fleet.Core.stop core))
-  in
-  (* serve/* answer every line, as batch does; fleet/* shed, as a socket
-     connection does *)
-  let serve_cold_test =
-    serve_cold "serve/batch-cold" ~admission:Pperf_fleet.Fleet.Backpressure 1
-  in
-  let serve_cold_j4_test =
-    serve_cold "serve/batch-cold-j4" ~admission:Pperf_fleet.Fleet.Backpressure 4
-  in
-  (* warm: one resident engine, every request a result-cache hit *)
-  let serve_warm_test =
-    let engine = Pperf_server.Engine.create ~jobs:1 () in
-    let reqs =
-      List.filter_map
-        (fun l ->
-          match Pperf_server.Protocol.request_of_line l with Ok r -> Some r | Error _ -> None)
-        serve_lines
-    in
-    let run () =
-      List.iter
-        (fun r ->
-          ignore (Pperf_server.Engine.handle engine ~received:(Unix.gettimeofday ()) r))
-        reqs
-    in
-    run ();
-    Test.make ~name:"serve/session-warm" (Staged.stage run)
-  in
-  (* fleet-mode throughput over the same session: cold pays a fresh core
-     (worker spawn + empty result cache) per run, warm reuses a resident
-     core whose result cache is hot,
-     overload drives a core admitting one request at a time so most of
-     the session is answered by the load-shedding path *)
-  let fleet_cold_test = serve_cold "fleet/session-cold" ~admission:Pperf_fleet.Fleet.Shed 2 in
-  let fleet_warm_test =
-    let module Fleet = Pperf_fleet.Fleet in
-    let core = Fleet.Core.create (Fleet.config ~jobs:2 ()) in
-    let run () = ignore (Fleet.run_lines ~admission:Fleet.Shed core serve_lines) in
-    run ();
-    Test.make ~name:"fleet/session-warm" (Staged.stage run)
-  in
-  let fleet_overload_test =
-    let module Fleet = Pperf_fleet.Fleet in
-    let core = Fleet.Core.create (Fleet.config ~jobs:1 ~max_queue:1 ()) in
-    Test.make ~name:"fleet/session-overload"
-      (Staged.stage (fun () ->
-           ignore (Fleet.run_lines ~admission:Fleet.Shed core serve_lines)))
-  in
-  let tests =
-    [ drop_test 10; drop_test 100; drop_test 1000; drop_test 10000;
-      oracle_test 100; oracle_test 1000;
-      slots_test; slots_naive_test; predict_test; predict_traced_test;
-      roots_warm_test; roots_cold_test; compare_warm_test; compare_cold_test;
-      full_test; inc_test;
-      obs_counter_test; obs_hist_test; obs_span_test;
-      serve_cold_test; serve_cold_j4_test; serve_warm_test;
-      fleet_cold_test; fleet_warm_test; fleet_overload_test ]
-  in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let grouped = Test.make_grouped ~name:"pperf" tests in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] grouped in
-  (* a predictor no memo holds is cleared when done, so its units leave the
-     incremental.units entries *)
-  Incremental.clear inc;
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [] in
-  let rows = List.sort (fun (a, _) (b, _) -> compare a b) rows in
-  let estimates =
-    List.filter_map
-      (fun (name, ols) ->
-        match Analyze.OLS.estimates ols with Some [ est ] -> Some (name, est) | _ -> None)
-      rows
-  in
-  Printf.printf "%-32s %16s\n" "bench" "ns/run";
-  print_endline line;
-  List.iter
-    (fun (name, ols) ->
-      match Analyze.OLS.estimates ols with
-      | Some [ est ] -> Printf.printf "%-32s %16.1f\n" name est
-      | _ -> Printf.printf "%-32s %16s\n" name "n/a")
-    rows;
-  let ns n =
-    match List.assoc_opt (Printf.sprintf "pperf/drop/%d" n) estimates with
-    | Some e -> e
-    | None -> nan
-  in
-  let r1 = ns 100 /. ns 10 and r2 = ns 1000 /. ns 100 and r3 = ns 10000 /. ns 1000 in
-  Printf.printf "\nPERF-LIN: drop-time growth per 10x ops: %.1fx %.1fx %.1fx (linear ~ 10x)\n" r1
-    r2 r3;
-  (match json with
-   | Some file ->
-     write_json file estimates
-       [ ("drop_10x_100", r1); ("drop_100x_1000", r2); ("drop_1000x_10000", r3) ]
-   | None -> ());
+(* the accuracy side of the focus span (§2.1); its work side, the cells
+   scanned per placement, is checked in test_sched *)
+let focus () =
   header "ABLATION - focus span (cost estimate vs span)";
   Printf.printf "%-12s %10s\n" "focus span" "cost";
   List.iter
     (fun span ->
-      let dag = block_of_size 400 in
       let b = Bins.create ~focus_span:span p1 in
-      let s = Bins.drop_dag b dag in
-      Printf.printf "%-12d %10d\n" span s.cost)
+      Printf.printf "%-12d %10d\n" span (Bins.drop_dag b (block_of_size 400)).cost)
     [ 1; 4; 16; 64; 256 ]
 
 (* ----------------------------------------------------------------- main *)
 
-let tables () =
-  fig7 (); fig7x (); fig9 (); fig10 (); agg (); simplify (); unroll (); compare_tab ();
-  sens (); mem (); comm (); astar (); order_tab (); xmach (); flags_ablation (); dyn ()
+let tables =
+  [ ("fig7", fig7); ("fig7x", fig7x); ("fig9", fig9); ("fig10", fig10); ("agg", agg);
+    ("simplify", simplify); ("unroll", unroll); ("compare", compare_tab); ("sens", sens);
+    ("mem", mem); ("comm", comm); ("astar", astar); ("order", order_tab); ("xmach", xmach);
+    ("flags", flags_ablation); ("dyn", dyn); ("focus", focus) ]
 
 let () =
-  match if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" with
-  | "all" ->
-    tables ();
-    timing ()
-  | "tables" -> tables ()
-  | "timing" ->
-    let json =
-      match Array.to_list Sys.argv with
-      | _ :: _ :: "--json" :: file :: _ -> Some file
-      | _ :: _ :: [ "--json" ] ->
-        Printf.eprintf "timing --json requires a FILE argument\n";
-        exit 1
-      | _ -> None
-    in
-    timing ?json ()
-  | "check" ->
-    if Array.length Sys.argv < 4 then (
-      Printf.eprintf "usage: check BASELINE.json CURRENT.json\n";
-      exit 1);
-    check Sys.argv.(2) Sys.argv.(3)
-  | "fig7" -> fig7 ()
-  | "fig7x" -> fig7x ()
-  | "fig9" -> fig9 ()
-  | "fig10" -> fig10 ()
-  | "agg" -> agg ()
-  | "simplify" -> simplify ()
-  | "unroll" -> unroll ()
-  | "compare" -> compare_tab ()
-  | "sens" -> sens ()
-  | "mem" -> mem ()
-  | "comm" -> comm ()
-  | "astar" -> astar ()
-  | "order" -> order_tab ()
-  | "xmach" -> xmach ()
-  | "flags" -> flags_ablation ()
-  | "dyn" -> dyn ()
-  | other ->
-    Printf.eprintf "unknown bench %s\n" other;
-    exit 1
+  match if Array.length Sys.argv > 1 then Sys.argv.(1) else "tables" with
+  | "tables" -> List.iter (fun (_, table) -> table ()) tables
+  | name -> (
+    match List.assoc_opt name tables with
+    | Some table -> table ()
+    | None ->
+      Printf.eprintf "unknown bench %s\n" name;
+      exit 1)

@@ -206,7 +206,7 @@ if tree["total_ns"] > wall_ns:
 if tree["total_ns"] < wall_ns * 0.95 - 50e6:
     err(f"trace total {tree['total_ns']}ns is under 95% of wall time {wall_ns:.0f}ns")
 
-print(f"metrics gate: {len(families)} families, {len(samples)} samples, "
-      f"request histogram {lat[0][1] if lat else 0} observations, "
-      f"quantiles {qs}, trace total {tree['total_ns']}ns vs wall {wall_ns:.0f}ns")
+# only figures that repeat from run to run, so the line compares byte for
+# byte across a change; observation counts, quantiles and times vary
+print(f"metrics gate: {len(families)} families, {len(samples)} samples")
 sys.exit(1 if fail else 0)

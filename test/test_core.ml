@@ -169,6 +169,23 @@ let test_compare_point_subst () =
    | Signs.Always_le -> ()
    | _ -> Alcotest.fail "expected always_le with m = 8")
 
+let counter name = Option.value ~default:0 (List.assoc_opt name (Pperf_obs.Obs.counters_now ()))
+
+(* the decision memo, as counts: a repeated identical decision is one memo
+   hit and builds no Sturm chain. The memo is per domain and outlives a
+   test, so each count is a delta around the second call. *)
+let test_compare_memo_counts () =
+  let cf = Perf_expr.of_cpu (Poly.add_const (Rat.of_int 200) (Poly.scale_int 6 (Poly.var "n"))) in
+  let cg = Perf_expr.of_cpu (Poly.scale_int 8 (Poly.var "n")) in
+  let env = Interval.Env.of_list [ ("n", Interval.of_ints 8 512) ] in
+  let show d = Format.asprintf "%a" Compare.pp_decision d in
+  let first = show (Compare.decide env cf cg) in
+  let hits0 = counter "compare.memo.hits" and builds0 = counter "roots.chain_builds" in
+  let second = show (Compare.decide env cf cg) in
+  Alcotest.(check int) "one memo hit" 1 (counter "compare.memo.hits" - hits0);
+  Alcotest.(check int) "no chain built" 0 (counter "roots.chain_builds" - builds0);
+  Alcotest.(check string) "same decision" first second
+
 let test_inferred_env () =
   let src =
     "subroutine s(a)\n  integer i, m\n  real a(100)\n  m = 8\n  do i = 1, m\n    a(i) = 0.0\n  end do\nend\n"
@@ -391,6 +408,7 @@ let () =
           Alcotest.test_case "crossover" `Quick test_compare_crossover;
           Alcotest.test_case "equal" `Quick test_compare_equal;
           Alcotest.test_case "point substitution" `Quick test_compare_point_subst;
+          Alcotest.test_case "memo counts" `Quick test_compare_memo_counts;
           Alcotest.test_case "inferred env" `Quick test_inferred_env;
         ] );
       ( "incremental",

@@ -154,6 +154,31 @@ let test_focus_span () =
   Alcotest.(check int) "wide span reuses low slot" 0 iadd_wide;
   Alcotest.(check bool) "narrow span placed high" true (iadd_narrow > 10)
 
+let counter name = Option.value ~default:0 (List.assoc_opt name (Pperf_obs.Obs.counters_now ()))
+
+(* §2.1's linear-time drop, as counts: each op is placed once, and a
+   placement scans at most the focus span (64 cells) below the bins' top.
+   An unbounded span scans the whole height each time: quadratic in n. *)
+let test_focus_span_work () =
+  let fmul = op "fmul" in
+  List.iter
+    (fun n ->
+      (* every third op a load, the others fadd or fmul reading the op two back *)
+      let dag =
+        Dag.of_ops
+          (List.init n (fun i ->
+               if i mod 3 = 0 then (load, [])
+               else ((if i mod 3 = 1 then fadd else fmul), if i >= 2 then [ i - 2 ] else [])))
+      in
+      let placed0 = counter "bins.placements" and scanned0 = counter "bins.scan_cells" in
+      ignore (Bins.drop_dag (Bins.create p1) dag);
+      let placed = counter "bins.placements" - placed0 in
+      let scanned = counter "bins.scan_cells" - scanned0 in
+      Alcotest.(check int) (Printf.sprintf "%d ops, one placement each" n) n placed;
+      if scanned > 64 * placed then
+        Alcotest.failf "%d ops scanned %d cells, more than 64 per placement" n scanned)
+    [ 10; 100; 1_000; 10_000 ]
+
 let test_replicated_units () =
   (* on the 2-FPU machine, two independent fdivs run in parallel *)
   let w = Machine.power1_wide in
@@ -336,6 +361,7 @@ let () =
           Alcotest.test_case "unit overlap" `Quick test_independent_units_overlap;
           Alcotest.test_case "16 fmas" `Quick test_16_fmas;
           Alcotest.test_case "focus span" `Quick test_focus_span;
+          Alcotest.test_case "focus span work" `Quick test_focus_span_work;
           Alcotest.test_case "replicated units" `Quick test_replicated_units;
         ] );
       qsuite "drop-props" [ prop_cost_bounds; prop_deps_respected ];

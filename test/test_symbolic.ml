@@ -226,6 +226,25 @@ let test_roots_rational () =
     Alcotest.(check bool) "exact" true (Rat.equal e.lo e.hi && Rat.equal e.lo (Rat.of_ints 3 2))
   | _ -> Alcotest.fail "expected one root"
 
+let counter name = Option.value ~default:0 (List.assoc_opt name (Pperf_obs.Obs.counters_now ()))
+
+(* the Sturm chain cache, as counts: isolating the roots of one polynomial
+   again reuses its chain. The cache is per domain and outlives a test, so
+   each count is a delta around the second call. *)
+let test_roots_chain_cache_counts () =
+  let wilkinson8 =
+    List.fold_left (fun acc r -> P.mul acc P.Infix.(x - pi r)) P.one [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+  in
+  let iv = Interval.of_ints (-1) 20 in
+  let first = Roots.isolate wilkinson8 "x" iv in
+  let hits0 = counter "roots.chain_cache_hits" and builds0 = counter "roots.chain_builds" in
+  let second = Roots.isolate wilkinson8 "x" iv in
+  Alcotest.(check int) "one chain cache hit" 1 (counter "roots.chain_cache_hits" - hits0);
+  Alcotest.(check int) "no chain built" 0 (counter "roots.chain_builds" - builds0);
+  let same (a : Roots.enclosure) (b : Roots.enclosure) = Rat.equal a.lo b.lo && Rat.equal a.hi b.hi in
+  Alcotest.(check int) "eight roots" 8 (List.length second);
+  Alcotest.(check bool) "same enclosures" true (List.equal same first second)
+
 let prop_roots_found =
   QCheck.Test.make ~name:"prescribed integer roots are isolated" ~count:100
     (QCheck.list_of_size (QCheck.Gen.int_range 1 4) (QCheck.int_range (-8) 8))
@@ -527,6 +546,7 @@ let () =
           Alcotest.test_case "multiplicity" `Quick test_roots_multiplicity;
           Alcotest.test_case "no roots" `Quick test_roots_none;
           Alcotest.test_case "rational root" `Quick test_roots_rational;
+          Alcotest.test_case "chain cache counts" `Quick test_roots_chain_cache_counts;
           Alcotest.test_case "closed form" `Quick test_closed_form;
           Alcotest.test_case "closed form scaled" `Quick test_closed_form_scaled;
         ] );
