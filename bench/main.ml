@@ -17,7 +17,7 @@ open Pperf_backend
 open Pperf_core
 open Pperf_workloads
 
-let p1 = Machine.power1
+let p1 = Descr.builtin "power1"
 
 let header title = Printf.printf "\n=== %s ===\n" title
 
@@ -494,7 +494,7 @@ let order_tab () =
 
 let xmach () =
   header "TAB-XMACH - portability: the same kernels across machine descriptions";
-  let machines = [ Machine.power1; Machine.power1_wide; Machine.alpha21064; Machine.scalar ] in
+  let machines = List.map Descr.builtin Descr.builtin_names in
   Printf.printf "%-8s" "kernel";
   List.iter (fun (m : Machine.t) -> Printf.printf " %9s/ref" m.name) machines;
   Printf.printf "\n";

@@ -13,7 +13,10 @@ module Options = Pperf_server.Options
 module Protocol = Pperf_server.Protocol
 
 let machine_arg =
-  let doc = "Target machine: power1, power1x2, alpha21064, scalar, or a description file." in
+  let doc =
+    Printf.sprintf "Target machine: %s, or a description file."
+      (String.concat ", " Pperf_machine.Descr.builtin_names)
+  in
   Arg.(value & opt string "power1" & info [ "m"; "machine" ] ~docv:"MACHINE" ~doc)
 
 let file_arg idx docv =
@@ -177,19 +180,14 @@ let max_request_bytes_arg =
        & opt int Pperf_fleet.Fleet.default_max_request_bytes
        & info [ "max-request-bytes" ] ~docv:"BYTES" ~doc)
 
-let cache_capacity_arg =
-  let doc = "Capacity (entries) of the content-addressed result cache." in
-  Arg.(value & opt (some int) None & info [ "cache-capacity" ] ~docv:"N" ~doc)
-
 let resolve_jobs = function
   | Some n -> n
   | None -> Pperf_fleet.Fleet.recommended_jobs ()
 
 let batch_cmd =
-  let run jobs max_bytes cache_capacity file =
+  let run jobs max_bytes file =
     let cfg =
-      Pperf_fleet.Fleet.config ?cache_capacity ~max_request_bytes:max_bytes
-        ~jobs:(resolve_jobs jobs) ()
+      Pperf_fleet.Fleet.config ~max_request_bytes:max_bytes ~jobs:(resolve_jobs jobs) ()
     in
     let go ic = Pperf_fleet.Fleet.serve_channels cfg ~flush_each:false ic stdout in
     match file with
@@ -213,7 +211,7 @@ let batch_cmd =
       (names queries) (names controls)
   in
   Cmd.v (Cmd.info "batch" ~doc)
-    Term.(const run $ jobs_arg $ max_request_bytes_arg $ cache_capacity_arg $ file)
+    Term.(const run $ jobs_arg $ max_request_bytes_arg $ file)
 
 let hostport =
   let parse s =
@@ -229,22 +227,13 @@ let hostport =
   let print ppf (h, p) = Format.fprintf ppf "%s:%d" h p in
   Arg.conv (parse, print)
 
-let sched_conv =
-  let parse s =
-    match Pperf_fleet.Sched.of_string s with
-    | Ok p -> Ok p
-    | Error m -> Error (`Msg m)
-  in
-  let print ppf p = Format.pp_print_string ppf (Pperf_fleet.Sched.name p) in
-  Arg.conv (parse, print)
-
 let tcp_arg ~doc = Arg.(value & opt (some hostport) None & info [ "tcp" ] ~docv:"HOST:PORT" ~doc)
 
 let serve_cmd =
-  let run jobs max_bytes cache_capacity socket tcp sched max_queue port_file =
+  let run jobs max_bytes socket tcp max_queue port_file =
     let cfg =
-      Pperf_fleet.Fleet.config ~sched ~max_queue ?cache_capacity
-        ~max_request_bytes:max_bytes ~jobs:(resolve_jobs jobs) ()
+      Pperf_fleet.Fleet.config ~max_queue ~max_request_bytes:max_bytes
+        ~jobs:(resolve_jobs jobs) ()
     in
     let listen addr =
       let code = Pperf_fleet.Fleet.serve_socket cfg addr ?port_file () in
@@ -288,14 +277,6 @@ let serve_cmd =
         "Serve concurrent connections on a TCP listener at $(docv) (port 0 picks \
          an ephemeral port; see $(b,--port-file))."
   in
-  let sched_arg =
-    let doc =
-      "Order in which the workers take queued requests: $(b,fifo) (admission \
-       order) or $(b,lifo) (newest first)."
-    in
-    Arg.(value & opt sched_conv (module Pperf_fleet.Sched.Fifo : Pperf_fleet.Sched.POLICY)
-         & info [ "sched" ] ~docv:"POLICY" ~doc)
-  in
   let max_queue_arg =
     let doc =
       "Admission bound: at most $(docv) requests wait for a worker. Beyond it, \
@@ -322,8 +303,8 @@ let serve_cmd =
      SIGTERM/SIGINT drain in-flight requests before exit."
   in
   Cmd.v (Cmd.info "serve" ~doc)
-    Term.(const run $ jobs_arg $ max_request_bytes_arg $ cache_capacity_arg
-          $ socket_arg $ tcp $ sched_arg $ max_queue_arg $ port_file_arg)
+    Term.(const run $ jobs_arg $ max_request_bytes_arg $ socket_arg $ tcp $ max_queue_arg
+          $ port_file_arg)
 
 let loadgen_cmd =
   let run tcp socket script requests connections window seed samples json =

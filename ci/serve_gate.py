@@ -9,8 +9,8 @@ Drives a scripted session through `ppredict serve` and asserts:
      structured error responses and the server keeps answering;
   3. a parallel session (--jobs 4) produces the same responses in the
      same order as --jobs 1 (timings and cache bits aside);
-  4. the same session over the TCP fleet (--sched fifo --jobs 1) is
-     byte-identical to the stdio transport (timings aside);
+  4. the same session over the TCP fleet (--jobs 1) is byte-identical
+     to the stdio transport (timings aside);
   5. a restart over a stale Unix-socket file (previous daemon killed
      hard) succeeds, while a second daemon on a live socket is refused.
 
@@ -145,8 +145,8 @@ if [strip(o) for o in par] != [strip(o) for o in outs]:
 
 
 # 4: the same session over TCP must be byte-identical to stdio (the
-# fleet under --sched fifo --jobs 1 is the deterministic baseline); here
-# only timings and the stats payload may differ, cache bits included
+# fleet under --jobs 1 is the deterministic baseline); here only timings
+# and the stats payload may differ, cache bits included
 def start_tcp(extra):
     pf = tempfile.NamedTemporaryFile(prefix="ppredict-port-", delete=False)
     pf.close()
@@ -195,8 +195,7 @@ def strip_t(o):
     return json.dumps(o, sort_keys=True)
 
 
-proc, port = start_tcp(["--sched", "fifo", "--jobs", "1",
-                        "--max-request-bytes", "4096"])
+proc, port = start_tcp(["--jobs", "1", "--max-request-bytes", "4096"])
 with socket.create_connection(("127.0.0.1", port), timeout=120) as s:
     tcp_outs = session_over(s, lines)
 proc.wait(30)  # the session ends in a shutdown verb

@@ -24,7 +24,7 @@ end
 let () =
   (* give power1 T3D-ish message-passing parameters *)
   let machine =
-    { Machine.power1 with
+    { (Descr.builtin "power1") with
       Machine.comm = Some { processors = 16; startup_cycles = 1200; per_byte_cycles = 0.4 } }
   in
   let layouts =

@@ -11,7 +11,7 @@ open Pperf_sched
 open Pperf_backend
 open Pperf_core
 
-let machine = Machine.power1
+let machine = Descr.builtin "power1"
 
 let matmul_with_unroll factor =
   let base =

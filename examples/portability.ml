@@ -46,8 +46,7 @@ let vliw8_descr = {|
 
 let () =
   let machines =
-    [ Machine.power1; Machine.power1_wide; Machine.alpha21064; Machine.scalar;
-      Descr.of_string vliw8_descr ]
+    List.map Descr.builtin Descr.builtin_names @ [ Descr.of_string vliw8_descr ]
   in
   Format.printf "%-12s %-28s %12s %10s@." "machine" "expression" "n=10000" "vs power1";
   let base = ref None in

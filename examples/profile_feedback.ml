@@ -11,7 +11,7 @@ open Pperf_machine
 open Pperf_core
 open Pperf_exec
 
-let machine = Machine.power1
+let machine = Descr.builtin "power1"
 
 let source = {|
 subroutine filter(x, y, n, t)

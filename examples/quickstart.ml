@@ -20,7 +20,7 @@ end
 |}
 
 let () =
-  let machine = Machine.power1 in
+  let machine = Descr.builtin "power1" in
 
   (* 1. one call gives the symbolic performance expression *)
   let p = Predict.of_source ~machine source in
@@ -51,7 +51,7 @@ let () =
     (Bins.Opcount.cost res.body);
 
   (* 3. the same program on a different machine description *)
-  let p_scalar = Predict.of_source ~machine:Machine.scalar source in
+  let p_scalar = Predict.of_source ~machine:(Descr.builtin "scalar") source in
   Format.printf "@.on a sequential machine: %a@." Predict.pp p_scalar;
   Format.printf "superscalar speedup at n=1000: %.2fx@."
     (Predict.eval p_scalar [ ("n", 1000.0) ] /. Predict.eval p [ ("n", 1000.0) ])

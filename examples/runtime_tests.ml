@@ -9,7 +9,7 @@ open Pperf_machine
 open Pperf_symbolic
 open Pperf_core
 
-let machine = Machine.power1
+let machine = Descr.builtin "power1"
 
 (* variant A: precompute a table of the m distinct values, then index it *)
 let variant_a = {|

@@ -10,7 +10,7 @@ open Pperf_symbolic
 open Pperf_core
 open Pperf_transform
 
-let machine = Machine.power1
+let machine = Descr.builtin "power1"
 
 let source = {|
 subroutine sweep(a, b, n)

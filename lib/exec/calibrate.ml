@@ -229,10 +229,8 @@ let build spec (om : Machine.t) =
       ("nop", 0, [ (int_ports, 0) ]);
     ]
   in
-  Machine.make_ports
-    ~name:(om.Machine.name ^ "+fit")
-    ~description:("ports model calibrated against " ^ om.Machine.name)
-    ~ports:all ~atomics ~issue_width:om.Machine.issue_width
+  Machine.make_ports ~name:(om.Machine.name ^ "+fit") ~ports:all ~atomics
+    ~issue_width:om.Machine.issue_width
     ~branch_taken_cycles:om.Machine.branch_taken_cycles
     ~register_load_limit:om.Machine.register_load_limit ~has_fma:false
     ~cache:om.Machine.cache ?comm:om.Machine.comm ()

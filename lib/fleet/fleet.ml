@@ -33,25 +33,19 @@ let g_inflight = Obs.gauge "fleet.inflight"
 let g_connections = Obs.gauge "fleet.connections.active"
 let c_pops = Obs.counter "sched.pops"
 
-type config = {
-  jobs : int;
-  sched : Sched.policy;
-  max_queue : int;
-  cache_capacity : int option;
-  max_request_bytes : int;
-}
+type config = { jobs : int; max_queue : int; max_request_bytes : int }
 
 let default_max_queue = 1024
 let default_max_request_bytes = 1 lsl 20
 let recommended_jobs () = max 1 (Domain.recommended_domain_count ())
 
-let config ?(sched = (module Sched.Fifo : Sched.POLICY)) ?(max_queue = default_max_queue)
-    ?cache_capacity ?(max_request_bytes = default_max_request_bytes) ~jobs () =
+let config ?(max_queue = default_max_queue) ?(max_request_bytes = default_max_request_bytes)
+    ~jobs () =
   if jobs < 1 then
     invalid_arg (Printf.sprintf "Fleet.config: jobs must be >= 1 (got %d)" jobs);
   if max_queue < 1 then
     invalid_arg (Printf.sprintf "Fleet.config: max_queue must be >= 1 (got %d)" max_queue);
-  { jobs; sched; max_queue; cache_capacity; max_request_bytes }
+  { jobs; max_queue; max_request_bytes }
 
 type admission = Shed | Backpressure
 
@@ -73,28 +67,27 @@ module Core = struct
     work : Condition.t;  (** signalled on push and on stop *)
     room : Condition.t;  (** signalled on pop and on stop *)
     idle : Condition.t;  (** signalled when queued + in-flight reaches 0 *)
-    queue : item Sched.t;
+    queue : item Queue.t;  (** taken in admission order *)
     mutable in_flight : int;
     mutable stopping : bool;
     mutable workers : unit Domain.t list;
     mutable started : bool;
   }
 
-  let queue_depth t = Mutex.protect t.lock (fun () -> Sched.length t.queue)
+  let queue_depth t = Mutex.protect t.lock (fun () -> Queue.length t.queue)
 
   (* overload hint: expected time for the workers to drain the current
      backlog, from the mean evaluation time observed so far *)
   let retry_after_ms t =
     let mean_ns = Engine.mean_eval_ns t.engine in
     let mean_ns = if mean_ns = 0 then 1_000_000 else mean_ns in
-    max 1 (mean_ns * Sched.length t.queue / t.cfg.jobs / 1_000_000)
+    max 1 (mean_ns * Queue.length t.queue / t.cfg.jobs / 1_000_000)
 
   let rec worker t =
-    let module P = (val t.cfg.sched : Sched.POLICY) in
     let job =
       Mutex.protect t.lock (fun () ->
           let rec get () =
-            match P.take t.queue with
+            match Queue.take_opt t.queue with
             | Some it ->
               Obs.incr c_pops;
               Some it
@@ -123,7 +116,7 @@ module Core = struct
       Mutex.protect t.lock (fun () ->
           t.in_flight <- t.in_flight - 1;
           Obs.add_gauge g_inflight (-1);
-          if Sched.length t.queue = 0 && t.in_flight = 0 then Condition.broadcast t.idle);
+          if Queue.is_empty t.queue && t.in_flight = 0 then Condition.broadcast t.idle);
       worker t
 
   let start t =
@@ -137,12 +130,12 @@ module Core = struct
     let t =
       {
         cfg;
-        engine = Engine.create ?cache_capacity:cfg.cache_capacity ~jobs:cfg.jobs ();
+        engine = Engine.create ~jobs:cfg.jobs ();
         lock = Mutex.create ();
         work = Condition.create ();
         room = Condition.create ();
         idle = Condition.create ();
-        queue = Sched.create ();
+        queue = Queue.create ();
         in_flight = 0;
         stopping = false;
         workers = [];
@@ -158,14 +151,14 @@ module Core = struct
   let submit t ~admission run =
     Mutex.protect t.lock (fun () ->
         if admission = Backpressure then
-          while Sched.length t.queue >= t.cfg.max_queue && not t.stopping do
+          while Queue.length t.queue >= t.cfg.max_queue && not t.stopping do
             Condition.wait t.room t.lock
           done;
-        if t.stopping || Sched.length t.queue >= t.cfg.max_queue then (
+        if t.stopping || Queue.length t.queue >= t.cfg.max_queue then (
           Obs.incr c_rejected;
           Error (retry_after_ms t))
         else (
-          Sched.push t.queue { run };
+          Queue.push { run } t.queue;
           Obs.incr c_admitted;
           Obs.add_gauge g_queue_depth 1;
           (* any worker can run any item, so waking one is enough *)
@@ -202,7 +195,7 @@ module Core = struct
 
   let drain t =
     Mutex.protect t.lock (fun () ->
-        while Sched.length t.queue > 0 || t.in_flight > 0 do
+        while Queue.length t.queue > 0 || t.in_flight > 0 do
           Condition.wait t.idle t.lock
         done)
 
@@ -386,10 +379,9 @@ let serve_socket cfg addr ?port_file () =
       (match Unix.getsockname sock with
       | Unix.ADDR_INET (host, port) ->
         Option.iter (fun f -> write_port_file f port) port_file;
-        Printf.eprintf "ppredict: fleet listening on %s:%d (%d worker%s, sched %s)\n%!"
+        Printf.eprintf "ppredict: fleet listening on %s:%d (%d worker%s)\n%!"
           (Unix.string_of_inet_addr host) port cfg.jobs
           (if cfg.jobs = 1 then "" else "s")
-          (Sched.name cfg.sched)
       | Unix.ADDR_UNIX _ -> ());
       install_stop_handlers stop;
       while not (Atomic.get stop) do

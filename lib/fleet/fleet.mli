@@ -4,12 +4,12 @@
     in-memory session for tests and benchmarks.
 
     All of them feed request lines to one {!Core}: one run queue that N
-    worker domains take from, in the order its {!Sched} policy picks, all
-    sharing one {!Pperf_server.Engine}. The engine's result cache and
-    incremental predictors are shared by every worker, so a request meets
-    the same warm state whichever worker runs it. Admission is bounded at
-    [max_queue] queued requests; what happens beyond it is the transport's
-    {!admission} choice.
+    worker domains take from in admission order, all sharing one
+    {!Pperf_server.Engine}. The engine's result cache and incremental
+    predictors are shared by every worker, so a request meets the same
+    warm state whichever worker runs it. Admission is bounded at
+    [max_queue] queued requests; what happens beyond it is the
+    transport's {!admission} choice.
 
     Responses leave each session in request order (one {!Sequencer} per
     session) and every request is answered exactly once. Deadlines are
@@ -19,9 +19,7 @@
 
 type config = private {
   jobs : int;  (** worker domain count, >= 1 *)
-  sched : Sched.policy;
   max_queue : int;  (** global admission bound, >= 1 *)
-  cache_capacity : int option;  (** result-cache entries (engine default) *)
   max_request_bytes : int;
 }
 
@@ -34,14 +32,7 @@ val default_max_request_bytes : int
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count], at least 1. *)
 
-val config :
-  ?sched:Sched.policy ->
-  ?max_queue:int ->
-  ?cache_capacity:int ->
-  ?max_request_bytes:int ->
-  jobs:int ->
-  unit ->
-  config
+val config : ?max_queue:int -> ?max_request_bytes:int -> jobs:int -> unit -> config
 (** The only way to build a {!config}.
     @raise Invalid_argument when [jobs < 1] or [max_queue < 1]. *)
 

@@ -343,3 +343,31 @@ let to_string (m : Machine.t) =
    | None -> ());
   pf ")\n";
   Buffer.contents b
+
+(* ---- the shipped machines ---- *)
+
+(* A builtin is its machines/NAME.pmach text, parsed on first use and
+   shared from then on: the memos derived from a machine key it by
+   physical identity, so every lookup must give the one value. Worker
+   domains may look one up at once, and Lazy.force raises when two
+   domains force one value, hence the lock. *)
+type builtin = { names : string list; text : string; mutable parsed : Machine.t option }
+
+let builtins =
+  List.map
+    (fun (names, text) -> { names; text; parsed = None })
+    [ ([ "power1" ], Pmach_text.power1); ([ "power1x2" ], Pmach_text.power1x2);
+      ([ "alpha21064"; "alpha" ], Pmach_text.alpha21064); ([ "scalar" ], Pmach_text.scalar) ]
+
+let builtin_names = List.map (fun b -> List.hd b.names) builtins
+let builtin_lock = Mutex.create ()
+
+let builtin name =
+  let b = List.find (fun b -> List.mem name b.names) builtins in
+  Mutex.protect builtin_lock (fun () ->
+      match b.parsed with
+      | Some m -> m
+      | None ->
+        let m = of_string b.text in
+        b.parsed <- Some m;
+        m)

@@ -46,3 +46,17 @@ exception Parse_error of string
 val of_string : string -> Machine.t
 val to_string : Machine.t -> string
 (** Round-trips through {!of_string} (up to whitespace). *)
+
+(** {1 The shipped machines}
+
+    The builtin machines are the [machines/NAME.pmach] files, whose text
+    is embedded at build time: the files are their only copy. *)
+
+val builtin_names : string list
+(** [power1], [power1x2], [alpha21064], [scalar], in that order. *)
+
+val builtin : string -> Machine.t
+(** The builtin of that name, or [alpha21064] for its alias [alpha].
+    Parsed on first use, once per process, so every lookup of one machine
+    gives one physical value. Domain-safe.
+    @raise Not_found for any other name. *)

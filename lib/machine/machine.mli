@@ -8,7 +8,9 @@
 
     Porting the predictor to a new architecture is, per the paper, "a matter
     of defining the atomic operation mapping and the atomic operation cost
-    table" — see {!builder} and {!Descr} for the textual format. *)
+    table" — see {!make} and {!make_ports}, {!Descr} for the textual
+    format, and {!Descr.builtin} for the shipped machines, which are such
+    text. *)
 
 type cache_params = {
   line_bytes : int;
@@ -32,7 +34,6 @@ type table
 
 type t = {
   name : string;
-  description : string;
   table : table;
   model : Costmodel.kind;  (** the dialect the cost table was described in *)
   issue_width : int;
@@ -49,7 +50,6 @@ type t = {
 
 val make :
   name:string ->
-  ?description:string ->
   units:(string * Funit.kind) list ->
   atomics:(string * (int * int * int) list) list ->
   ?issue_width:int ->
@@ -69,7 +69,6 @@ val make :
 
 val make_ports :
   name:string ->
-  ?description:string ->
   ports:string list ->
   atomics:(string * int * (string list * int) list) list ->
   ?issue_width:int ->
@@ -123,27 +122,3 @@ val fold_atomics : (string -> Atomic_op.t -> 'a -> 'a) -> t -> 'a -> 'a
 val reciprocal_throughput : t -> Atomic_op.t -> float
 (** Steady-state cycles per back-to-back instance of the op, read from
     its components' eligible sets (see {!Costmodel.reciprocal_throughput}). *)
-
-(** {1 Built-in machines} *)
-
-val power1 : t
-(** RS/6000-like: the machine of the paper's evaluation. Five units (FXU,
-    FPU, branch, CR-logic, load/store), fused multiply-add, FP add/multiply
-    1 noncoverable + 1 coverable on the FPU, FP store 2 cycles FPU (one
-    coverable) + 1 cycle FXU, integer multiply 3 cycles for a small
-    multiplier and 5 in general (§2.2.1). *)
-
-val power1_wide : t
-(** A 2-way superscalar variant of {!power1} with duplicated FXU/FPU/LSU —
-    used for cross-architecture portability experiments. *)
-
-val alpha21064 : t
-(** DEC Alpha 21064-like — the Cray T3D node mentioned in the paper's
-    introduction. Dual issue, no fused multiply-add, 6-cycle pipelined FP,
-    long integer multiplies, a small direct-mapped cache, and T3D-style
-    message-passing parameters. *)
-
-val scalar : t
-(** A strictly sequential single-unit machine: every cost noncoverable on
-    one bin. On this machine the Tetris model degenerates to operation
-    counting — the baseline the paper contrasts against. *)

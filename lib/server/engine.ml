@@ -43,11 +43,11 @@ let g_inc_hits = Obs.gauge "server.incremental.hits"
 let g_inc_misses = Obs.gauge "server.incremental.misses"
 let g_jobs = Obs.gauge "server.jobs"
 
-let create ?(cache_capacity = 4096) ~jobs () =
+let create ~jobs () =
   if jobs < 1 then
     invalid_arg (Printf.sprintf "Engine.create: jobs must be >= 1 (got %d)" jobs);
   {
-    cache = Memo.create Memo.Shared "server.cache" ~capacity:cache_capacity;
+    cache = Memo.create Memo.Shared "server.cache" ~capacity:4096;
     jobs;
     requests = Atomic.make 0;
     ok_count = Atomic.make 0;

@@ -16,7 +16,7 @@
 
 type t
 
-val create : ?cache_capacity:int -> jobs:int -> unit -> t
+val create : jobs:int -> unit -> t
 (** [jobs] is reported by the [stats] verb.
     @raise Invalid_argument when [jobs < 1]. *)
 

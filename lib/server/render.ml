@@ -424,8 +424,6 @@ let bounds ~machine ~memory ~json ~evals src =
 
 (* ---- machines ---- *)
 
-let builtin_machine_names = [ "alpha21064"; "power1"; "power1x2"; "scalar" ]
-
 let machines ~dir () =
   Obs.time sp_render @@ fun () ->
   let module M = Pperf_machine.Machine in
@@ -436,7 +434,8 @@ let machines ~dir () =
       (M.num_units m) m.M.issue_width origin
   in
   let builtins =
-    List.map (fun n -> row n (Machines.load n) "builtin") builtin_machine_names
+    List.sort String.compare Pperf_machine.Descr.builtin_names
+    |> List.map (fun n -> row n (Machines.load n) "builtin")
   in
   let files =
     if Sys.file_exists dir && Sys.is_directory dir then

@@ -567,7 +567,7 @@ let prop_product_sound_on_exec =
       let src = Pp_ast.routine_to_string r in
       let c = checked src in
       let res =
-        Pperf_exec.Interp.run_source ~machine:Pperf_machine.Machine.power1
+        Pperf_exec.Interp.run_source ~machine:(Pperf_machine.Descr.builtin "power1")
           ~args:[ ("p", Pperf_exec.Interp.VInt p); ("q", Pperf_exec.Interp.VInt q) ]
           src
       in
@@ -655,7 +655,7 @@ let prop_product_sound_on_loops =
        gen)
     (fun (r, p, q) ->
       let res =
-        Pperf_exec.Interp.run_source ~machine:Pperf_machine.Machine.power1
+        Pperf_exec.Interp.run_source ~machine:(Pperf_machine.Descr.builtin "power1")
           ~args:[ ("p", Pperf_exec.Interp.VInt p); ("q", Pperf_exec.Interp.VInt q) ]
           (Pp_ast.routine_to_string (overflow_guarded r))
       in

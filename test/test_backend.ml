@@ -4,7 +4,7 @@ open Pperf_machine
 open Pperf_sched
 open Pperf_backend
 
-let p1 = Machine.power1
+let p1 = Descr.builtin "power1"
 let op name = Machine.atomic p1 name
 let fadd = op "fadd"
 let fma = op "fma"
@@ -22,7 +22,7 @@ let test_hand_cases () =
 
 let test_issue_width_limits () =
   (* scalar machine: 1 op/cycle, all serial *)
-  let s = Machine.scalar in
+  let s = Descr.builtin "scalar" in
   let fadd_s = Machine.atomic s "fadd" in
   let r = Pipeline.run_list_scheduled s (Dag.of_ops [ (fadd_s, []); (fadd_s, []) ]) in
   Alcotest.(check int) "no overlap on scalar" 4 r.cycles
@@ -127,11 +127,10 @@ let prop_wide_machine_no_slower =
   QCheck.Test.make ~name:"2-way machine never slower" ~count:200 arb_dag
     (fun ops ->
       let dag = Dag.of_ops ops in
+      let wide = Descr.builtin "power1x2" in
       (* the wide machine shares the cost table; map op names over *)
-      let wide_dag =
-        Dag.map_ops (fun op -> Machine.atomic Machine.power1_wide op.Atomic_op.name) dag
-      in
-      Pipeline.reference_cycles Machine.power1_wide wide_dag
+      let wide_dag = Dag.map_ops (fun op -> Machine.atomic wide op.Atomic_op.name) dag in
+      Pipeline.reference_cycles wide wide_dag
       <= Pipeline.reference_cycles p1 dag)
 
 let qsuite name tests =

@@ -8,7 +8,7 @@ open Pperf_machine
 open Pperf_bounds
 open Pperf_core
 
-let p1 = Machine.power1
+let p1 = Descr.builtin "power1"
 let check_src src = Typecheck.check_routine (Parser.parse_routine src)
 
 let analyze ?(include_memory = false) src =

@@ -8,7 +8,7 @@ open Pperf_lang
 open Pperf_machine
 open Pperf_core
 
-let p1 = Machine.power1
+let p1 = Descr.builtin "power1"
 
 let predict ?options src = Predict.of_source ?options ~machine:p1 src
 

@@ -8,7 +8,7 @@ open Pperf_machine
 open Pperf_sched
 open Pperf_core
 
-let p1 = Machine.power1
+let p1 = Descr.builtin "power1"
 
 (* ---- lexer oddities ---- *)
 
@@ -141,7 +141,7 @@ let test_machine_lookup () =
   Alcotest.(check bool) "atomic_opt present" true (Machine.atomic_opt p1 "fadd" <> None);
   Alcotest.(check bool) "atomic_opt missing" true (Machine.atomic_opt p1 "zzz" = None);
   Alcotest.(check int) "custom kind units" 1
-    (List.length (Machine.units_of_kind Machine.scalar (Funit.Custom "alu")))
+    (List.length (Machine.units_of_kind (Descr.builtin "scalar") (Funit.Custom "alu")))
 
 (* ---- pipeline edges ---- *)
 

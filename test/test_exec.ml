@@ -5,7 +5,7 @@ open Pperf_machine
 open Pperf_core
 open Pperf_exec
 
-let p1 = Machine.power1
+let p1 = Descr.builtin "power1"
 
 let run ?args src = Interp.run_source ~machine:p1 ?args src
 
@@ -410,7 +410,7 @@ let prop_block_table_transparent =
 (* Calibrating the scalar builtin recovers an exactly-equivalent one-port
    model: every probe kernel re-predicts to the oracle's cycle count. *)
 let test_calibrate_scalar () =
-  let r = Calibrate.run ~machine:Machine.scalar () in
+  let r = Calibrate.run ~machine:(Descr.builtin "scalar") () in
   Alcotest.(check bool) "ok" true r.Calibrate.ok;
   Alcotest.(check bool) "exact recovery"
     true

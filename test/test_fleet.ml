@@ -1,9 +1,8 @@
-(* Tests for lib/fleet: the run queue and scheduling policies,
-   admission control (bounded queue, structured overloaded rejection
-   with a retry hint), and the exactly-once / in-order delivery contract
-   of the core — including QCheck properties driving random request
-   mixes, deadline churn, and mid-session disconnects under both
-   policies. *)
+(* Tests for lib/fleet: the run queue's admission order, admission
+   control (bounded queue, structured overloaded rejection with a retry
+   hint), and the exactly-once / in-order delivery contract of the core —
+   including QCheck properties driving random request mixes, deadline
+   churn, and mid-session disconnects. *)
 
 open Pperf_fleet
 
@@ -22,47 +21,6 @@ let contains ~affix s =
   let n = String.length affix and m = String.length s in
   let rec at i = i + n <= m && (String.sub s i n = affix || at (i + 1)) in
   n = 0 || at 0
-
-(* ---------------------------------------------------------- sched *)
-
-let drain_policy (module P : Sched.POLICY) q =
-  let rec loop acc =
-    match P.take q with None -> List.rev acc | Some x -> loop (x :: acc)
-  in
-  loop []
-
-let test_sched_fifo () =
-  let q = Sched.create () in
-  List.iter (Sched.push q) [ "r0"; "r1"; "r2"; "r3" ];
-  Alcotest.(check int) "length" 4 (Sched.length q);
-  Alcotest.(check (list string)) "oldest first" [ "r0"; "r1"; "r2"; "r3" ]
-    (drain_policy (module Sched.Fifo) q);
-  Alcotest.(check int) "drained" 0 (Sched.length q)
-
-let test_sched_lifo () =
-  let q = Sched.create () in
-  List.iter (Sched.push q) [ "r0"; "r1" ];
-  (* a push between takes goes first: newest first throughout *)
-  Alcotest.(check (option string)) "newest" (Some "r1") (Sched.Lifo.take q);
-  Sched.push q "r2";
-  Alcotest.(check (list string)) "newest first" [ "r2"; "r0" ]
-    (drain_policy (module Sched.Lifo) q);
-  Alcotest.(check int) "drained" 0 (Sched.length q)
-
-let test_sched_of_string () =
-  List.iter
-    (fun (s, expect) ->
-      match Sched.of_string s with
-      | Ok p -> Alcotest.(check string) s expect (Sched.name p)
-      | Error e -> Alcotest.failf "%s rejected: %s" s e)
-    [ ("fifo", "fifo"); ("LIFO", "lifo") ];
-  List.iter
-    (fun s ->
-      match Sched.of_string s with
-      | Ok _ -> Alcotest.failf "%s accepted" s
-      | Error msg ->
-        Alcotest.(check bool) "error lists options" true (contains ~affix:"fifo, lifo" msg))
-    [ "round-robin"; "ws" ]
 
 (* --------------------------------------------------------- config *)
 
@@ -130,6 +88,29 @@ let test_admission_rejects () =
     out;
   Fleet.Core.stop core
 
+(* The workers take queued requests in admission order: of two equal
+   requests queued on a frozen one-worker core, the first is computed and
+   the second answered from the result cache. *)
+let test_admission_order () =
+  let core = Fleet.Core.create ~start:false (Fleet.config ~jobs:1 ()) in
+  let seq, lines = collector () in
+  List.iteri
+    (fun i id ->
+      ignore
+        (Fleet.Core.dispatch core ~admission:Fleet.Shed seq i
+           (Printf.sprintf {|{"id":%S,"verb":"predict","source":%s}|} id (escape daxpy))))
+    [ "first"; "second" ];
+  Fleet.Core.start core;
+  Fleet.Core.drain core;
+  ignore (Sequencer.wait seq ~upto:2);
+  Fleet.Core.stop core;
+  match lines () with
+  | [ first; second ] ->
+    Alcotest.(check bool) "first computed" true (contains ~affix:{|"cached":false|} first);
+    Alcotest.(check bool) "second from the cache" true
+      (contains ~affix:{|"cached":true|} second)
+  | out -> Alcotest.failf "%d responses" (List.length out)
+
 let test_shutdown_inline () =
   let core = Fleet.Core.create (Fleet.config ~jobs:1 ()) in
   let seq, lines = collector () in
@@ -189,26 +170,22 @@ let check_session_output ~label lines out =
         Alcotest.failf "%s: slot %d answered out of order: %s" label i resp)
     out
 
-let test_exactly_once_per_policy () =
-  List.iter
-    (fun (pname, policy) ->
-      let cfg = Fleet.config ~sched:policy ~jobs:3 () in
-      let core = Fleet.Core.create cfg in
-      let cases =
-        List.init 60 (fun i ->
-            match i mod 6 with
-            | 0 -> `Predict
-            | 1 -> `Ping
-            | 2 -> `Bounds
-            | 3 -> `Stats
-            | 4 -> `Deadline 10000.0
-            | _ -> `Malformed)
-      in
-      let lines = List.mapi line_of_case cases in
-      let out = Fleet.run_lines ~admission:Fleet.Shed core lines in
-      check_session_output ~label:pname lines out;
-      Fleet.Core.stop core)
-    Sched.all
+let test_exactly_once () =
+  let core = Fleet.Core.create (Fleet.config ~jobs:3 ()) in
+  let cases =
+    List.init 60 (fun i ->
+        match i mod 6 with
+        | 0 -> `Predict
+        | 1 -> `Ping
+        | 2 -> `Bounds
+        | 3 -> `Stats
+        | 4 -> `Deadline 10000.0
+        | _ -> `Malformed)
+  in
+  let lines = List.mapi line_of_case cases in
+  let out = Fleet.run_lines ~admission:Fleet.Shed core lines in
+  check_session_output ~label:"jobs 3" lines out;
+  Fleet.Core.stop core
 
 (* A single-reader session waits for room instead of shedding: a queue
    of two still answers every one of 50 lines, in order. *)
@@ -241,22 +218,16 @@ let case_gen =
 
 let session_arb =
   QCheck.make
-    ~print:(fun (policy, cases) ->
-      Printf.sprintf "%s × %d requests" policy (List.length cases))
-    QCheck.Gen.(
-      pair (oneofl [ "fifo"; "lifo" ]) (list_size (int_range 1 40) case_gen))
+    ~print:(fun cases -> Printf.sprintf "%d requests" (List.length cases))
+    QCheck.Gen.(list_size (int_range 1 40) case_gen)
 
 (* The delivery contract under random mixes and deadline churn: every
    request — admitted, shed, expired, or malformed — is answered exactly
-   once, and responses leave in request order under every policy. *)
+   once, and responses leave in request order. *)
 let prop_exactly_once_in_order =
   QCheck.Test.make ~name:"fleet answers exactly once, in order" ~count:25
-    session_arb (fun (pname, cases) ->
-      let policy =
-        match Sched.of_string pname with Ok p -> p | Error e -> failwith e
-      in
-      let cfg = Fleet.config ~sched:policy ~jobs:2 ~max_queue:8 () in
-      let core = Fleet.Core.create cfg in
+    session_arb (fun cases ->
+      let core = Fleet.Core.create (Fleet.config ~jobs:2 ~max_queue:8 ()) in
       let lines = List.mapi line_of_case cases in
       let out = Fleet.run_lines ~admission:Fleet.Shed core lines in
       Fleet.Core.stop core;
@@ -304,19 +275,13 @@ let () =
   in
   Alcotest.run "fleet"
     [
-      ( "sched",
-        [
-          Alcotest.test_case "fifo" `Quick test_sched_fifo;
-          Alcotest.test_case "lifo" `Quick test_sched_lifo;
-          Alcotest.test_case "of_string" `Quick test_sched_of_string;
-        ] );
       ( "core",
         [
           Alcotest.test_case "config validation" `Quick test_config_validation;
           Alcotest.test_case "admission rejects" `Quick test_admission_rejects;
+          Alcotest.test_case "runs in admission order" `Quick test_admission_order;
           Alcotest.test_case "shutdown inline" `Quick test_shutdown_inline;
-          Alcotest.test_case "exactly once per policy" `Quick
-            test_exactly_once_per_policy;
+          Alcotest.test_case "exactly once" `Quick test_exactly_once;
           Alcotest.test_case "backpressure answers all" `Quick test_backpressure;
         ] );
       qsuite "props" [ prop_exactly_once_in_order; prop_disconnect_harmless ];

@@ -6,7 +6,7 @@
 open Pperf_lang
 open Pperf_core
 
-let machine = Pperf_machine.Machine.power1
+let machine = Pperf_machine.Descr.builtin "power1"
 
 let check_src src = Typecheck.check_routine (Parser.parse_routine src)
 let check_program src = Typecheck.check_program (Parser.parse_program src)
@@ -162,12 +162,13 @@ let test_bounded_units () =
    reuse entries cached for another machine *)
 let test_machine_change () =
   let checked = check_src daxpy in
-  let p1 = Incremental.create Pperf_machine.Machine.power1 in
-  let scalar = Incremental.create Pperf_machine.Machine.scalar in
+  let scalar_machine = Pperf_machine.Descr.builtin "scalar" in
+  let p1 = Incremental.create machine in
+  let scalar = Incremental.create scalar_machine in
   let on_p1 = Incremental.predict_checked p1 checked in
   let on_scalar = Incremental.predict_checked scalar checked in
   same_prediction "scalar matches scratch" on_scalar
-    (Aggregate.routine ~machine:Pperf_machine.Machine.scalar checked);
+    (Aggregate.routine ~machine:scalar_machine checked);
   Alcotest.(check bool) "machines differ" true
     (cost_string on_p1.cost <> cost_string on_scalar.cost)
 

@@ -7,7 +7,7 @@ open Pperf_sched
 open Pperf_backend
 open Pperf_workloads
 
-let p1 = Machine.power1
+let p1 = Descr.builtin "power1"
 
 let predict_and_reference kernel =
   let res = Workloads.innermost_dag ~machine:p1 kernel in
@@ -77,24 +77,26 @@ let test_cross_machine_accuracy () =
             (Printf.sprintf "%s on %s: %d vs %d" k.Workloads.name m.Machine.name pred reference)
             true (rel <= 0.15))
         Workloads.fig7_kernels)
-    [ Machine.power1_wide; Machine.alpha21064; Machine.scalar ]
+    (List.map Descr.builtin [ "power1x2"; "alpha21064"; "scalar" ])
 
 let test_scalar_machine_degenerates () =
   (* on the strictly serial machine the Tetris model equals op counting *)
+  let scalar = Descr.builtin "scalar" in
   List.iter
     (fun k ->
-      let res = Workloads.innermost_dag ~machine:Machine.scalar k in
-      let bins = Bins.create Machine.scalar in
+      let res = Workloads.innermost_dag ~machine:scalar k in
+      let bins = Bins.create scalar in
       let tetris = (Bins.drop_dag bins res.body).cost in
       let opcount = Bins.Opcount.cost res.body in
       Alcotest.(check int) (k.Workloads.name ^ " tetris = opcount on scalar") opcount tetris)
     Workloads.fig7_kernels
 
 let test_wide_machine_helps_parallel_kernels () =
+  let wide = Descr.builtin "power1x2" in
   let res = Workloads.innermost_dag ~machine:p1 Workloads.matmul_unrolled in
-  let res_w = Workloads.innermost_dag ~machine:Machine.power1_wide Workloads.matmul_unrolled in
+  let res_w = Workloads.innermost_dag ~machine:wide Workloads.matmul_unrolled in
   let c1 = Pipeline.reference_cycles p1 res.body in
-  let c2 = Pipeline.reference_cycles Machine.power1_wide res_w.body in
+  let c2 = Pipeline.reference_cycles wide res_w.body in
   Alcotest.(check bool) (Printf.sprintf "wide faster (%d vs %d)" c2 c1) true (c2 < c1)
 
 let test_full_prediction_runs () =

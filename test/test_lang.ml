@@ -466,7 +466,7 @@ let prop_prediction_total_random =
     (fun r ->
       let checked = Typecheck.check_routine r in
       let p =
-        Pperf_core.Aggregate.routine ~machine:Pperf_machine.Machine.power1 checked
+        Pperf_core.Aggregate.routine ~machine:(Pperf_machine.Descr.builtin "power1") checked
       in
       let v =
         Pperf_symbolic.Poly.eval_float

@@ -4,7 +4,7 @@
 open Pperf_lang
 open Pperf_lint
 
-let machine = Pperf_machine.Machine.power1
+let machine = Pperf_machine.Descr.builtin "power1"
 let lint src = Lint.run_checked (Typecheck.check_routine (Parser.parse_routine src))
 let ids ds = List.sort_uniq compare (List.map (fun (d : Diagnostic.t) -> d.check) ds)
 let has check ds = List.mem check (ids ds)

@@ -33,7 +33,7 @@ let test_atomic_op () =
            ~atomics:[ ("x", [ (0, 1, 0); (0, 1, 0) ]) ] ()))
 
 let test_power1 () =
-  let m = Machine.power1 in
+  let m = Descr.builtin "power1" in
   Alcotest.(check int) "5 units" 5 (Machine.num_units m);
   Alcotest.(check bool) "has fma" true m.has_fma;
   (* the paper's stated costs *)
@@ -60,12 +60,40 @@ let test_machine_errors () =
        false
      with Invalid_argument _ -> true);
   Alcotest.(check bool) "missing op fails" true
-    (try ignore (Machine.atomic Machine.power1 "nosuchop"); false
+    (try ignore (Machine.atomic (Descr.builtin "power1") "nosuchop"); false
      with Machine.Unknown_atomic { machine = "power1"; op = "nosuchop" } -> true)
 
 let test_units_of_kind () =
-  Alcotest.(check int) "power1 one fpu" 1 (List.length (Machine.units_of_kind Machine.power1 Funit.Float_point));
-  Alcotest.(check int) "wide two fpu" 2 (List.length (Machine.units_of_kind Machine.power1_wide Funit.Float_point))
+  let fpus name = List.length (Machine.units_of_kind (Descr.builtin name) Funit.Float_point) in
+  Alcotest.(check int) "power1 one fpu" 1 (fpus "power1");
+  Alcotest.(check int) "wide two fpu" 2 (fpus "power1x2")
+
+(* A builtin is one physical value per process: the memos derived from a
+   machine (translate.atomic_chains, machines.digests) key it by [==], so
+   a parse per lookup would make every request cold. This case runs first,
+   while no builtin is parsed yet, so its two domains race to parse each. *)
+let test_builtin_identity () =
+  let go = Atomic.make false in
+  let load_all names () =
+    while not (Atomic.get go) do
+      Domain.cpu_relax ()
+    done;
+    List.map (fun n -> (n, Descr.builtin n)) names
+  in
+  let d1 = Domain.spawn (load_all Descr.builtin_names) in
+  let d2 = Domain.spawn (load_all (List.rev Descr.builtin_names)) in
+  Atomic.set go true;
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  List.iter
+    (fun n ->
+      let m = Descr.builtin n in
+      Alcotest.(check string) (n ^ " name") n m.Machine.name;
+      Alcotest.(check bool) (n ^ ": one value in both domains") true
+        (List.assoc n r1 == m && List.assoc n r2 == m))
+    Descr.builtin_names;
+  Alcotest.(check bool) "alpha is alpha21064" true
+    (Descr.builtin "alpha" == Descr.builtin "alpha21064");
+  Alcotest.check_raises "unknown name" Not_found (fun () -> ignore (Descr.builtin "power2"))
 
 let test_descr_roundtrip () =
   List.iter
@@ -87,7 +115,7 @@ let test_descr_roundtrip () =
           Alcotest.(check int) (name ^ " busy") (Atomic_op.busy_cycles op)
             (Atomic_op.busy_cycles op2))
         m)
-    [ Machine.power1; Machine.power1_wide; Machine.scalar ]
+    (List.map Descr.builtin [ "power1"; "power1x2"; "scalar" ])
 
 let test_descr_parse () =
   let m = Descr.of_string {|
@@ -102,28 +130,8 @@ let test_descr_parse () =
   Alcotest.(check string) "name" "toy" m.Machine.name;
   Alcotest.(check int) "fadd latency" 3 (Atomic_op.result_latency (Machine.atomic m "fadd"))
 
-let test_machine_files () =
-  (* the shipped machines/*.pmach files parse and match the built-ins *)
-  let dir = "../machines" in
-  let dir = if Sys.file_exists dir then dir else "machines" in
-  if Sys.file_exists dir then
-    List.iter
-      (fun (file, builtin) ->
-        let path = Filename.concat dir file in
-        if Sys.file_exists path then (
-          let ic = open_in path in
-          let n = in_channel_length ic in
-          let src = really_input_string ic n in
-          close_in ic;
-          let m = Descr.of_string src in
-          Alcotest.(check string) file builtin.Machine.name m.Machine.name;
-          Alcotest.(check int) (file ^ " ops") (Machine.num_atomics builtin)
-            (Machine.num_atomics m)))
-      [ ("power1.pmach", Machine.power1); ("power1x2.pmach", Machine.power1_wide);
-        ("alpha21064.pmach", Machine.alpha21064); ("scalar.pmach", Machine.scalar) ]
-
 let test_alpha () =
-  let m = Machine.alpha21064 in
+  let m = Descr.builtin "alpha21064" in
   Alcotest.(check bool) "no fma" false m.Machine.has_fma;
   Alcotest.(check int) "dual issue" 2 m.issue_width;
   Alcotest.(check int) "fadd latency 6" 6 (Atomic_op.result_latency (Machine.atomic m "fadd"));
@@ -183,10 +191,10 @@ let test_ports_throughput () =
     Machine.reciprocal_throughput mach (Machine.atomic mach name)
   in
   Alcotest.(check bool) "classic kind" true
-    (Machine.model Machine.power1 = Costmodel.Classic);
-  Alcotest.(check (float 1e-9)) "power1 fadd" 1.0 (rt_classic Machine.power1 "fadd");
+    (Machine.model (Descr.builtin "power1") = Costmodel.Classic);
+  Alcotest.(check (float 1e-9)) "power1 fadd" 1.0 (rt_classic (Descr.builtin "power1") "fadd");
   Alcotest.(check (float 1e-9)) "power1x2 fadd (2 FPUs)" 0.5
-    (rt_classic Machine.power1_wide "fadd")
+    (rt_classic (Descr.builtin "power1x2") "fadd")
 
 (* the per-kind rule the classic dialect was written for, kept here as the
    reference: an op's noncoverable cycles on a kind spread over that kind's
@@ -205,18 +213,8 @@ let per_kind_rate m (op : Atomic_op.t) =
     0.0 op.components
 
 (* the eligible-set bound equals the per-kind rule on every op of every
-   shipped classic machine, builtin and file *)
+   shipped classic machine *)
 let test_classic_throughput_per_kind () =
-  let dir = if Sys.file_exists "../machines" then "../machines" else "machines" in
-  let files =
-    List.map
-      (fun f ->
-        let ic = open_in (Filename.concat dir f) in
-        let src = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        Descr.of_string src)
-      [ "power1.pmach"; "power1x2.pmach"; "alpha21064.pmach"; "scalar.pmach" ]
-  in
   List.iter
     (fun m ->
       Alcotest.(check bool) (m.Machine.name ^ " classic") true (Machine.model m = Costmodel.Classic);
@@ -226,7 +224,7 @@ let test_classic_throughput_per_kind () =
             (Printf.sprintf "%s %s" m.Machine.name name)
             (per_kind_rate m op) (Machine.reciprocal_throughput m op))
         m)
-    ([ Machine.power1; Machine.power1_wide; Machine.alpha21064; Machine.scalar ] @ files)
+    (List.map Descr.builtin Descr.builtin_names)
 
 (* ---- v2 (ports) descriptions ---- *)
 
@@ -419,6 +417,7 @@ let () =
         [ Alcotest.test_case "components" `Quick test_atomic_op ] );
       ( "builtin",
         [
+          Alcotest.test_case "one value per process" `Quick test_builtin_identity;
           Alcotest.test_case "power1 costs" `Quick test_power1;
           Alcotest.test_case "errors" `Quick test_machine_errors;
           Alcotest.test_case "unit kinds" `Quick test_units_of_kind;
@@ -428,7 +427,6 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_descr_roundtrip;
           Alcotest.test_case "parse" `Quick test_descr_parse;
           Alcotest.test_case "errors" `Quick test_descr_errors;
-          Alcotest.test_case "machine files" `Quick test_machine_files;
           Alcotest.test_case "alpha21064" `Quick test_alpha;
         ] );
       ( "costmodel",

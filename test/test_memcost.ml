@@ -8,7 +8,7 @@ open Pperf_machine
 open Pperf_memcost.Memcost
 module Sim = Pperf_memcost.Memcost.Sim
 
-let p1 = Machine.power1
+let p1 = Descr.builtin "power1"
 
 let nest_of src =
   let c = Typecheck.check_routine (Parser.parse_routine src) in

@@ -4,7 +4,7 @@
 open Pperf_machine
 open Pperf_sched
 
-let p1 = Machine.power1
+let p1 = Descr.builtin "power1"
 let op name = Machine.atomic p1 name
 let fadd = op "fadd"
 let fma = op "fma"
@@ -181,7 +181,7 @@ let test_focus_span_work () =
 
 let test_replicated_units () =
   (* on the 2-FPU machine, two independent fdivs run in parallel *)
-  let w = Machine.power1_wide in
+  let w = Descr.builtin "power1x2" in
   let fdiv_w = Machine.atomic w "fdiv" in
   let b = Bins.create w in
   let s = Bins.drop_dag b (Dag.of_ops [ (fdiv_w, []); (fdiv_w, []) ]) in

@@ -213,7 +213,7 @@ let test_batch_order_and_output () =
     lines;
   let out l = match field "output" l with Json.String s -> s | _ -> assert false in
   let expected =
-    Render.predict ~machine:Pperf_machine.Machine.power1
+    Render.predict ~machine:(Pperf_machine.Descr.builtin "power1")
       ~options:Pperf_core.Aggregate.default_options ~interproc:false ~strict:false
       ~evals:[] ~warn:ignore daxpy
   in
@@ -503,7 +503,7 @@ let test_evicted_predictors_leave_no_units () =
     | None -> 0
   in
   let head, tail =
-    Pperf_machine.Descr.to_string Pperf_machine.Machine.power1
+    Pperf_machine.Descr.to_string (Pperf_machine.Descr.builtin "power1")
     |> Astring.String.cut ~sep:"(name power1)"
     |> Option.get
   in
@@ -539,8 +539,12 @@ let test_evicted_predictors_leave_no_units () =
         true (after - before <= 8))
 
 let test_machines_helper () =
+  let files = Machines.loaded_count () in
   let m1 = Machines.load "power1" in
   let m2 = Machines.load "alpha" in
+  Alcotest.(check bool) "one power1 per process" true (m1 == Machines.load "power1");
+  Alcotest.(check bool) "alpha is alpha21064" true (m2 == Machines.load "alpha21064");
+  Alcotest.(check int) "builtins stay out of the file memo" files (Machines.loaded_count ());
   Alcotest.(check bool) "distinct hashes" true (Machines.hash m1 <> Machines.hash m2);
   Alcotest.(check string) "hash stable" (Machines.hash m1) (Machines.hash m1);
   match Machines.load "no-such-machine" with

@@ -5,7 +5,7 @@ open Pperf_lang
 open Pperf_machine
 open Pperf_transform
 
-let p1 = Machine.power1
+let p1 = Descr.builtin "power1"
 
 let routine src = (Typecheck.check_routine (Parser.parse_routine src)).routine
 

@@ -6,7 +6,7 @@ open Pperf_machine
 open Pperf_sched
 open Pperf_translate
 
-let p1 = Machine.power1
+let p1 = Descr.builtin "power1"
 
 let sym src =
   let c = Typecheck.check_routine (Parser.parse_routine src) in
@@ -70,7 +70,7 @@ let test_fma_fusion () =
   Alcotest.(check int) "no fma" 0 (count_atomic unfused.body "fma");
   Alcotest.(check int) "fmul+fadd" 1 (count_atomic unfused.body "fmul");
   (* machines without FMA expand to mul+add even with the flag on *)
-  let scalar = translate ~machine:Machine.scalar ~decls body in
+  let scalar = translate ~machine:(Descr.builtin "scalar") ~decls body in
   Alcotest.(check int) "scalar has no fma" 0 (count_atomic scalar.body "fma")
 
 let test_sum_reduction () =
@@ -178,7 +178,7 @@ let test_flags_monotone () =
 let test_double_precision_ops () =
   (* on a machine with a distinct double-divide entry, double expressions
      pick it up; single stays on fdiv *)
-  let alpha = Machine.alpha21064 in
+  let alpha = Descr.builtin "alpha21064" in
   let r, tab = sym "subroutine s(a, b)\n  double precision a, b\n  a = a / b\nend\n" in
   let res = Translator.translate_block ~machine:alpha ~symtab:tab r.body in
   Alcotest.(check int) "ddiv used" 1 (count_atomic res.body "ddiv");
