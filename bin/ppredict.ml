@@ -1,13 +1,11 @@
 (* ppredict: command-line driver for the performance prediction framework.
 
-   The query subcommands are built from Pperf_server.Query's rows and
-   run the same code as the server verbs of the same names; [search] and
-   the service subcommands are written out below. Every query subcommand
-   and [search] report failure through Query's exception table. *)
+   Every query subcommand is built from one of Pperf_server.Query's rows
+   and runs the same code as the server verb of the same name, reporting
+   failure through Query's exception table. Only the service subcommands
+   (batch, serve, loadgen) are written out below. *)
 
 open Cmdliner
-open Pperf_lang
-open Pperf_core
 module Query = Pperf_server.Query
 module Options = Pperf_server.Options
 module Protocol = Pperf_server.Protocol
@@ -121,37 +119,6 @@ let query_cmd (q : Query.t) =
   Cmd.v
     (Cmd.info (Query.name q) ~doc:q.doc)
     Term.(const run $ row $ machine $ options_term q.flags $ stats $ sources)
-
-(* ---- search ---- *)
-
-let search_cmd =
-  let run mspec (opts : Options.t) file =
-    handle (fun () ->
-        let machine = Pperf_server.Machines.load mspec in
-        let options = Options.to_aggregate opts in
-        let checked = Typecheck.check_routine (Parser.parse_routine (Query.source_text file)) in
-        let out = Pperf_transform.Search.run ~machine ~options ~max_nodes:150 ~max_depth:3 checked in
-        Format.printf "explored %d states@." out.explored;
-        Format.printf "sequence: %s@."
-          (if out.trace = [] then "(none)"
-           else
-             String.concat " ; "
-               (List.map (fun (s : Pperf_transform.Search.step) -> s.action) out.trace));
-        Format.printf "predicted: %a  ->  %a@." Perf_expr.pp out.initial Perf_expr.pp
-          out.predicted;
-        if out.blocked <> [] then (
-          Format.printf "@.blocked by dependences:@.";
-          List.iter
-            (fun (b : Pperf_transform.Search.blocked) ->
-              Format.printf "  %s at %a: %a@." b.action Pperf_transform.Transformations.pp_path
-                b.at Pperf_lint.Diagnostic.pp_short b.why)
-            out.blocked);
-        Format.printf "@.%s" (Pp_ast.routine_to_string out.best.routine);
-        0)
-  in
-  let doc = "Performance-guided automatic restructuring (A*-style search)." in
-  Cmd.v (Cmd.info "search" ~doc)
-    Term.(const run $ machine_arg $ options_term [ Options.Flag.memory ] $ file_arg 0 "FILE")
 
 (* ---- batch / serve ---- *)
 
@@ -384,4 +351,4 @@ let () =
   let doc = "compile-time performance prediction for superscalar machines" in
   let info = Cmd.info "ppredict" ~version:"1.0.0" ~doc in
   let service = [ batch_cmd; serve_cmd; loadgen_cmd ] in
-  exit (Cmd.eval' (Cmd.group info (List.map query_cmd Query.all @ (search_cmd :: service))))
+  exit (Cmd.eval' (Cmd.group info (List.map query_cmd Query.all @ service)))

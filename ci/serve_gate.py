@@ -68,6 +68,10 @@ for f in samples:
     cases.append({"verb": "ranges", "file": f, "flags": {"json": True}})
 cases.append({"verb": "compare", "file": "samples/daxpy.pf", "file2": "samples/jacobi.pf"})
 cases.append({"verb": "predict", "file": "samples/calls.pf", "flags": {"interproc": True}})
+# the A* restructuring verb, with and without the memory model
+for f in ("samples/daxpy.pf", "samples/lcd.pf"):
+    cases.append({"verb": "search", "file": f})
+    cases.append({"verb": "search", "file": f, "flags": {"memory": True}})
 
 n = len(cases)
 lines = []

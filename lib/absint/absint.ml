@@ -183,16 +183,15 @@ and eval_raw symtab env e =
   | Ast.Binop ((Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.And | Ast.Or), _, _)
     ->
     Interval.full
-  | Ast.Call (fn, args) ->
-    eval_call symtab (String.lowercase_ascii fn) args (List.map (eval symtab env) args)
+  | Ast.Call (fn, args) -> eval_call symtab fn args (List.map (eval symtab env) args)
 
 and eval_call symtab fn args ivs =
   match (fn, ivs) with
-  | ("min" | "min0" | "amin1" | "dmin1"), a :: rest ->
+  | ("min" | "min0"), a :: rest ->
     int_first symtab args (List.fold_left imin a rest)
-  | ("max" | "max0" | "amax1" | "dmax1"), a :: rest ->
+  | ("max" | "max0"), a :: rest ->
     int_first symtab args (List.fold_left imax a rest)
-  | ("abs" | "iabs" | "dabs"), [ a ] -> iabs a
+  | ("abs" | "iabs"), [ a ] -> iabs a
   | "mod", [ a; b ] -> (
     match Interval.is_point b with
     | Some k when Rat.is_integer k && Rat.sign k > 0 ->
@@ -201,10 +200,10 @@ and eval_call symtab fn args ivs =
       let m = if int_valued symtab (List.hd args) then Rat.sub k Rat.one else k in
       if lo_ge_zero a then Interval.of_rats Rat.zero m else Interval.of_rats (Rat.neg m) m
     | _ -> Interval.full)
-  | ("sqrt" | "dsqrt"), [ a ] when lo_ge_zero a -> Interval.nonneg
-  | ("exp" | "dexp"), [ _ ] -> Interval.nonneg
-  | ("float" | "real" | "dble"), [ a ] -> a
-  | ("int" | "ifix"), [ a ] -> round_bounds truncate a
+  | "sqrt", [ a ] when lo_ge_zero a -> Interval.nonneg
+  | "exp", [ _ ] -> Interval.nonneg
+  | ("float" | "dble"), [ a ] -> a
+  | "int", [ a ] -> round_bounds truncate a
   | "nint", [ a ] -> round_bounds Rat.round a
   | _ -> Interval.full
 

@@ -124,13 +124,13 @@ let count_decided rel verdict =
 
    The sign analysis is the expensive half of [decide]; its verdict is a
    pure function of the two (rewritten, point-substituted) totals, the
-   widened environment restricted to their variables, the subdivision
-   parameters, and the relational facts feeding the oracle. We key a
-   per-domain memo on a digest of exactly those inputs. *)
+   widened environment restricted to their variables, and the relational
+   facts feeding the oracle. We key a per-domain memo on a digest of
+   exactly those inputs. *)
 
 let verdicts = Pperf_obs.Memo.create Pperf_obs.Memo.Per_domain "compare.memo" ~capacity:256
 
-let verdict_digest ?eps ?depth ~rel ~env f g =
+let verdict_digest ~rel ~env f g =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (Poly.to_string f);
   Buffer.add_char buf '|';
@@ -149,10 +149,6 @@ let verdict_digest ?eps ?depth ~rel ~env f g =
         Buffer.add_char buf ';'
       | None -> ())
     vars;
-  Buffer.add_char buf '|';
-  Option.iter (fun e -> Buffer.add_string buf (Pperf_num.Rat.to_string e)) eps;
-  Buffer.add_char buf '|';
-  Option.iter (fun d -> Buffer.add_string buf (string_of_int d)) depth;
   Buffer.add_char buf '|';
   (* rewrites are already applied to f/g; the oracle's influence is pinned
      by the rendered relations + domain *)
@@ -176,7 +172,7 @@ let apply_rewrites rel p =
         if Poly.mem_var x p && Poly.min_degree_in x p >= 0 then Poly.subst x q p else p)
       p r.rel_rewrites
 
-let decide ?eps ?depth ?rel env (cf : Perf_expr.t) (cg : Perf_expr.t) : decision =
+let decide ?rel env (cf : Perf_expr.t) (cg : Perf_expr.t) : decision =
   Pperf_obs.Obs.time sp_compare @@ fun () ->
   (* affine rewrites ([m = 2*n]) eliminate coupled variables exactly, which
      can collapse a multivariate difference to a decidable one *)
@@ -184,11 +180,11 @@ let decide ?eps ?depth ?rel env (cf : Perf_expr.t) (cg : Perf_expr.t) : decision
   and g = subst_points env (apply_rewrites rel (Perf_expr.total cg)) in
   let diff = Poly.sub f g in
   let env = widen_env env diff in
-  let key = verdict_digest ?eps ?depth ~rel ~env f g in
+  let key = verdict_digest ~rel ~env f g in
   let verdict =
     Pperf_obs.Memo.find_or_add verdicts key (fun () ->
         let oracle = Option.map (fun r -> r.rel_oracle) rel in
-        Signs.compare_over ?eps ?depth ?oracle env f g)
+        Signs.compare_over ?oracle env f g)
   in
   count_decided rel verdict;
   let recommended =

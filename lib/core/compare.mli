@@ -45,8 +45,6 @@ val inferred_rel :
     sound for the comparison). [None] under the default [Box] domain. *)
 
 val decide :
-  ?eps:Pperf_num.Rat.t ->
-  ?depth:int ->
   ?rel:rel_facts ->
   Interval.Env.t ->
   Perf_expr.t ->
@@ -61,8 +59,8 @@ val decide :
 
     Verdicts are memoized per worker domain behind a capped table keyed on
     a digest of the rewritten totals, the environment restricted to their
-    variables, [eps]/[depth], and the relational facts; repeat comparisons
-    skip the sign analysis entirely ([compare.memo.hits] /
-    [compare.memo.misses] counters). *)
+    variables, and the relational facts; repeat comparisons skip the sign
+    analysis entirely ([compare.memo.hits] / [compare.memo.misses]
+    counters). *)
 
 val pp_decision : Format.formatter -> decision -> unit

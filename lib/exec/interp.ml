@@ -246,10 +246,9 @@ and call_routine st loc f vargs =
       try List.combine callee.routine.params vargs
       with Invalid_argument _ -> err loc "arity mismatch calling %s" f
     in
-    let named = List.map (fun (p, v) -> (p, v)) bindings in
     if st.depth >= max_depth then err loc "call to %s nested deeper than %d calls" f max_depth;
     st.depth <- st.depth + 1;
-    let res = exec_routine st callee named in
+    let res, _ = exec_routine st callee bindings in
     st.depth <- st.depth - 1;
     match res with Some v -> v | None -> VInt 0)
 
@@ -481,14 +480,19 @@ and make_frame st (checked : Typecheck.checked) (args : (string * value) list) =
     shapes;
   frame
 
-and exec_routine st (checked : Typecheck.checked) (args : (string * value) list) :
-    value option =
+(* enter a routine: run its body in a new frame until the end or a
+   [return]; a function's result is the scalar named after it. The frame
+   comes back too, for [run]'s final scalars *)
+and exec_routine st (checked : Typecheck.checked) (args : (string * value) list) =
   let frame = make_frame st checked args in
   (try exec_stmts st checked frame ~activation:0 (top_scope st checked) checked.routine.body
    with Return_exn -> ());
-  match checked.routine.rkind with
-  | Ast.Function _ -> Hashtbl.find_opt frame.scalars checked.routine.rname
-  | _ -> None
+  let result =
+    match checked.routine.rkind with
+    | Ast.Function _ -> Hashtbl.find_opt frame.scalars checked.routine.rname
+    | _ -> None
+  in
+  (result, frame)
 
 (* ---- public API ---- *)
 
@@ -518,18 +522,7 @@ let run ~machine ?(options = Aggregate.default_options) ?(args = [])
       depth = 0;
     }
   in
-  let frame = make_frame st checked args in
-  let return_value =
-    try
-      exec_stmts st checked frame ~activation:0 (top_scope st checked) checked.routine.body;
-      None
-    with Return_exn -> None
-  in
-  let return_value =
-    match checked.routine.rkind with
-    | Ast.Function _ -> Hashtbl.find_opt frame.scalars checked.routine.rname
-    | _ -> return_value
-  in
+  let return_value, frame = exec_routine st checked args in
   {
     cycles = st.cycles;
     profile = st.profile;

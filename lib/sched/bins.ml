@@ -171,14 +171,14 @@ let cost_block t =
 
 let sp_bins = Obs.span "sched.bins"
 
-let drop_dag ?(start_at = 0) t (dag : Dag.t) =
+let drop_dag t (dag : Dag.t) =
   Obs.time sp_bins @@ fun () ->
   let n = Dag.length dag in
   let placements = Array.make n { node = 0; start = 0; finish = 0; filled = [] } in
   for i = 0 to n - 1 do
     let nd = Dag.node dag i in
     let ready =
-      List.fold_left (fun acc d -> max acc placements.(d).finish) start_at nd.Dag.deps
+      List.fold_left (fun acc d -> max acc placements.(d).finish) 0 nd.Dag.deps
     in
     placements.(i) <- drop_op_full t ~ready i nd.Dag.op
   done;

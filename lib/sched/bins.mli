@@ -41,10 +41,9 @@ type schedule = {
   block : Costblock.t;
 }
 
-val drop_dag : ?start_at:int -> t -> Dag.t -> schedule
+val drop_dag : t -> Dag.t -> schedule
 (** Drop all operations of the block, in program order, honoring
-    dependences. [start_at] offsets the whole block (used when chaining
-    blocks into the same bins). The bins are {e not} reset first. *)
+    dependences. The bins are {e not} reset first. *)
 
 val drop_op : t -> ready:int -> Atomic_op.t -> int
 (** Low-level: place one operation, returning its issue slot. *)

@@ -11,7 +11,7 @@
 
 type verb =
   | Predict | Compare | Ranges | Lint | Bounds | Machines | Calibrate
-  | Schedule | Report | Deps | Run | Machine
+  | Schedule | Report | Deps | Run | Machine | Search
   | Ping | Stats | Metrics | Shutdown
 
 let protocol_version = 1
@@ -29,6 +29,7 @@ let verb_string = function
   | Deps -> "deps"
   | Run -> "run"
   | Machine -> "machine"
+  | Search -> "search"
   | Ping -> "ping"
   | Stats -> "stats"
   | Metrics -> "metrics"
@@ -36,7 +37,7 @@ let verb_string = function
 
 let all_verbs =
   [ Predict; Compare; Ranges; Lint; Bounds; Machines; Calibrate; Schedule; Report; Deps;
-    Run; Machine; Ping; Stats; Metrics; Shutdown ]
+    Run; Machine; Search; Ping; Stats; Metrics; Shutdown ]
 
 let verb_of_string s = List.find_opt (fun v -> verb_string v = s) all_verbs
 

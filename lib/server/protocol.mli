@@ -4,11 +4,12 @@
     One request object per input line; one response object per output
     line, in request order. The query verbs are the rows of {!Query}:
     [predict], [compare], [ranges], [lint], [bounds], [schedule],
-    [report], [deps] and [run] carry a source (inline text or a file
-    path), a machine spec and CLI-mirroring flags; [machines] (list known
-    machines), [calibrate] (fit a ports cost model to the request's
-    machine by measurement) and [machine] (print the request's machine
-    description) take no source. Every query verb is cached, and its
+    [report], [deps], [run] and [search] (restructure the source by A*
+    search) carry a source (inline text or a file path), a machine spec
+    and CLI-mirroring flags; [machines] (list known machines),
+    [calibrate] (fit a ports cost model to the request's machine by
+    measurement) and [machine] (print the request's machine description)
+    take no source. Every query verb is cached, and its
     [output] field is byte-identical to the one-shot CLI subcommand's
     stdout. Control verbs: [ping], [stats], [metrics], [shutdown].
 
@@ -20,7 +21,7 @@
 
 type verb =
   | Predict | Compare | Ranges | Lint | Bounds | Machines | Calibrate
-  | Schedule | Report | Deps | Run | Machine
+  | Schedule | Report | Deps | Run | Machine | Search
   | Ping | Stats | Metrics | Shutdown
 
 val all_verbs : verb list

@@ -181,9 +181,17 @@ let machine =
     doc = "Print a machine description in the portable textual format.";
     render = (fun ?predictor:_ ~warn:_ _ machine _ -> (Descr.to_string machine, 0)) }
 
+let search =
+  { verb = Protocol.Search; sources = [ "FILE" ]; machine = Machine_option; stats = false;
+    flags = Options.Flag.[ memory ]; inputs = no_inputs;
+    doc = "Performance-guided automatic restructuring (A*-style search).";
+    render =
+      (fun ?predictor:_ ~warn:_ o machine srcs ->
+        (Render.search ~machine ~options:(Options.to_aggregate o) (List.hd srcs), 0)) }
+
 let all =
   [ predict; compare; ranges; lint; bounds; machines (); calibrate (); schedule; report; deps;
-    run_verb; machine ]
+    run_verb; machine; search ]
 
 let find verb = List.find_opt (fun q -> q.verb = verb) all
 

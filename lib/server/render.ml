@@ -600,3 +600,26 @@ let run ~machine ~evals src =
       Format.fprintf fmt "profile:@.%a" Interp.Profile.pp res.profile;
       Format.fprintf fmt "static prediction %a = %.0f (%.2f%% from dynamic)@." Predict.pp p static
         (100.0 *. Float.abs (static -. res.cycles) /. Float.max 1.0 res.cycles))
+
+(* ---- search ---- *)
+
+let search ~machine ~options src =
+  Obs.time sp_render @@ fun () ->
+  let module Search = Pperf_transform.Search in
+  let checked = Typecheck.check_routine (Parser.parse_routine src) in
+  let out = Search.run ~machine ~options ~max_nodes:150 ~max_depth:3 checked in
+  with_formatter (fun fmt ->
+      Format.fprintf fmt "explored %d states@." out.explored;
+      Format.fprintf fmt "sequence: %s@."
+        (if out.trace = [] then "(none)"
+         else String.concat " ; " (List.map (fun (s : Search.step) -> s.action) out.trace));
+      Format.fprintf fmt "predicted: %a  ->  %a@." Perf_expr.pp out.initial Perf_expr.pp
+        out.predicted;
+      if out.blocked <> [] then (
+        Format.fprintf fmt "@.blocked by dependences:@.";
+        List.iter
+          (fun (b : Search.blocked) ->
+            Format.fprintf fmt "  %s at %a: %a@." b.action Pperf_transform.Transformations.pp_path
+              b.at Pperf_lint.Diagnostic.pp_short b.why)
+          out.blocked);
+      Format.fprintf fmt "@.%s" (Pp_ast.routine_to_string out.best.routine))

@@ -107,3 +107,11 @@ val run : machine:Machine.t -> evals:string list -> string -> string
     and set beside them its static prediction at the same bindings,
     predicted interprocedurally so calls cost what their callees do.
     @raise Pperf_exec.Interp.Runtime_error when the run fails. *)
+
+val search : machine:Machine.t -> options:Aggregate.options -> string -> string
+(** Performance-guided restructuring of the source's routine: an A*
+    search over transformation sequences, scored by the predictor, within
+    150 states and 3 transformations. Prints the states explored, the
+    sequence applied, the predicted cost before and after, the reorderings
+    refused by a carried dependence with the diagnostic that says why, and
+    the best variant. *)

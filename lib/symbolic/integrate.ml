@@ -21,7 +21,7 @@ type split = {
   neg_integral : Rat.t;
 }
 
-let pos_neg_split ?eps p x iv =
+let pos_neg_split p x iv =
   let a, b =
     match (Interval.lo iv, Interval.hi iv) with
     | Interval.Fin a, Interval.Fin b -> (a, b)
@@ -29,7 +29,7 @@ let pos_neg_split ?eps p x iv =
   in
   ignore b;
   ignore a;
-  let rs = Signs.regions ?eps p x iv in
+  let rs = Signs.regions p x iv in
   List.fold_left
     (fun acc (r : Signs.region) ->
       match (Interval.lo r.range, Interval.hi r.range) with

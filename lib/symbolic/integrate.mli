@@ -20,9 +20,9 @@ type split = {
   neg_integral : Rat.t;  (** integral of −P⁻ (i.e. ∫ max(−P,0)), non-negative *)
 }
 
-val pos_neg_split : ?eps:Rat.t -> Poly.t -> string -> Interval.t -> split
+val pos_neg_split : Poly.t -> string -> Interval.t -> split
 (** Region-based decomposition over a finite interval. Root enclosures of
-    width ≤ [eps] contribute error at most [eps·max|P|] per root.
+    width ≤ ε = 1/2^20 contribute error at most [ε·max|P|] per root.
     @raise Invalid_argument on an unbounded interval. *)
 
 val pp_split : Format.formatter -> split -> unit

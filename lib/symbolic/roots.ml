@@ -226,7 +226,8 @@ let count_in p x iv =
       let n = if is_root chain lo then n + 1 else n in
       n))
 
-let default_eps = Rat.make Pperf_num.Bigint.one (Pperf_num.Bigint.shift_left Pperf_num.Bigint.one 20)
+(* the width an inexact root enclosure is narrowed to *)
+let eps = Rat.make Pperf_num.Bigint.one (Pperf_num.Bigint.shift_left Pperf_num.Bigint.one 20)
 
 (* simplest rational in the closed interval [a, b] (a <= b), by the
    continued-fraction construction; used to recognize exact rational roots
@@ -249,7 +250,7 @@ let rec simplest_in a b =
       let inner = simplest_in (Rat.inv b') (Rat.inv a') in
       Rat.add fa_r (Rat.inv inner)))
 
-let isolate ?(eps = default_eps) p x iv =
+let isolate p x iv =
   let d = dense_of_poly p x in
   if degree d <= 0 then []
   else (

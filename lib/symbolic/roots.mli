@@ -29,12 +29,12 @@ val count_in : Poly.t -> string -> Interval.t -> int
     (viewed as univariate in [x]) within [iv], by Sturm's theorem.
     @raise Invalid_argument if [p] mentions other variables. *)
 
-val isolate : ?eps:Rat.t -> Poly.t -> string -> Interval.t -> enclosure list
+val isolate : Poly.t -> string -> Interval.t -> enclosure list
 (** Disjoint enclosures, in increasing order, one per distinct real root of
-    [p] in the interval, each either exact or of width [<= eps]
-    (default [1/2^20]). Exact rational roots are recognized and returned
-    with [lo = hi]. The zero polynomial yields [[]] (caller should treat
-    "identically zero" separately via {!Poly.is_zero}). *)
+    [p] in the interval, each either exact or of width [<= 1/2^20].
+    Exact rational roots are recognized and returned with [lo = hi]. The
+    zero polynomial yields [[]] (caller should treat "identically zero"
+    separately via {!Poly.is_zero}). *)
 
 val eval_at : Poly.t -> string -> Rat.t -> Rat.t
 (** Exact evaluation of a univariate polynomial. *)

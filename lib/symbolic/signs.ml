@@ -8,11 +8,11 @@ let sign_of_rat r =
   let s = Rat.sign r in
   if s > 0 then Pos else if s < 0 then Neg else Zero
 
-let regions ?eps p x iv =
+let regions p x iv =
   match Poly.to_const p with
   | Some c -> [ { range = iv; sign = sign_of_rat c } ]
   | None ->
-    let encls = Roots.isolate ?eps p x iv in
+    let encls = Roots.isolate p x iv in
     (* Build an ordered list of cut intervals; sample sign between them. *)
     let eval_sign v = sign_of_rat (Roots.eval_at p x v) in
     let lo_b = Interval.lo iv and hi_b = Interval.hi iv in
@@ -111,11 +111,11 @@ type verdict =
   | Crossover of region list
   | Undecided of Poly.t
 
-let compare_over ?eps ?depth ?oracle env cf cg =
+let compare_over ?oracle env cf cg =
   let d = Poly.sub cf cg in
   if Poly.is_zero d then Equal
   else
-    match sign_over ?oracle ?depth env d with
+    match sign_over ?oracle env d with
     | Neg -> Always_le
     | Pos -> Always_ge
     | Zero -> Equal
@@ -132,7 +132,7 @@ let compare_over ?eps ?depth ?oracle env cf cg =
              | None -> iv)
            | None -> iv
          in
-         let rs = regions ?eps d x iv in
+         let rs = regions d x iv in
          (* the regions may still be single-signed if interval arith was too
             coarse *)
          let has_pos = List.exists (fun r -> r.sign = Pos) rs in

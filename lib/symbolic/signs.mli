@@ -5,15 +5,13 @@
     transformations [f] and [g] without guessing unknowns — or emit the
     region boundary as a run-time test. *)
 
-open Pperf_num
-
 type sign = Interval.sign = Neg | Zero | Pos | Mixed
 
 type region = { range : Interval.t; sign : sign }
 (** [Zero] regions are either exact root points or enclosures narrower than
-    the isolation [eps]. *)
+    {!Roots.isolate}'s [1/2^20]. *)
 
-val regions : ?eps:Rat.t -> Poly.t -> string -> Interval.t -> region list
+val regions : Poly.t -> string -> Interval.t -> region list
 (** Partition of the (finite part of the) interval by the sign of a
     univariate polynomial, in increasing order. Unbounded ends are clipped
     at the Cauchy root bound, beyond which the sign is constant — the
@@ -41,8 +39,6 @@ type verdict =
           polynomial is the run-time test condition ([<= 0] favors first) *)
 
 val compare_over :
-  ?eps:Rat.t ->
-  ?depth:int ->
   ?oracle:(Poly.t -> Interval.t) ->
   Interval.Env.t ->
   Poly.t ->

@@ -151,6 +151,26 @@ let test_eval_expr () =
   Alcotest.(check string) "abs intrinsic" "[0, 4]"
     (s (A.eval_expr (Interval.Env.of_list [ ("m", iv (-3) 4) ]) (Ast.Call ("abs", [ Ast.Var "m" ]))))
 
+(* only PF's intrinsics mean something: any other name is a call to an
+   unknown routine, which may return anything *)
+let test_unknown_calls () =
+  let env = Interval.Env.of_list [ ("i", iv 1 10) ] in
+  let i = Ast.Var "i" in
+  let call f args = s (A.eval_expr env (Ast.Call (f, args))) in
+  List.iter
+    (fun (f, args) ->
+      Alcotest.(check bool) (f ^ " is not an intrinsic") false (Intrinsics.is_intrinsic f);
+      Alcotest.(check string) (f ^ " may return anything") (s Interval.full) (call f args))
+    [ ("amin1", [ i; Ast.Int 20 ]); ("dmin1", [ i; Ast.Int 20 ]); ("amax1", [ i; Ast.Int 0 ]);
+      ("dmax1", [ i; Ast.Int 0 ]); ("dabs", [ i ]); ("dsqrt", [ i ]); ("dexp", [ i ]);
+      ("real", [ i ]); ("ifix", [ Ast.Real (3.5, Ast.Treal) ]) ];
+  Alcotest.(check string) "min0 is one" "[1, 10]" (call "min0" [ i; Ast.Int 20 ]);
+  let res =
+    analyze
+      "subroutine s(a)\n  integer i, k\n  real a(10)\n  do i = 1, 10\n    k = amin1(i, 20)\n    a(i) = k\n  end do\nend\n"
+  in
+  Alcotest.(check string) "k = amin1(i, 20)" (s Interval.full) (s (find_summary res "k"))
+
 (* k = i / 2 over integers: the interpreter truncates, so k reaches 0 (at
    i = 1), and neither domain may state the rational i = 2*k *)
 let test_integer_quotient () =
@@ -704,6 +724,7 @@ let () =
       ( "refine",
         [
           Alcotest.test_case "eval expr" `Quick test_eval_expr;
+          Alcotest.test_case "unknown calls" `Quick test_unknown_calls;
           Alcotest.test_case "integer quotient" `Quick test_integer_quotient;
           Alcotest.test_case "decide cond" `Quick test_decide_cond;
           Alcotest.test_case "assume" `Quick test_assume_refines;

@@ -1,12 +1,12 @@
 (* CLI ≡ server, driven by the verb table. For every row of Query.all,
    over the shipped samples, with default flags and with each of the
-   row's flags turned on once, run the built ppredict subcommand and the
-   server verb on one engine, and check that the response's output is the
-   CLI's stdout, its status the CLI's exit code and its warnings the
-   CLI's "warning: " lines (or, on failure, that the CLI printed the
-   response's error message and exited 1, and that the error is not an
-   uncaught exception), and that a repeat is served from the result cache
-   with the same bytes. A row that never reads the machine leaves it out
+   row's flags turned on once, run the built ppredict subcommand and,
+   while it runs, the server verb on one engine, and check that the
+   response's output is the CLI's stdout, its status the CLI's exit code
+   and its warnings the CLI's "warning: " lines (or, on failure, that the
+   CLI printed the response's error message and exited 1, and that the
+   error is not an uncaught exception), and that a repeat is served from
+   the result cache with the same bytes. A row that never reads the machine leaves it out
    of the cache key, so its answer on a second machine already comes from
    the cache, with the first machine's bytes. A --json answer must be
    the line Json.to_string prints for the value it parses to.
@@ -119,25 +119,30 @@ let cases (q : Query.t) =
 
 type cli = { stdout : string; stderr : string; code : int }
 
-let cli argv =
+(* start the ppredict child; the function returned waits for it and
+   reads what it printed *)
+let spawn argv =
   let out = Filename.temp_file "verbs" ".out" and err = Filename.temp_file "verbs" ".err" in
   let fd path = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
   let fo = fd out and fe = fd err in
   let pid = Unix.create_process ppredict (Array.of_list (ppredict :: argv)) Unix.stdin fo fe in
   Unix.close fo;
   Unix.close fe;
-  let code =
-    match snd (Unix.waitpid [] pid) with
-    | Unix.WEXITED c -> c
-    | _ -> Alcotest.failf "ppredict %s died on a signal" (String.concat " " argv)
-  in
-  let read path =
-    let s = In_channel.with_open_bin path In_channel.input_all in
-    Sys.remove path;
-    s
-  in
-  let stdout = read out in
-  { stdout; stderr = read err; code }
+  fun () ->
+    let code =
+      match snd (Unix.waitpid [] pid) with
+      | Unix.WEXITED c -> c
+      | _ -> Alcotest.failf "ppredict %s died on a signal" (String.concat " " argv)
+    in
+    let read path =
+      let s = In_channel.with_open_bin path In_channel.input_all in
+      Sys.remove path;
+      s
+    in
+    let stdout = read out in
+    { stdout; stderr = read err; code }
+
+let cli argv = spawn argv ()
 
 let engine = Engine.create ~jobs:1 ()
 
@@ -158,9 +163,17 @@ let is_warning l =
    another machine, when the row leaves the machine out of its cache key *)
 let check_case ?cached_as (argv, request) =
   let what = "ppredict " ^ String.concat " " argv in
-  let c = cli argv in
-  let first = handle request in
-  let repeat = handle request in
+  (* the engine answers while the child runs *)
+  let wait = spawn argv in
+  let first, repeat =
+    try
+      let first = handle request in
+      (first, handle request)
+    with e ->
+      ignore (wait ());
+      raise e
+  in
+  let c = wait () in
   match (first, repeat) with
   | Protocol.Ok_response r, Protocol.Ok_response r2 ->
     let warnings, other = List.partition is_warning (lines c.stderr) in
